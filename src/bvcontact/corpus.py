@@ -88,9 +88,3 @@ def random_fields(grid, n: int, seed: int):
         out.append(_MAKERS[i % len(_MAKERS)](grid, rng))
     return out
 
-
-def smooth_fields(grid, n: int, seed: int):
-    """Jump-free members only (fourier, constants, cones, layers)."""
-    rng = np.random.default_rng(seed)
-    makers = (_fourier, _constant, _cone, _boundary_layer)
-    return [makers[i % len(makers)](grid, rng) for i in range(n)]

@@ -299,6 +299,19 @@ def _closed_form_yosida(d, sigma, p):
     return None
 
 
+def _closed_form_argmin(d, sigma, t):
+    """Per-value minimizers q of tau(q) + sigma |t - q| for builtin kinds;
+    None when not available."""
+    if d.kind == "linear" and abs(d.lam) * math.sqrt(d.value_dim) <= sigma:
+        return t.copy()
+    if d.kind == "absolute":
+        return t.copy() if d.lam <= sigma else np.zeros_like(t)
+    if d.kind == "quadratic":
+        mag = np.abs(t)
+        return np.where(mag <= sigma / 2.0, t, np.sign(t) * sigma / 2.0)
+    return None
+
+
 def _brute_force_yosida(d, ctx, x, p_values, radius=None):
     """Grid minimization of q -> tau(x,q) + sigma|p-q| for scalar p values.
 

@@ -21,12 +21,11 @@ tau(x, q) + sigma |t - q| within eps of the transform.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import yosida_radius
+from .density import _closed_form_argmin, yosida_radius
 from .errors import LayerTooThin, MaskMismatch
 from .grid import GridField, TraceSample, l1_norm, trace_extract, tv_grid
 
@@ -148,12 +147,6 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
     )
 
 
-def max_layer_sharpness(dom, h) -> float:
-    """Largest 1/eps (smallest eps) the grid can support before LayerTooThin,
-    ignoring the oscillation adaptation: eps_min = 8h / (1.8 * min(1, Per/4))."""
-    return 8.0 * h / (DELTA_L1_FACTOR * min(1.0, dom.perimeter / 4.0))
-
-
 def required_eps(g: TraceSample, h: float) -> float:
     """Smallest eps whose adaptive layer width stays resolvable (>= 8h) for
     this particular boundary datum, arc-oscillation included."""
@@ -225,17 +218,6 @@ def optimal_boundary_values(u: GridField, d, ctx, eps: float) -> TraceSample:
                 tau_q = d.eval_many(tuple(tr.x[i]), qgrid)
                 q[i] = qgrid[np.argmin(tau_q + sigma * np.abs(t[i] - qgrid))]
     return tr.map_values(lambda _: q)
-
-
-def _closed_form_argmin(d, sigma, t):
-    if d.kind == "linear" and abs(d.lam) * math.sqrt(d.value_dim) <= sigma:
-        return t.copy()
-    if d.kind == "absolute":
-        return t.copy() if d.lam <= sigma else np.zeros_like(t)
-    if d.kind == "quadratic":
-        mag = np.abs(t)
-        return np.where(mag <= sigma / 2.0, t, np.sign(t) * sigma / 2.0)
-    return None
 
 
 def compactness_bound(energy: float, d, dom, sigma: float, epsilon0: float,

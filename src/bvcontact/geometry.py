@@ -331,6 +331,7 @@ class DomainGrid:
         self.cell_area = h * h
         self._boundary = None
         self._dist_maps = None
+        self._neighbors = None
 
     @property
     def n_cells(self):
@@ -339,6 +340,20 @@ class DomainGrid:
     def cell_centers(self):
         X, Y = np.meshgrid(self.xs, self.ys)
         return X, Y
+
+    def neighbor_masks(self):
+        """(ok_x, ok_y), built once: masked cells whose forward x / y
+        neighbor is masked too; the masked gradient is zero elsewhere."""
+        if self._neighbors is None:
+            m = self.mask
+            ok_x = m.copy()
+            ok_x[:, :-1] &= m[:, 1:]
+            ok_x[:, -1] = False
+            ok_y = m.copy()
+            ok_y[:-1, :] &= m[1:, :]
+            ok_y[-1, :] = False
+            self._neighbors = (ok_x, ok_y)
+        return self._neighbors
 
     # -- boundary sampling -----------------------------------------------------
 

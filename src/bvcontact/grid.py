@@ -83,9 +83,6 @@ class GridField:
         extra = self.values.ndim - self.grid.mask.ndim
         return 1 if extra == 0 else self.values.shape[-1]
 
-    def copy_with(self, values, jump_set=None):
-        return GridField(self.grid, values, jump_set)
-
 
 def field_from_function(grid, fn, vector_dim=None) -> GridField:
     """Sample fn at cell centers.  fn takes (X, Y) arrays for 2-D grids or a
@@ -113,32 +110,29 @@ def constant_field(grid, value) -> GridField:
 # -- differential quantities ---------------------------------------------------------
 
 
-def _forward_diffs(u: GridField):
-    """(Dx, Dy, inside) forward differences / h, zero where the neighbor
-    leaves the mask; shapes match the lattice (plus M axis for vector fields)."""
-    g, v = u.grid, u.values
-    m = g.mask
-    vdim = u.value_dim
-    shape = v.shape
-    dx = np.zeros(shape)
-    dy = np.zeros(shape)
-    ok_x = m.copy()
-    ok_x[:, :-1] &= m[:, 1:]
-    ok_x[:, -1] = False
-    ok_y = m.copy()
-    ok_y[:-1, :] &= m[1:, :]
-    ok_y[-1, :] = False
-    if vdim == 1:
-        dx[:, :-1] = (v[:, 1:] - v[:, :-1]) / g.h
-        dy[:-1, :] = (v[1:, :] - v[:-1, :]) / g.h
-        dx[~ok_x] = 0.0
-        dy[~ok_y] = 0.0
-    else:
-        dx[:, :-1, :] = (v[:, 1:, :] - v[:, :-1, :]) / g.h
-        dy[:-1, :, :] = (v[1:, :, :] - v[:-1, :, :]) / g.h
-        dx[~ok_x] = 0.0
-        dy[~ok_y] = 0.0
+def _grad(u, h, ok_x, ok_y):
+    """Forward differences / h of a (ny, nx) or (ny, nx, M) array, zero where
+    the forward neighbor leaves the mask (ok_x, ok_y from
+    DomainGrid.neighbor_masks)."""
+    dx = np.zeros_like(u)
+    dy = np.zeros_like(u)
+    dx[:, :-1] = (u[:, 1:] - u[:, :-1]) / h
+    dy[:-1, :] = (u[1:, :] - u[:-1, :]) / h
+    dx[~ok_x] = 0.0
+    dy[~ok_y] = 0.0
     return dx, dy
+
+
+def _grad_adjoint(xx, yy, h, ok_x, ok_y):
+    """Exact adjoint of _grad on scalar fields: <grad u, xi> = <u, adjoint(xi)>."""
+    out = np.zeros_like(xx)
+    vx = np.where(ok_x, xx, 0.0)
+    vy = np.where(ok_y, yy, 0.0)
+    out -= vx
+    out[:, 1:] += vx[:, :-1]
+    out -= vy
+    out[1:, :] += vy[:-1, :]
+    return out / h
 
 
 def gradient_magnitude(u: GridField):
@@ -148,7 +142,7 @@ def gradient_magnitude(u: GridField):
         d = np.zeros_like(v)
         d[:-1] = (v[1:] - v[:-1]) / u.h
         return np.abs(d)
-    dx, dy = _forward_diffs(u)
+    dx, dy = _grad(u.values, u.h, *u.grid.neighbor_masks())
     if u.value_dim == 1:
         return np.hypot(dx, dy)
     return np.sqrt((dx * dx + dy * dy).sum(axis=-1))
@@ -286,6 +280,19 @@ def _contact_integral(trace: TraceSample, evaluate) -> tuple[float, dict, bool]:
     return total, per_edge, clamped
 
 
+def _energy(u: GridField, sigma, evaluate, jumps, exact_trace) -> EnergyReport:
+    """sigma * TV(u) + sum_bd w * evaluate(x, Tr u); see energy_F for the
+    exact-term arguments."""
+    tv = tv_exact_pc(jumps) if jumps is not None else tv_grid(u)
+    trace = exact_trace if exact_trace is not None else trace_extract(u)
+    validity = ("exact_closed_form" if jumps is not None and exact_trace is not None
+                else "grid_estimate")
+    contact, per_edge, clamped = _contact_integral(trace, evaluate)
+    notes = {"sentinel_clamped": True} if clamped else {}
+    return EnergyReport(tv_term=sigma * tv, contact_term=contact, bulk_term=0.0,
+                        per_edge=per_edge, validity=validity, notes=notes)
+
+
 def energy_F(u: GridField, d, sigma: float, exact_jump_set=None,
              exact_trace: TraceSample | None = None) -> EnergyReport:
     """Contact energy  sigma * TV(u) + int_bd tau(x, Tr u).
@@ -295,31 +302,14 @@ def energy_F(u: GridField, d, sigma: float, exact_jump_set=None,
     flagged exact_closed_form.  A jump set attached to the field is data, not
     a default: exact terms enter only through the explicit arguments.
     """
-    jumps = exact_jump_set
-    tv = tv_exact_pc(jumps) if jumps is not None else tv_grid(u)
-    trace = exact_trace if exact_trace is not None else trace_extract(u)
-    validity = ("exact_closed_form" if jumps is not None and exact_trace is not None
-                else "grid_estimate")
-    contact, per_edge, clamped = _contact_integral(
-        trace, lambda x, v: d.eval_many(x, v))
-    notes = {"sentinel_clamped": True} if clamped else {}
-    return EnergyReport(tv_term=sigma * tv, contact_term=contact, bulk_term=0.0,
-                        per_edge=per_edge, validity=validity, notes=notes)
+    return _energy(u, sigma, d.eval_many, exact_jump_set, exact_trace)
 
 
 def energy_H(u: GridField, d, ctx, exact_jump_set=None,
              exact_trace: TraceSample | None = None) -> EnergyReport:
     """Transformed energy  sigma * TV(u) + int_bd tau_hat(x, Tr u)."""
-    jumps = exact_jump_set
-    tv = tv_exact_pc(jumps) if jumps is not None else tv_grid(u)
-    trace = exact_trace if exact_trace is not None else trace_extract(u)
-    validity = ("exact_closed_form" if jumps is not None and exact_trace is not None
-                else "grid_estimate")
-    contact, per_edge, clamped = _contact_integral(
-        trace, lambda x, v: yosida_eval_many(d, ctx, x, v))
-    notes = {"sentinel_clamped": True} if clamped else {}
-    return EnergyReport(tv_term=ctx.sigma * tv, contact_term=contact, bulk_term=0.0,
-                        per_edge=per_edge, validity=validity, notes=notes)
+    return _energy(u, ctx.sigma, lambda x, v: yosida_eval_many(d, ctx, x, v),
+                   exact_jump_set, exact_trace)
 
 
 def energy_capillarity(u: GridField, nu: float) -> EnergyReport:

@@ -25,46 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import YosidaContext, yosida_eval_many, yosida_radius
+from .density import YosidaContext, _closed_form_yosida, yosida_eval_many
 from .errors import NonconvexBoundaryTerm
 from .geometry import PolygonalDomain
-from .grid import (EnergyReport, GridField, energy_capillarity, energy_H,
-                   tv_grid)
+from .grid import (EnergyReport, GridField, _grad, _grad_adjoint, energy_capillarity,
+                   energy_H, tv_grid)
 
-
-# -- masked gradient / divergence pair -------------------------------------------------
-
-
-def _neighbor_masks(mask):
-    ok_x = mask.copy()
-    ok_x[:, :-1] &= mask[:, 1:]
-    ok_x[:, -1] = False
-    ok_y = mask.copy()
-    ok_y[:-1, :] &= mask[1:, :]
-    ok_y[-1, :] = False
-    return ok_x, ok_y
-
-
-def _grad(u, h, ok_x, ok_y):
-    dx = np.zeros_like(u)
-    dy = np.zeros_like(u)
-    dx[:, :-1] = (u[:, 1:] - u[:, :-1]) / h
-    dy[:-1, :] = (u[1:, :] - u[:-1, :]) / h
-    dx[~ok_x] = 0.0
-    dy[~ok_y] = 0.0
-    return dx, dy
-
-
-def _grad_adjoint(xx, yy, h, ok_x, ok_y):
-    """Exact adjoint of _grad: <grad u, xi> = <u, adjoint(xi)> on the lattice."""
-    out = np.zeros_like(xx)
-    vx = np.where(ok_x, xx, 0.0)
-    vy = np.where(ok_y, yy, 0.0)
-    out -= vx
-    out[:, 1:] += vx[:, :-1]
-    out -= vy
-    out[1:, :] += vy[:-1, :]
-    return out / h
+#: table-mode prox nodes cover the values [-PROX_VALUE_RANGE, PROX_VALUE_RANGE]
+PROX_VALUE_RANGE = 6.0
 
 
 # -- dual resolvents ---------------------------------------------------------------------
@@ -101,31 +69,30 @@ def _dual_step_area(zx, zy, s_beta):
 
 
 class _ContactProx:
-    """Per-cell resolvent of  W * tau_hat(x, .)  on the probe cells.
+    """Per-cell resolvent  v = argmin_v  t W tau_hat(x, v) + (v - z)^2 / 2  on
+    the probe cells, W being the cells' summed sample weights.
 
-    mode 'linear': tau_hat(v) = mu v; 'abs': mu |v|; 'table': tabulated
-    transform values with grid search (used for every other kind).
+    mode 'linear': tau_hat(v) = mu v; 'absolute': mu |v|, with mu read from the
+    density's closed-form transform; 'table': tabulated transform values with
+    grid search (used for every other kind).
     """
 
-    def __init__(self, d, ctx, boundary, mask_shape, h, value_range=6.0):
-        self.h = h
+    def __init__(self, d, ctx, boundary, mask_shape, h):
         W = np.zeros(mask_shape)
         np.add.at(W, (boundary.probe_iy, boundary.probe_ix), boundary.w)
         self.cells = np.nonzero(W > 0)
         self.W = W[self.cells] / (h * h)   # scaled weights (energy divided by h^2)
-        self.sigma = ctx.sigma
         self.mu = None
         self.table = None
         if d is None:
             self.mode = "none"
-        elif d.kind == "linear" and abs(d.lam) <= ctx.sigma:
-            self.mode, self.mu = "linear", d.lam
-        elif d.kind == "absolute":
-            self.mode, self.mu = "abs", min(d.lam, ctx.sigma)
+        elif d.kind in ("linear", "absolute"):
+            # raises UnboundedBelow when the slope exceeds sigma
+            self.mu = float(_closed_form_yosida(d, ctx.sigma, 1.0))
+            self.mode = d.kind
         else:
             self.mode = "table"
-            B = value_range
-            self.qs = np.linspace(-B, B, 4001)
+            self.qs = np.linspace(-PROX_VALUE_RANGE, PROX_VALUE_RANGE, 4001)
             # representative boundary point: densities vary continuously in x
             # at the cell scale, vectorized tabulation uses the first sample
             x0 = tuple(boundary.x[0])
@@ -136,13 +103,15 @@ class _ContactProx:
                               "certify stationarity only", NonconvexBoundaryTerm)
 
     def apply(self, u, t):
+        if t <= 0:
+            raise ValueError("t must be positive")
         if self.mode == "none" or len(self.cells[0]) == 0:
             return u
         z = u[self.cells]
         tw = t * self.W
         if self.mode == "linear":
             v = z - tw * self.mu
-        elif self.mode == "abs":
+        elif self.mode == "absolute":
             if self.mu >= 0:
                 v = np.sign(z) * np.maximum(np.abs(z) - tw * self.mu, 0.0)
             else:
@@ -150,7 +119,7 @@ class _ContactProx:
                 v = z + tw * (-self.mu) * s
         else:
             obj = (self.table[None, :] * tw[:, None]
-                   + 0.5 * (self.qs[None, :] - z[:, None]) ** 2 / t)
+                   + 0.5 * (self.qs[None, :] - z[:, None]) ** 2)
             v = self.qs[np.argmin(obj, axis=1)]
         u[self.cells] = v
         return u
@@ -161,7 +130,7 @@ class _ContactProx:
         z = u[self.cells]
         if self.mode == "linear":
             vals = self.mu * z
-        elif self.mode == "abs":
+        elif self.mode == "absolute":
             vals = self.mu * np.abs(z)
         else:
             vals = np.interp(z, self.qs, self.table)
@@ -219,7 +188,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
                          "to override")
     grid = dom.grid(h)
     mask = grid.mask
-    ok_x, ok_y = _neighbor_masks(mask)
+    ok_x, ok_y = grid.neighbor_masks()
     boundary = grid.boundary()
 
     if bulk == "capillarity":
@@ -329,41 +298,6 @@ def _scaled_energy(u, h, ok_x, ok_y, mask, sigma, beta, area_mode, have_bulk,
     if have_bulk:
         e += ((u - f_arr)[mask] ** 2).sum()
     return float(e + contact.energy(u))
-
-
-def prox_contact(d, ctx: YosidaContext, x, t: float, v: float) -> float:
-    """argmin_q  tau_hat(x, q) + (q - v)^2 / (2 t).
-
-    Closed form for linear and absolute kinds; otherwise a grid search over
-    the radius bound followed by parabolic refinement.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    sigma = ctx.sigma
-    if d.kind == "linear" and abs(d.lam) <= sigma:
-        return float(v - t * d.lam)
-    if d.kind == "absolute":
-        mu = min(d.lam, sigma)
-        if mu >= 0:
-            return float(np.sign(v) * max(abs(v) - t * mu, 0.0))
-        s = 1.0 if v >= 0 else -1.0
-        return float(v + t * (-mu) * s)
-    try:
-        radius = yosida_radius(d, sigma, x, v)
-    except Exception:
-        radius = abs(v) + 6.0 * max(1.0, math.sqrt(t))
-    span = radius + math.sqrt(2.0 * t * max(1.0, radius))
-    qs = np.linspace(v - span, v + span, 8001)
-    vals = yosida_eval_many(d, ctx, x, qs) + 0.5 * (qs - v) ** 2 / t
-    i = int(np.argmin(vals))
-    if 0 < i < len(qs) - 1:
-        # parabolic refinement through the three bracketing nodes
-        y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
-        denom = y0 - 2 * y1 + y2
-        if denom > 0:
-            step = qs[1] - qs[0]
-            return float(qs[i] + 0.5 * step * (y0 - y2) / denom)
-    return float(qs[i])
 
 
 def diagnostics(state: SolverState) -> dict:

@@ -3,10 +3,10 @@ import pytest
 
 from bvcontact import density
 from bvcontact.density import YosidaContext
-from bvcontact.errors import NonconvexBoundaryTerm
+from bvcontact.errors import NonconvexBoundaryTerm, UnboundedBelow
 from bvcontact.geometry import regular_ngon, unit_square
 from bvcontact.grid import constant_field, energy_capillarity, field_from_function
-from bvcontact.solver import diagnostics, minimize_energy, prox_contact
+from bvcontact.solver import _ContactProx, diagnostics, minimize_energy
 
 SQ = unit_square()
 
@@ -77,22 +77,30 @@ def test_dual_feasibility_exact_tv_mode():
     assert np.hypot(xx, yy).max() <= 1.0 + 1e-12
 
 
+def _probe_prox(d, step, z, h=1 / 8):
+    """_ContactProx.apply at the constant field z on the square, with
+    t * W = step on the non-corner probe cells; returns their values."""
+    g = SQ.grid(h)
+    prox = _ContactProx(d, YosidaContext(1.0), g.boundary(), g.mask.shape, h)
+    side = prox.W == prox.W.min()       # corner cells collect two edges
+    out = prox.apply(np.full(g.mask.shape, float(z)), step / prox.W.min())
+    vals = out[prox.cells][side]
+    assert np.all(vals == vals[0])
+    return float(vals[0])
+
+
 def test_prox_contact_soft_threshold():
-    d = density.absolute(2.0)
-    assert prox_contact(d, YosidaContext(1.0), (0, 0), 1.0, 3.0) == pytest.approx(2.0)
+    assert _probe_prox(density.absolute(2.0), 1.0, 3.0) == pytest.approx(2.0)
 
 
 def test_prox_contact_linear_shift():
-    d = density.linear(-0.5)
-    assert prox_contact(d, YosidaContext(1.0), (0, 0), 1.0, 0.0) == pytest.approx(0.5)
+    assert _probe_prox(density.linear(-0.5), 1.0, 0.0) == pytest.approx(0.5)
 
 
 def test_prox_contact_quadratic_matches_closed_form():
-    d = density.quadratic()
-    ctx = YosidaContext(1.0)
-    # piecewise closed form of the transformed quadratic at t = 0.5, v = 2:
-    # linear branch q - 1/4 + (q-2)^2 minimized at q = 1.5
-    got = prox_contact(d, ctx, (0, 0), 0.5, 2.0)
+    # piecewise closed form of the transformed quadratic at step 0.5, z = 2:
+    # linear branch 0.5 (q - 1/4) + (q-2)^2 / 2 minimized at q = 1.5
+    got = _probe_prox(density.quadratic(), 0.5, 2.0)
     assert got == pytest.approx(1.5, abs=1e-4)
     # optimality: no grid point does better
     qs = np.linspace(-1, 3, 20001)
@@ -103,8 +111,39 @@ def test_prox_contact_quadratic_matches_closed_form():
 
 
 def test_prox_contact_rejects_bad_step():
+    g = SQ.grid(1 / 8)
+    prox = _ContactProx(density.linear(0.1), YosidaContext(1.0), g.boundary(),
+                        g.mask.shape, 1 / 8)
     with pytest.raises(ValueError):
-        prox_contact(density.linear(0.1), YosidaContext(1.0), (0, 0), 0.0, 1.0)
+        prox.apply(np.ones(g.mask.shape), 0.0)
+
+
+def test_prox_table_mode_matches_closed_form_abs():
+    # abs(p) goes through the tabulated grid search, absolute(1.0) through the
+    # soft threshold; both are the same resolvent up to the 0.003 node step
+    table = density.expression("abs(p)", c=0.0, L=0.0)
+    for z in (-3.0, -0.4, 0.1, 0.3, 0.7, 3.0):
+        for step in (0.05, 0.5):
+            got = _probe_prox(table, step, z)
+            want = _probe_prox(density.absolute(1.0), step, z)
+            assert abs(got - want) <= 0.003 + 1e-12, (z, step, got, want)
+
+
+def test_prox_rejects_unbounded_absolute_at_setup():
+    g = SQ.grid(1 / 8)
+    with pytest.raises(UnboundedBelow):
+        _ContactProx(density.absolute(-2.0), YosidaContext(1.0), g.boundary(),
+                     g.mask.shape, 1 / 8)
+
+
+def test_table_mode_solve_converges():
+    # quadratic goes through the tabulated prox; a prox taken with the wrong
+    # step leaves the residual stalled near 6e-2 after 2000 iterations
+    g = SQ.grid(1 / 16)
+    f = field_from_function(g, lambda X, Y: np.exp(-8 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)))
+    res = minimize_energy(SQ, d=density.quadratic(), ctx=YosidaContext(1.0),
+                          bulk="quadratic", f=f, h=1 / 16, iters=2000, tol=1e-6)
+    assert res.residual <= 1e-6
 
 
 def test_nonconvex_contact_warns_and_runs():
