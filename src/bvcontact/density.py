@@ -315,9 +315,10 @@ def _closed_form_argmin(d, sigma, t):
 def _brute_force_yosida(d, ctx, x, p_values, radius=None):
     """Grid minimization of q -> tau(x,q) + sigma|p-q| for scalar p values.
 
-    The grid is centered so every p lies on a node (hence sigma-Lipschitz
-    densities are exact fixed points).  A descent slope <= -DESCENT_MARGIN at
-    the search boundary raises UnboundedBelow.
+    All p values share one q-grid, centered so every p lies on a node (hence
+    sigma-Lipschitz densities are exact fixed points); only the rows of the
+    P x q matrix are chunked, to bound memory.  A descent slope
+    <= -DESCENT_MARGIN at the search boundary raises UnboundedBelow.
     """
     sigma = ctx.sigma
     P = np.atleast_1d(np.asarray(p_values, dtype=float))
@@ -334,7 +335,6 @@ def _brute_force_yosida(d, ctx, x, p_values, radius=None):
     q = np.unique(np.concatenate([np.linspace(lo, hi, n), P]))
     tau_q = d.eval_many(x, q)
     tau_q = np.where(np.isfinite(tau_q), tau_q, NEG_SENTINEL)
-    g = tau_q[None, :] + sigma * np.abs(P[:, None] - q[None, :])
     # boundary descent test on the envelope for the extreme p values
     for j, pi in ((0, P.min()), (-1, P.max())):
         gi = tau_q + sigma * np.abs(pi - q)
@@ -346,7 +346,15 @@ def _brute_force_yosida(d, ctx, x, p_values, radius=None):
                 raise UnboundedBelow("descent direction active at left search boundary")
             if right_slope <= -DESCENT_MARGIN and gi[-1] <= gi.min() + sigma * hstep:
                 raise UnboundedBelow("descent direction active at right search boundary")
-    return g.min(axis=1)
+    out = np.empty(len(P))
+    rows = max(1, int(4e6 // len(q)))
+    for i in range(0, len(P), rows):
+        g = np.subtract.outer(P[i:i + rows], q)
+        np.abs(g, out=g)
+        g *= sigma
+        g += tau_q
+        out[i:i + rows] = g.min(axis=1)
+    return out
 
 
 def yosida_eval(d: SurfaceDensity, ctx: YosidaContext, x, p, force_bruteforce=False):
@@ -375,14 +383,7 @@ def yosida_eval_many(d, ctx, x, P, force_bruteforce=False):
         cf = _closed_form_yosida(d, ctx.sigma, P)
         if cf is not None:
             return cf
-    out = np.empty(P.shape, dtype=float)
-    flat = P.ravel()
-    chunk = max(1, int(4e6 // 4001))
-    res = []
-    for i in range(0, len(flat), chunk):
-        res.append(_brute_force_yosida(d, ctx, x, flat[i:i + chunk]))
-    out.ravel()[:] = np.concatenate(res)
-    return out
+    return _brute_force_yosida(d, ctx, x, P.ravel()).reshape(P.shape)
 
 
 # -- upper envelope and the Lipschitz approximation ladder ------------------------

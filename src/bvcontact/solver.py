@@ -14,7 +14,8 @@ feasibility |xi| <= dual_bound holds exactly along the whole trajectory.
 The boundary contact acts through per-sample proximal steps on the probe
 cells, aggregated by arc-length weight; closed forms cover linear and
 absolute transformed densities, everything else goes through a tabulated
-1-D grid search.
+transform whose exact node argmin is searched in a window around the
+minimizer of the table's lower convex envelope.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .density import YosidaContext, _closed_form_yosida, yosida_eval_many
 from .errors import NonconvexBoundaryTerm
@@ -31,8 +33,11 @@ from .geometry import PolygonalDomain
 from .grid import (EnergyReport, GridField, _grad, _grad_adjoint, energy_capillarity,
                    energy_H, tv_grid)
 
-#: table-mode prox nodes cover the values [-PROX_VALUE_RANGE, PROX_VALUE_RANGE]
+#: table-mode prox nodes lie on the lattice -PROX_VALUE_RANGE + k * PROX_NODE_STEP;
+#: k = 0 .. PROX_NODES - 1 covers [-PROX_VALUE_RANGE, PROX_VALUE_RANGE]
 PROX_VALUE_RANGE = 6.0
+PROX_NODES = 4001
+PROX_NODE_STEP = 2 * PROX_VALUE_RANGE / (PROX_NODES - 1)
 
 
 # -- dual resolvents ---------------------------------------------------------------------
@@ -68,16 +73,42 @@ def _dual_step_area(zx, zy, s_beta):
 # -- contact prox -----------------------------------------------------------------------
 
 
+def _lower_hull(x, y):
+    """Indices of the vertices of the lower convex hull of the points (x, y),
+    x increasing (Andrew's monotone chain)."""
+    hull = []
+    for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+        while len(hull) >= 2:
+            (_, xa, ya), (_, xb, yb) = hull[-2], hull[-1]
+            if (xb - xa) * (yi - ya) > (yb - ya) * (xi - xa):
+                break
+            hull.pop()
+        hull.append((i, xi, yi))
+    return np.array([i for i, _, _ in hull])
+
+
 class _ContactProx:
     """Per-cell resolvent  v = argmin_v  t W tau_hat(x, v) + (v - z)^2 / 2  on
     the probe cells, W being the cells' summed sample weights.
 
     mode 'linear': tau_hat(v) = mu v; 'absolute': mu |v|, with mu read from the
-    density's closed-form transform; 'table': tabulated transform values with
-    grid search (used for every other kind).
+    density's closed-form transform; 'table' (every other kind): the exact
+    argmin over tabulated transform values T on the nodes qs.
+
+    Table mode brackets each cell by the node j minimizing the convex
+    surrogate s C + (q - z)^2 / 2, with C the lower convex envelope of T and
+    s = t W, then searches the nodes within m of j.  With g = max(T - C) and
+    the node step dq, every node whose objective is at most the value at j
+    lies within dq + sqrt(2 s g) of node j (the surrogate is 1-strongly
+    convex and T - C lies in [0, g]), so the window returns the dense argmin,
+    first-index ties included; a nonconvex table only widens the window.
+
+    data_range = (lo, hi) spans the bulk target and the start; on a side where
+    it leaves [-PROX_VALUE_RANGE, PROX_VALUE_RANGE] the nodes extend to
+    PROX_VALUE_RANGE beyond it.
     """
 
-    def __init__(self, d, ctx, boundary, mask_shape, h):
+    def __init__(self, d, ctx, boundary, mask_shape, h, data_range=(0.0, 0.0)):
         W = np.zeros(mask_shape)
         np.add.at(W, (boundary.probe_iy, boundary.probe_ix), boundary.w)
         self.cells = np.nonzero(W > 0)
@@ -92,15 +123,26 @@ class _ContactProx:
             self.mode = d.kind
         else:
             self.mode = "table"
-            self.qs = np.linspace(-PROX_VALUE_RANGE, PROX_VALUE_RANGE, 4001)
+            R, dq = PROX_VALUE_RANGE, PROX_NODE_STEP
+            lo, hi = data_range
+            k_lo = math.floor(lo / dq) if lo < -R else 0
+            k_hi = PROX_NODES - 1 + (math.ceil(hi / dq) if hi > R else 0)
+            self.qs = np.arange(k_lo, k_hi + 1) * dq + (-R)
             # representative boundary point: densities vary continuously in x
             # at the cell scale, vectorized tabulation uses the first sample
             x0 = tuple(boundary.x[0])
             self.table = yosida_eval_many(d, ctx, x0, self.qs)
-            d2 = np.diff(self.table, 2)
-            if np.min(d2) < -1e-8 * max(1.0, np.abs(self.table).max()):
+            hull = _lower_hull(self.qs, self.table)
+            envelope = np.interp(self.qs, self.qs[hull], self.table[hull])
+            self.gap = float((self.table - envelope).max())
+            if self.gap > 1e-8 * max(1.0, np.abs(self.table).max()):
                 warnings.warn("sampled contact transform is nonconvex; iterates "
                               "certify stationarity only", NonconvexBoundaryTerm)
+            # bisection keys: node j minimizes s C + (q - z)^2 / 2 iff it is the
+            # first with s env_slope_j + midpoint_j >= z (the last key is +inf)
+            self.env_slope = np.append(np.diff(envelope) / np.diff(self.qs), np.inf)
+            self.midpoint = np.append(0.5 * (self.qs[1:] + self.qs[:-1]), np.inf)
+            self.bisect_steps = math.ceil(math.log2(len(self.qs)))
 
     def apply(self, u, t):
         if t <= 0:
@@ -118,11 +160,27 @@ class _ContactProx:
                 s = np.where(z == 0, 1.0, np.sign(z))
                 v = z + tw * (-self.mu) * s
         else:
-            obj = (self.table[None, :] * tw[:, None]
-                   + 0.5 * (self.qs[None, :] - z[:, None]) ** 2)
-            v = self.qs[np.argmin(obj, axis=1)]
+            v = self._table_argmin(z, tw)
         u[self.cells] = v
         return u
+
+    def _table_argmin(self, z, tw):
+        n = len(self.qs)
+        lo = np.zeros(len(z), dtype=np.intp)
+        hi = np.full(len(z), n - 1, dtype=np.intp)
+        for _ in range(self.bisect_steps):
+            mid = (lo + hi) // 2
+            up = tw * self.env_slope[mid] + self.midpoint[mid] >= z
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid + 1)
+        dq = PROX_NODE_STEP
+        m = math.ceil((math.sqrt(2.0 * float(tw.max()) * self.gap) + dq) / dq) + 1
+        width = min(2 * m + 1, n)
+        start = np.clip(lo - m, 0, n - width)
+        table = sliding_window_view(self.table, width)[start]
+        qs = sliding_window_view(self.qs, width)[start]
+        obj = table * tw[:, None] + 0.5 * (qs - z[:, None]) ** 2
+        return self.qs[start + np.argmin(obj, axis=1)]
 
     def energy(self, u):
         if self.mode == "none" or len(self.cells[0]) == 0:
@@ -211,8 +269,6 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         f_arr = np.broadcast_to(f_arr, mask.shape).copy()
     have_bulk = bulk != "none"
 
-    contact = _ContactProx(d, ctx, boundary, mask.shape, h)
-
     # steps: t * s * ||grad||^2 <= 1 with ||grad|| <= sqrt(8)/h; a larger
     # primal step strengthens the contraction from the strongly convex bulk.
     # unsafe_step_product > 1 deliberately breaks the bound (divergence demos).
@@ -227,6 +283,9 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     else:
         u = f_arr.copy()
     u[~mask] = 0.0
+    lo = min(float(a.min(where=mask, initial=np.inf)) for a in (f_arr, u))
+    hi = max(float(a.max(where=mask, initial=-np.inf)) for a in (f_arr, u))
+    contact = _ContactProx(d, ctx, boundary, mask.shape, h, data_range=(lo, hi))
     ubar = u.copy()
     xx = np.zeros(mask.shape)
     yy = np.zeros(mask.shape)

@@ -161,6 +161,16 @@ def test_transform_is_sigma_lipschitz():
     assert slopes.max() <= 1.0 + 2e-2  # sigma + grid slack
 
 
+def test_transform_many_points_share_one_grid():
+    # 4001 p values span several row chunks; a q-grid per chunk leaves concave
+    # seams (second difference -3.8e-4) and a slope of 1.127 > sigma
+    d = expression("p*p + 0.5*abs(p-0.25)", c=0.0, L=0.0)
+    ps = np.linspace(-6, 6, 4001)
+    vals = yosida_eval_many(d, YosidaContext(sigma=1.0), X, ps)
+    assert np.abs(np.diff(vals)).max() <= 1.0 * (ps[1] - ps[0]) * (1 + 1e-12)
+    assert np.diff(vals, 2).min() >= -1e-12
+
+
 def test_transform_dominated_by_density():
     d = expression("2*min(abs(p-1), abs(p+1))", c=0.0, L=0.0)
     ctx = YosidaContext(sigma=1.0)

@@ -146,6 +146,47 @@ def test_table_mode_solve_converges():
     assert res.residual <= 1e-6
 
 
+def _dense_table_argmin(prox, z, tw):
+    obj = prox.table[None, :] * tw[:, None] + 0.5 * (prox.qs[None, :] - z[:, None]) ** 2
+    return prox.qs[np.argmin(obj, axis=1)]
+
+
+@pytest.mark.parametrize("expr, convex", [("p*p + 0.5*abs(p-0.25)", True),
+                                          ("2*min(abs(p-1), abs(p+1))", False)])
+def test_table_prox_window_matches_dense_argmin(expr, convex):
+    # h = 1/128: side cells have W = 128, corner cells W = 256; the solver's
+    # step t / (1 + 2t) makes t W about 2.7 and 5.4
+    h = 1 / 128
+    g = SQ.grid(h)
+    d = density.expression(expr, c=0.0, L=0.0)
+    if convex:
+        prox = _ContactProx(d, YosidaContext(1.0), g.boundary(), g.mask.shape, h)
+    else:
+        with pytest.warns(NonconvexBoundaryTerm):
+            prox = _ContactProx(d, YosidaContext(1.0), g.boundary(), g.mask.shape, h)
+    assert len(np.unique(prox.W)) == 2
+    rng = np.random.default_rng(7)
+    t_solver = 8.0 / (np.sqrt(8.0) / h)
+    for t in (t_solver / (1 + 2 * t_solver), 1e-4, 0.1):
+        for _ in range(10):
+            z = rng.uniform(-9.0, 9.0, len(prox.W))    # nodes cover [-6, 6]
+            u = np.zeros(g.mask.shape)
+            u[prox.cells] = z
+            got = prox.apply(u, t)[prox.cells]
+            assert np.array_equal(got, _dense_table_argmin(prox, z, t * prox.W))
+
+
+def test_table_prox_nodes_extend_past_the_data():
+    # nodes that stop at 6 hold the boundary cells there: total 12.84
+    g = SQ.grid(1 / 32)
+    d = density.expression("0.01*abs(p-10)", c=0.0, L=0.01)
+    res = minimize_energy(SQ, d=d, ctx=YosidaContext(1.0), bulk="quadratic",
+                          f=constant_field(g, 10.0), h=1 / 32, iters=2000, tol=1e-6)
+    assert res.residual <= 1e-6
+    assert res.report.total <= 1e-3
+    assert np.abs(res.u.values[g.mask] - 10.0).max() <= 0.003
+
+
 def test_nonconvex_contact_warns_and_runs():
     d = density.expression("2*min(abs(p-1), abs(p+1))", c=0.0, L=0.0)
     with pytest.warns(NonconvexBoundaryTerm):
