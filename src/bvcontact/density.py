@@ -81,8 +81,6 @@ class SurfaceDensity:
             return abs(self.lam) * math.sqrt(self.value_dim)
         if self.kind == "absolute":
             return abs(self.lam)
-        if self.kind == "quadratic":
-            return 0.0
         return 0.0
 
     # -- lower-bound data -------------------------------------------------------
@@ -126,6 +124,13 @@ class SurfaceDensity:
             return np.broadcast_to(np.asarray(out, dtype=float), P.shape).copy() \
                 if np.ndim(out) == 0 else np.asarray(out, dtype=float)
         return np.asarray(self.fn(x, P), dtype=float)
+
+    @property
+    def depends_on_x(self):
+        """Whether tau reads x: expressions naming x1 or x2, and custom callables."""
+        if self.kind == "expression":
+            return not exprgrammar.ast_vars(self._ast).isdisjoint(("x1", "x2"))
+        return self.kind == "custom"
 
     # -- serialization ---------------------------------------------------------------
 
@@ -267,17 +272,18 @@ def yosida_radius(d: SurfaceDensity, sigma, x, p, eta_cap=math.inf) -> float:
 
         R = (c(x) + tau(x,p) + 1 + 2*sigma*|p|) / (sigma - sup L),
 
-    clamped below by |p| + 1.  eta_cap optionally caps the c(x) contribution.
-    Requires sup L strictly below sigma.
+    clamped below by |p| + 1.  p may also be an array of values at the same x;
+    the largest of their radii is returned.  eta_cap optionally caps the c(x)
+    contribution.  Requires sup L strictly below sigma.
     """
     margin = 1e-9 * max(1.0, sigma)
     Ls = d.L_sup
     if sigma - Ls < max(margin, 1e-12):
         raise DegenerateMargin(f"sigma - sup L = {sigma - Ls:.3g}; widen sigma or use closed forms")
-    pn = float(_pnorm(p, d.value_dim))
-    taup = float(d.eval_many(x, np.asarray([p], dtype=float))[0])
-    num = min(d.c_at(x), eta_cap) + taup + 1.0 + 2.0 * sigma * pn
-    return max(num / (sigma - Ls), pn + 1.0)
+    P = np.asarray(p, dtype=float).reshape((-1,) + ((d.value_dim,) if d.value_dim > 1 else ()))
+    pn = _pnorm(P, d.value_dim)
+    num = min(d.c_at(x), eta_cap) + d.eval_many(x, P) + 1.0 + 2.0 * sigma * pn
+    return float(np.max(np.maximum(num / (sigma - Ls), pn + 1.0)))
 
 
 def _closed_form_yosida(d, sigma, p):
@@ -312,12 +318,34 @@ def _closed_form_argmin(d, sigma, t):
     return None
 
 
+def _running_min(a):
+    """Running minimum of a and the first index attaining it."""
+    m = np.minimum.accumulate(a)
+    new = np.concatenate([[True], a[1:] < m[:-1]])
+    return m, np.maximum.accumulate(np.where(new, np.arange(len(a)), 0))
+
+
+def _cone_envelope(f, q, s):
+    """Lower envelope min_j f_j + s|q_i - q_j| of cones on the sorted nodes q
+    and the index j attaining it: the smaller of prefix-min(f - s q) + s q and
+    suffix-min(f + s q) - s q, exact on the nodes in O(n) (Felzenszwalb &
+    Huttenlocher, Distance Transforms of Sampled Functions).  The sup form
+    max_j f_j - s|q_i - q_j| is minus the envelope of -f."""
+    sq = s * q
+    left, left_at = _running_min(f - sq)
+    right, right_at = _running_min((f + sq)[::-1])
+    left += sq
+    right = right[::-1] - sq
+    take = left <= right
+    return np.where(take, left, right), np.where(take, left_at, len(q) - 1 - right_at[::-1])
+
+
 def _brute_force_yosida(d, ctx, x, p_values, radius=None):
     """Grid minimization of q -> tau(x,q) + sigma|p-q| for scalar p values.
 
     All p values share one q-grid, centered so every p lies on a node (hence
-    sigma-Lipschitz densities are exact fixed points); only the rows of the
-    P x q matrix are chunked, to bound memory.  A descent slope
+    sigma-Lipschitz densities are exact fixed points); the minimum at every
+    node is the cone envelope of tau on the grid.  A descent slope
     <= -DESCENT_MARGIN at the search boundary raises UnboundedBelow.
     """
     sigma = ctx.sigma
@@ -325,36 +353,24 @@ def _brute_force_yosida(d, ctx, x, p_values, radius=None):
     if radius is None:
         radius = ctx.search_radius
     if radius is None:
-        radius = max(yosida_radius(d, sigma, x, float(pi)) for pi in P)
+        radius = yosida_radius(d, sigma, x, P)
     step = ctx.q_grid_step if ctx.q_grid_step is not None else radius / 2000.0
     step = min(step, radius / 8.0)
-    lo = float(P.min()) - radius
-    hi = float(P.max()) + radius
+    lo, hi = float(P.min()) - radius, float(P.max()) + radius
     # anchor the grid on the p-values: union of a coarse cover and exact p nodes
     n = int(math.ceil((hi - lo) / step)) + 1
     q = np.unique(np.concatenate([np.linspace(lo, hi, n), P]))
     tau_q = d.eval_many(x, q)
     tau_q = np.where(np.isfinite(tau_q), tau_q, NEG_SENTINEL)
     # boundary descent test on the envelope for the extreme p values
-    for j, pi in ((0, P.min()), (-1, P.max())):
+    for pi in ((P.min(), P.max()) if len(q) > 2 else ()):
         gi = tau_q + sigma * np.abs(pi - q)
-        hstep = q[1] - q[0] if len(q) > 1 else step
-        if len(q) > 2:
-            left_slope = (gi[0] - gi[1]) / (q[1] - q[0])
-            right_slope = (gi[-1] - gi[-2]) / (q[-1] - q[-2])
-            if left_slope <= -DESCENT_MARGIN and gi[0] <= gi.min() + sigma * hstep:
-                raise UnboundedBelow("descent direction active at left search boundary")
-            if right_slope <= -DESCENT_MARGIN and gi[-1] <= gi.min() + sigma * hstep:
-                raise UnboundedBelow("descent direction active at right search boundary")
-    out = np.empty(len(P))
-    rows = max(1, int(4e6 // len(q)))
-    for i in range(0, len(P), rows):
-        g = np.subtract.outer(P[i:i + rows], q)
-        np.abs(g, out=g)
-        g *= sigma
-        g += tau_q
-        out[i:i + rows] = g.min(axis=1)
-    return out
+        near_min = gi.min() + sigma * (q[1] - q[0])
+        if (gi[0] - gi[1]) / (q[1] - q[0]) <= -DESCENT_MARGIN and gi[0] <= near_min:
+            raise UnboundedBelow("descent direction active at left search boundary")
+        if (gi[-1] - gi[-2]) / (q[-1] - q[-2]) <= -DESCENT_MARGIN and gi[-1] <= near_min:
+            raise UnboundedBelow("descent direction active at right search boundary")
+    return _cone_envelope(tau_q, q, sigma)[0][np.searchsorted(q, P)]
 
 
 def yosida_eval(d: SurfaceDensity, ctx: YosidaContext, x, p, force_bruteforce=False):
@@ -365,15 +381,8 @@ def yosida_eval(d: SurfaceDensity, ctx: YosidaContext, x, p, force_bruteforce=Fa
     -infinity (slope of tau beyond sigma at infinity).
     """
     p_arr = np.asarray(p, dtype=float)
-    scalar = p_arr.ndim == 0 or (d.value_dim > 1 and p_arr.ndim == 1)
-    if not force_bruteforce:
-        cf = _closed_form_yosida(d, ctx.sigma, p_arr)
-        if cf is not None:
-            return float(cf) if scalar else cf
-    if d.value_dim != 1:
-        raise UnsupportedArity("brute-force transform supports M = 1 only")
-    out = _brute_force_yosida(d, ctx, x, p_arr)
-    return float(out[0]) if scalar else out
+    out = yosida_eval_many(d, ctx, x, p_arr, force_bruteforce)
+    return float(out) if p_arr.ndim == 0 or (d.value_dim > 1 and p_arr.ndim == 1) else out
 
 
 def yosida_eval_many(d, ctx, x, P, force_bruteforce=False):
@@ -383,6 +392,8 @@ def yosida_eval_many(d, ctx, x, P, force_bruteforce=False):
         cf = _closed_form_yosida(d, ctx.sigma, P)
         if cf is not None:
             return cf
+    if d.value_dim != 1:
+        raise UnsupportedArity("brute-force transform supports M = 1 only")
     return _brute_force_yosida(d, ctx, x, P.ravel()).reshape(P.shape)
 
 
@@ -425,18 +436,10 @@ def _psi_weights(r):
     psi_1 is 1 on [0,1] and falls to 0 at 2; psi_j (j >= 2) is the unit hat
     on [j-1, j+1]."""
     r = float(r)
-    out = []
     if r <= 1.0:
         return [(1, 1.0)]
     j = int(math.floor(r))
-    lo_w = 1.0 - (r - j)
-    if lo_w > 0:
-        out.append((j, lo_w))
-    if r - j > 0:
-        out.append((j + 1, r - j))
-    elif not out:
-        out.append((j, 1.0))
-    return out
+    return [(j, 1.0 - (r - j))] + ([(j + 1, r - j)] if r > j else [])
 
 
 def upper_envelope_T(d: SurfaceDensity, x, p) -> float:
@@ -447,7 +450,8 @@ def upper_envelope_T(d: SurfaceDensity, x, p) -> float:
 
 
 def lip_upper_approx_many(d: SurfaceDensity, k: int, x, P):
-    """Vectorized tau_k over an array of scalar p values (shared q-grid)."""
+    """Vectorized tau_k over scalar p values: one q-grid holding every p, on
+    which the sup over q is the O(n) cone envelope of -t, exact on the nodes."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if d.value_dim != 1:
@@ -464,7 +468,7 @@ def lip_upper_approx_many(d: SurfaceDensity, k: int, x, P):
     q = np.unique(np.concatenate([np.linspace(lo, hi, n), P]))
     tau_q = d.eval_many(x, q)
     t_q = np.where(np.isfinite(tau_q), tau_q, NEG_SENTINEL) - _envelope_values(d, x, q)
-    t_k = (t_q[None, :] - k * np.abs(P[:, None] - q[None, :])).max(axis=1)
+    t_k = -_cone_envelope(-t_q, q, k)[0][np.searchsorted(q, P)]
     return t_k + T_P
 
 

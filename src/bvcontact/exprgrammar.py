@@ -168,6 +168,14 @@ def eval_ast(node, p, x1=0.0, x2=0.0):
     raise AssertionError(f"unknown op {op}")
 
 
+def ast_vars(node) -> set:
+    """Names of the variables an AST references."""
+    if node[0] == "var":
+        return {node[1]}
+    kids = node[2] if node[0] == "call" else [k for k in node[1:] if isinstance(k, tuple)]
+    return set().union(*map(ast_vars, kids))
+
+
 def ast_to_text(node) -> str:
     """Serialize an AST back to grammar text (round-trips through parse)."""
     op = node[0]

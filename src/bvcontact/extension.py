@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _closed_form_argmin, yosida_radius
+from .density import _closed_form_argmin, _cone_envelope, yosida_radius
 from .errors import LayerTooThin, MaskMismatch
 from .grid import GridField, TraceSample, l1_norm, trace_extract, tv_grid
 
@@ -191,6 +191,8 @@ def optimal_boundary_values(u: GridField, d, ctx, eps: float) -> TraceSample:
 
     The achieved value is within eps of the transform at every sample (grid
     step eps / (4 sigma) inside the radius bound; closed forms for builtins).
+    Densities free of x share one q-grid holding every t, whose cone-envelope
+    argmins give all samples at once; others search a grid around each t.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -199,18 +201,14 @@ def optimal_boundary_values(u: GridField, d, ctx, eps: float) -> TraceSample:
     sigma = ctx.sigma
     q = _closed_form_argmin(d, sigma, t)
     if q is None:
-        radius = max(yosida_radius(d, sigma, tuple(tr.x[i]), float(t[i]))
-                     for i in range(len(tr)))
+        radius = (max(yosida_radius(d, sigma, tuple(xi), ti) for xi, ti in zip(tr.x, t))
+                  if d.depends_on_x or callable(d.c) else yosida_radius(d, sigma, None, t))
         step = eps / (4.0 * sigma)
         offsets = np.arange(-radius, radius + step, step)
-        x_dep = d.kind == "expression" and ("x1" in (d.expr_text or "")
-                                            or "x2" in (d.expr_text or ""))
-        if d.kind in ("linear", "absolute", "quadratic", "tabulated") or \
-                (d.kind == "expression" and not x_dep):
+        if not d.depends_on_x:
             qgrid = np.unique(np.concatenate([offsets, t]))
-            tau_q = d.eval_many(None, qgrid)
-            obj = tau_q[None, :] + sigma * np.abs(t[:, None] - qgrid[None, :])
-            q = qgrid[np.argmin(obj, axis=1)]
+            arg = _cone_envelope(d.eval_many(None, qgrid), qgrid, sigma)[1]
+            q = qgrid[arg[np.searchsorted(qgrid, t)]]
         else:
             q = np.empty_like(t)
             for i in range(len(t)):

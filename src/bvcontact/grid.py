@@ -256,9 +256,6 @@ class EnergyReport:
                 "per_edge": {str(k): v for k, v in self.per_edge.items()},
                 "validity": self.validity, "notes": self.notes}
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
-
 
 def _contact_integral(trace: TraceSample, evaluate) -> tuple[float, dict, bool]:
     """sum w_i * evaluate(x_i, value_i), grouped per edge.  evaluate is called

@@ -132,9 +132,6 @@ class E1Family(CounterexampleFamily):
     def limit_field(self, h):
         return constant_field(self.dom.grid(h), 0.0)
 
-    def l1_to_limit(self, n):
-        return float(n) * 0.5 / n ** 2
-
 
 def _legs_trace(dom, segments) -> TraceSample:
     """Minimal exact trace: piecewise-constant in arc length, value v on each
@@ -195,10 +192,6 @@ class E2Family(CounterexampleFamily):
 
     def limit_field(self, h):
         return field_from_function(self.dom.grid(h), lambda X, Y: np.hypot(X, Y))
-
-    def gap_limit(self):
-        """Limit of F(u_n) - F(u): 2 pi (1 - lam) (for sigma = 1)."""
-        return self.sequence_limit() - self.limit_energy_F()
 
 
 class Log1DFamily(CounterexampleFamily):

@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvcontact import density
+from bvcontact import density, extension
 from bvcontact.density import (SurfaceDensity, YosidaContext, absolute, eval_density,
                                expression, linear, lip_upper_approx,
                                lip_upper_approx_many, quadratic, step_density,
                                tabulated, upper_envelope_T, verify_lower_bound,
                                yosida_eval, yosida_eval_many, yosida_radius)
 from bvcontact.errors import DegenerateMargin, UnboundedBelow
+from bvcontact.extension import optimal_boundary_values
 from bvcontact.geometry import unit_square
+from bvcontact.grid import field_from_function, trace_extract
 
 X = (0.0, 0.0)
 
@@ -123,6 +127,13 @@ def test_unbounded_below_detected_by_grid_search():
 def test_yosida_radius_values():
     assert yosida_radius(absolute(0.5), 1.0, X, 0.0) == pytest.approx(2.0)
     assert yosida_radius(linear(0.0), 1.0, X, 1.0) == pytest.approx(3.0)
+
+
+def test_yosida_radius_of_many_points_is_the_largest():
+    d = expression("2*min(abs(p-1), abs(p+1))", c=0.3, L=0.25)
+    ps = np.linspace(-3, 3, 41)
+    assert yosida_radius(d, 1.0, X, ps) == max(yosida_radius(d, 1.0, X, float(p)) for p in ps)
+    assert yosida_radius(absolute(0.5, value_dim=2), 1.0, X, np.array([3.0, 4.0])) == 27.0
 
 
 def test_yosida_radius_degenerate_margin():
@@ -282,3 +293,124 @@ def test_spec_text_roundtrip():
         back = parse_density_spec(d.spec_text())
         ps = np.linspace(-3, 3, 11)
         assert np.array_equal(back.eval_many(X, ps), d.eval_many(X, ps))
+
+
+def test_depends_on_x_reads_the_expression_tree():
+    assert expression("abs(p) - 0.2*x1*x1", c=0.2, L=0.0).depends_on_x
+    assert expression("abs(p) + x2", c=1.0, L=0.0).depends_on_x
+    assert not expression("p*p + 0.5*abs(p-0.25)", c=0.0, L=0.0).depends_on_x
+    assert step_density().depends_on_x
+    assert not quadratic().depends_on_x
+    assert not tabulated([0.0, 1.0], [0.0, 1.0]).depends_on_x
+
+
+# -- the cone-envelope kernel and the sites built on it -------------------------------
+
+TWO_WELL = "2*min(abs(p-1), abs(p+1))"
+TABLE = "p*p + 0.5*abs(p-0.25)"
+
+
+def dense_cone_min(f, q, s, p):
+    """Reference: min_j f_j + s|p_i - q_j| from a dense matrix, 256 rows at a time."""
+    p = np.asarray(p, dtype=float)
+    out = np.empty(len(p))
+    for i in range(0, len(p), 256):
+        out[i:i + 256] = (f[None, :] + s * np.abs(p[i:i + 256, None] - q[None, :])).min(axis=1)
+    return out
+
+
+@st.composite
+def cone_cases(draw):
+    n = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.floats(1e-3, 3.0), min_size=n, max_size=n))
+    q = draw(st.floats(-20, 20)) + np.cumsum(gaps)
+    f = np.array(draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n)))
+    f[draw(st.lists(st.integers(0, n - 1), max_size=2))] = density.NEG_SENTINEL
+    return q, f, 10.0 ** draw(st.floats(-2, 2)), draw(st.sampled_from((1.0, -1.0)))
+
+
+@given(case=cone_cases())
+@settings(max_examples=150, deadline=None)
+def test_cone_envelope_matches_dense_reference(case):
+    # sign 1: min_j f_j + s|q_i - q_j|; sign -1: max_j f_j - s|q_i - q_j|, the
+    # ladder's sup form, computed as minus the envelope of -f
+    q, f, s, sign = case
+    env, arg = density._cone_envelope(sign * f, q, s)
+    env = sign * env
+    ref = sign * dense_cone_min(sign * f, q, s, q)
+    finite = f[f != density.NEG_SENTINEL]
+    tol = 1e-12 * max(1.0, np.abs(finite).max(initial=0.0), s * np.abs(q).max())
+    assert np.abs(env - ref).max() <= tol
+    attained = f[arg] + sign * s * np.abs(q - q[arg])
+    assert np.abs(attained - ref).max() <= tol
+
+
+@pytest.fixture
+def envelope_nodes(monkeypatch):
+    """The node set q of every cone-envelope call, in call order."""
+    seen = []
+    real = density._cone_envelope
+
+    def spy(f, q, s):
+        seen.append(q.copy())
+        return real(f, q, s)
+
+    monkeypatch.setattr(density, "_cone_envelope", spy)
+    monkeypatch.setattr(extension, "_cone_envelope", spy)
+    return seen
+
+
+@pytest.mark.parametrize("k", [1, 4, 16, 64])
+def test_ladder_matches_dense_reference(k, envelope_nodes):
+    # the criterion-10 grid; the sup runs over the q-grid the ladder built
+    d = step_density()
+    P = np.unique(np.concatenate([np.linspace(-3.0, 3.0, 4801), [1.0 / k]]))
+    got = lip_upper_approx_many(d, k, X, P)
+    (q,) = envelope_nodes
+    assert np.isin(P, q).all()
+    t_q = d.eval_many(X, q) - density._envelope_values(d, X, q)
+    ref = density._envelope_values(d, X, P) - dense_cone_min(-t_q, q, k, P)
+    assert np.abs(got - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("text, P", [
+    (TWO_WELL, np.linspace(-3.0, 3.0, 4001)),
+    (TABLE, np.arange(4001) * (12.0 / 4000) - 6.0),   # the prox table's nodes
+])
+def test_brute_force_transform_matches_dense_reference(text, P, envelope_nodes):
+    d = expression(text, c=0.0, L=0.0)
+    got = yosida_eval_many(d, YosidaContext(sigma=1.0), X, P, force_bruteforce=True)
+    (q,) = envelope_nodes
+    assert np.isin(P, q).all()
+    assert np.abs(got - dense_cone_min(d.eval_many(X, q), q, 1.0, P)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("text", [TWO_WELL, TABLE])
+def test_optimal_boundary_values_attain_dense_minimum(text, envelope_nodes):
+    u = field_from_function(unit_square().grid(1 / 64),
+                            lambda X1, X2: 3 * X1 - 1.5 + 0.4 * np.sin(9 * X2))
+    d = expression(text, c=0.0, L=0.0)
+    p = optimal_boundary_values(u, d, YosidaContext(sigma=1.0), eps=1e-3)
+    t = trace_extract(u).values
+    (q,) = envelope_nodes
+    achieved = d.eval_many(None, p.values) + np.abs(t - p.values)
+    assert np.abs(achieved - dense_cone_min(d.eval_many(None, q), q, 1.0, t)).max() <= 1e-12
+
+
+def test_transforms_run_in_linear_memory():
+    # a P x q matrix over the criterion-10 ladder grid takes over 1 GiB, and
+    # over a 4001-point transform tens of MiB
+    P = np.unique(np.concatenate([np.linspace(-3.0, 3.0, 4801), [1.0]]))
+    two_well = expression(TWO_WELL, c=0.0, L=0.0)
+    tracemalloc.start()
+    try:
+        lip_upper_approx_many(step_density(), 1, X, P)
+        ladder_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        yosida_eval_many(two_well, YosidaContext(sigma=1.0), X, np.linspace(-3, 3, 4001),
+                         force_bruteforce=True)
+        transform_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ladder_peak < 32 * 2 ** 20
+    assert transform_peak < 8 * 2 ** 20
