@@ -318,6 +318,11 @@ def _closed_form_argmin(d, sigma, t):
     return None
 
 
+def _finite_or_sentinel(tau):
+    """tau values with NaN and +-inf read as NEG_SENTINEL, as every grid search does."""
+    return np.where(np.isfinite(tau), tau, NEG_SENTINEL)
+
+
 def _running_min(a):
     """Running minimum of a and the first index attaining it."""
     m = np.minimum.accumulate(a)
@@ -360,8 +365,7 @@ def _brute_force_yosida(d, ctx, x, p_values, radius=None):
     # anchor the grid on the p-values: union of a coarse cover and exact p nodes
     n = int(math.ceil((hi - lo) / step)) + 1
     q = np.unique(np.concatenate([np.linspace(lo, hi, n), P]))
-    tau_q = d.eval_many(x, q)
-    tau_q = np.where(np.isfinite(tau_q), tau_q, NEG_SENTINEL)
+    tau_q = _finite_or_sentinel(d.eval_many(x, q))
     # boundary descent test on the envelope for the extreme p values
     for pi in ((P.min(), P.max()) if len(q) > 2 else ()):
         gi = tau_q + sigma * np.abs(pi - q)
@@ -466,8 +470,7 @@ def lip_upper_approx_many(d: SurfaceDensity, k: int, x, P):
     lo, hi = float(P.min()) - R, float(P.max()) + R
     n = min(max(4001, int(math.ceil((hi - lo) / (R / 4000.0))) + 1), 200_001)
     q = np.unique(np.concatenate([np.linspace(lo, hi, n), P]))
-    tau_q = d.eval_many(x, q)
-    t_q = np.where(np.isfinite(tau_q), tau_q, NEG_SENTINEL) - _envelope_values(d, x, q)
+    t_q = _finite_or_sentinel(d.eval_many(x, q)) - _envelope_values(d, x, q)
     t_k = -_cone_envelope(-t_q, q, k)[0][np.searchsorted(q, P)]
     return t_k + T_P
 

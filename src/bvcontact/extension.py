@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _closed_form_argmin, _cone_envelope, yosida_radius
+from .density import _closed_form_argmin, _cone_envelope, _finite_or_sentinel, yosida_radius
 from .errors import LayerTooThin, MaskMismatch
 from .grid import GridField, TraceSample, l1_norm, trace_extract, tv_grid
 
@@ -97,7 +97,8 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
     eps in (0, 1] steers both targets: the reported ratios satisfy
     l1_ratio <~ eps and grad_ratio <~ 1 + eps (plus O(kappa) and O(h/delta)
     grid terms).  Raises LayerTooThin when h > delta/8 for the selected
-    width; widths beyond half the shortest edge are clamped and flagged.
+    width; widths beyond W = dom.band_width (half the shortest edge, where
+    the grid's distance maps end) are clamped and flagged.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
@@ -115,13 +116,13 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
         tv = _arc_tv(g)
         if tv > 0:
             delta = min(delta, DELTA_TV_FACTOR * eps * total / tv)
-    cap = 0.5 * dom.shortest_edge
-    if delta > cap:
-        delta = cap
+    if delta > dom.band_width:
+        delta = dom.band_width
         corner_overlap = True
     if h > delta / 8.0:
-        raise LayerTooThin(f"h = {h:.4g} exceeds delta/8 = {delta / 8:.4g}; "
-                           f"refine the grid or increase eps")
+        why = (f"delta is capped at W = {delta:.4g}, half the shortest edge; no eps helps, "
+               "it needs h <= W/8" if corner_overlap else "refine the grid or increase eps")
+        raise LayerTooThin(f"h = {h:.4g} exceeds delta/8 = {delta / 8:.4g}; {why}")
 
     dist, arc = grid.distance_maps()
     layer = grid.mask & (dist < delta)
@@ -207,13 +208,13 @@ def optimal_boundary_values(u: GridField, d, ctx, eps: float) -> TraceSample:
         offsets = np.arange(-radius, radius + step, step)
         if not d.depends_on_x:
             qgrid = np.unique(np.concatenate([offsets, t]))
-            arg = _cone_envelope(d.eval_many(None, qgrid), qgrid, sigma)[1]
+            arg = _cone_envelope(_finite_or_sentinel(d.eval_many(None, qgrid)), qgrid, sigma)[1]
             q = qgrid[arg[np.searchsorted(qgrid, t)]]
         else:
             q = np.empty_like(t)
             for i in range(len(t)):
                 qgrid = np.concatenate([t[i] + offsets, [t[i]]])
-                tau_q = d.eval_many(tuple(tr.x[i]), qgrid)
+                tau_q = _finite_or_sentinel(d.eval_many(tuple(tr.x[i]), qgrid))
                 q[i] = qgrid[np.argmin(tau_q + sigma * np.abs(t[i] - qgrid))]
     return tr.map_values(lambda _: q)
 

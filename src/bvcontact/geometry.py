@@ -88,9 +88,9 @@ class PolygonalDomain:
         if not np.all(np.isfinite(v)):
             bad = int(np.argwhere(~np.isfinite(v))[0][0])
             raise SchemaError("non-finite vertex coordinate", location=f"vertex {bad}")
-        if np.any(np.all(np.isclose(v, np.roll(v, -1, axis=0)), axis=1)):
-            i = int(np.argwhere(np.all(np.isclose(v, np.roll(v, -1, axis=0)), axis=1))[0])
-            raise SchemaError("repeated consecutive vertex", location=f"vertex {i}")
+        repeated = np.flatnonzero(np.all(np.isclose(v, np.roll(v, -1, axis=0)), axis=1))
+        if len(repeated):
+            raise SchemaError("repeated consecutive vertex", location=f"vertex {repeated[0]}")
         area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
         if area2 < 0:
             raise SchemaError("vertices must be ordered counterclockwise")
@@ -106,6 +106,8 @@ class PolygonalDomain:
         self.perimeter = float(self.edge_lengths.sum())
         self.area = 0.5 * abs(area2)
         self.shortest_edge = float(self.edge_lengths.min())
+        # boundary band: grid distance maps are exact in it, extension layers end at it
+        self.band_width = 0.5 * self.shortest_edge
         # outward normal of each edge; interior lies left of the edge direction
         t = e / self.edge_lengths[:, None]
         self.edge_normals = np.column_stack([t[:, 1], -t[:, 0]])
@@ -166,17 +168,21 @@ class PolygonalDomain:
     def contains(self, points):
         """Vectorized crossing-number test; True strictly inside."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x, y = pts[:, 0], pts[:, 1]
         inside = np.zeros(len(pts), dtype=bool)
         v = self.vertices
         for i in range(self.n):
-            x1, y1 = v[i]
-            x2, y2 = v[(i + 1) % self.n]
-            cond = (y1 > y) != (y2 > y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            inside ^= cond & (x < xint)
+            cond, xint = _crossings(v[i], v[(i + 1) % self.n], pts[:, 1])
+            inside ^= cond & (pts[:, 0] < xint)
         return inside
+
+    def _edge_distance(self, i, pts):
+        """Distance from pts to edge i and the arc position of the nearest point."""
+        a = self.vertices[i]
+        d = self.vertices[(i + 1) % self.n] - a
+        t = np.clip(((pts - a) @ d) / (d @ d), 0.0, 1.0)
+        proj = a + t[:, None] * d
+        dist = np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1])
+        return dist, self.arc_offsets[i] + t * self.edge_lengths[i]
 
     def boundary_distance(self, points):
         """Distance to the boundary, nearest arc position, and edge index."""
@@ -184,17 +190,11 @@ class PolygonalDomain:
         best_d = np.full(len(pts), np.inf)
         best_s = np.zeros(len(pts))
         best_e = np.zeros(len(pts), dtype=int)
-        v = self.vertices
         for i in range(self.n):
-            a = v[i]
-            d = v[(i + 1) % self.n] - a
-            L2 = d @ d
-            t = np.clip(((pts - a) @ d) / L2, 0.0, 1.0)
-            proj = a + t[:, None] * d
-            dist = np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1])
+            dist, arc = self._edge_distance(i, pts)
             upd = dist < best_d
             best_d[upd] = dist[upd]
-            best_s[upd] = self.arc_offsets[i] + t[upd] * self.edge_lengths[i]
+            best_s[upd] = arc[upd]
             best_e[upd] = i
         return best_d, best_s, best_e
 
@@ -213,6 +213,15 @@ class PolygonalDomain:
         if key not in self._grids:
             self._grids[key] = DomainGrid(self, float(h))
         return self._grids[key]
+
+
+def _crossings(a, b, y):
+    """Where the edges a -> b cross the horizontal line(s) y: which edges
+    straddle y (half-open in y, so a vertex counts once) and the abscissa."""
+    cond = (a[..., 1] > y) != (b[..., 1] > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = a[..., 0] + (y - a[..., 1]) * (b[..., 0] - a[..., 0]) / (b[..., 1] - a[..., 1])
+    return cond, xint
 
 
 def domain_Q(dom: PolygonalDomain) -> float:
@@ -302,7 +311,7 @@ class DomainGrid:
     Holds everything that depends only on (domain, h): the cell mask, cell
     centers, boundary samples with arc positions / outward normals / probe
     cells, and (lazily) the distance and nearest-arc maps used by the
-    boundary-layer extension.
+    extension, which are inf/0 outside the band of width W = dom.band_width.
     """
 
     def __init__(self, dom: PolygonalDomain, h: float):
@@ -325,9 +334,12 @@ class DomainGrid:
         xs = x0 + (np.arange(nx) + 0.5) * h
         ys = y0 + (np.arange(ny) + 0.5) * h
         self.xs, self.ys = xs, ys
-        X, Y = np.meshgrid(xs, ys)
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        self.mask = dom.contains(pts).reshape(ny, nx)
+        # scanlines: inside when an odd number of the row's crossings lie right of it
+        cond, xint = _crossings(v, np.roll(v, -1, axis=0), ys[:, None])
+        self.mask = np.empty((ny, nx), dtype=bool)
+        for j in range(ny):
+            row = np.sort(xint[j, cond[j]])
+            self.mask[j] = (len(row) - np.searchsorted(row, xs, side="right")) % 2 == 1
         self.cell_area = h * h
         self._boundary = None
         self._dist_maps = None
@@ -415,15 +427,28 @@ class DomainGrid:
     # -- interior distance/arc maps (for the extension) -------------------------
 
     def distance_maps(self):
-        """(dist, arc) arrays over the full lattice; inf/0 outside the mask."""
+        """(dist, arc) arrays over the full lattice: exact for masked cells
+        closer than W = dom.band_width to the boundary, inf/0 outside that
+        band.  Each edge is evaluated only on the cells of its bounding box
+        grown by W (and two cells); nearer edges win in edge order."""
         if self._dist_maps is None:
-            X, Y = self.cell_centers()
-            pts = np.column_stack([X.ravel(), Y.ravel()])
-            d, s, _ = self.dom.boundary_distance(pts)
-            d = d.reshape(self.ny, self.nx)
-            s = s.reshape(self.ny, self.nx)
-            d = np.where(self.mask, d, np.inf)
-            self._dist_maps = (d, np.where(self.mask, s, 0.0))
+            dom, h = self.dom, self.h
+            d, s = np.full((self.ny, self.nx), np.inf), np.zeros((self.ny, self.nx))
+            a, b = dom.vertices, np.roll(dom.vertices, -1, axis=0)
+            grow = dom.band_width + 2 * h
+            lo = np.floor((np.minimum(a, b) - grow - self.origin) / h).astype(int)
+            hi = np.ceil((np.maximum(a, b) + grow - self.origin) / h).astype(int)
+            lo, hi = np.maximum(lo, 0), np.minimum(hi, (self.nx, self.ny))
+            for i in range(dom.n):
+                box = np.s_[lo[i, 1]:hi[i, 1], lo[i, 0]:hi[i, 0]]
+                X, Y = np.meshgrid(self.xs[box[1]], self.ys[box[0]])
+                dist, arc = dom._edge_distance(i, np.column_stack([X.ravel(), Y.ravel()]))
+                dist, arc = dist.reshape(X.shape), arc.reshape(X.shape)
+                upd = dist < d[box]
+                d[box][upd] = dist[upd]
+                s[box][upd] = arc[upd]
+            band = self.mask & (d < dom.band_width)
+            self._dist_maps = (np.where(band, d, np.inf), np.where(band, s, 0.0))
         return self._dist_maps
 
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from bvcontact import density
-from bvcontact.density import YosidaContext, yosida_eval_many
+from bvcontact.density import NEG_SENTINEL, YosidaContext, yosida_eval_many
 from bvcontact.errors import LayerTooThin
 from bvcontact.extension import (extend_boundary_data, optimal_boundary_values,
                                  recovery_sequence)
-from bvcontact.geometry import unit_square
+from bvcontact.geometry import builtin_domain, unit_square
 from bvcontact.grid import (boundary_trace_from_function, constant_field,
                             field_from_function, l1_distance, trace_extract, tv_grid)
 
@@ -57,6 +57,17 @@ def test_layer_too_thin():
     g = SQ.grid(1 / 16)
     with pytest.raises(LayerTooThin):
         extend_boundary_data(_const_trace(g, 1.0), eps=0.05, h=g.h)
+
+
+def test_layer_too_thin_names_the_width_cap():
+    # disk256: the layer is capped at half its 0.0245 edge, so h = 1/128 is
+    # too coarse at any eps, and the message must not suggest raising it
+    g = builtin_domain("disk256").grid(1 / 128)
+    with pytest.raises(LayerTooThin) as err:
+        extend_boundary_data(_const_trace(g, 1.0), eps=1.0, h=g.h)
+    msg = str(err.value)
+    assert f"W = {g.dom.band_width:.4g}" in msg and "h <= W/8" in msg
+    assert "increase eps" not in msg
 
 
 def test_l1_ratio_scales_linearly_in_eps():
@@ -133,3 +144,19 @@ def test_optimal_values_grid_search_expression():
     achieved = d.eval_many(None, p.values) + ctx.sigma * np.abs(t - p.values)
     hat = yosida_eval_many(d, ctx, (0.0, 0.0), t)
     assert np.all(achieved <= hat + eps)
+
+
+def test_optimal_values_read_nan_density_as_sentinel():
+    # sqrt(p) is NaN for p < 0; every grid search reads that as NEG_SENTINEL,
+    # so the chosen q must attain the transform there too
+    g = SQ.grid(1 / 32)
+    u = field_from_function(g, lambda X, Y: 2 * X + 0.5)
+    d = density.expression("sqrt(p)", c=0, L=0)
+    ctx = YosidaContext(sigma=1.0)
+    eps = 1e-2
+    p = optimal_boundary_values(u, d, ctx, eps=eps)
+    t = trace_extract(u).values
+    tau = d.eval_many(None, p.values)
+    achieved = np.where(np.isfinite(tau), tau, NEG_SENTINEL) + ctx.sigma * np.abs(t - p.values)
+    hat = yosida_eval_many(d, ctx, None, t)
+    assert np.all(np.abs(achieved - hat) <= eps)

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bvcontact import density, geometry
 from bvcontact.errors import SchemaError
-from bvcontact.geometry import (admissibility_check, corner_q, domain_Q, emmer_check,
-                                l_shape, regular_ngon, unit_square, wedge_cut_ratio)
+from bvcontact.extension import extend_boundary_data, required_eps
+from bvcontact.geometry import (admissibility_check, builtin_domain, corner_q, domain_Q,
+                                emmer_check, l_shape, regular_ngon, unit_square,
+                                wedge_cut_ratio)
+from bvcontact.grid import boundary_trace_from_function
 
 
 def test_corner_q_square_corner():
@@ -88,6 +92,11 @@ def test_rejects_clockwise():
 def test_rejects_self_intersection():
     with pytest.raises(SchemaError):
         geometry.PolygonalDomain([[0, 0], [1, 1], [1, 0], [0, 1]])
+
+
+def test_rejects_repeated_vertex():
+    with pytest.raises(SchemaError, match="vertex 1"):
+        geometry.PolygonalDomain([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]])
 
 
 def test_admissibility_square_ok():
@@ -174,3 +183,135 @@ def test_domain_json_rejects_unknown_keys(tmp_path):
     path.write_text('{"vertices": [[0,0],[1,0],[0,1]], "frobnicate": 1}')
     with pytest.raises(SchemaError):
         geometry.load_domain(path)
+
+
+# -- band-limited lattice geometry against the dense all-edges references ------
+
+
+def _dense_mask(dom, g):
+    """Even-odd test of every lattice cell against every edge."""
+    X, Y = np.meshgrid(g.xs, g.ys)
+    x, y = X.ravel(), Y.ravel()
+    inside = np.zeros(len(x), dtype=bool)
+    v = dom.vertices
+    for i in range(dom.n):
+        x1, y1 = v[i]
+        x2, y2 = v[(i + 1) % dom.n]
+        cond = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= cond & (x < xint)
+    return inside.reshape(X.shape)
+
+
+def _dense_maps(dom, g, mask):
+    """Segment distance and nearest arc of every lattice cell to every edge,
+    first nearest edge in edge order; inf/0 outside the mask."""
+    X, Y = np.meshgrid(g.xs, g.ys)
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    best_d = np.full(len(pts), np.inf)
+    best_s = np.zeros(len(pts))
+    v = dom.vertices
+    for i in range(dom.n):
+        a = v[i]
+        d = v[(i + 1) % dom.n] - a
+        t = np.clip(((pts - a) @ d) / (d @ d), 0.0, 1.0)
+        proj = a + t[:, None] * d
+        dist = np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1])
+        upd = dist < best_d
+        best_d[upd] = dist[upd]
+        best_s[upd] = dom.arc_offsets[i] + t[upd] * dom.edge_lengths[i]
+    d, s = best_d.reshape(X.shape), best_s.reshape(X.shape)
+    return np.where(mask, d, np.inf), np.where(mask, s, 0.0)
+
+
+def _assert_matches_dense(dom, h):
+    g = dom.grid(h)
+    mask = _dense_mask(dom, g)
+    assert np.array_equal(g.mask, mask)
+    d_ref, s_ref = _dense_maps(dom, g, mask)
+    d, s = g.distance_maps()
+    band = d_ref < dom.band_width
+    assert np.array_equal(d[band], d_ref[band])
+    assert np.array_equal(s[band], s_ref[band])
+    assert np.all(d[~band] == np.inf) and np.all(s[~band] == 0.0)
+
+
+@pytest.mark.parametrize("h", [1 / 128, 1 / 97])
+@pytest.mark.parametrize("name", ["square", "lshape", "disk64", "disk256"])
+def test_band_geometry_matches_dense_on_builtins(name, h):
+    _assert_matches_dense(builtin_domain(name), h)
+
+
+def test_band_geometry_matches_dense_with_vertices_on_rows():
+    # a notch with reentrant corners whose horizontal edge lies on the
+    # cell-centre row y = 27/64 of the h = 1/32 lattice
+    dom = geometry.PolygonalDomain([[0, 0], [1, 0], [1, 1], [0.75, 1], [0.75, 27 / 64],
+                                    [0.5, 27 / 64], [0.5, 1], [0, 1]])
+    g = dom.grid(1 / 32)
+    assert np.any(g.ys == 27 / 64)
+    _assert_matches_dense(dom, 1 / 32)
+
+
+@st.composite
+def _snapped_polygons(draw):
+    """Simple polygons with vertices on the half-cell lattice of h, so some
+    lie on cell-centre rows, some edges are horizontal, some corners reentrant."""
+    n = draw(st.integers(3, 10))
+    h = 1.0 / draw(st.sampled_from([16, 23, 32]))
+    gaps = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    flat = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ang = 2 * np.pi * np.cumsum(gaps) / gaps.sum()
+    v = np.round(radii[:, None] * np.column_stack([np.cos(ang), np.sin(ang)]) / (h / 2)) * (h / 2)
+    for i in np.flatnonzero(flat):
+        v[(i + 1) % n, 1] = v[i, 1]
+    try:
+        dom = geometry.PolygonalDomain(v)
+    except SchemaError:
+        assume(False)
+    return dom, h
+
+
+@given(case=_snapped_polygons())
+@settings(max_examples=60, deadline=None)
+def test_band_geometry_matches_dense_on_random_polygons(case):
+    dom, h = case
+    _assert_matches_dense(dom, h)
+
+
+@pytest.fixture(scope="module")
+def disk64_fine_reference():
+    """disk64 at h = 1/384 twice: one grid with band-limited maps, one whose
+    distance_maps returns the dense reference."""
+    h = 1 / 384
+    dom, ref = builtin_domain("disk64"), builtin_domain("disk64")
+    g_ref = ref.grid(h)
+    maps = _dense_maps(ref, g_ref, _dense_mask(ref, g_ref))
+    g_ref.distance_maps = lambda: maps
+    return dom.grid(h), g_ref
+
+
+@pytest.mark.parametrize("member", ["ramp", "sin"])
+def test_extension_fields_identical_with_band_maps(disk64_fine_reference, member):
+    fn = {"ramp": lambda x, y: x - y,
+          "sin": lambda x, y: np.sin(2 * np.pi * (x + y))}[member]
+    out = []
+    for g in disk64_fine_reference:
+        tr = boundary_trace_from_function(g, fn)
+        out.append(extend_boundary_data(tr, eps=max(0.1, required_eps(tr, g.h)), h=g.h))
+    got, ref = out
+    assert np.array_equal(got.field.values, ref.field.values)
+    assert (got.l1_ratio, got.grad_ratio) == (ref.l1_ratio, ref.grad_ratio)
+
+
+def test_band_geometry_memory_guard():
+    # dense mask and maps peak at 58 + 122 MiB here (823k cells x 256 edges)
+    dom = regular_ngon(256)
+    tracemalloc.start()
+    try:
+        dom.grid(1 / 512).distance_maps()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
