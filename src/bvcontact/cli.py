@@ -54,23 +54,14 @@ def parse_density_spec(text: str, c=None, L=None):
         raise ParseError("empty density spec", 0)
     head, _, tail = text.partition(":")
     head = head.strip()
+    kw = {k: v for k, v in (("c", c), ("L", L)) if v is not None}
     if head in ("linear", "absolute"):
         try:
             lam = float(tail)
         except ValueError:
             raise ParseError(f"bad coefficient {tail!r} for {head}", len(head) + 1)
-        kw = {}
-        if c is not None:
-            kw["c"] = c
-        if L is not None:
-            kw["L"] = L
         return getattr(density_mod, head)(lam, **kw)
     if head == "quadratic" and not tail:
-        kw = {}
-        if c is not None:
-            kw["c"] = c
-        if L is not None:
-            kw["L"] = L
         return density_mod.quadratic(**kw)
     return density_mod.expression(text, c=c, L=L)
 

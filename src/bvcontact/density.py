@@ -5,11 +5,12 @@ tau(x, p) >= -c(x) - L(x)|p|.  The transform
 
     tau_hat(x, p) = inf_q { tau(x, q) + sigma |p - q| }
 
-is the greatest sigma-Lipschitz function below tau(x, .); it is computed in
-closed form for the builtin kinds and by a certified brute-force grid search
-otherwise.  The module also provides the Caratheodory upper envelope T and
-the decreasing Lipschitz approximation ladder tau_k used for densities that
-are only upper semicontinuous in p.
+is the greatest sigma-Lipschitz function below tau(x, .).  closed_form holds
+the builtin kinds' closed forms for it, its minimizer and its resolvent;
+every other kind goes through a certified brute-force grid search.  The
+module also provides the Caratheodory upper envelope T and the decreasing
+Lipschitz approximation ladder tau_k used for densities that are only upper
+semicontinuous in p.
 """
 
 from __future__ import annotations
@@ -177,17 +178,17 @@ def tabulated(p_grid, values, interp="linear", c=0.0, L=0.0, regularity=None):
                           c=c, L=L, regularity=regularity)
 
 
-def expression(text, c=None, L=None, sample_range=8.0, sample_n=4001):
-    """Compile a DSL expression; missing (c, L) are estimated by sampling and
-    the estimate is flagged on the returned density."""
+def expression(text, c=None, L=None):
+    """Compile a DSL expression; missing (c, L) are estimated by sampling p on
+    [-8, 8] and the estimate is flagged on the returned density."""
     ast = exprgrammar.parse_expression(text)
     estimated = c is None or L is None
     if estimated:
-        ps = np.linspace(-sample_range, sample_range, sample_n)
+        ps = np.linspace(-8.0, 8.0, 4001)
         vals = exprgrammar.eval_ast(ast, ps, 0.0, 0.0)
         vals = np.broadcast_to(np.asarray(vals, dtype=float), ps.shape)
         if L is None:
-            big = np.abs(ps) >= 0.5 * sample_range
+            big = np.abs(ps) >= 4.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 slopes = np.where(np.abs(ps[big]) > 0, -vals[big] / np.abs(ps[big]), 0.0)
             L = float(max(0.0, slopes.max()))
@@ -266,15 +267,15 @@ def verify_lower_bound(d: SurfaceDensity, samples, tol=1e-9) -> LowerBoundReport
                             worst_violation=min(worst, 0.0), worst_sample=worst_at)
 
 
-def yosida_radius(d: SurfaceDensity, sigma, x, p, eta_cap=math.inf) -> float:
+def yosida_radius(d: SurfaceDensity, sigma, x, p) -> float:
     """Search radius R such that any near-optimal q in the inf-convolution at
     (x, p) satisfies |q| <= R:
 
         R = (c(x) + tau(x,p) + 1 + 2*sigma*|p|) / (sigma - sup L),
 
     clamped below by |p| + 1.  p may also be an array of values at the same x;
-    the largest of their radii is returned.  eta_cap optionally caps the c(x)
-    contribution.  Requires sup L strictly below sigma.
+    the largest of their radii is returned.  Requires sup L strictly below
+    sigma.
     """
     margin = 1e-9 * max(1.0, sigma)
     Ls = d.L_sup
@@ -282,39 +283,62 @@ def yosida_radius(d: SurfaceDensity, sigma, x, p, eta_cap=math.inf) -> float:
         raise DegenerateMargin(f"sigma - sup L = {sigma - Ls:.3g}; widen sigma or use closed forms")
     P = np.asarray(p, dtype=float).reshape((-1,) + ((d.value_dim,) if d.value_dim > 1 else ()))
     pn = _pnorm(P, d.value_dim)
-    num = min(d.c_at(x), eta_cap) + d.eval_many(x, P) + 1.0 + 2.0 * sigma * pn
+    num = d.c_at(x) + d.eval_many(x, P) + 1.0 + 2.0 * sigma * pn
     return float(np.max(np.maximum(num / (sigma - Ls), pn + 1.0)))
 
 
-def _closed_form_yosida(d, sigma, p):
-    """Vectorized closed form for builtin kinds; None when not available."""
-    pn = _pnorm(p, d.value_dim)
+@dataclass(frozen=True)
+class ClosedForm:
+    """Closed forms of the sigma-Yosida transform of a builtin density.
+
+    hat(p) is tau_hat(p); argmin(t) is a minimizer q of tau(q) + sigma|t - q|
+    for each value t; prox(z, a) is argmin_v a tau_hat(v) + (v - z)^2 / 2 per
+    value, None where no closed form is implemented (quadratic).
+    """
+
+    hat: object
+    argmin: object
+    prox: object = None
+
+
+def _absolute_prox(mu, z, a):
+    # soft threshold; for mu < 0 the objective is nonconvex and the minimizer
+    # moves away from 0 (to +a|mu| at z = 0)
+    if mu >= 0:
+        return np.sign(z) * np.maximum(np.abs(z) - a * mu, 0.0)
+    return z + a * (-mu) * np.where(z == 0, 1.0, np.sign(z))
+
+
+def closed_form(d: SurfaceDensity, sigma) -> ClosedForm | None:
+    """The closed forms of tau_hat for the builtin kinds, None for every other
+    kind.  Raises UnboundedBelow when tau_hat is -infinity, i.e. when tau
+    falls faster than sigma|p| in some direction."""
     if d.kind == "linear":
         lip = abs(d.lam) * math.sqrt(d.value_dim)
         if lip > sigma * (1 + 1e-12):
             raise UnboundedBelow(f"linear density slope {lip} exceeds sigma {sigma}")
-        return np.asarray(d.lam * (np.asarray(p) if np.ndim(p) <= 1 else np.sum(p, axis=-1)),
-                          dtype=float)
+        lam = d.lam
+        return ClosedForm(
+            hat=lambda p: np.asarray(lam * (np.asarray(p) if np.ndim(p) <= 1
+                                            else np.sum(p, axis=-1)), dtype=float),
+            argmin=lambda t: t.copy(),
+            prox=lambda z, a: z - a * lam)
     if d.kind == "absolute":
         if d.lam < -sigma * (1 + 1e-12):
             raise UnboundedBelow(f"absolute density slope {d.lam} below -sigma")
-        return np.asarray(min(d.lam, sigma) * pn, dtype=float)
+        mu = min(d.lam, sigma)
+        return ClosedForm(
+            hat=lambda p: np.asarray(mu * _pnorm(p, d.value_dim), dtype=float),
+            argmin=lambda t: t.copy() if d.lam <= sigma else np.zeros_like(t),
+            prox=lambda z, a: _absolute_prox(mu, z, a))
     if d.kind == "quadratic":
-        small = pn <= sigma / 2.0
-        return np.asarray(np.where(small, pn ** 2, sigma * pn - sigma ** 2 / 4.0), dtype=float)
-    return None
-
-
-def _closed_form_argmin(d, sigma, t):
-    """Per-value minimizers q of tau(q) + sigma |t - q| for builtin kinds;
-    None when not available."""
-    if d.kind == "linear" and abs(d.lam) * math.sqrt(d.value_dim) <= sigma:
-        return t.copy()
-    if d.kind == "absolute":
-        return t.copy() if d.lam <= sigma else np.zeros_like(t)
-    if d.kind == "quadratic":
-        mag = np.abs(t)
-        return np.where(mag <= sigma / 2.0, t, np.sign(t) * sigma / 2.0)
+        def hat(p):
+            pn = _pnorm(p, d.value_dim)
+            return np.asarray(np.where(pn <= sigma / 2.0, pn ** 2, sigma * pn - sigma ** 2 / 4.0),
+                              dtype=float)
+        return ClosedForm(
+            hat=hat,
+            argmin=lambda t: np.where(np.abs(t) <= sigma / 2.0, t, np.sign(t) * sigma / 2.0))
     return None
 
 
@@ -393,9 +417,9 @@ def yosida_eval_many(d, ctx, x, P, force_bruteforce=False):
     """Vectorized tau_hat over an array of scalar p values (shared q-grid)."""
     P = np.asarray(P, dtype=float)
     if not force_bruteforce:
-        cf = _closed_form_yosida(d, ctx.sigma, P)
+        cf = closed_form(d, ctx.sigma)
         if cf is not None:
-            return cf
+            return cf.hat(P)
     if d.value_dim != 1:
         raise UnsupportedArity("brute-force transform supports M = 1 only")
     return _brute_force_yosida(d, ctx, x, P.ravel()).reshape(P.shape)

@@ -175,17 +175,3 @@ def ast_vars(node) -> set:
     kids = node[2] if node[0] == "call" else [k for k in node[1:] if isinstance(k, tuple)]
     return set().union(*map(ast_vars, kids))
 
-
-def ast_to_text(node) -> str:
-    """Serialize an AST back to grammar text (round-trips through parse)."""
-    op = node[0]
-    if op == "const":
-        v = node[1]
-        return repr(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(v)
-    if op == "var":
-        return node[1]
-    if op == "neg":
-        return f"(-{ast_to_text(node[1])})"
-    if op == "call":
-        return f"{node[1]}({', '.join(ast_to_text(a) for a in node[2])})"
-    return f"({ast_to_text(node[1])} {op} {ast_to_text(node[2])})"

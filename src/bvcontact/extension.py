@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _closed_form_argmin, _cone_envelope, _finite_or_sentinel, yosida_radius
+from .density import _cone_envelope, _finite_or_sentinel, closed_form, yosida_radius
 from .errors import LayerTooThin, MaskMismatch
 from .grid import GridField, TraceSample, l1_norm, trace_extract, tv_grid
 
@@ -91,7 +91,7 @@ class _ArcAverager:
 
 
 def extend_boundary_data(g: TraceSample, eps: float, h: float,
-                         kappa: float = 0.5, delta: float | None = None) -> ExtensionResult:
+                         kappa: float = 0.5) -> ExtensionResult:
     """Field with trace g, small mass, and gradient close to int |g|.
 
     eps in (0, 1] steers both targets: the reported ratios satisfy
@@ -111,11 +111,10 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
         return ExtensionResult(zero, 0.0, 0.0, 0.0, kappa, False, 0.0)
 
     corner_overlap = False
-    if delta is None:
-        delta = DELTA_L1_FACTOR * eps * min(1.0, dom.perimeter / 4.0)
-        tv = _arc_tv(g)
-        if tv > 0:
-            delta = min(delta, DELTA_TV_FACTOR * eps * total / tv)
+    delta = DELTA_L1_FACTOR * eps * min(1.0, dom.perimeter / 4.0)
+    tv = _arc_tv(g)
+    if tv > 0:
+        delta = min(delta, DELTA_TV_FACTOR * eps * total / tv)
     if delta > dom.band_width:
         delta = dom.band_width
         corner_overlap = True
@@ -159,8 +158,7 @@ def required_eps(g: TraceSample, h: float) -> float:
     return 8.0 * h / per_unit
 
 
-def recovery_sequence(u: GridField, p: TraceSample, n: int,
-                      kappa: float = 0.5) -> GridField:
+def recovery_sequence(u: GridField, p: TraceSample, n: int) -> GridField:
     """n-th recovery field: u plus a boundary layer carrying p - Tr u.
 
     Its trace approaches p, its L1 distance to u is at most about
@@ -168,22 +166,21 @@ def recovery_sequence(u: GridField, p: TraceSample, n: int,
     (1 + 1/n) int |p - Tr u|.  n is clamped so the layer stays resolvable
     (>= 8 cells); the realized sharpness is u.grid dependent.
     """
-    return _recovery_with_sharpness(u, p, n, kappa)[0]
+    return _recovery_with_sharpness(u, p, n)[0]
 
 
-def _recovery_with_sharpness(u, p, n, kappa=0.5):
+def _recovery_with_sharpness(u, p, n):
     """(field, effective eps): eps = max(1/n, resolvability floor for p - Tr u)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     tr = trace_extract(u)
     if len(tr) != len(p) or not np.allclose(tr.s, p.s):
         raise MaskMismatch("boundary samples of p do not match Tr u")
-    gvals = p.values - tr.values
-    if np.max(np.abs(gvals)) == 0.0:
+    g = p.map_values(lambda v: v - tr.values)
+    if np.max(np.abs(g.values)) == 0.0:
         return u, 0.0
-    g = TraceSample(p.s, p.x, p.normal, p.w, gvals, p.edge_id, p.perimeter, p.dom)
     eps = max(1.0 / n, required_eps(g, u.h))
-    ext = extend_boundary_data(g, eps, u.h, kappa=kappa)
+    ext = extend_boundary_data(g, eps, u.h)
     return GridField(u.grid, u.values + ext.field.values), eps
 
 
@@ -200,22 +197,23 @@ def optimal_boundary_values(u: GridField, d, ctx, eps: float) -> TraceSample:
     tr = trace_extract(u)
     t = tr.values
     sigma = ctx.sigma
-    q = _closed_form_argmin(d, sigma, t)
-    if q is None:
-        radius = (max(yosida_radius(d, sigma, tuple(xi), ti) for xi, ti in zip(tr.x, t))
-                  if d.depends_on_x or callable(d.c) else yosida_radius(d, sigma, None, t))
-        step = eps / (4.0 * sigma)
-        offsets = np.arange(-radius, radius + step, step)
-        if not d.depends_on_x:
-            qgrid = np.unique(np.concatenate([offsets, t]))
-            arg = _cone_envelope(_finite_or_sentinel(d.eval_many(None, qgrid)), qgrid, sigma)[1]
-            q = qgrid[arg[np.searchsorted(qgrid, t)]]
-        else:
-            q = np.empty_like(t)
-            for i in range(len(t)):
-                qgrid = np.concatenate([t[i] + offsets, [t[i]]])
-                tau_q = _finite_or_sentinel(d.eval_many(tuple(tr.x[i]), qgrid))
-                q[i] = qgrid[np.argmin(tau_q + sigma * np.abs(t[i] - qgrid))]
+    cf = closed_form(d, sigma)
+    if cf is not None:
+        return tr.map_values(cf.argmin)
+    radius = (max(yosida_radius(d, sigma, tuple(xi), ti) for xi, ti in zip(tr.x, t))
+              if d.depends_on_x or callable(d.c) else yosida_radius(d, sigma, None, t))
+    step = eps / (4.0 * sigma)
+    offsets = np.arange(-radius, radius + step, step)
+    if not d.depends_on_x:
+        qgrid = np.unique(np.concatenate([offsets, t]))
+        arg = _cone_envelope(_finite_or_sentinel(d.eval_many(None, qgrid)), qgrid, sigma)[1]
+        q = qgrid[arg[np.searchsorted(qgrid, t)]]
+    else:
+        q = np.empty_like(t)
+        for i in range(len(t)):
+            qgrid = np.concatenate([t[i] + offsets, [t[i]]])
+            tau_q = _finite_or_sentinel(d.eval_many(tuple(tr.x[i]), qgrid))
+            q[i] = qgrid[np.argmin(tau_q + sigma * np.abs(t[i] - qgrid))]
     return tr.map_values(lambda _: q)
 
 

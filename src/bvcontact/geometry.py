@@ -80,8 +80,8 @@ class PolygonalDomain:
     admissibility check.
     """
 
-    def __init__(self, vertices, smooth=False, smooth_n=None,
-                 angle_overrides=None, lipschitz_constant=None, name=None):
+    def __init__(self, vertices, smooth=False, angle_overrides=None,
+                 lipschitz_constant=None, name=None):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise SchemaError("vertices must be an (n,2) array with n >= 3")
@@ -97,7 +97,6 @@ class PolygonalDomain:
         self.vertices = v
         self.n = v.shape[0]
         self.smooth = bool(smooth)
-        self.smooth_n = smooth_n if smooth_n is not None else (self.n if smooth else None)
         self.name = name
         self._check_simple()
 
@@ -503,7 +502,7 @@ def regular_ngon(n=256, radius=1.0, smooth=True) -> PolygonalDomain:
     smooth-boundary surrogate (the flag drives the C2 admissibility clause)."""
     ang = 2 * math.pi * (np.arange(n) + 0.5) / n
     verts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    return PolygonalDomain(verts, smooth=smooth, smooth_n=n, name=f"ngon{n}")
+    return PolygonalDomain(verts, smooth=smooth, name=f"ngon{n}")
 
 
 _BUILTIN_DOMAINS = {
@@ -528,7 +527,8 @@ _DOMAIN_KEYS = {"vertices", "smooth_flag", "smooth_n", "angle_overrides",
 
 def load_domain(path) -> PolygonalDomain:
     """Load a polygon from JSON: {"vertices": [[x,y],...], "smooth_flag": bool,
-    optional "angle_overrides": {"i": theta}, optional "lipschitz_constant"}."""
+    optional "angle_overrides": {"i": theta}, optional "lipschitz_constant"}.
+    A "smooth_n" key is accepted and ignored."""
     with open(path) as f:
         try:
             data = json.load(f)
@@ -551,7 +551,6 @@ def load_domain(path) -> PolygonalDomain:
     return PolygonalDomain(
         data["vertices"],
         smooth=bool(data.get("smooth_flag", False)),
-        smooth_n=data.get("smooth_n"),
         angle_overrides=overrides,
         lipschitz_constant=data.get("lipschitz_constant"),
         name=data.get("name"),

@@ -199,9 +199,6 @@ class TraceSample:
             else np.sqrt((self.values ** 2).sum(axis=-1))
         return float((self.w * v).sum())
 
-    def integral(self) -> float:
-        return float((self.w * self.values).sum())
-
     def map_values(self, fn):
         return TraceSample(self.s, self.x, self.normal, self.w, fn(self.values),
                            self.edge_id, self.perimeter, self.dom)

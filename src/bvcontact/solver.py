@@ -12,10 +12,11 @@ projected (TV) or solved radially (area) every iteration, so dual
 feasibility |xi| <= dual_bound holds exactly along the whole trajectory.
 
 The boundary contact acts through per-sample proximal steps on the probe
-cells, aggregated by arc-length weight; closed forms cover linear and
-absolute transformed densities, everything else goes through a tabulated
-transform whose exact node argmin is searched in a window around the
-minimizer of the table's lower convex envelope.
+cells, aggregated by arc-length weight.  The resolvent takes one of two
+paths: the density's closed-form prox (density.closed_form: linear and
+absolute), or, for every other kind, a tabulated transform whose exact node
+argmin is searched in a window around the minimizer of the table's lower
+convex envelope.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .density import YosidaContext, _closed_form_yosida, yosida_eval_many
-from .errors import NonconvexBoundaryTerm
+from .density import YosidaContext, closed_form, yosida_eval_many
+from .errors import NonconvexBoundaryTerm, UnsupportedArity
 from .geometry import PolygonalDomain
 from .grid import (EnergyReport, GridField, _grad, _grad_adjoint, energy_capillarity,
                    energy_H, tv_grid)
@@ -91,11 +92,11 @@ class _ContactProx:
     """Per-cell resolvent  v = argmin_v  t W tau_hat(x, v) + (v - z)^2 / 2  on
     the probe cells, W being the cells' summed sample weights.
 
-    mode 'linear': tau_hat(v) = mu v; 'absolute': mu |v|, with mu read from the
-    density's closed-form transform; 'table' (every other kind): the exact
-    argmin over tabulated transform values T on the nodes qs.
+    Two resolvent paths: the density's closed-form prox where it has one
+    (density.closed_form), else the exact argmin over tabulated transform
+    values T on the nodes qs.
 
-    Table mode brackets each cell by the node j minimizing the convex
+    The table path brackets each cell by the node j minimizing the convex
     surrogate s C + (q - z)^2 / 2, with C the lower convex envelope of T and
     s = t W, then searches the nodes within m of j.  With g = max(T - C) and
     the node step dq, every node whose objective is at most the value at j
@@ -113,16 +114,13 @@ class _ContactProx:
         np.add.at(W, (boundary.probe_iy, boundary.probe_ix), boundary.w)
         self.cells = np.nonzero(W > 0)
         self.W = W[self.cells] / (h * h)   # scaled weights (energy divided by h^2)
-        self.mu = None
-        self.table = None
-        if d is None:
-            self.mode = "none"
-        elif d.kind in ("linear", "absolute"):
-            # raises UnboundedBelow when the slope exceeds sigma
-            self.mu = float(_closed_form_yosida(d, ctx.sigma, 1.0))
-            self.mode = d.kind
-        else:
-            self.mode = "table"
+        self.off = d is None or len(self.cells[0]) == 0
+        if d is not None and d.value_dim != 1:
+            raise UnsupportedArity("the solver's field is scalar; the density needs M = 1")
+        # raises UnboundedBelow when the slope exceeds sigma
+        cf = None if d is None else closed_form(d, ctx.sigma)
+        self.closed = cf if cf is not None and cf.prox is not None else None
+        if d is not None and self.closed is None:
             R, dq = PROX_VALUE_RANGE, PROX_NODE_STEP
             lo, hi = data_range
             k_lo = math.floor(lo / dq) if lo < -R else 0
@@ -147,21 +145,11 @@ class _ContactProx:
     def apply(self, u, t):
         if t <= 0:
             raise ValueError("t must be positive")
-        if self.mode == "none" or len(self.cells[0]) == 0:
+        if self.off:
             return u
-        z = u[self.cells]
-        tw = t * self.W
-        if self.mode == "linear":
-            v = z - tw * self.mu
-        elif self.mode == "absolute":
-            if self.mu >= 0:
-                v = np.sign(z) * np.maximum(np.abs(z) - tw * self.mu, 0.0)
-            else:
-                s = np.where(z == 0, 1.0, np.sign(z))
-                v = z + tw * (-self.mu) * s
-        else:
-            v = self._table_argmin(z, tw)
-        u[self.cells] = v
+        z, tw = u[self.cells], t * self.W
+        u[self.cells] = (self.closed.prox(z, tw) if self.closed is not None
+                         else self._table_argmin(z, tw))
         return u
 
     def _table_argmin(self, z, tw):
@@ -183,15 +171,10 @@ class _ContactProx:
         return self.qs[start + np.argmin(obj, axis=1)]
 
     def energy(self, u):
-        if self.mode == "none" or len(self.cells[0]) == 0:
+        if self.off:
             return 0.0
         z = u[self.cells]
-        if self.mode == "linear":
-            vals = self.mu * z
-        elif self.mode == "absolute":
-            vals = self.mu * np.abs(z)
-        else:
-            vals = np.interp(z, self.qs, self.table)
+        vals = self.closed.hat(z) if self.closed is not None else np.interp(z, self.qs, self.table)
         return float((self.W * vals).sum())
 
 
@@ -226,7 +209,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
                     bulk: str = "quadratic", f=None, nu: float | None = None,
                     h: float = 1 / 128, iters: int = 2000, tol: float = 1e-6,
                     beta: float = 1e-3, step_scale: float = 8.0,
-                    allow_no_bulk: bool = False, u0=None,
+                    allow_no_bulk: bool = False,
                     unsafe_step_product: float = 1.0) -> SolverResult:
     """Primal-dual minimization on dom at spacing h.
 
@@ -276,9 +259,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     t = step_scale * math.sqrt(unsafe_step_product) / norm_K
     s = math.sqrt(unsafe_step_product) / (step_scale * norm_K)
 
-    if u0 is not None:
-        u = (u0.values if isinstance(u0, GridField) else np.asarray(u0, float)).copy()
-    elif bulk == "capillarity":
+    if bulk == "capillarity":
         u = np.where(mask, _best_constant_capillarity(grid, boundary, nu), 0.0)
     else:
         u = f_arr.copy()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bvcontact import density
+from bvcontact import density, exprgrammar
 from bvcontact.cli import main, parse_density_spec, run_scenario, validate_scenario
 from bvcontact.errors import ParseError, SchemaError
 
@@ -36,6 +36,33 @@ def test_parse_error_position_midway():
     with pytest.raises(ParseError) as ei:
         parse_density_spec("1 + 2 $ 3")
     assert ei.value.offset == 6
+
+
+P = np.linspace(-2.0, 2.0, 17)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("p^2", lambda p, x1: p ** 2),
+    ("-p^2", lambda p, x1: -(p ** 2)),
+    ("2^-p", lambda p, x1: 2.0 ** -p),
+    ("2^3^p", lambda p, x1: 2.0 ** 3.0 ** p),
+    ("p/4 - 1/p", lambda p, x1: p / 4.0 - 1.0 / p),
+    ("(p + 1)*(p - x1)", lambda p, x1: (p + 1.0) * (p - x1)),
+    ("+p - +1", lambda p, x1: p - 1.0),
+    ("max(p, x1) + max(-p, 1)", lambda p, x1: np.maximum(p, x1) + np.maximum(-p, 1.0)),
+    ("2 * foo(p)", 4),        # unknown name: offset of the name
+    ("1 + max(p)", 4),        # wrong arity: offset of the function name
+    ("abs(p, 1)", 0),
+])
+def test_grammar_operators_match_numpy(text, want):
+    if isinstance(want, int):
+        with pytest.raises(ParseError) as ei:
+            exprgrammar.parse_expression(text)
+        assert ei.value.offset == want
+        return
+    with np.errstate(divide="ignore"):
+        got = exprgrammar.eval_ast(exprgrammar.parse_expression(text), P, 0.25, -0.5)
+        assert np.array_equal(got, want(P, 0.25))
 
 
 def test_roundtrip_identical_evaluation():

@@ -3,7 +3,7 @@ import pytest
 
 from bvcontact import density
 from bvcontact.density import NEG_SENTINEL, YosidaContext, yosida_eval_many
-from bvcontact.errors import LayerTooThin
+from bvcontact.errors import LayerTooThin, UnboundedBelow
 from bvcontact.extension import (extend_boundary_data, optimal_boundary_values,
                                  recovery_sequence)
 from bvcontact.geometry import builtin_domain, unit_square
@@ -131,6 +131,20 @@ def test_optimal_values_quadratic_closed_form():
     # achieved value equals the transform: 1/4 + 1/2 = 3/4
     achieved = d.eval_many(None, p.values) + 1.0 * np.abs(1.0 - p.values)
     assert np.allclose(achieved, 0.75, atol=1e-9)
+
+
+@pytest.mark.parametrize("d", [density.absolute(-2.0), density.linear(-2.0),
+                               density.linear(1.5)], ids=["absolute-2", "linear-2", "linear1.5"])
+def test_optimal_values_reject_unbounded_transform(d):
+    # tau falls faster than sigma|p|, so tau_hat is -infinity: the chosen q
+    # cannot come within eps of it, and both lookups must say so alike
+    g = SQ.grid(1 / 32)
+    u = field_from_function(g, lambda X, Y: 2 * X + 0.5)
+    ctx = YosidaContext(sigma=1.0)
+    with pytest.raises(UnboundedBelow):
+        yosida_eval_many(d, ctx, None, trace_extract(u).values)
+    with pytest.raises(UnboundedBelow):
+        optimal_boundary_values(u, d, ctx, eps=1e-3)
 
 
 def test_optimal_values_grid_search_expression():

@@ -1,9 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from bvcontact import density
 from bvcontact.density import YosidaContext
-from bvcontact.errors import NonconvexBoundaryTerm, UnboundedBelow
+from bvcontact.errors import NonconvexBoundaryTerm, UnboundedBelow, UnsupportedArity
 from bvcontact.geometry import regular_ngon, unit_square
 from bvcontact.grid import constant_field, energy_capillarity, field_from_function
 from bvcontact.solver import _ContactProx, diagnostics, minimize_energy
@@ -119,14 +121,24 @@ def test_prox_contact_rejects_bad_step():
 
 
 def test_prox_table_mode_matches_closed_form_abs():
-    # abs(p) goes through the tabulated grid search, absolute(1.0) through the
-    # soft threshold; both are the same resolvent up to the 0.003 node step
-    table = density.expression("abs(p)", c=0.0, L=0.0)
-    for z in (-3.0, -0.4, 0.1, 0.3, 0.7, 3.0):
-        for step in (0.05, 0.5):
-            got = _probe_prox(table, step, z)
-            want = _probe_prox(density.absolute(1.0), step, z)
-            assert abs(got - want) <= 0.003 + 1e-12, (z, step, got, want)
+    # each expression goes through the tabulated grid search, its builtin twin
+    # through the closed-form resolvent; both are the same resolvent up to the
+    # 0.003 node step, and give the same contact energy
+    g = SQ.grid(1 / 8)
+    u = np.random.default_rng(0).uniform(-3.0, 3.0, g.mask.shape)
+    for text, L, closed, nonconvex in (("abs(p)", 0.0, density.absolute(1.0), False),
+                                       ("-0.5*p", 0.5, density.linear(-0.5), False),
+                                       ("-0.5*abs(p)", 0.5, density.absolute(-0.5), True)):
+        table = density.expression(text, c=0.0, L=L)
+        with pytest.warns(NonconvexBoundaryTerm) if nonconvex else contextlib.nullcontext():
+            for z in (-3.0, -0.4, 0.1, 0.3, 0.7, 3.0):
+                for step in (0.05, 0.5):
+                    got = _probe_prox(table, step, z)
+                    want = _probe_prox(closed, step, z)
+                    assert abs(got - want) <= 0.003 + 1e-12, (text, z, step, got, want)
+            energy = [_ContactProx(d, YosidaContext(1.0), g.boundary(), g.mask.shape,
+                                   1 / 8).energy(u) for d in (table, closed)]
+        assert energy[0] == pytest.approx(energy[1], rel=1e-12), text
 
 
 def test_prox_rejects_unbounded_absolute_at_setup():
@@ -134,6 +146,16 @@ def test_prox_rejects_unbounded_absolute_at_setup():
     with pytest.raises(UnboundedBelow):
         _ContactProx(density.absolute(-2.0), YosidaContext(1.0), g.boundary(),
                      g.mask.shape, 1 / 8)
+
+
+@pytest.mark.parametrize("d", [density.absolute(0.5, value_dim=2),
+                               density.quadratic(value_dim=2)], ids=["absolute", "quadratic"])
+def test_prox_rejects_vector_density(d):
+    # the field is scalar: a vector density's transform would read each probe
+    # cell's value as one component of a single vector
+    g = SQ.grid(1 / 8)
+    with pytest.raises(UnsupportedArity):
+        _ContactProx(d, YosidaContext(1.0), g.boundary(), g.mask.shape, 1 / 8)
 
 
 def test_table_mode_solve_converges():
