@@ -91,6 +91,13 @@ def validate_scenario(scenario: dict) -> dict:
             raise SchemaError(f"{key} must be a number", location=key)
     if "seed" in scenario and not isinstance(scenario["seed"], int):
         raise SchemaError("seed must be an integer", location="seed")
+    iters, beta = params.get("iters", 1), params.get("beta", 0.0)
+    if not isinstance(iters, (int, float)) or not iters >= 1:
+        raise SchemaError(f"iters must be a number >= 1, got {iters!r}",
+                          location="params.iters")
+    if not isinstance(beta, (int, float)) or not beta >= 0:
+        raise SchemaError(f"beta must be a number >= 0, got {beta!r}",
+                          location="params.beta")
     return scenario
 
 

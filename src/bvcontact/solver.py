@@ -40,6 +40,12 @@ PROX_VALUE_RANGE = 6.0
 PROX_NODES = 4001
 PROX_NODE_STEP = 2 * PROX_VALUE_RANGE / (PROX_NODES - 1)
 
+#: the area dual step stops a cell's radial Newton iteration once its applied
+#: correction is at most DUAL_NEWTON_TOL, and every cell after DUAL_NEWTON_CAP
+#: steps (the slowest start, |z| near 1 with s_beta ~ 5e-8, takes ~25)
+DUAL_NEWTON_TOL = 4.0 * np.finfo(float).eps
+DUAL_NEWTON_CAP = 100
+
 
 # -- dual resolvents ---------------------------------------------------------------------
 
@@ -50,25 +56,83 @@ def _dual_step_tv(zx, zy, sigma):
     return zx / scale, zy / scale
 
 
+def _radial_newton(r, mag, s_beta, top):
+    """One safeguarded Newton step r - phi(r) / phi'(r) for _dual_step_area,
+    clipped into [0, top]; in place on three temporaries."""
+    omr = r * r
+    np.subtract(1.0, omr, out=omr)
+    np.maximum(omr, 1e-30, out=omr)      # 1 - r^2
+    root = np.sqrt(omr)
+    phi = s_beta * r
+    phi /= root
+    phi += r
+    phi -= mag                           # phi(r)
+    omr *= root
+    np.divide(s_beta, omr, out=omr)
+    omr += 1.0                           # phi'(r)
+    phi /= omr
+    np.subtract(r, phi, out=phi)
+    np.maximum(phi, 0.0, out=phi)
+    return np.minimum(phi, top, out=phi)
+
+
 def _dual_step_area(zx, zy, s_beta):
     """prox of s * f* at z with f*(xi) = -beta sqrt(1 - |xi|^2): radial root of
-    phi(r) = s_beta r / sqrt(1 - r^2) + r = |z| on [0, 1).
+    phi(r) = s_beta r / sqrt(1 - r^2) + r = |z| on [0, top], top = 1 - 1e-15
+    (a root above top, where |z| > top + 2.2e7 s_beta, is clipped to top).
 
-    phi is convex and increasing, so safeguarded Newton from an upper start
-    (clipped into [0, 1)) decreases monotonically onto the root.
+    phi is convex and increasing, so safeguarded Newton from an upper bound of
+    the root, clipped into [0, top], decreases monotonically onto it.  The
+    start is r0 = min(|z|, |z| / sqrt(s_beta^2 + |z|^2), top): the root has
+    r <= |z| and s_beta r <= |z| sqrt(1 - r^2).  The second bound is the one
+    that matters where |z| >= 1; from r = top, Newton only triples 1 - r per
+    step there.  A cell stops once its applied (clipped) correction
+    |phi / phi'| is at most DUAL_NEWTON_TOL; a test on |phi| alone would not
+    stop near r = 1, where phi' is ~1e22 s_beta.  Steps run on the full
+    arrays, every cell included, while more than half the cells move; the
+    cells still moving then continue alone on compacted indices.
+
+    Returns xi_x, xi_y, the number of steps taken and the largest final
+    correction of a cell, which exceeds DUAL_NEWTON_TOL only if DUAL_NEWTON_CAP
+    cut some cell short.
     """
     mag = np.hypot(zx, zy)
     top = 1.0 - 1e-15
-    r = np.minimum(mag, top)
-    for _ in range(14):
-        omr = np.maximum(1.0 - r * r, 1e-30)
-        root = np.sqrt(omr)
-        phi = s_beta * r / root + r - mag
-        dphi = s_beta / (omr * root) + 1.0
-        r = np.clip(r - phi / dphi, 0.0, top)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(mag > 0, r / mag, 0.0)
-    return scale * zx, scale * zy
+    # |z|^2 under- or overflows at extreme |z|: fmin keeps |z| over the 0 / 0 and
+    # x / 0 that follow, and an overflow gives r0 = 0, which one step lifts
+    # above the root
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        r = mag * mag
+        r += s_beta * s_beta
+        np.sqrt(r, out=r)
+        np.divide(mag, r, out=r)
+    np.fmin(r, mag, out=r)
+    np.minimum(r, top, out=r)
+    steps = 0
+    while steps < DUAL_NEWTON_CAP:
+        steps += 1
+        new = _radial_newton(r, mag, s_beta, top)
+        corr = np.abs(np.subtract(new, r, out=r), out=r)
+        r = new
+        move = corr > DUAL_NEWTON_TOL
+        if 2 * np.count_nonzero(move) <= move.size:
+            break
+    corr_max = float(corr.max(where=~move, initial=0.0))
+    flat = r.reshape(-1)
+    idx = np.flatnonzero(move)
+    ra, ma = flat[idx], mag.reshape(-1)[idx]
+    while steps < DUAL_NEWTON_CAP and len(idx):
+        steps += 1
+        new = _radial_newton(ra, ma, s_beta, top)
+        corr = np.abs(new - ra)
+        move = corr > DUAL_NEWTON_TOL
+        corr_max = max(corr_max, float(corr.max(where=~move, initial=0.0)))
+        flat[idx] = new
+        idx, ra, ma = idx[move], new[move], ma[move]
+    if len(idx):   # DUAL_NEWTON_CAP reached; the cells left made the largest steps
+        corr_max = max(corr_max, float(corr.max()))
+    scale = np.divide(r, mag, out=r, where=mag > 0)     # r = 0 where z = 0
+    return scale * zx, scale * zy, steps, corr_max
 
 
 # -- contact prox -----------------------------------------------------------------------
@@ -224,6 +288,10 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     """
     if bulk not in ("none", "quadratic", "capillarity"):
         raise ValueError("bulk must be 'none', 'quadratic', or 'capillarity'")
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0 (0 is the TV limit), got {beta}")
     if bulk == "none" and not allow_no_bulk:
         raise ValueError("bulk='none' is usually ill-posed; pass allow_no_bulk=True "
                          "to override")
@@ -274,11 +342,13 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     res_hist = np.empty(iters)
     en_hist = np.empty(iters)
     n_done = iters
+    newton_steps, newton_corr = 0, 0.0
     for k in range(iters):
         gx, gy = _grad(ubar, h, ok_x, ok_y)
         zx, zy = xx + s * gx, yy + s * gy
         if area_mode:
-            xx, yy = _dual_step_area(zx, zy, s * beta)
+            xx, yy, steps, corr = _dual_step_area(zx, zy, s * beta)
+            newton_steps, newton_corr = max(newton_steps, steps), max(newton_corr, corr)
         else:
             xx, yy = _dual_step_tv(zx, zy, sigma)
         u_prev = u
@@ -304,6 +374,9 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         energy_history=en_hist[:n_done], dual_bound=dual_bound,
         dual_feasibility_max=feas, beta=beta if area_mode else None,
         notes={"bulk": bulk, "h": h, "step_scale": step_scale})
+    if area_mode:
+        state.notes.update(dual_newton_steps_max=newton_steps,
+                           dual_newton_correction_max=newton_corr)
 
     uf = GridField(grid, u)
     if bulk == "capillarity":

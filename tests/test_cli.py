@@ -85,6 +85,19 @@ def test_scenario_rejects_unknown_keys():
         validate_scenario({"task": "not-a-task"})
 
 
+@pytest.mark.parametrize("key, value", [("iters", 0), ("iters", -3), ("iters", "10"),
+                                        ("beta", -1e-3), ("beta", None)])
+def test_solve_rejects_bad_iters_and_beta(key, value):
+    with pytest.raises(SchemaError) as ei:
+        validate_scenario({"task": "solve", "params": {key: value}})
+    assert ei.value.location == f"params.{key}"
+
+
+def test_solve_accepts_beta_zero():
+    scn = {"task": "solve", "params": {"bulk": "capillarity", "iters": 1, "beta": 0}}
+    assert validate_scenario(scn) is scn
+
+
 def test_qgeom_square(tmp_path):
     rep = run_scenario({"task": "qgeom", "domain": "square"}, tmp_path)
     assert rep["result"]["Q"] == pytest.approx(math.sqrt(2), abs=1e-9)

@@ -8,7 +8,7 @@ from bvcontact.density import YosidaContext
 from bvcontact.errors import NonconvexBoundaryTerm, UnboundedBelow, UnsupportedArity
 from bvcontact.geometry import regular_ngon, unit_square
 from bvcontact.grid import constant_field, energy_capillarity, field_from_function
-from bvcontact.solver import _ContactProx, diagnostics, minimize_energy
+from bvcontact.solver import _ContactProx, _dual_step_area, diagnostics, minimize_energy
 
 SQ = unit_square()
 
@@ -68,6 +68,52 @@ def test_disk_contact_beats_candidate_sweep():
     for a in np.linspace(-1.0, 1.0, 50):
         u = field_from_function(g, lambda X, Y, a=a: a * np.hypot(X, Y))
         assert e_star <= full_energy(u) + 1e-4 * (1 + abs(e_star))
+
+
+def _bisect_radial_root(mag, s_beta, top=1.0 - 1e-15):
+    """Root of s_beta r / sqrt(1 - r^2) + r = mag on [0, top] by bisection
+    (top when the root lies above it)."""
+    lo, hi = np.zeros_like(mag), np.full_like(mag, top)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        up = s_beta * mid / np.sqrt(1.0 - mid * mid) + mid >= mag
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("s_beta", [0.0, 1e-9, 3.5e-7, 1e-3, 1.0, 100.0])
+def test_dual_step_area_is_exact(s_beta):
+    # cells with |z| >= 1 start near r = 1, where a fixed 14 steps stop short of the root
+    mag = np.concatenate([np.linspace(0.0, 1.3, 1301), np.geomspace(1e-12, 1e6, 181),
+                          [1.0 - 1e-12, 1.0 - 1e-15, 1.0 + 1e-15, 1.0 + 1e-9]])
+    ang = np.linspace(0.0, 2.0 * np.pi, len(mag))
+    zx, zy = mag * np.cos(ang), mag * np.sin(ang)
+    xx, yy, steps, corr = _dual_step_area(zx, zy, s_beta)
+    r = np.hypot(xx, yy)
+    assert np.abs(r - _bisect_radial_root(np.hypot(zx, zy), s_beta)).max() <= 4e-15
+    assert r.max() <= 1.0
+    assert corr <= 4.0 * np.finfo(float).eps
+    assert steps <= 30      # from r = 1 - 1e-15, |z| = 1.3 at s_beta = 1 needs 37
+
+
+def test_capillarity_dual_step_newton_steps():
+    res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 64,
+                          iters=4000, tol=1e-6)
+    assert res.state.notes["dual_newton_steps_max"] <= 3
+    assert res.state.notes["dual_newton_correction_max"] <= 4.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kwargs", [{"iters": 0}, {"iters": -3}, {"beta": -1e-3}])
+def test_minimize_energy_rejects_bad_iters_and_beta(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, **kwargs)
+
+
+def test_capillarity_runs_at_beta_zero():
+    res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, iters=50,
+                          tol=0.0, beta=0.0)
+    assert np.all(np.isfinite(res.u.values))
+    assert res.state.dual_feasibility_max <= 1.0
 
 
 def test_dual_feasibility_exact_tv_mode():
