@@ -92,11 +92,13 @@ def validate_scenario(scenario: dict) -> dict:
     if "seed" in scenario and not isinstance(scenario["seed"], int):
         raise SchemaError("seed must be an integer", location="seed")
     iters, beta = params.get("iters", 1), params.get("beta", 0.0)
-    if not isinstance(iters, (int, float)) or not iters >= 1:
-        raise SchemaError(f"iters must be a number >= 1, got {iters!r}",
+    whole = isinstance(iters, int) or isinstance(iters, float) and iters.is_integer()
+    if isinstance(iters, bool) or not whole or iters < 1:
+        raise SchemaError(f"iters must be a whole number >= 1, got {iters!r}",
                           location="params.iters")
-    if not isinstance(beta, (int, float)) or not beta >= 0:
-        raise SchemaError(f"beta must be a number >= 0, got {beta!r}",
+    if (isinstance(beta, bool) or not isinstance(beta, (int, float))
+            or not 0 <= beta <= sys.float_info.max):
+        raise SchemaError(f"beta must be a finite number >= 0, got {beta!r}",
                           location="params.beta")
     return scenario
 

@@ -85,17 +85,20 @@ def test_scenario_rejects_unknown_keys():
         validate_scenario({"task": "not-a-task"})
 
 
-@pytest.mark.parametrize("key, value", [("iters", 0), ("iters", -3), ("iters", "10"),
-                                        ("beta", -1e-3), ("beta", None)])
+@pytest.mark.parametrize("key, value", [
+    ("iters", 0), ("iters", -3), ("iters", "10"), ("iters", math.inf), ("iters", True),
+    ("iters", 2.5), ("beta", -1e-3), ("beta", None), ("beta", math.inf), ("beta", math.nan),
+    ("beta", True)])
 def test_solve_rejects_bad_iters_and_beta(key, value):
     with pytest.raises(SchemaError) as ei:
         validate_scenario({"task": "solve", "params": {key: value}})
     assert ei.value.location == f"params.{key}"
 
 
-def test_solve_accepts_beta_zero():
+def test_solve_accepts_beta_zero_and_whole_float_iters():
     scn = {"task": "solve", "params": {"bulk": "capillarity", "iters": 1, "beta": 0}}
     assert validate_scenario(scn) is scn
+    assert validate_scenario(json.loads('{"task": "solve", "params": {"iters": 2e3}}'))
 
 
 def test_qgeom_square(tmp_path):
