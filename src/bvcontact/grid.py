@@ -143,9 +143,12 @@ def gradient_magnitude(u: GridField):
         d[:-1] = (v[1:] - v[:-1]) / u.h
         return np.abs(d)
     dx, dy = _grad(u.values, u.h, *u.grid.neighbor_masks())
-    if u.value_dim == 1:
-        return np.hypot(dx, dy)
-    return np.sqrt((dx * dx + dy * dy).sum(axis=-1))
+    dx *= dx
+    dy *= dy
+    dx += dy
+    if u.value_dim > 1:
+        dx = dx.sum(axis=-1)
+    return np.sqrt(dx, out=dx)
 
 
 def tv_grid(u: GridField) -> float:

@@ -3,7 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from bvcontact import density
+from bvcontact import density, solver
 from bvcontact.density import YosidaContext
 from bvcontact.errors import NonconvexBoundaryTerm, UnboundedBelow, UnsupportedArity
 from bvcontact.geometry import regular_ngon, unit_square
@@ -259,6 +259,38 @@ def test_nonconvex_contact_warns_and_runs():
         res = minimize_energy(SQ, d=d, ctx=YosidaContext(1.0), bulk="quadratic",
                               h=1 / 32, iters=300, tol=1e-6)
     assert np.all(np.isfinite(res.u.values))
+
+
+@pytest.mark.parametrize("iters", [1, 2, 7])
+def test_energy_record_is_objective_at_final_iterate(iters, monkeypatch):
+    # the record is the scaled objective of u_k, recomputed here from scratch;
+    # at iters = 1 a record taken from the previous iterate's gradient differs
+    h, beta, nu = 1 / 32, 1e-3, 0.5
+    g = SQ.grid(h)
+    bump = field_from_function(g, lambda X, Y: np.exp(-8 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)))
+    table = density.expression("p*p + 0.5*abs(p-0.25)", c=0.0, L=0.0)
+    ctx = YosidaContext(1.0)
+    prox = _ContactProx(table, ctx, g.boundary(), g.mask.shape, h)
+    calls = []
+    grad = solver._grad
+    monkeypatch.setattr(solver, "_grad", lambda *a: calls.append(1) or grad(*a))
+    for kwargs, integrand, bulk, tau_hat in (
+            (dict(bulk="capillarity", nu=nu, beta=beta),
+             lambda gx, gy: np.sqrt(beta * beta + gx * gx + gy * gy), lambda u: u * u,
+             lambda z: nu * z),
+            (dict(d=table, ctx=ctx, bulk="quadratic", f=bump),
+             np.hypot, lambda u: (u - bump.values) ** 2,
+             lambda z: np.interp(z, prox.qs, prox.table))):
+        calls.clear()
+        res = minimize_energy(SQ, h=h, iters=iters, tol=0.0, **kwargs)
+        u = res.u.values
+        gx, gy = grad(u, h, *g.neighbor_masks())
+        z = u[prox.cells]
+        want = (integrand(gx, gy)[g.mask].sum() + bulk(u)[g.mask].sum()
+                + (prox.W * tau_hat(z)).sum())
+        assert res.state.iterations == iters
+        assert res.state.energy_history[-1] == pytest.approx(want, rel=1e-12)
+        assert len(calls) == iters + 1
 
 
 def test_diagnostics_converged_run():
