@@ -13,6 +13,10 @@ the achieved ratios  int |w| / int |g|  and  int |grad w| / int |g|  land at
 about eps and 1 + eps respectively.  The layer width adapts to the arc total
 variation of g: a fixed width cannot meet the gradient target for oscillatory
 data, so delta shrinks like eps * ||g||_1 / TV(g) when g oscillates.
+The layer is built on its own cells (dist < delta, read from the grid's band
+distance maps), and both ratios are certified there: the mass sums over the
+layer cells, the masked total variation over the layer and the ring of cells
+whose forward x or y neighbor lies in it; every other cell has zero gradient.
 
 recovery_sequence adds such layers to a base field to prescribe its trace,
 and optimal_boundary_values picks per-sample contact values q minimizing
@@ -27,7 +31,7 @@ import numpy as np
 
 from .density import _cone_envelope, _finite_or_sentinel, closed_form, yosida_radius
 from .errors import LayerTooThin, MaskMismatch
-from .grid import GridField, TraceSample, l1_norm, trace_extract, tv_grid
+from .grid import GridField, TraceSample, _grad_at, trace_extract
 
 DELTA_L1_FACTOR = 1.8      # delta <= 1.8 * eps keeps the L1 ratio below 0.9 * eps
 DELTA_TV_FACTOR = 2.0      # delta <= 2 * eps * ||g||_1 / TV(g) caps the tangential cost
@@ -70,24 +74,29 @@ class _ArcAverager:
             else np.vstack([np.zeros(g.values.shape[1]), np.cumsum(seg, axis=0)])
 
     def _F(self, s):
-        # integral of g over [0, s], s may lie outside [0, P]
+        # integral of g over [0, s], s may lie outside [0, P]; overwrites s
         wraps = np.floor(s / self.P)
-        s0 = s - wraps * self.P
-        idx = np.clip(np.searchsorted(self.breaks, s0, side="right") - 1,
-                      0, len(self.breaks) - 2)
-        frac = s0 - self.breaks[idx]
-        if self.vals.ndim == 1:
-            return self.cum[idx] + self.vals[idx] * frac + wraps * self.cum[-1]
-        return (self.cum[idx] + self.vals[idx] * frac[:, None]
-                + wraps[:, None] * self.cum[-1])
+        s -= wraps * self.P
+        idx = np.searchsorted(self.breaks, s, side="right")
+        idx -= 1
+        np.clip(idx, 0, len(self.breaks) - 2, out=idx)
+        s -= self.breaks[idx]
+        if self.vals.ndim > 1:
+            s, wraps = s[:, None], wraps[:, None]
+        out = self.vals[idx]
+        out *= s
+        out += self.cum[idx]
+        out += wraps * self.cum[-1]
+        return out
 
     def window_mean(self, s, half_width):
+        # written in place: the layer's temporaries set the extension's peak
         hw = np.maximum(half_width, 1e-12)
-        upper = self._F(s + hw)
-        lower = self._F(s - hw)
-        if self.vals.ndim == 1:
-            return (upper - lower) / (2 * hw)
-        return (upper - lower) / (2 * hw[:, None])
+        mean = self._F(s + hw)
+        mean -= self._F(s - hw)
+        hw *= 2
+        mean /= hw if self.vals.ndim == 1 else hw[:, None]
+        return mean
 
 
 def extend_boundary_data(g: TraceSample, eps: float, h: float,
@@ -98,7 +107,10 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
     l1_ratio <~ eps and grad_ratio <~ 1 + eps (plus O(kappa) and O(h/delta)
     grid terms).  Raises LayerTooThin when h > delta/8 for the selected
     width; widths beyond W = dom.band_width (half the shortest edge, where
-    the grid's distance maps end) are clamped and flagged.
+    the grid's distance maps end) are clamped and flagged.  The ratios are
+    computed on the layer cells and one ring around them, and equal
+    l1_norm(field) / int |g| and tv_grid(field) / int |g| up to summation
+    order.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
@@ -124,22 +136,34 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
         raise LayerTooThin(f"h = {h:.4g} exceeds delta/8 = {delta / 8:.4g}; {why}")
 
     dist, arc = grid.distance_maps()
-    layer = grid.mask & (dist < delta)
-    iy, ix = np.nonzero(layer)
-    t = dist[iy, ix]
-    s = arc[iy, ix]
-    avg = _ArcAverager(g)
-    G = avg.window_mean(s, kappa * t)
-    cutoff = 1.0 - t / delta
+    # dist is inf off the band and off the mask, so the layer is dist < delta
+    layer = dist < delta
+    cells = np.flatnonzero(layer)
+    t = dist.ravel()[cells]
+    w = _ArcAverager(g).window_mean(arc.ravel()[cells], kappa * t)
+    cutoff = np.subtract(1.0, t / delta, out=t)      # written over t
     vector = g.values.ndim > 1
-    shape = grid.mask.shape + (() if not vector else (g.values.shape[1],))
-    vals = np.zeros(shape)
-    vals[iy, ix] = G * cutoff if not vector else G * cutoff[:, None]
+    w *= cutoff if not vector else cutoff[:, None]
+    vals = np.zeros(grid.mask.shape + w.shape[1:])
+    vals.reshape((layer.size,) + w.shape[1:])[cells] = w
     w_field = GridField(grid, vals)
+    # certificates: w vanishes off the layer, so its masked gradient vanishes
+    # off the layer and the cells whose +x or +y neighbor lies in it
+    mass = np.abs(w) if not vector else np.sqrt((w * w).sum(axis=-1))
+    l1_ratio = float(grid.cell_area * mass.sum()) / total
+    ring = layer.copy()
+    ring[:, :-1] |= layer[:, 1:]
+    ring[:-1, :] |= layer[1:, :]
+    dx, dy = _grad_at(vals, grid.h, *grid.neighbor_masks(), np.flatnonzero(ring))
+    dx *= dx
+    dy *= dy
+    dx += dy
+    if vector:
+        dx = dx.sum(axis=-1)
     return ExtensionResult(
         field=w_field,
-        l1_ratio=l1_norm(w_field) / total,
-        grad_ratio=tv_grid(w_field) / total,
+        l1_ratio=l1_ratio,
+        grad_ratio=float(grid.cell_area * np.sqrt(dx, out=dx).sum()) / total,
         layer_width=delta,
         kappa=kappa,
         corner_overlap=corner_overlap,

@@ -123,6 +123,27 @@ def _grad(u, h, ok_x, ok_y):
     return dx, dy
 
 
+def _grad_at(u, h, ok_x, ok_y, cells):
+    """_grad at the flat lattice indices cells only: the rows cells of
+    _grad(u, h, ok_x, ok_y) with the lattice axes flattened, bit for bit,
+    as arrays of shape (k,) or (k, M)."""
+    n, nx = ok_x.size, ok_x.shape[1]
+    flat = u.reshape((n,) + u.shape[2:])
+    here = flat[cells]
+    okx = ok_x.ravel()[cells]
+    oky = ok_y.ravel()[cells]
+    # where the neighbor leaves the mask (or the lattice) read the cell itself
+    dx = flat[cells + okx]
+    dx -= here
+    dx /= h
+    dx[~okx] = 0.0
+    dy = flat[cells + nx * oky]
+    dy -= here
+    dy /= h
+    dy[~oky] = 0.0
+    return dx, dy
+
+
 def _grad_adjoint(xx, yy, h, ok_x, ok_y):
     """Exact adjoint of _grad on scalar fields: <grad u, xi> = <u, adjoint(xi)>."""
     out = np.zeros_like(xx)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,10 @@ from bvcontact.density import NEG_SENTINEL, YosidaContext, yosida_eval_many
 from bvcontact.errors import LayerTooThin, UnboundedBelow
 from bvcontact.extension import (extend_boundary_data, optimal_boundary_values,
                                  recovery_sequence)
-from bvcontact.geometry import builtin_domain, unit_square
+from bvcontact.geometry import builtin_domain, l_shape, unit_square
 from bvcontact.grid import (boundary_trace_from_function, constant_field,
-                            field_from_function, l1_distance, trace_extract, tv_grid)
+                            field_from_function, l1_distance, l1_norm, trace_extract,
+                            tv_grid)
 
 SQ = unit_square()
 
@@ -68,6 +71,64 @@ def test_layer_too_thin_names_the_width_cap():
     msg = str(err.value)
     assert f"W = {g.dom.band_width:.4g}" in msg and "h <= W/8" in msg
     assert "increase eps" not in msg
+
+
+def _certified_case(case):
+    if case == "square":            # the layer reaches lattice row 0 and column 0
+        g = SQ.grid(1 / 512)
+        return g, _const_trace(g, 1.0), 0.1
+    if case == "lshape":            # reentrant corner
+        g = l_shape().grid(1 / 256)
+        return g, boundary_trace_from_function(g, lambda x, y: np.sin(3 * x) + y), 0.1
+    if case == "disk64":            # delta clamped to W, the ring outside the band
+        g = builtin_domain("disk64").grid(1 / 384)
+        return g, boundary_trace_from_function(g, lambda x, y: x - y), 0.1
+    g = SQ.grid(1 / 256)            # M = 2
+    tr = boundary_trace_from_function(g, lambda x, y: x - 2 * y)
+    return g, tr.map_values(lambda v: np.column_stack([v, np.cos(4 * v)])), 0.2
+
+
+@pytest.mark.parametrize("case", ["square", "lshape", "disk64", "M2"])
+def test_certificates_equal_full_lattice_values(case):
+    # the layer certificates read only the layer and one ring of cells; they
+    # must agree with the full-lattice norms of the returned field
+    g, tr, eps = _certified_case(case)
+    res = extend_boundary_data(tr, eps=eps, h=g.h)
+    w = res.field.values
+    if case == "square":
+        assert np.any(w[0] != 0) and np.any(w[:, 0] != 0)
+    if case == "disk64":
+        dist = g.distance_maps()[0]
+        assert res.corner_overlap and res.layer_width == g.dom.band_width
+        assert np.any(g.mask[:-1] & (w[:-1] == 0) & (w[1:] != 0) & (dist[:-1] == np.inf))
+    if case == "M2":
+        assert res.field.value_dim == 2
+    total = res.boundary_l1
+    assert res.l1_ratio == pytest.approx(l1_norm(res.field) / total, rel=1e-13, abs=0)
+    assert res.grad_ratio == pytest.approx(tv_grid(res.field) / total, rel=1e-13, abs=0)
+
+
+def test_certificates_of_zero_data():
+    g = SQ.grid(1 / 512)
+    res = extend_boundary_data(_const_trace(g, 0.0), eps=0.1, h=g.h)
+    assert (res.l1_ratio, res.grad_ratio) == (0.0, 0.0)
+    assert l1_norm(res.field) == 0.0 and tv_grid(res.field) == 0.0
+
+
+def test_extension_memory_guard():
+    # with the grid's maps warm, one member costs less than three lattice
+    # float arrays; certificates over the full lattice need about 4.5
+    g = builtin_domain("disk64").grid(1 / 384)
+    g.distance_maps()
+    g.neighbor_masks()
+    tr = boundary_trace_from_function(g, lambda x, y: x - y)
+    tracemalloc.start()
+    try:
+        extend_boundary_data(tr, eps=0.1, h=g.h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * g.mask.size * 8
 
 
 def test_l1_ratio_scales_linearly_in_eps():

@@ -8,8 +8,9 @@ from bvcontact import density
 from bvcontact.density import YosidaContext
 from bvcontact.errors import MaskMismatch
 from bvcontact.geometry import l_shape, regular_ngon, unit_square
-from bvcontact.grid import (GridField, boundary_trace_from_function, constant_field,
-                            energy_capillarity, energy_F, energy_H, field_from_function,
+from bvcontact.grid import (GridField, _grad, _grad_at, boundary_trace_from_function,
+                            constant_field, energy_capillarity, energy_F, energy_H,
+                            field_from_function,
                             l1_distance, line_grid, load_field, save_field,
                             trace_extract, tv_exact_pc, tv_grid)
 
@@ -20,6 +21,25 @@ DISK = regular_ngon(256)
 def test_tv_constant_is_zero():
     u = constant_field(SQ.grid(1 / 64), 7.0)
     assert tv_grid(u) == 0.0
+
+
+@pytest.mark.parametrize("dom", [SQ, l_shape()], ids=["square", "lshape"])
+@pytest.mark.parametrize("M", [1, 2])
+def test_grad_at_is_grad_bit_for_bit(dom, M):
+    # every lattice cell: first/last rows and columns, cells on both sides of
+    # the mask edge (the square's mask fills its lattice, the L-shape's does
+    # not); values off the mask are nonzero on purpose
+    g = dom.grid(1 / 40)
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=g.mask.shape + ((M,) if M > 1 else ()))
+    ok = g.neighbor_masks()
+    dx, dy = _grad(u, g.h, *ok)
+    flat = (g.mask.size,) + u.shape[2:]
+    every = np.arange(g.mask.size)
+    for cells in (every, rng.permutation(every)[:300]):
+        gx, gy = _grad_at(u, g.h, *ok, cells)
+        assert gx.tobytes() == dx.reshape(flat)[cells].tobytes()
+        assert gy.tobytes() == dy.reshape(flat)[cells].tobytes()
 
 
 def test_tv_halfplane_indicator():
