@@ -92,6 +92,7 @@ def validate_scenario(scenario: dict) -> dict:
     if "seed" in scenario and not isinstance(scenario["seed"], int):
         raise SchemaError("seed must be an integer", location="seed")
     iters, beta = params.get("iters", 1), params.get("beta", 0.0)
+    step_scale = params.get("step_scale", 1.0)
     whole = isinstance(iters, int) or isinstance(iters, float) and iters.is_integer()
     if isinstance(iters, bool) or not whole or iters < 1:
         raise SchemaError(f"iters must be a whole number >= 1, got {iters!r}",
@@ -100,6 +101,10 @@ def validate_scenario(scenario: dict) -> dict:
             or not 0 <= beta <= sys.float_info.max):
         raise SchemaError(f"beta must be a finite number >= 0, got {beta!r}",
                           location="params.beta")
+    if (isinstance(step_scale, bool) or not isinstance(step_scale, (int, float))
+            or not 0 < step_scale <= sys.float_info.max):
+        raise SchemaError(f"step_scale must be a finite number > 0, got {step_scale!r}",
+                          location="params.step_scale")
     return scenario
 
 
@@ -296,12 +301,12 @@ def _task_solve(scn, dom, d, ctx, out, rng):
     f = None
     if p.get("f") is not None:
         f = _load_field_spec(p["f"], dom.grid(g_h))
+    step = {"step_scale": float(p["step_scale"])} if "step_scale" in p else {}
     res = minimize_energy(
         dom, d=d, ctx=ctx, bulk=p.get("bulk", "quadratic"), f=f,
         nu=scn.get("nu"), h=g_h, iters=int(p.get("iters", 2000)),
         tol=float(p.get("tol", 1e-6)), beta=float(p.get("beta", 1e-3)),
-        step_scale=float(p.get("step_scale", 8.0)),
-        allow_no_bulk=bool(p.get("allow_no_bulk", False)))
+        allow_no_bulk=bool(p.get("allow_no_bulk", False)), **step)
     save_field(res.u, out / "field")
     diag = diagnostics(res.state) if res.state.iterations >= 2 else {}
     if diag:

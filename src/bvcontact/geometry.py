@@ -20,6 +20,9 @@ from .errors import SchemaError
 
 ANGLE_TOL = 1e-9
 FLAT_TOL = 1e-12
+#: PolygonalDomain's simplicity check tests edge pairs in blocks of rows of
+#: about this many pairs, so its temporaries stay bounded for large polygons
+SIMPLE_CHECK_PAIRS = 1 << 16
 
 
 def corner_q(theta: float) -> float:
@@ -140,27 +143,29 @@ class PolygonalDomain:
         return math.pi - turn
 
     def _check_simple(self):
-        v = self.vertices
-        n = self.n
-        a, b = v, np.roll(v, -1, axis=0)
-        for i in range(n):
-            js = np.arange(i + 2, n if i > 0 else n - 1)
-            if len(js) == 0:
-                continue
-            d1 = b[i] - a[i]
-            d2 = (b[js] - a[js])
-            denom = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
-            w = a[js] - a[i]
-            t = (w[:, 0] * d2[:, 1] - w[:, 1] * d2[:, 0])
-            s = (w[:, 0] * d1[1] - w[:, 1] * d1[0]) * (-1.0)
+        """Raise SchemaError at the first crossing pair of edges (i, j),
+        i + 2 <= j, in row-major order.  Rows of pairs are tested in blocks
+        of at most about SIMPLE_CHECK_PAIRS pairs."""
+        a, n = self.vertices, self.n
+        d = np.roll(a, -1, axis=0) - a
+        rows = max(1, SIMPLE_CHECK_PAIRS // n)
+        for i0 in range(0, n - 2, rows):
+            i = np.arange(i0, min(i0 + rows, n - 2))[:, None]
+            js = np.arange(i0 + 2, n)
+            d1x, d1y = d[i, 0], d[i, 1]
+            d2x, d2y = d[js, 0], d[js, 1]
+            denom = d1x * d2y - d1y * d2x
+            wx, wy = a[js, 0] - a[i, 0], a[js, 1] - a[i, 1]
             with np.errstate(divide="ignore", invalid="ignore"):
-                tt = t / denom
-                ss = -s / denom
+                tt = (wx * d2y - wy * d2x) / denom
+                ss = (wx * d1y - wy * d1x) / denom
             crossing = (np.abs(denom) > 1e-14) & (tt > 1e-12) & (tt < 1 - 1e-12) \
-                & (ss > 1e-12) & (ss < 1 - 1e-12)
-            if np.any(crossing):
-                j = int(js[np.argmax(crossing)])
-                raise SchemaError("polygon is self-intersecting", location=f"edges {i} and {j}")
+                & (ss > 1e-12) & (ss < 1 - 1e-12) & (js >= i + 2) & ((i > 0) | (js < n - 1))
+            hit = np.argwhere(crossing)
+            if len(hit):
+                r, c = hit[0]
+                raise SchemaError("polygon is self-intersecting",
+                                  location=f"edges {i0 + r} and {js[c]}")
 
     # -- point queries ---------------------------------------------------------
 

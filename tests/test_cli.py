@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bvcontact import density, exprgrammar
+from bvcontact import cli, density, exprgrammar
 from bvcontact.cli import main, parse_density_spec, run_scenario, validate_scenario
 from bvcontact.errors import ParseError, SchemaError
 
@@ -93,6 +93,27 @@ def test_solve_rejects_bad_iters_and_beta(key, value):
     with pytest.raises(SchemaError) as ei:
         validate_scenario({"task": "solve", "params": {key: value}})
     assert ei.value.location == f"params.{key}"
+
+
+@pytest.mark.parametrize("value", [0, -1.0, math.inf, math.nan, True, "8", None])
+def test_solve_rejects_bad_step_scale(value):
+    with pytest.raises(SchemaError) as ei:
+        validate_scenario({"task": "solve", "params": {"step_scale": value}})
+    assert ei.value.location == "params.step_scale"
+
+
+def test_solve_passes_step_scale_only_when_given(tmp_path, monkeypatch):
+    # the default lives in minimize_energy alone
+    seen = []
+    solve = cli.minimize_energy
+    monkeypatch.setattr(cli, "minimize_energy",
+                        lambda *a, **kw: seen.append(kw) or solve(*a, **kw))
+    for k, params in enumerate(({}, {"step_scale": 4})):
+        scn = {"task": "solve", "domain": "square", "nu": 0.5, "grid_h": 1 / 16,
+               "params": {"bulk": "capillarity", "iters": 5, **params}}
+        run_scenario(scn, tmp_path / str(k))
+    assert "step_scale" not in seen[0]
+    assert seen[1]["step_scale"] == 4.0
 
 
 def test_solve_accepts_beta_zero_and_whole_float_iters():

@@ -94,6 +94,58 @@ def test_rejects_self_intersection():
         geometry.PolygonalDomain([[0, 0], [1, 1], [1, 0], [0, 1]])
 
 
+def _swapped_ngon(n, k):
+    # vertices k and k + 1 of a regular n-gon swapped: edges k - 1 and k + 1
+    # cross, and no other pair does
+    th = 2 * np.pi * np.arange(n) / n
+    v = np.column_stack([np.cos(th), np.sin(th)])
+    v[[k, k + 1]] = v[[k + 1, k]]
+    return v
+
+
+def test_self_intersection_names_the_crossing_edges():
+    # 3000 edges: the crossing lies in the 120th block of 21 rows
+    with pytest.raises(SchemaError) as ei:
+        geometry.PolygonalDomain(_swapped_ngon(3000, 2500))
+    assert ei.value.location == "edges 2499 and 2501"
+
+
+def _first_crossing(v):
+    """The simplicity check's pair test, one edge i at a time."""
+    n = len(v)
+    a, b = v, np.roll(v, -1, axis=0)
+    for i in range(n):
+        js = np.arange(i + 2, n if i > 0 else n - 1)
+        d1, d2 = b[i] - a[i], b[js] - a[js]
+        denom = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
+        w = a[js] - a[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tt = (w[:, 0] * d2[:, 1] - w[:, 1] * d2[:, 0]) / denom
+            ss = (w[:, 0] * d1[1] - w[:, 1] * d1[0]) / denom
+        crossing = (np.abs(denom) > 1e-14) & (tt > 1e-12) & (tt < 1 - 1e-12) \
+            & (ss > 1e-12) & (ss < 1 - 1e-12)
+        if np.any(crossing):
+            return f"edges {i} and {js[np.argmax(crossing)]}"
+    return None
+
+
+@pytest.mark.parametrize("pairs", [7, 64, geometry.SIMPLE_CHECK_PAIRS])
+def test_self_intersection_location_matches_pairwise_loop(pairs, monkeypatch):
+    monkeypatch.setattr(geometry, "SIMPLE_CHECK_PAIRS", pairs)
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        v = rng.normal(size=(int(rng.integers(4, 30)), 2))
+        if np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]) < 0:
+            v = v[::-1]
+        want = _first_crossing(v)
+        try:
+            geometry.PolygonalDomain(v)
+            got = None
+        except SchemaError as e:
+            got = e.location
+        assert got == want
+
+
 def test_rejects_repeated_vertex():
     with pytest.raises(SchemaError, match="vertex 1"):
         geometry.PolygonalDomain([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]])

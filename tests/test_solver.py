@@ -6,7 +6,7 @@ import pytest
 from bvcontact import density, solver
 from bvcontact.density import YosidaContext
 from bvcontact.errors import NonconvexBoundaryTerm, UnboundedBelow, UnsupportedArity
-from bvcontact.geometry import regular_ngon, unit_square
+from bvcontact.geometry import builtin_domain, regular_ngon, unit_square
 from bvcontact.grid import constant_field, energy_capillarity, field_from_function
 from bvcontact.solver import _ContactProx, _dual_step_area, diagnostics, minimize_energy
 
@@ -105,6 +105,13 @@ def test_dual_step_area_is_exact(s_beta):
 def test_minimize_energy_rejects_bad_iters_and_beta(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, **kwargs)
+
+
+@pytest.mark.parametrize("step_scale", [0, -1.0, np.inf, np.nan, True])
+def test_minimize_energy_rejects_bad_step_scale(step_scale):
+    with pytest.raises(ValueError, match="step_scale"):
+        minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, iters=5,
+                        step_scale=step_scale)
 
 
 def test_capillarity_runs_at_beta_zero():
@@ -213,33 +220,65 @@ def test_table_mode_solve_converges():
 
 
 def _dense_table_argmin(prox, z, tw):
-    obj = prox.table[None, :] * tw[:, None] + 0.5 * (prox.qs[None, :] - z[:, None]) ** 2
-    return prox.qs[np.argmin(obj, axis=1)]
+    """First node argmin over every node, 256 cells at a time."""
+    out = np.empty(len(z))
+    for a in range(0, len(z), 256):
+        zc, twc = z[a:a + 256], tw[a:a + 256]
+        obj = prox.table[None, :] * twc[:, None] + 0.5 * (prox.qs[None, :] - zc[:, None]) ** 2
+        out[a:a + 256] = prox.qs[np.argmin(obj, axis=1)]
+    return out
+
+
+def _table_prox(expr, convex, dom, h):
+    g = dom.grid(h)
+    d = density.expression(expr, c=0.0, L=0.0)
+    with contextlib.nullcontext() if convex else pytest.warns(NonconvexBoundaryTerm):
+        prox = _ContactProx(d, YosidaContext(1.0), g.boundary(), g.mask.shape, h)
+    return prox, g
 
 
 @pytest.mark.parametrize("expr, convex", [("p*p + 0.5*abs(p-0.25)", True),
                                           ("2*min(abs(p-1), abs(p+1))", False)])
 def test_table_prox_window_matches_dense_argmin(expr, convex):
-    # h = 1/128: side cells have W = 128, corner cells W = 256; the solver's
-    # step t / (1 + 2t) makes t W about 2.7 and 5.4
-    h = 1 / 128
-    g = SQ.grid(h)
-    d = density.expression(expr, c=0.0, L=0.0)
-    if convex:
-        prox = _ContactProx(d, YosidaContext(1.0), g.boundary(), g.mask.shape, h)
-    else:
-        with pytest.warns(NonconvexBoundaryTerm):
-            prox = _ContactProx(d, YosidaContext(1.0), g.boundary(), g.mask.shape, h)
-    assert len(np.unique(prox.W)) == 2
+    # on the square at h = 1/128 side cells have W = 128, corner cells
+    # W = 256; the solver's step t / (1 + 2t) makes t W about 2.7 and 5.4
     rng = np.random.default_rng(7)
-    t_solver = 8.0 / (np.sqrt(8.0) / h)
-    for t in (t_solver / (1 + 2 * t_solver), 1e-4, 0.1):
-        for _ in range(10):
-            z = rng.uniform(-9.0, 9.0, len(prox.W))    # nodes cover [-6, 6]
+    for name, h, classes, calls in (("square", 1 / 128, 2, 30), ("lshape", 1 / 256, 2, 9),
+                                    ("disk64", 1 / 256, 53, 9), ("disk256", 1 / 256, 158, 9)):
+        prox, g = _table_prox(expr, convex, builtin_domain(name), h)
+        assert len(prox.class_W) == classes
+        t_solver = 8.0 / (np.sqrt(8.0) / h)
+        steps = (t_solver / (1 + 2 * t_solver), 1e-4, 0.1)
+        for k in range(calls):
+            t = steps[k % 3]                             # the key cache sees every change
+            z = rng.uniform(-9.0, 9.0, len(prox.W))      # nodes cover [-6, 6]
             u = np.zeros(g.mask.shape)
             u[prox.cells] = z
             got = prox.apply(u, t)[prox.cells]
+            # searchsorted returns the first key >= z only on increasing keys
+            assert np.all(np.diff(prox._keys, axis=1) > 0)
             assert np.array_equal(got, _dense_table_argmin(prox, z, t * prox.W))
+
+
+def test_table_prox_window_shrinks_where_the_bracket_gap_is_zero():
+    # two-well table: T - C is 0 outside the wells but 0.999 at its largest,
+    # which sized every window at 2 * 1099 + 1 nodes; cells whose bracket
+    # node has T = C need 5
+    h = 1 / 128
+    prox, g = _table_prox("2*min(abs(p-1), abs(p+1))", False, SQ, h)
+    t_solver = 8.0 / (np.sqrt(8.0) / h)
+    t = t_solver / (1 + 2 * t_solver)
+    rng = np.random.default_rng(3)
+    z = rng.uniform(7.0, 9.0, len(prox.W)) * rng.choice([-1.0, 1.0], len(prox.W))
+    tw = t * prox.W
+    keys = tw[:, None] * prox.env_slope + prox.midpoint
+    bracket = np.argmax(keys >= z[:, None], axis=1)      # first node with key >= z
+    assert np.all(prox.node_gap[bracket] == 0.0)
+    u = np.zeros(g.mask.shape)
+    u[prox.cells] = z
+    got = prox.apply(u, t)[prox.cells]
+    assert list(prox._views) == [5]
+    assert np.array_equal(got, _dense_table_argmin(prox, z, tw))
 
 
 def test_table_prox_nodes_extend_past_the_data():
