@@ -33,17 +33,62 @@ FLOAT_FMT = "%.12g"
 TASKS = ("yosida", "qgeom", "energy", "counterexample", "relax-verify",
          "extend-verify", "solve")
 
-_COMMON_KEYS = {"task", "domain", "density", "density_c", "density_L", "sigma",
-                "epsilon0", "nu", "grid_h", "seed", "params", "output_dir"}
+_FIELD_BUILDERS = {
+    "zero": lambda g: constant_field(g, 0.0),
+    "x1": lambda g: field_from_function(g, lambda X, Y: X),
+    "x2": lambda g: field_from_function(g, lambda X, Y: Y),
+    "cone": lambda g: field_from_function(g, lambda X, Y: np.hypot(X, Y)),
+    "bump": lambda g: field_from_function(
+        g, lambda X, Y: np.exp(-8 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2))),
+}
 
-_PARAM_KEYS = {
-    "yosida": {"p_min", "p_max", "n_points", "force_bruteforce"},
-    "qgeom": set(),
-    "energy": {"field", "mode"},
-    "counterexample": {"family", "lam", "lam_sweep", "n_values", "grid_check_n"},
-    "relax-verify": {"field", "budget"},
-    "extend-verify": {"eps", "n_corpus", "kappa"},
-    "solve": {"bulk", "iters", "tol", "beta", "step_scale", "f", "allow_no_bulk"},
+
+# What each kind of SCHEMA value must be.  A runner receives a "float" as a
+# float, a "count" as an int, "counts" as ints and every other kind as written.
+_KINDS = {"float": "a finite number", "number": "a finite number", "count": "a whole number",
+          "counts": "a non-empty list of whole numbers", "flag": "true or false",
+          "enum": "one of", "text": "a non-empty string", "object": "a JSON object",
+          "sweep": "[lo, hi, step] with lo <= hi and step > 0",
+          "domain": '{"file": path} or one of', "field": 'const:<v>, {"file": path} or one of'}
+
+
+class PerTask(dict):
+    """A SCHEMA default that depends on the task (None for tasks not named)."""
+
+
+# Every scenario key, at the top level ("") or in one task's params: (kind, range
+# or allowed values, default, *the tasks that require it, "task:bulk" for one
+# bulk of a task).  A range is an interval such as "(0, inf)"; a required flag
+# must be true.
+SCHEMA = {
+    "": {"task": ("enum", TASKS, None, *TASKS),
+         "domain": ("domain", tuple(geometry.BUILTIN_DOMAINS), "square"),
+         "density": ("text", None, None, "yosida", "energy", "relax-verify"),
+         "density_c": ("number", None, None), "density_L": ("number", None, None),
+         "sigma": ("float", "(0, inf)", 1.0), "nu": ("number", None, None, "solve:capillarity"),
+         "grid_h": ("number", "(0, inf)", PerTask({"energy": 1 / 256, "counterexample": 1 / 512,
+                                                   "relax-verify": 1 / 128, "solve": 1 / 128,
+                                                   "extend-verify": 1 / 512})),
+         "seed": ("count", "[0, inf)", 0), "params": ("object", None, {}),
+         "output_dir": ("text", None, None)},
+    "yosida": {"p_min": ("number", None, -3.0), "p_max": ("number", None, 3.0),
+               "n_points": ("count", "[1, inf)", 601), "force_bruteforce": ("flag", None, False)},
+    "qgeom": {},
+    "energy": {"field": ("field", tuple(_FIELD_BUILDERS), "zero"),
+               "mode": ("enum", ("F", "H", "both"), "both")},
+    "counterexample": {"family": ("enum", ("E1", "E2", "LOG1D"), "E1"),
+                       "lam": ("number", None, -0.8), "lam_sweep": ("sweep", None, None),
+                       "n_values": ("counts", "[2, inf)", [4, 8, 16, 32]),
+                       "grid_check_n": ("count", "[1, inf)", None)},
+    "relax-verify": {"field": ("field", tuple(_FIELD_BUILDERS), "zero"),
+                     "budget": ("count", "[1, inf)", 64)},
+    "extend-verify": {"eps": ("float", "(0, 1]", 0.1), "n_corpus": ("count", "[1, inf)", 20),
+                      "kappa": ("float", "[0, inf)", 0.5)},
+    "solve": {"bulk": ("enum", ("quadratic", "capillarity", "none"), "quadratic"),
+              "iters": ("count", "[1, inf)", 2000), "tol": ("float", "[0, inf)", 1e-6),
+              "beta": ("float", "[0, inf)", 1e-3), "step_scale": ("float", "[1e-06, 1e+06]", None),
+              "f": ("field", tuple(_FIELD_BUILDERS), None),
+              "allow_no_bulk": ("flag", None, False, "solve:none")},
 }
 
 
@@ -66,84 +111,77 @@ def parse_density_spec(text: str, c=None, L=None):
     return density_mod.expression(text, c=c, L=L)
 
 
-def _scenario_hash(scenario: dict) -> str:
-    blob = json.dumps(scenario, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def validate_scenario(scenario: dict) -> dict:
-    if not isinstance(scenario, dict):
-        raise SchemaError("scenario must be a JSON object")
-    unknown = set(scenario) - _COMMON_KEYS
-    if unknown:
-        raise SchemaError(f"unknown scenario keys {sorted(unknown)}")
-    task = scenario.get("task")
-    if task not in TASKS:
-        raise SchemaError(f"task must be one of {TASKS}, got {task!r}")
-    params = scenario.get("params", {})
-    if not isinstance(params, dict):
-        raise SchemaError("params must be an object", location="params")
-    bad = set(params) - _PARAM_KEYS[task]
-    if bad:
-        raise SchemaError(f"unknown params for {task}: {sorted(bad)}", location="params")
-    for key in ("sigma", "epsilon0", "nu", "grid_h"):
-        if key in scenario and not isinstance(scenario[key], (int, float)):
-            raise SchemaError(f"{key} must be a number", location=key)
-    if "seed" in scenario and not isinstance(scenario["seed"], int):
-        raise SchemaError("seed must be an integer", location="seed")
-    iters, beta = params.get("iters", 1), params.get("beta", 0.0)
-    step_scale = params.get("step_scale", 1.0)
-    whole = isinstance(iters, int) or isinstance(iters, float) and iters.is_integer()
-    if isinstance(iters, bool) or not whole or iters < 1:
-        raise SchemaError(f"iters must be a whole number >= 1, got {iters!r}",
-                          location="params.iters")
-    if (isinstance(beta, bool) or not isinstance(beta, (int, float))
-            or not 0 <= beta <= sys.float_info.max):
-        raise SchemaError(f"beta must be a finite number >= 0, got {beta!r}",
-                          location="params.beta")
-    if (isinstance(step_scale, bool) or not isinstance(step_scale, (int, float))
-            or not 0 < step_scale <= sys.float_info.max):
-        raise SchemaError(f"step_scale must be a finite number > 0, got {step_scale!r}",
-                          location="params.step_scale")
+    """Check every key the scenario gives against SCHEMA and return the
+    scenario unchanged; run_scenario also requires the keys its task needs."""
+    _resolve(scenario)
     return scenario
 
 
-def _load_domain_spec(spec):
-    if spec is None:
-        return geometry.unit_square()
-    if isinstance(spec, str):
-        return geometry.builtin_domain(spec)
-    if isinstance(spec, dict):
-        if "file" in spec:
-            return geometry.load_domain(spec["file"])
-        raise SchemaError("domain object must carry a 'file' key")
-    raise SchemaError("domain must be a builtin name or {'file': path}")
+def _resolve(scenario) -> dict:
+    """The task's values by key, checked, converted and defaulted by SCHEMA
+    (None where a key is neither given nor defaulted)."""
+    if not isinstance(scenario, dict):
+        raise SchemaError("scenario must be a JSON object")
+    task = _check("task", scenario.get("task"), *SCHEMA[""]["task"][:2])
+    values = _walk(scenario, SCHEMA[""], "", task)
+    return {**values, **_walk(values["params"], SCHEMA[task], "params.", task)}
 
 
-_FIELD_BUILDERS = {
-    "zero": lambda g: constant_field(g, 0.0),
-    "x1": lambda g: field_from_function(g, lambda X, Y: X),
-    "x2": lambda g: field_from_function(g, lambda X, Y: Y),
-    "cone": lambda g: field_from_function(g, lambda X, Y: np.hypot(X, Y)),
-    "bump": lambda g: field_from_function(
-        g, lambda X, Y: np.exp(-8 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2))),
-}
+def _walk(given, rows, where, task):
+    unknown = sorted(set(given) - set(rows))
+    if unknown:
+        raise SchemaError(f"unknown params for {task}: {unknown}" if where
+                          else f"unknown scenario keys {unknown}", location=where[:-1] or None)
+    return {key: _check(where + key, given[key], kind, allowed) if key in given
+            else default.get(task) if isinstance(default, PerTask) else default
+            for key, (kind, allowed, default, *_) in rows.items()}
+
+
+def _ok(v, kind, allowed):
+    if kind in ("float", "number", "count"):
+        interval = allowed or "(-inf, inf)"
+        lo, hi = (float(s) for s in interval[1:-1].split(","))
+        return (not isinstance(v, bool) and isinstance(v, (int, float))
+                and abs(v) <= sys.float_info.max and (kind != "count" or float(v).is_integer())
+                and (lo < v or interval[0] == "[" and v == lo)
+                and (v < hi or interval[-1] == "]" and v == hi))
+    if kind == "counts":
+        return isinstance(v, list) and v != [] and all(_ok(x, "count", allowed) for x in v)
+    if kind == "sweep":
+        return (isinstance(v, list) and len(v) == 3 and all(_ok(x, "number", None) for x in v)
+                and v[0] <= v[1] and v[2] > 0)
+    if isinstance(v, dict):
+        return kind == "object" or (kind in ("field", "domain") and set(v) == {"file"}
+                                    and isinstance(v["file"], str))
+    if kind == "field" and isinstance(v, str) and v.startswith("const:"):
+        try:
+            return _ok(float(v[6:]), "number", None)
+        except ValueError:
+            return False
+    return (kind == "flag" and isinstance(v, bool)
+            or kind == "text" and isinstance(v, str) and v.strip() != ""
+            or kind in ("enum", "field", "domain") and isinstance(v, str) and v in allowed)
+
+
+def _check(where, v, kind, allowed):
+    """v as a runner receives it, or SchemaError at where."""
+    if not _ok(v, kind, allowed):
+        rng = f" in {allowed}" if isinstance(allowed, str) else f" {allowed}" if allowed else ""
+        raise SchemaError(f"{where.rpartition('.')[2]} must be {_KINDS[kind]}{rng}, got {v!r}",
+                          location=where)
+    if kind == "counts":
+        return [int(x) for x in v]
+    return float(v) if kind == "float" else int(v) if kind == "count" else v
 
 
 def _load_field_spec(spec, grid):
-    if spec is None:
-        return constant_field(grid, 0.0)
+    """A field from a spec that passed _check."""
     if isinstance(spec, dict):
-        if "file" in spec:
-            return load_field(spec["file"], grid=grid)
-        raise SchemaError("field object must carry a 'file' key")
-    if isinstance(spec, str):
-        if spec.startswith("const:"):
-            return constant_field(grid, float(spec.split(":", 1)[1]))
-        if spec in _FIELD_BUILDERS:
-            return _FIELD_BUILDERS[spec](grid)
-    raise SchemaError(f"unknown field spec {spec!r}; use const:<v>, "
-                      f"{sorted(_FIELD_BUILDERS)}, or {{'file': base}}")
+        return load_field(spec["file"], grid=grid)
+    if spec.startswith("const:"):
+        return constant_field(grid, float(spec[6:]))
+    return _FIELD_BUILDERS[spec](grid)
 
 
 def _fmt(x):
@@ -170,21 +208,17 @@ def write_csv(path, header, rows, dat=False):
 # -- task runners --------------------------------------------------------------------
 
 
-def _task_yosida(scn, dom, d, ctx, out, rng):
-    p = scn.get("params", {})
-    lo, hi = p.get("p_min", -3.0), p.get("p_max", 3.0)
-    n = int(p.get("n_points", 601))
-    force = bool(p.get("force_bruteforce", False))
-    ps = np.linspace(lo, hi, n)
+def _task_yosida(v, dom, d, ctx, out, rng):
+    ps = np.linspace(v["p_min"], v["p_max"], v["n_points"])
     x0 = tuple(dom.vertices[0])
     tau = d.eval_many(x0, ps)
-    hat = yosida_eval_many(d, ctx, x0, ps, force_bruteforce=force)
+    hat = yosida_eval_many(d, ctx, x0, ps, force_bruteforce=v["force_bruteforce"])
     rows = list(zip(ps, hat, tau))
     write_csv(out / "table.csv", ["p", "tau_hat", "tau"], rows, dat=True)
-    return {"n_points": n, "max_drop": float((tau - hat).max())}
+    return {"n_points": v["n_points"], "max_drop": float((tau - hat).max())}
 
 
-def _task_qgeom(scn, dom, d, ctx, out, rng):
+def _task_qgeom(v, dom, d, ctx, out, rng):
     corners = [{"index": r.index, "theta": r.theta, "q": r.q,
                 "wedge_slope": r.wedge_slope} for r in dom.corner_records]
     return {"Q": geometry.domain_Q(dom), "corners": corners,
@@ -193,33 +227,28 @@ def _task_qgeom(scn, dom, d, ctx, out, rng):
             "emmer_bound": 1.0 / math.sqrt(1.0 + dom.lipschitz_constant ** 2)}
 
 
-def _task_energy(scn, dom, d, ctx, out, rng):
-    g = dom.grid(scn.get("grid_h", 1 / 256))
-    u = _load_field_spec(scn.get("params", {}).get("field"), g)
-    mode = scn.get("params", {}).get("mode", "both")
+def _task_energy(v, dom, d, ctx, out, rng):
+    u = _load_field_spec(v["field"], dom.grid(v["grid_h"]))
     result = {}
-    if mode in ("F", "both"):
+    if v["mode"] in ("F", "both"):
         result["F"] = energy_F(u, d, ctx.sigma).to_dict()
-    if mode in ("H", "both"):
+    if v["mode"] in ("H", "both"):
         result["H"] = relaxed_energy(u, d, ctx, dom).to_dict()
     return result
 
 
-def _task_counterexample(scn, dom, d, ctx, out, rng):
-    p = scn.get("params", {})
-    fam_name = p.get("family", "E1")
-    n_values = p.get("n_values", [4, 8, 16, 32])
-    sweep = p.get("lam_sweep")
-    if fam_name.upper() == "LOG1D":
+def _task_counterexample(v, dom, d, ctx, out, rng):
+    name, n_values, sweep = v["family"], v["n_values"], v["lam_sweep"]
+    if name == "LOG1D":
         lams = [0.0]  # the 1-D family has no coefficient
     elif sweep is None:
-        lams = [p.get("lam", -0.8)]
-    else:
-        lams = list(np.arange(sweep[0], sweep[1] + 1e-12, sweep[2]))
+        lams = [v["lam"]]
+    else:  # [lo, lo, step] is [lo] also where hi + 1e-12 rounds to hi
+        lams = list(np.arange(sweep[0], sweep[1] + 1e-12, sweep[2])) or [sweep[0]]
     rows = []
     for lam in lams:
-        fam = (family_by_name(fam_name) if fam_name.upper() == "LOG1D"
-               else family_by_name(fam_name, lam=float(lam), sigma=ctx.sigma))
+        fam = (family_by_name(name) if name == "LOG1D"
+               else family_by_name(name, lam=float(lam), sigma=ctx.sigma))
         rep = detect_lsc_violation(fam, budget=max(n_values))
         for n in n_values:
             rows.append((lam, n, fam.member_energy(n), rep.liminf_energy,
@@ -227,30 +256,23 @@ def _task_counterexample(scn, dom, d, ctx, out, rng):
     write_csv(out / "sweep.csv",
               ["lambda", "n", "energy", "liminf", "limit_energy_F", "gap", "violated"],
               rows, dat=True)
-    check = p.get("grid_check_n")
-    last_fam = fam
-    cat = counterexample_energy(last_fam, n_values=n_values, grid_check_n=check,
-                                h=scn.get("grid_h", 1 / 512))
-    return {"families": fam_name, "lambdas": [float(v) for v in lams],
+    cat = counterexample_energy(fam, n_values=n_values, grid_check_n=v["grid_check_n"],
+                                h=v["grid_h"])
+    return {"families": name, "lambdas": [float(lam) for lam in lams],
             "last_catalog": {"per_n": cat.per_n,
                              "limit_of_sequence": cat.limit_of_sequence,
                              "energy_of_limit": _json_num(cat.energy_of_limit),
-                             "grid_checks": {k: _json_num(v) for k, v in
+                             "grid_checks": {k: _json_num(x) for k, x in
                                              cat.grid_checks.items()}}}
 
 
 def _json_num(v):
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    return v
+    return "inf" if isinstance(v, float) and math.isinf(v) else v
 
 
-def _task_relax_verify(scn, dom, d, ctx, out, rng):
-    g = dom.grid(scn.get("grid_h", 1 / 128))
-    p = scn.get("params", {})
-    u = _load_field_spec(p.get("field"), g)
-    rep = verify_representation(u, d, ctx, dom, budget=int(p.get("budget", 64)),
-                                seed=int(scn.get("seed", 0)))
+def _task_relax_verify(v, dom, d, ctx, out, rng):
+    u = _load_field_spec(v["field"], dom.grid(v["grid_h"]))
+    rep = verify_representation(u, d, ctx, dom, budget=v["budget"], seed=v["seed"])
     write_csv(out / "gaps.csv", ["upper_gap", "lower_gap", "H_value"],
               [(rep.upper_gap, rep.lower_gap, rep.H_value)])
     return {"upper_gap": rep.upper_gap, "lower_gap": rep.lower_gap,
@@ -271,17 +293,16 @@ def _extend_corpus(grid, n_members, rng):
     return fns[:n_members]
 
 
-def _task_extend_verify(scn, dom, d, ctx, out, rng):
-    p = scn.get("params", {})
-    eps = float(p.get("eps", 0.1))
-    kappa = float(p.get("kappa", 0.5))
-    g = dom.grid(scn.get("grid_h", 1 / 512))
+def _task_extend_verify(v, dom, d, ctx, out, rng):
+    eps, kappa = v["eps"], v["kappa"]
+    g = dom.grid(v["grid_h"])
     rows = []
-    for name, fn in _extend_corpus(g, int(p.get("n_corpus", 20)), rng):
+    for name, fn in _extend_corpus(g, v["n_corpus"], rng):
         tr = boundary_trace_from_function(g, fn)
         # members whose adaptive layer would drop under 8 cells run at their
-        # resolvability floor instead of failing the whole corpus
-        eps_eff = max(eps, required_eps(tr, g.h))
+        # resolvability floor instead of failing the whole corpus; a floor
+        # above eps = 1 raises LayerTooThin
+        eps_eff = min(max(eps, required_eps(tr, g.h)), 1.0)
         res = extend_boundary_data(tr, eps=eps_eff, h=g.h, kappa=kappa)
         rows.append((name, res.l1_ratio, res.grad_ratio, res.layer_width,
                      res.boundary_l1, res.corner_overlap, eps_eff))
@@ -295,18 +316,13 @@ def _task_extend_verify(scn, dom, d, ctx, out, rng):
             "max_eps_effective": max(r[6] for r in rows)}
 
 
-def _task_solve(scn, dom, d, ctx, out, rng):
-    p = scn.get("params", {})
-    g_h = scn.get("grid_h", 1 / 128)
-    f = None
-    if p.get("f") is not None:
-        f = _load_field_spec(p["f"], dom.grid(g_h))
-    step = {"step_scale": float(p["step_scale"])} if "step_scale" in p else {}
+def _task_solve(v, dom, d, ctx, out, rng):
+    f = None if v["f"] is None else _load_field_spec(v["f"], dom.grid(v["grid_h"]))
+    step = {} if v["step_scale"] is None else {"step_scale": v["step_scale"]}
     res = minimize_energy(
-        dom, d=d, ctx=ctx, bulk=p.get("bulk", "quadratic"), f=f,
-        nu=scn.get("nu"), h=g_h, iters=int(p.get("iters", 2000)),
-        tol=float(p.get("tol", 1e-6)), beta=float(p.get("beta", 1e-3)),
-        allow_no_bulk=bool(p.get("allow_no_bulk", False)), **step)
+        dom, d=d, ctx=ctx, bulk=v["bulk"], f=f, nu=v["nu"], h=v["grid_h"],
+        iters=v["iters"], tol=v["tol"], beta=v["beta"],
+        allow_no_bulk=v["allow_no_bulk"], **step)
     save_field(res.u, out / "field")
     diag = diagnostics(res.state) if res.state.iterations >= 2 else {}
     if diag:
@@ -319,39 +335,32 @@ def _task_solve(scn, dom, d, ctx, out, rng):
             "dual_bound": res.state.dual_bound}
 
 
-_RUNNERS = {
-    "yosida": _task_yosida,
-    "qgeom": _task_qgeom,
-    "energy": _task_energy,
-    "counterexample": _task_counterexample,
-    "relax-verify": _task_relax_verify,
-    "extend-verify": _task_extend_verify,
-    "solve": _task_solve,
-}
+_RUNNERS = {"yosida": _task_yosida, "qgeom": _task_qgeom, "energy": _task_energy,
+            "counterexample": _task_counterexample, "relax-verify": _task_relax_verify,
+            "extend-verify": _task_extend_verify, "solve": _task_solve}
 
 
 def run_scenario(scenario: dict, out_dir) -> dict:
     """Validate, dispatch, and write report.json; returns the report dict."""
-    scenario = validate_scenario(scenario)
+    v = _resolve(scenario)
+    task, needs = v["task"], {v["task"], f"{v['task']}:{v.get('bulk')}"}
+    for where, rows in (("", SCHEMA[""]), ("params.", SCHEMA[task])):
+        for key, (_, _, _, *required) in rows.items():
+            if (v[key] is None or v[key] is False) and needs & set(required):
+                raise SchemaError(f"{key} is required by {', '.join(required)}",
+                                  location=where + key)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dom = _load_domain_spec(scenario.get("domain"))
-    sigma = float(scenario.get("sigma", 1.0))
-    ctx = YosidaContext(sigma=sigma)
-    d = None
-    if scenario.get("density") is not None:
-        d = parse_density_spec(scenario["density"], c=scenario.get("density_c"),
-                               L=scenario.get("density_L"))
-    rng = np.random.default_rng(int(scenario.get("seed", 0)))
-    result = _RUNNERS[scenario["task"]](scenario, dom, d, ctx, out, rng)
-    report = {
-        "task": scenario["task"],
-        "scenario_hash": _scenario_hash(scenario),
-        "grid_h": scenario.get("grid_h"),
-        "seed": int(scenario.get("seed", 0)),
-        "version": __version__,
-        "result": result,
-    }
+    dom = (geometry.load_domain(v["domain"]["file"]) if isinstance(v["domain"], dict)
+           else geometry.builtin_domain(v["domain"]))
+    ctx = YosidaContext(sigma=v["sigma"])
+    d = None if v["density"] is None else parse_density_spec(
+        v["density"], c=v["density_c"], L=v["density_L"])
+    result = _RUNNERS[task](v, dom, d, ctx, out, np.random.default_rng(v["seed"]))
+    blob = json.dumps(scenario, sort_keys=True, separators=(",", ":")).encode()
+    report = {"task": task, "scenario_hash": hashlib.sha256(blob).hexdigest()[:16],
+              "grid_h": scenario.get("grid_h"), "seed": v["seed"], "version": __version__,
+              "result": result}
     (out / "report.json").write_text(json.dumps(report, indent=1, sort_keys=True,
                                                 default=_fmt) + "\n")
     return report
@@ -383,35 +392,22 @@ def main(argv=None) -> int:
             print(json.dumps({"error": f"invalid scenario JSON: {e.msg}",
                               "line": e.lineno}), file=sys.stderr)
             return 2
-    if scenario.get("task") is None:
-        scenario["task"] = args.task
-    elif scenario["task"] != args.task:
-        print(json.dumps({"error": f"scenario task {scenario['task']!r} does not "
-                                   f"match command {args.task!r}"}), file=sys.stderr)
+    if not isinstance(scenario, dict) or scenario.get("task") not in (None, args.task):
+        print(json.dumps({"error": "the scenario must be a JSON object whose task, if "
+                                   f"given, is the command {args.task!r}"}), file=sys.stderr)
         return 2
-    out_dir = args.out
-    if args.out == "out" and scenario.get("output_dir"):
-        out_dir = scenario["output_dir"]
-    if args.seed is not None:
-        scenario["seed"] = args.seed
-    if args.grid is not None:
-        scenario["grid_h"] = args.grid
-    if args.domain is not None:
-        scenario["domain"] = (args.domain if not args.domain.endswith(".json")
+    domain = args.domain and (args.domain if not args.domain.endswith(".json")
                               else {"file": args.domain})
-    if args.density is not None:
-        scenario["density"] = args.density
-    if args.sigma is not None:
-        scenario["sigma"] = args.sigma
-    if args.nu is not None:
-        scenario["nu"] = args.nu
+    flags = {"task": args.task, "seed": args.seed, "grid_h": args.grid, "domain": domain,
+             "density": args.density, "sigma": args.sigma, "nu": args.nu}
+    scenario.update({k: x for k, x in flags.items() if x is not None})
+    out_dir = args.out == "out" and scenario.get("output_dir") or args.out
 
     try:
         run_scenario(scenario, out_dir)
-    except (BVContactError, ValueError) as e:
+    except (BVContactError, ValueError, OSError) as e:
         payload = {"error": str(e), "type": type(e).__name__}
-        if isinstance(e, ParseError):
-            payload["offset"] = e.offset
+        payload.update({k: getattr(e, k) for k in ("offset", "location") if hasattr(e, k)})
         print(json.dumps(payload), file=sys.stderr)
         return 1
     return 0

@@ -18,7 +18,7 @@ class DegenerateMargin(BVContactError):
 
 
 class LayerTooThin(BVContactError):
-    """Grid spacing h is too coarse for the requested boundary-layer width."""
+    """Grid spacing h is too coarse for the domain or the boundary-layer width."""
 
 
 class MaskMismatch(BVContactError):

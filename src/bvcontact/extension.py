@@ -114,6 +114,8 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
+    if not 0 <= kappa < np.inf:
+        raise ValueError(f"kappa must be a finite number >= 0, got {kappa}")
     dom = g.dom
     grid = dom.grid(h)
     total = g.abs_integral()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import LayerTooThin, SchemaError
 
 ANGLE_TOL = 1e-9
 FLAT_TOL = 1e-12
@@ -344,6 +344,8 @@ class DomainGrid:
         for j in range(ny):
             row = np.sort(xint[j, cond[j]])
             self.mask[j] = (len(row) - np.searchsorted(row, xs, side="right")) % 2 == 1
+        if not self.mask.any():
+            raise LayerTooThin(f"h = {h:.4g} leaves no cell center inside {dom.name}")
         self.cell_area = h * h
         self._boundary = None
         self._dist_maps = None
@@ -510,7 +512,7 @@ def regular_ngon(n=256, radius=1.0, smooth=True) -> PolygonalDomain:
     return PolygonalDomain(verts, smooth=smooth, name=f"ngon{n}")
 
 
-_BUILTIN_DOMAINS = {
+BUILTIN_DOMAINS = {
     "square": unit_square,
     "lshape": l_shape,
     "disk256": lambda: regular_ngon(256),
@@ -520,10 +522,10 @@ _BUILTIN_DOMAINS = {
 
 def builtin_domain(name: str) -> PolygonalDomain:
     try:
-        return _BUILTIN_DOMAINS[name]()
+        return BUILTIN_DOMAINS[name]()
     except KeyError:
         raise SchemaError(f"unknown builtin domain {name!r}; "
-                          f"choose one of {sorted(_BUILTIN_DOMAINS)}")
+                          f"choose one of {sorted(BUILTIN_DOMAINS)}")
 
 
 _DOMAIN_KEYS = {"vertices", "smooth_flag", "smooth_n", "angle_overrides",

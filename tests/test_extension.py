@@ -62,6 +62,18 @@ def test_layer_too_thin():
         extend_boundary_data(_const_trace(g, 1.0), eps=0.05, h=g.h)
 
 
+@pytest.mark.parametrize("kappa", [-1.0, -1e-9, np.inf, np.nan])
+def test_rejects_negative_or_nonfinite_kappa(kappa):
+    # the window half-width kappa * d(x) was clamped to 1e-12, so kappa = -1
+    # ran as kappa = 0 and the result recorded -1
+    g = SQ.grid(1 / 64)
+    with pytest.raises(ValueError, match="kappa"):
+        extend_boundary_data(_const_trace(g, 1.0), eps=0.5, h=g.h, kappa=kappa)
+    with pytest.raises(ValueError, match="kappa"):
+        extend_boundary_data(_const_trace(g, 0.0), eps=0.5, h=g.h, kappa=kappa)
+    assert extend_boundary_data(_const_trace(g, 1.0), eps=0.5, h=g.h, kappa=0.0).kappa == 0.0
+
+
 def test_layer_too_thin_names_the_width_cap():
     # disk256: the layer is capped at half its 0.0245 edge, so h = 1/128 is
     # too coarse at any eps, and the message must not suggest raising it

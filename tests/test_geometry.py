@@ -6,12 +6,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bvcontact import density, geometry
-from bvcontact.errors import SchemaError
+from bvcontact.errors import LayerTooThin, SchemaError
 from bvcontact.extension import extend_boundary_data, required_eps
 from bvcontact.geometry import (admissibility_check, builtin_domain, corner_q, domain_Q,
                                 emmer_check, l_shape, regular_ngon, unit_square,
                                 wedge_cut_ratio)
 from bvcontact.grid import boundary_trace_from_function
+
+
+@pytest.mark.parametrize("name, h", [("square", 2.0), ("square", 1e300), ("lshape", 1.0)])
+def test_grid_with_no_cell_inside_is_too_coarse(name, h):
+    # the lattice's only cell center lies outside (on the L-shape's reentrant
+    # corner at h = 1); boundary sampling then failed in np.argmin
+    with pytest.raises(LayerTooThin, match="no cell center inside"):
+        builtin_domain(name).grid(h)
+    assert builtin_domain(name).grid(0.5).n_cells > 0
 
 
 def test_corner_q_square_corner():
