@@ -387,10 +387,14 @@ def main(argv=None) -> int:
     scenario = {}
     if args.config:
         try:
-            scenario = json.loads(Path(args.config).read_text())
+            scenario = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             print(json.dumps({"error": f"invalid scenario JSON: {e.msg}",
                               "line": e.lineno}), file=sys.stderr)
+            return 2
+        except (OSError, UnicodeDecodeError) as e:
+            print(json.dumps({"error": f"cannot read the scenario: {e}",
+                              "type": type(e).__name__}), file=sys.stderr)
             return 2
     if not isinstance(scenario, dict) or scenario.get("task") not in (None, args.task):
         print(json.dumps({"error": "the scenario must be a JSON object whose task, if "

@@ -114,12 +114,16 @@ def _grad(u, h, ok_x, ok_y):
     """Forward differences / h of a (ny, nx) or (ny, nx, M) array, zero where
     the forward neighbor leaves the mask (ok_x, ok_y from
     DomainGrid.neighbor_masks)."""
-    dx = np.zeros_like(u)
-    dy = np.zeros_like(u)
-    dx[:, :-1] = (u[:, 1:] - u[:, :-1]) / h
-    dy[:-1, :] = (u[1:, :] - u[:-1, :]) / h
-    dx[~ok_x] = 0.0
-    dy[~ok_y] = 0.0
+    dx = np.empty_like(u)
+    dy = np.empty_like(u)
+    np.subtract(u[:, 1:], u[:, :-1], out=dx[:, :-1])
+    dx[:, :-1] /= h
+    np.subtract(u[1:, :], u[:-1, :], out=dy[:-1, :])
+    dy[:-1, :] /= h
+    # the unwritten last column / row is outside ok_x / ok_y
+    tail = (1,) * (u.ndim - 2)
+    np.copyto(dx, 0.0, where=~ok_x.reshape(ok_x.shape + tail))
+    np.copyto(dy, 0.0, where=~ok_y.reshape(ok_y.shape + tail))
     return dx, dy
 
 
@@ -146,14 +150,14 @@ def _grad_at(u, h, ok_x, ok_y, cells):
 
 def _grad_adjoint(xx, yy, h, ok_x, ok_y):
     """Exact adjoint of _grad on scalar fields: <grad u, xi> = <u, adjoint(xi)>."""
-    out = np.zeros_like(xx)
     vx = np.where(ok_x, xx, 0.0)
     vy = np.where(ok_y, yy, 0.0)
-    out -= vx
+    out = np.subtract(0.0, vx)         # not np.negative: +0.0 where vx is 0
     out[:, 1:] += vx[:, :-1]
     out -= vy
     out[1:, :] += vy[:-1, :]
-    return out / h
+    out /= h
+    return out
 
 
 def gradient_magnitude(u: GridField):

@@ -42,9 +42,10 @@ PROX_VALUE_RANGE = 6.0
 PROX_NODES = 4001
 PROX_NODE_STEP = 2 * PROX_VALUE_RANGE / (PROX_NODES - 1)
 
-#: the area dual step stops a cell's radial Newton iteration once its applied
-#: correction is at most DUAL_NEWTON_TOL, and every cell after DUAL_NEWTON_CAP
-#: steps (the slowest start, |z| near 1 with s_beta ~ 5e-8, takes ~25)
+#: the area dual step returns after one Newton step where that step is certified
+#: within DUAL_NEWTON_TOL of the root; otherwise its loop stops a cell once the
+#: applied correction is at most DUAL_NEWTON_TOL, and every cell after
+#: DUAL_NEWTON_CAP steps (the slowest start, |z| near 1 with s_beta ~ 5e-8, takes ~25)
 DUAL_NEWTON_TOL = 4.0 * np.finfo(float).eps
 DUAL_NEWTON_CAP = 100
 
@@ -62,11 +63,8 @@ def _dual_step_tv(zx, zy, sigma):
 
 def _radial_newton(r, mag, s_beta, top):
     """One safeguarded Newton step r - phi(r) / phi'(r) of _dual_step_area,
-    clipped into [0, top], and the size of the applied correction.
-
-    In place on three temporaries: the capillarity benchmark (128 x 128
-    lattice) runs in 3.86 s this way and in 4.50 s with the same arithmetic
-    written as expressions (medians of 10 runs, 2-core host)."""
+    clipped into [0, top], and the size of the applied correction.  In place
+    on three temporaries."""
     omr = r * r
     np.subtract(1.0, omr, out=omr)
     np.maximum(omr, 1e-30, out=omr)      # 1 - r^2
@@ -86,32 +84,64 @@ def _radial_newton(r, mag, s_beta, top):
     return new, np.abs(omr, out=omr)
 
 
+def _one_step_bound(m2, s_beta, top):
+    """Bound on r1 - r* after one Newton step from r0 = |z| on every cell with
+    |z|^2 <= m2: 1.5 s^3 m^3 / (1 - m^2)^(7/2), from phi' >= 1 and phi''
+    rising with r.  Evaluated as 1.5 x^3, x = s m / (1 - m^2)^(7/6), so that
+    no power overflows; inf unless m <= top (then r1 <= m <= top)."""
+    m = math.sqrt(m2)
+    if not m <= top:
+        return math.inf
+    x = float(s_beta) * m / (1.0 - m2) ** (7 / 6)
+    return 1.5 * x ** 3 if x <= 1.0 else math.inf
+
+
 def _dual_step_area(zx, zy, s_beta):
     """prox of s * f* at z with f*(xi) = -beta sqrt(1 - |xi|^2): radial root of
     phi(r) = s_beta r / sqrt(1 - r^2) + r = |z| on [0, top], top = 1 - 1e-15
     (a root above top, where |z| > top + 2.2e7 s_beta, is clipped to top).
 
-    phi is convex and increasing, so safeguarded Newton from an upper bound of
-    the root, clipped into [0, top], decreases monotonically onto it.  The
-    start is r0 = min(|z|, |z| / sqrt(s_beta^2 + |z|^2), top): the root has
-    r <= |z| and s_beta r <= |z| sqrt(1 - r^2).  The second bound is the one
-    that matters where |z| >= 1; from r = top, Newton only triples 1 - r per
-    step there.  A cell stops once its applied (clipped) correction
-    |phi / phi'| is at most DUAL_NEWTON_TOL; a test on |phi| alone would not
-    stop near r = 1, where phi' is ~1e22 s_beta.  Steps run on the full
-    arrays while more than half the cells move, then on the indices of the
-    cells still moving: above the existence bound (nu = 0.85) a few dozen
-    cells with |z| just above 1 take up to 23 steps, where the other cells
-    take 2.
+    phi is convex and increasing, so Newton from an upper bound of the root
+    decreases monotonically onto it.  The first step starts at r0 = |z|: with
+    q = (1 - |z|^2)^(3/2) it is the factor r1 / |z| = (q + s_beta |z|^2) /
+    (q + s_beta) on z, with no |z| and no division by it.  When the largest
+    |z| is m <= top and _one_step_bound(m^2) <= DUAL_NEWTON_TOL, every cell
+    is then certified within DUAL_NEWTON_TOL of its root (the bound also caps
+    every further correction), and the call returns after that one step.  On
+    the capillarity benchmark solve (max |z| 0.70, s_beta 3.5e-7) every call
+    does.
 
-    Returns xi_x, xi_y, the number of steps taken and the largest correction
-    of the last step, which exceeds DUAL_NEWTON_TOL only if DUAL_NEWTON_CAP
-    cut some cell short.
+    Otherwise (|z| near or above 1, or a large s_beta) a safeguarded Newton
+    loop, clipped into [0, top], runs from r0 = min(|z|, |z| / sqrt(s_beta^2 +
+    |z|^2), top): the root has r <= |z| and s_beta r <= |z| sqrt(1 - r^2).
+    The second bound is the one that matters where |z| >= 1; from r = top,
+    Newton only triples 1 - r per step there.  A cell stops once its applied
+    (clipped) correction |phi / phi'| is at most DUAL_NEWTON_TOL; a test on
+    |phi| alone would not stop near r = 1, where phi' is ~1e22 s_beta.  Steps
+    run on the full arrays while more than half the cells move, then on the
+    indices of the cells still moving: above the existence bound (nu = 0.85)
+    a few dozen cells with |z| just above 1 take up to 23 steps, where the
+    other cells take 2.
+
+    Returns xi_x, xi_y, the number of steps taken and a correction size: on
+    the one-step path the certified bound on the distance to the root, on the
+    loop the largest correction of the last step, which exceeds
+    DUAL_NEWTON_TOL only if DUAL_NEWTON_CAP cut some cell short.
     """
     mag = zx * zx
-    mag += zy * zy
-    np.sqrt(mag, out=mag)
+    tmp = zy * zy
+    mag += tmp
     top = 1.0 - 1e-15
+    bound = _one_step_bound(float(mag.max()), s_beta, top)
+    if bound <= DUAL_NEWTON_TOL:
+        q = np.subtract(1.0, mag, out=tmp)
+        q *= np.sqrt(q)                  # (1 - |z|^2)^(3/2)
+        mag *= s_beta
+        mag += q
+        q += s_beta
+        mag /= q                         # r1 / |z|
+        return zx * mag, zy * mag, 1, bound
+    np.sqrt(mag, out=mag)
     # |z|^2 under- or overflows at extreme |z|: fmin keeps |z| over the 0 / 0 and
     # x / 0 that follow, and an overflow gives r0 = 0, which one step lifts
     # above the root
@@ -273,7 +303,14 @@ class SolverState:
     the report total (capillarity at h = 1/128: -16369.04 against -1.86e-4).
 
     residual_history[k - 1] is ||u_k - u_{k-1}|| / t_primal over the masked
-    cells."""
+    cells.
+
+    In capillarity mode notes also hold the area dual step's counts:
+    dual_newton_steps_max, dual_one_step_calls (the calls that returned after
+    one Newton step: the certified step of _dual_step_area, or a loop whose
+    first correction was already within DUAL_NEWTON_TOL everywhere) and
+    dual_newton_correction_max, the largest correction returned; on the
+    certified path that is the bound on the distance to the root."""
 
     u: GridField
     xi: tuple
@@ -375,7 +412,8 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     res_hist = np.empty(iters)
     en_hist = np.empty(iters)
     n_done = iters
-    newton_steps, newton_corr = 0, 0.0
+    newton_steps, newton_corr, one_step_calls = 0, 0.0, 0
+    tf = 2.0 * t * f_arr
     for k in range(iters):
         zx *= s                          # z = xi + s grad ubar_k, in place
         zx += xx
@@ -384,15 +422,19 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         if area_mode:
             xx, yy, steps, corr = _dual_step_area(zx, zy, s * beta)
             newton_steps, newton_corr = max(newton_steps, steps), max(newton_corr, corr)
+            one_step_calls += steps == 1
         else:
             xx, yy = _dual_step_tv(zx, zy, sigma)
-        u_prev = u
-        z = u - t * _grad_adjoint(xx, yy, h, ok_x, ok_y)
+        z = _grad_adjoint(xx, yy, h, ok_x, ok_y)
+        z *= -t                          # z = u - t K* xi, in place
+        z += u
         if have_bulk:
-            z = (z + 2.0 * t * f_arr) / (1.0 + 2.0 * t)
+            z += tf
+            z /= 1.0 + 2.0 * t
         z = contact.apply(z, t / (1.0 + 2.0 * t) if have_bulk else t)
-        u = np.where(mask, z, 0.0)
-        res = float(np.linalg.norm((u - u_prev)[mask])) / t
+        # u_{k+1} - u_k on the mask, then u_{k+1} in place (0 off the mask)
+        res = float(np.linalg.norm(np.subtract(z, u)[mask])) / t
+        np.copyto(u, z, where=mask)
         res_hist[k] = res
         px, py = gx, gy
         gx, gy = _grad(u, h, ok_x, ok_y)
@@ -414,7 +456,8 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         notes={"bulk": bulk, "h": h, "step_scale": step_scale})
     if area_mode:
         state.notes.update(dual_newton_steps_max=newton_steps,
-                           dual_newton_correction_max=newton_corr)
+                           dual_newton_correction_max=newton_corr,
+                           dual_one_step_calls=one_step_calls)
 
     uf = GridField(grid, u)
     if bulk == "capillarity":

@@ -216,6 +216,16 @@ def test_main_error_is_structured(tmp_path, capsys):
     assert err["type"] == "ParseError" and err["offset"] == 0
 
 
+@pytest.mark.parametrize("config", ["missing.json", ".", "latin1.json"])
+def test_main_reports_an_unreadable_config(tmp_path, capsys, config):
+    (tmp_path / "latin1.json").write_bytes(b'{"domain": "caf\xe9"}')
+    rc = main(["qgeom", "--config", str(tmp_path / config), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"].startswith("cannot read the scenario")
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_happy_path(tmp_path):
     rc = main(["qgeom", "--domain", "square", "--out", str(tmp_path)])
     assert rc == 0

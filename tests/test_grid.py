@@ -8,9 +8,9 @@ from bvcontact import density
 from bvcontact.density import YosidaContext
 from bvcontact.errors import MaskMismatch
 from bvcontact.geometry import l_shape, regular_ngon, unit_square
-from bvcontact.grid import (GridField, _grad, _grad_at, boundary_trace_from_function,
-                            constant_field, energy_capillarity, energy_F, energy_H,
-                            field_from_function,
+from bvcontact.grid import (GridField, _grad, _grad_adjoint, _grad_at,
+                            boundary_trace_from_function, constant_field,
+                            energy_capillarity, energy_F, energy_H, field_from_function,
                             l1_distance, line_grid, load_field, save_field,
                             trace_extract, tv_exact_pc, tv_grid)
 
@@ -40,6 +40,37 @@ def test_grad_at_is_grad_bit_for_bit(dom, M):
         gx, gy = _grad_at(u, g.h, *ok, cells)
         assert gx.tobytes() == dx.reshape(flat)[cells].tobytes()
         assert gy.tobytes() == dy.reshape(flat)[cells].tobytes()
+
+
+@pytest.mark.parametrize("dom", [SQ, l_shape()], ids=["square", "lshape"])
+@pytest.mark.parametrize("M", [1, 2])
+def test_grad_pair_matches_the_zero_filled_reference_bit_for_bit(dom, M):
+    # the reference fills zeros first and writes the differences over them;
+    # the inputs hold +0.0 and -0.0 too, so the sign of every zero is compared
+    g = dom.grid(1 / 40)
+    h, (ok_x, ok_y) = g.h, g.neighbor_masks()
+    rng = np.random.default_rng(5)
+    shape = g.mask.shape + ((M,) if M > 1 else ())
+    u = rng.normal(size=shape) * (rng.random(shape) < 0.7)
+    u[rng.random(shape) < 0.2] = -0.0
+    dx = np.zeros_like(u)
+    dy = np.zeros_like(u)
+    dx[:, :-1] = (u[:, 1:] - u[:, :-1]) / h
+    dy[:-1, :] = (u[1:, :] - u[:-1, :]) / h
+    dx[~ok_x] = 0.0
+    dy[~ok_y] = 0.0
+    gx, gy = _grad(u, h, ok_x, ok_y)
+    assert gx.tobytes() == dx.tobytes() and gy.tobytes() == dy.tobytes()
+    if M == 1:
+        xx, yy = u, np.where(rng.random(u.shape) < 0.5, -0.0, u[::-1])
+        out = np.zeros_like(xx)
+        vx = np.where(ok_x, xx, 0.0)
+        vy = np.where(ok_y, yy, 0.0)
+        out -= vx
+        out[:, 1:] += vx[:, :-1]
+        out -= vy
+        out[1:, :] += vy[:-1, :]
+        assert _grad_adjoint(xx, yy, h, ok_x, ok_y).tobytes() == (out / h).tobytes()
 
 
 def test_tv_halfplane_indicator():

@@ -1,4 +1,5 @@
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -38,8 +39,8 @@ def test_capillarity_beats_constant_oracle():
     assert res.report.total <= oracle + 1e-3
     assert res.residual < 1e-6
     assert res.state.dual_feasibility_max <= res.state.dual_bound + 1e-12
-    # the area dual step stops each cell at the root: 2 Newton steps here, 14
-    # for the fixed loop it replaced
+    # the area dual step stops each cell at the root: one certified Newton step
+    # here, 14 for the fixed loop it replaced
     assert res.state.notes["dual_newton_steps_max"] <= 3
     assert res.state.notes["dual_newton_correction_max"] <= 4.0 * np.finfo(float).eps
 
@@ -98,6 +99,75 @@ def test_dual_step_area_is_exact(s_beta):
     assert r.max() <= 1.0
     assert corr <= 4.0 * np.finfo(float).eps
     assert steps <= 30      # from r = 1 - 1e-15, |z| = 1.3 at s_beta = 1 needs 37
+
+
+def _one_step_bound(m, s_beta):
+    """1.5 s^3 m^3 / (1 - m^2)^(7/2): the distance to the root left by one
+    Newton step from r0 = |z| where every |z| <= m."""
+    return 1.5 * s_beta ** 3 * m ** 3 / (1.0 - m * m) ** 3.5
+
+
+def _ring(m, n=997):
+    """z spread over the disk of radius m, with |z| = m at one cell."""
+    mag = m * np.concatenate([np.linspace(0.0, 1.0, n), np.geomspace(1e-9, 1.0, 50)])
+    ang = np.linspace(0.0, 2.0 * np.pi, len(mag))
+    return mag * np.cos(ang), mag * np.sin(ang)
+
+
+@pytest.mark.parametrize("s_beta", [0.0, 1e-9, 3.5e-7, 1e-3])
+@pytest.mark.parametrize("m", [0.005, 0.1, 0.5, 0.7, 0.9, 0.95])
+def test_dual_step_area_one_step_is_certified(s_beta, m):
+    zx, zy = _ring(m)
+    xx, yy, steps, corr = _dual_step_area(zx, zy, s_beta)
+    bound = _one_step_bound(m, s_beta)
+    if bound <= solver.DUAL_NEWTON_TOL:
+        assert steps == 1 and corr == pytest.approx(bound, rel=1e-12, abs=1e-300)
+    else:
+        assert steps > 1 and corr <= solver.DUAL_NEWTON_TOL
+    r = np.hypot(xx, yy)
+    assert np.abs(r - _bisect_radial_root(np.hypot(zx, zy), s_beta)).max() <= 4e-15
+
+
+@pytest.mark.parametrize("s_beta", [1e-9, 3.5e-7, 1e-3])
+def test_dual_step_area_just_past_the_certificate(s_beta):
+    lo, hi = 0.0, 1.0 - 1e-15       # the largest m the one step certifies
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _one_step_bound(mid, s_beta) <= solver.DUAL_NEWTON_TOL \
+            else (lo, mid)
+    for m, one_step in ((lo * (1 - 1e-6), True), (lo * (1 + 1e-6), False)):
+        zx, zy = _ring(m)
+        xx, yy, steps, corr = _dual_step_area(zx, zy, s_beta)
+        assert (steps == 1) == one_step
+        assert corr <= solver.DUAL_NEWTON_TOL
+        r = np.hypot(xx, yy)
+        assert np.abs(r - _bisect_radial_root(np.hypot(zx, zy), s_beta)).max() <= 4e-15
+
+
+def test_dual_step_area_huge_s_beta_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (1e-250, 0.5, 0.95, 2.0):
+            zx, zy = _ring(m)
+            for s_beta in (1e200, 1e300, np.float64(1e300)):
+                xx, yy, steps, corr = _dual_step_area(zx, zy, s_beta)
+                assert np.all(np.isfinite(xx)) and corr <= solver.DUAL_NEWTON_TOL
+        res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, iters=20,
+                              tol=0.0, beta=1e300)
+    assert np.all(np.isfinite(res.u.values))
+    assert res.state.dual_feasibility_max <= 1.0
+
+
+def test_capillarity_solve_pinned():
+    # h = 1/64, nu = 0.5: 1049 iterations and this total before the one-step
+    # certificate; the total is -1.8e-4 from terms of size 1-2, so it is pinned
+    # to 1e-12 of the terms
+    res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 64, iters=4000, tol=1e-6)
+    rep = res.report
+    assert res.state.iterations == 1049
+    scale = abs(rep.tv_term) + abs(rep.contact_term) + abs(rep.bulk_term)
+    assert abs(rep.total - -1.815648363296951e-4) <= 1e-12 * scale
+    assert res.state.notes["dual_one_step_calls"] == 1049
 
 
 @pytest.mark.parametrize("kwargs", [{"iters": 0}, {"iters": -3}, {"beta": -1e-3},
