@@ -26,7 +26,7 @@ from .grid import (boundary_trace_from_function, constant_field, energy_F,
                    field_from_function, load_field, save_field)
 from .relaxation import (counterexample_energy, detect_lsc_violation,
                          family_by_name, relaxed_energy, verify_representation)
-from .solver import diagnostics, minimize_energy
+from .solver import minimize_energy
 
 FLOAT_FMT = "%.12g"
 
@@ -324,15 +324,16 @@ def _task_solve(v, dom, d, ctx, out, rng):
         iters=v["iters"], tol=v["tol"], beta=v["beta"],
         allow_no_bulk=v["allow_no_bulk"], **step)
     save_field(res.u, out / "field")
-    diag = diagnostics(res.state) if res.state.iterations >= 2 else {}
-    if diag:
-        rows = list(zip(range(len(diag["energy_curve"])), diag["energy_curve"],
-                        diag["residual_curve"]))
-        write_csv(out / "diagnostics.csv", ["iter", "energy", "residual"], rows)
-    return {"residual": res.residual, "iterations": res.state.iterations,
+    st = res.state
+    if st.iterations >= 2:
+        gaps = np.full(st.iterations, np.nan) if st.gap_history is None else st.gap_history
+        rows = [(k, e, r, "" if math.isnan(g) else g)
+                for k, (e, r, g) in enumerate(zip(st.energy_history, st.residual_history, gaps))]
+        write_csv(out / "diagnostics.csv", ["iter", "energy", "residual", "gap"], rows)
+    return {"residual": res.residual, "iterations": st.iterations,
             "energy_report": res.report.to_dict(),
-            "dual_feasibility_max": res.state.dual_feasibility_max,
-            "dual_bound": res.state.dual_bound}
+            "dual_feasibility_max": st.dual_feasibility_max,
+            "dual_bound": st.dual_bound, "gap": st.gap, "gap_relative": st.gap_relative}
 
 
 _RUNNERS = {"yosida": _task_yosida, "qgeom": _task_qgeom, "energy": _task_energy,

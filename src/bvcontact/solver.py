@@ -9,7 +9,9 @@ where R is either sigma * |.| (total variation) or sqrt(beta^2 + |.|^2)
 exactly, so beta is a modeling knob, not an extra approximation layer), and
 B is a quadratic fidelity or the capillary u^2 bulk.  The dual variable is
 projected (TV) or solved radially (area) every iteration, so dual
-feasibility |xi| <= dual_bound holds exactly along the whole trajectory.
+feasibility |xi| <= dual_bound holds exactly along the whole trajectory,
+and with a bulk and a closed-form contact the primal-dual gap P(u) - D(xi)
+bounds how far the returned iterate's objective is above its minimum.
 
 The boundary contact acts through per-sample proximal steps on the probe
 cells, aggregated by arc-length weight.  The resolvent takes one of two
@@ -23,6 +25,7 @@ dq + sqrt(2 t W (T_j - C_j)) over the cells (dq the node step).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -48,6 +51,10 @@ PROX_NODE_STEP = 2 * PROX_VALUE_RANGE / (PROX_NODES - 1)
 #: DUAL_NEWTON_CAP steps (the slowest start, |z| near 1 with s_beta ~ 5e-8, takes ~25)
 DUAL_NEWTON_TOL = 4.0 * np.finfo(float).eps
 DUAL_NEWTON_CAP = 100
+
+#: the solver records the primal-dual gap on every GAP_EVERY-th iteration (and
+#: the last); the dual objective costs about one energy record
+GAP_EVERY = 10
 
 
 # -- dual resolvents ---------------------------------------------------------------------
@@ -96,6 +103,39 @@ def _one_step_bound(m2, s_beta, top):
     return 1.5 * x ** 3 if x <= 1.0 else math.inf
 
 
+@functools.lru_cache(maxsize=32)
+def _certified_m2(s_beta, top):
+    """The largest |z|^2 whose one Newton step _one_step_bound certifies within
+    DUAL_NEWTON_TOL at s_beta, and the bound there: the bound rises with m and
+    is 0 at m = 0, so a bisection on the floats finds it, once per s_beta (a
+    solve uses one)."""
+    lo, hi = 0.0, top * top
+    if _one_step_bound(hi, s_beta, top) <= DUAL_NEWTON_TOL:
+        lo = hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _one_step_bound(mid, s_beta, top) <= DUAL_NEWTON_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return lo, _one_step_bound(lo, s_beta, top)
+
+
+def _radial_root(mag, s_beta, top):
+    """The safeguarded Newton loop of _dual_step_area on the 1-D array mag =
+    |z| > 0: the root r, the number of steps and the largest correction of
+    the last step.  Each step runs on the cells still moving only."""
+    # |z|^2 overflows at extreme |z|: fmin keeps |z| over the x / inf that
+    # follows, and r0 = 0 there, which one step lifts above the root
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        r = np.minimum(np.fmin(mag / np.sqrt(mag * mag + s_beta * s_beta), mag), top)
+    idx, steps, corr = np.arange(len(mag)), 0, np.zeros(1)
+    while steps < DUAL_NEWTON_CAP and len(idx):
+        steps += 1
+        r[idx], corr = _radial_newton(r[idx], mag[idx], s_beta, top)
+        idx = idx[corr > DUAL_NEWTON_TOL]
+    return r, steps, float(corr.max())
+
+
 def _dual_step_area(zx, zy, s_beta):
     """prox of s * f* at z with f*(xi) = -beta sqrt(1 - |xi|^2): radial root of
     phi(r) = s_beta r / sqrt(1 - r^2) + r = |z| on [0, top], top = 1 - 1e-15
@@ -104,64 +144,54 @@ def _dual_step_area(zx, zy, s_beta):
     phi is convex and increasing, so Newton from an upper bound of the root
     decreases monotonically onto it.  The first step starts at r0 = |z|: with
     q = (1 - |z|^2)^(3/2) it is the factor r1 / |z| = (q + s_beta |z|^2) /
-    (q + s_beta) on z, with no |z| and no division by it.  When the largest
-    |z| is m <= top and _one_step_bound(m^2) <= DUAL_NEWTON_TOL, every cell
-    is then certified within DUAL_NEWTON_TOL of its root (the bound also caps
-    every further correction), and the call returns after that one step.  On
-    the capillarity benchmark solve (max |z| 0.70, s_beta 3.5e-7) every call
-    does.
+    (q + s_beta) on z, with no |z| and no division by it.  On a cell with
+    |z| = m <= top and _one_step_bound(m^2) <= DUAL_NEWTON_TOL that step is
+    certified within DUAL_NEWTON_TOL of the root (the bound also caps every
+    further correction); the bound rises with m, so the certified cells are
+    those with |z|^2 <= _certified_m2(s_beta).  When the largest |z| is
+    certified the call returns after the one step on the full arrays; on the
+    capillarity benchmark solve (max |z| 0.70, s_beta 4.6e-7) every call does.
 
-    Otherwise (|z| near or above 1, or a large s_beta) a safeguarded Newton
-    loop, clipped into [0, top], runs from r0 = min(|z|, |z| / sqrt(s_beta^2 +
-    |z|^2), top): the root has r <= |z| and s_beta r <= |z| sqrt(1 - r^2).
-    The second bound is the one that matters where |z| >= 1; from r = top,
-    Newton only triples 1 - r per step there.  A cell stops once its applied
+    Otherwise the certified cells take the one step and the rest (|z| near or
+    above 1, or a large s_beta) a safeguarded Newton loop (_radial_root),
+    clipped into [0, top], from r0 = min(|z|, |z| / sqrt(s_beta^2 + |z|^2),
+    top): the root has r <= |z| and s_beta r <= |z| sqrt(1 - r^2).  The
+    second bound is the one that matters where |z| >= 1; from r = top, Newton
+    only triples 1 - r per step there.  A cell stops once its applied
     (clipped) correction |phi / phi'| is at most DUAL_NEWTON_TOL; a test on
-    |phi| alone would not stop near r = 1, where phi' is ~1e22 s_beta.  Steps
-    run on the full arrays while more than half the cells move, then on the
-    indices of the cells still moving: above the existence bound (nu = 0.85)
-    a few dozen cells with |z| just above 1 take up to 23 steps, where the
-    other cells take 2.
+    |phi| alone would not stop near r = 1, where phi' is ~1e22 s_beta.  Above
+    the existence bound (nu = 0.85, h = 1/64) ~380 of 4096 cells lie past
+    the certified radius, and those with |z| just above 1 take up to 22
+    steps.
 
-    Returns xi_x, xi_y, the number of steps taken and a correction size: on
-    the one-step path the certified bound on the distance to the root, on the
-    loop the largest correction of the last step, which exceeds
+    Returns xi_x, xi_y, the largest number of steps a cell took and a bound
+    on the distance to the root: when every cell is certified the bound at
+    the largest |z|, else the larger of the bound at _certified_m2 and the
+    largest correction of the loop's last step, which exceeds
     DUAL_NEWTON_TOL only if DUAL_NEWTON_CAP cut some cell short.
     """
     mag = zx * zx
     tmp = zy * zy
     mag += tmp
     top = 1.0 - 1e-15
-    bound = _one_step_bound(float(mag.max()), s_beta, top)
-    if bound <= DUAL_NEWTON_TOL:
-        q = np.subtract(1.0, mag, out=tmp)
-        q *= np.sqrt(q)                  # (1 - |z|^2)^(3/2)
-        mag *= s_beta
-        mag += q
-        q += s_beta
-        mag /= q                         # r1 / |z|
-        return zx * mag, zy * mag, 1, bound
-    np.sqrt(mag, out=mag)
-    # |z|^2 under- or overflows at extreme |z|: fmin keeps |z| over the 0 / 0 and
-    # x / 0 that follow, and an overflow gives r0 = 0, which one step lifts
-    # above the root
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        r = np.minimum(np.fmin(mag / np.sqrt(mag * mag + s_beta * s_beta), mag), top)
-    steps, move = 0, np.ones(r.shape, bool)
-    while steps < DUAL_NEWTON_CAP and 2 * np.count_nonzero(move) > move.size:
-        steps += 1
-        r, corr = _radial_newton(r, mag, s_beta, top)
-        move = corr > DUAL_NEWTON_TOL
-    flat, idx = r.reshape(-1), np.flatnonzero(move)
-    ma = mag.reshape(-1)[idx]
-    while steps < DUAL_NEWTON_CAP and len(idx):
-        steps += 1
-        flat[idx], corr = _radial_newton(flat[idx], ma, s_beta, top)
-        move = corr > DUAL_NEWTON_TOL
-        idx, ma = idx[move], ma[move]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(mag > 0, r / mag, 0.0)
-    return scale * zx, scale * zy, steps, float(corr.max())
+    m2 = float(mag.max())
+    cert2, cert_bound = _certified_m2(s_beta, top)
+    if not m2 <= cert2:                  # NaN cells stay NaN on the factor path
+        flat = mag.reshape(-1)
+        rest = np.flatnonzero(flat > cert2)
+        ma = np.sqrt(flat[rest])
+        flat[rest] = 0.0                 # overwritten below; keeps the factor finite
+    q = np.subtract(1.0, mag, out=tmp)
+    q *= np.sqrt(q)                      # (1 - |z|^2)^(3/2)
+    mag *= s_beta
+    mag += q
+    q += s_beta
+    mag /= q                             # r1 / |z|
+    if m2 <= cert2:
+        return zx * mag, zy * mag, 1, _one_step_bound(m2, s_beta, top)
+    r, steps, corr = _radial_root(ma, s_beta, top)
+    flat[rest] = r / ma
+    return zx * mag, zy * mag, steps, max(corr, cert_bound)
 
 
 # -- contact prox -----------------------------------------------------------------------
@@ -293,10 +323,10 @@ class _ContactProx:
 
 @dataclass
 class SolverState:
-    """Iterate bundle with certificates: dual feasibility is exact, and two
+    """Iterate bundle with certificates: dual feasibility is exact, and the
     histories hold one entry per iteration k = 1 .. iterations.
 
-    energy_history[k - 1] is the scaled objective of u_k: the masked cell sums
+    energy_history[k - 1] is the scaled objective P(u_k): the masked cell sums
     of the regularizer (the beta-smoothed area integrand sqrt(beta^2 +
     |grad u|^2) in capillarity mode, sigma |grad u| otherwise), the bulk and
     W tau_hat on the probe cells, i.e. the energy divided by h^2.  It is not
@@ -305,12 +335,20 @@ class SolverState:
     residual_history[k - 1] is ||u_k - u_{k-1}|| / t_primal over the masked
     cells.
 
+    gap_history[k - 1] is the primal-dual gap P(u_k) - D(xi_k) (see
+    _dual_value), xi_k being the dual iterate that produced u_k, on every
+    GAP_EVERY-th row and the last, NaN on the others.  Weak duality makes it
+    >= 0 and a bound on P(u_k) - min P, so the last row (gap) certifies the
+    returned iterate; gap_relative is gap / max(1, |P(u)|).  gap_history is
+    None where the solver has no dual objective: a table-mode contact or
+    bulk='none'.
+
     In capillarity mode notes also hold the area dual step's counts:
-    dual_newton_steps_max, dual_one_step_calls (the calls that returned after
-    one Newton step: the certified step of _dual_step_area, or a loop whose
-    first correction was already within DUAL_NEWTON_TOL everywhere) and
-    dual_newton_correction_max, the largest correction returned; on the
-    certified path that is the bound on the distance to the root."""
+    dual_newton_steps_max, dual_one_step_calls (the calls in which every
+    cell took the certified one step of _dual_step_area, or a loop whose
+    first correction was already within DUAL_NEWTON_TOL) and
+    dual_newton_correction_max, the largest bound on the distance to the
+    root that a call returned."""
 
     u: GridField
     xi: tuple
@@ -323,6 +361,17 @@ class SolverState:
     dual_feasibility_max: float
     beta: float | None = None
     notes: dict = field(default_factory=dict)
+    gap_history: np.ndarray | None = None
+
+    @property
+    def gap(self) -> float | None:
+        return None if self.gap_history is None else float(self.gap_history[-1])
+
+    @property
+    def gap_relative(self) -> float | None:
+        if self.gap_history is None:
+            return None
+        return self.gap / max(1.0, abs(float(self.energy_history[-1])))
 
 
 @dataclass
@@ -336,7 +385,7 @@ class SolverResult:
 def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = None,
                     bulk: str = "quadratic", f=None, nu: float | None = None,
                     h: float = 1 / 128, iters: int = 2000, tol: float = 1e-6,
-                    beta: float = 1e-3, step_scale: float = 8.0,
+                    beta: float = 1e-3, step_scale: float = 6.0,
                     allow_no_bulk: bool = False,
                     unsafe_step_product: float = 1.0) -> SolverResult:
     """Primal-dual minimization on dom at spacing h.
@@ -347,15 +396,23 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     TV + contact, which is frequently unbounded or trivial and therefore
     requires allow_no_bulk=True.
 
-    Returns the iterate once ||u_k - u_{k-1}|| / t_primal <= tol or iters is
-    exhausted, with the energy report evaluated by the grid functionals.
+    The primal step is step_scale / ||K|| and the dual step 1 / (step_scale
+    ||K||), ||K|| = sqrt(8) / h.  Returns the iterate once ||u_k - u_{k-1}|| /
+    t_primal <= tol or iters is exhausted, with the energy report evaluated
+    by the grid functionals.  Its certificate is the primal-dual gap
+    (SolverState.gap, a bound on how far the scaled objective is above its
+    minimum), recorded every GAP_EVERY iterations; on the capillarity
+    benchmark solve (square, nu = 0.5, h = 1/128) step_scale 6 stops after
+    1207 iterations with gap_relative 1.7e-8, where 8 took 2170.
     """
     if bulk not in ("none", "quadratic", "capillarity"):
         raise ValueError("bulk must be 'none', 'quadratic', or 'capillarity'")
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
-    if not 0 <= beta < math.inf:
-        raise ValueError(f"beta must be finite and >= 0 (0 is the TV limit), got {beta}")
+    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
+    if isinstance(tol, bool) or not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if isinstance(beta, bool) or not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0 (0 is the TV limit), got {beta!r}")
     if isinstance(step_scale, bool) or not 0 < step_scale < math.inf:
         raise ValueError(f"step_scale must be a finite number > 0, got {step_scale!r}")
     if bulk == "none" and not allow_no_bulk:
@@ -411,6 +468,9 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
 
     res_hist = np.empty(iters)
     en_hist = np.empty(iters)
+    # the dual objective needs the bulk and a closed-form contact prox
+    has_gap = have_bulk and (contact.off or contact.closed is not None)
+    gap_hist = np.full(iters, np.nan) if has_gap else None
     n_done = iters
     newton_steps, newton_corr, one_step_calls = 0, 0.0, 0
     tf = 2.0 * t * f_arr
@@ -426,6 +486,9 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         else:
             xx, yy = _dual_step_tv(zx, zy, sigma)
         z = _grad_adjoint(xx, yy, h, ok_x, ok_y)
+        record = has_gap and (k + 1) % GAP_EVERY == 0
+        if record:
+            dual = _dual_value(z, xx, yy, mask, beta, area_mode, f_arr, contact)
         z *= -t                          # z = u - t K* xi, in place
         z += u
         if have_bulk:
@@ -440,12 +503,18 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         gx, gy = _grad(u, h, ok_x, ok_y)
         en_hist[k] = _scaled_energy(u, gx, gy, mask, sigma, beta, area_mode,
                                     have_bulk, f_arr, contact)
+        if record:
+            gap_hist[k] = en_hist[k] - dual
         if res <= tol:
             n_done = k + 1
             break
         zx = np.subtract(2.0 * gx, px, out=px)   # g_{k-1} is not needed again
         zy = np.subtract(2.0 * gy, py, out=py)
 
+    if has_gap:
+        kxi = _grad_adjoint(xx, yy, h, ok_x, ok_y)
+        gap_hist[n_done - 1] = en_hist[n_done - 1] - _dual_value(
+            kxi, xx, yy, mask, beta, area_mode, f_arr, contact)
     dual_bound = 1.0 if area_mode else sigma
     feas = float(np.sqrt(xx * xx + yy * yy).max())
     state = SolverState(
@@ -453,7 +522,8 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         iterations=n_done, residual_history=res_hist[:n_done],
         energy_history=en_hist[:n_done], dual_bound=dual_bound,
         dual_feasibility_max=feas, beta=beta if area_mode else None,
-        notes={"bulk": bulk, "h": h, "step_scale": step_scale})
+        notes={"bulk": bulk, "h": h, "step_scale": step_scale},
+        gap_history=None if gap_hist is None else gap_hist[:n_done])
     if area_mode:
         state.notes.update(dual_newton_steps_max=newton_steps,
                            dual_newton_correction_max=newton_corr,
@@ -501,8 +571,37 @@ def _scaled_energy(u, gx, gy, mask, sigma, beta, area_mode, have_bulk, f_arr, co
     return float(e.sum(where=mask) + contact.energy(u))
 
 
+def _dual_value(kxi, xx, yy, mask, beta, area_mode, f_arr, contact):
+    """The dual objective D(xi) = -sum F*(xi) - sum G*(-K* xi) over the masked
+    cells, in the units of _scaled_energy, with kxi = K* xi = _grad_adjoint
+    of xi; weak duality gives P(u) - D(xi) >= 0 for every u and every xi
+    with |xi| <= dual_bound.  -F*(xi) is beta sqrt(1 - |xi|^2) in area mode
+    and 0 in TV mode.  With p = -K* xi, G*(p) is p f + p^2 / 4 off the probe
+    cells and p v - (v - f)^2 - W tau_hat(v) on them, v = prox(f + p / 2,
+    W / 2) the maximizer (capillarity: (p - nu W)^2 / 4).  Needs the bulk
+    and, on probe cells, the closed-form contact prox."""
+    p = np.negative(kxi)
+    g = p * 0.25
+    g += f_arr
+    g *= p                               # G*(p) off the probe cells
+    if not contact.off:
+        pc, fc, W = p[contact.cells], f_arr[contact.cells], contact.W
+        v = contact.closed.prox(fc + 0.5 * pc, 0.5 * W)
+        g[contact.cells] = pc * v - (v - fc) ** 2 - W * contact.closed.hat(v)
+    dual = -float(g.sum(where=mask))
+    if area_mode:
+        e = np.subtract(1.0, xx * xx)
+        e -= yy * yy
+        np.sqrt(np.maximum(e, 0.0, out=e), out=e)
+        dual += beta * float(e.sum(where=mask))
+    return dual
+
+
 def diagnostics(state: SolverState) -> dict:
-    """Convergence curves and certificates; needs at least 2 iterations."""
+    """Convergence curves and certificates; needs at least 2 iterations.
+    gap and gap_relative (None without a dual objective) are the solve's
+    certificate; monotone_energy_after_10 flags divergence, but a converging
+    solve need not be monotone either."""
     if state.iterations < 2:
         raise ValueError("diagnostics need at least 2 iterations")
     en = state.energy_history
@@ -515,5 +614,7 @@ def diagnostics(state: SolverState) -> dict:
         "dual_feasibility_max": state.dual_feasibility_max,
         "dual_bound": state.dual_bound,
         "monotone_energy_after_10": monotone_after_10,
+        "gap": state.gap,
+        "gap_relative": state.gap_relative,
         "iterations": state.iterations,
     }

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +192,21 @@ def test_solve_task_writes_field(tmp_path):
     assert (tmp_path / "field.f64").exists()
     assert (tmp_path / "diagnostics.csv").exists()
     assert rep["result"]["dual_feasibility_max"] <= 1.0 + 1e-12
+
+
+def test_solve_diagnostics_columns_are_documented(tmp_path):
+    doc = (Path(__file__).resolve().parents[1] / "docs/output-formats.md").read_text()
+    cols = re.search(r"`solve` -> `diagnostics.csv`: `([^`]*)`", doc).group(1)
+    scn = {"task": "solve", "domain": "square", "nu": 0.5, "grid_h": 1 / 32,
+           "params": {"bulk": "capillarity", "iters": 25, "tol": 0.0}}
+    rep = run_scenario(scn, tmp_path)
+    lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert lines[0].split(",") == [c.strip() for c in cols.split(",")]
+    gaps = [line.split(",")[3] for line in lines[1:]]
+    assert [k for k, g in enumerate(gaps) if g] == [9, 19, 24]
+    assert float(gaps[-1]) == pytest.approx(rep["result"]["gap"], rel=1e-11)
+    assert rep["result"]["gap_relative"] == pytest.approx(
+        rep["result"]["gap"] / max(1.0, abs(float(lines[-1].split(",")[1]))), rel=1e-11)
 
 
 def test_extend_verify_task(tmp_path):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvcontact import density, solver
 from bvcontact.density import YosidaContext
@@ -128,6 +129,50 @@ def test_dual_step_area_one_step_is_certified(s_beta, m):
     assert np.abs(r - _bisect_radial_root(np.hypot(zx, zy), s_beta)).max() <= 4e-15
 
 
+@pytest.mark.parametrize("s_beta", [0.0, 1e-9, 4.6e-7, 1e-3, 1.0])
+def test_dual_step_area_certifies_per_cell(s_beta):
+    # mostly small |z|, a few cells at 1 -+ 1e-6 and above 1: the small cells
+    # take the certified one step, the rest the loop
+    rng = np.random.default_rng(7)
+    mag = np.concatenate([rng.uniform(0.0, 0.9, 4000), [1.0 - 1e-6, 1.0 + 1e-6],
+                          rng.uniform(1.0, 1.5, 10)])
+    ang = rng.uniform(0.0, 2.0 * np.pi, len(mag))
+    zx, zy = mag * np.cos(ang), mag * np.sin(ang)
+    cert2, _ = solver._certified_m2(s_beta, 1.0 - 1e-15)
+    xx, yy, steps, corr = _dual_step_area(zx, zy, s_beta)
+    r = np.hypot(xx, yy)
+    assert np.abs(r - _bisect_radial_root(np.hypot(zx, zy), s_beta)).max() <= 4e-15
+    assert corr <= solver.DUAL_NEWTON_TOL
+    # the certified cells are exactly the one-step factor
+    one = mag * mag <= cert2
+    mag2 = zx[one] ** 2 + zy[one] ** 2
+    q = (1.0 - mag2) ** 1.5
+    factor = (q + s_beta * mag2) / (q + s_beta)
+    np.testing.assert_allclose(xx[one], zx[one] * factor, rtol=1e-15, atol=0)
+    if s_beta <= 4.6e-7:     # the certified radius is 0.96 at 4.6e-7
+        assert one[:4000].all()
+    if s_beta > 0:      # s_beta = 0 clips |z| = 1 + 1e-6 to top in one step
+        assert steps > 1
+
+
+def test_dual_step_area_passes_nan_through():
+    zx, zy = np.array([0.1, np.nan, 1.2]), np.zeros(3)
+    xx, yy, steps, corr = _dual_step_area(zx, zy, 1e-6)
+    assert np.isnan(xx[1])
+    assert np.abs(xx[[0, 2]] - _bisect_radial_root(zx[[0, 2]], 1e-6)).max() <= 4e-15
+    with pytest.raises(ValueError, match="non-finite"):
+        minimize_energy(SQ, bulk="capillarity", nu=np.nan, h=1 / 16, iters=5)
+
+
+@pytest.mark.parametrize("s_beta", [0.0, 1e-9, 3.5e-7, 1e-3, 1.0, 1e200])
+def test_certified_radius_is_the_last_certified_float(s_beta):
+    top = 1.0 - 1e-15
+    m2, bound = solver._certified_m2(s_beta, top)
+    assert bound == solver._one_step_bound(m2, s_beta, top) <= solver.DUAL_NEWTON_TOL
+    nxt = np.nextafter(m2, 2.0)
+    assert nxt > top * top or solver._one_step_bound(nxt, s_beta, top) > solver.DUAL_NEWTON_TOL
+
+
 @pytest.mark.parametrize("s_beta", [1e-9, 3.5e-7, 1e-3])
 def test_dual_step_area_just_past_the_certificate(s_beta):
     lo, hi = 0.0, 1.0 - 1e-15       # the largest m the one step certifies
@@ -162,7 +207,8 @@ def test_capillarity_solve_pinned():
     # h = 1/64, nu = 0.5: 1049 iterations and this total before the one-step
     # certificate; the total is -1.8e-4 from terms of size 1-2, so it is pinned
     # to 1e-12 of the terms
-    res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 64, iters=4000, tol=1e-6)
+    res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 64, iters=4000, tol=1e-6,
+                          step_scale=8)
     rep = res.report
     assert res.state.iterations == 1049
     scale = abs(rep.tv_term) + abs(rep.contact_term) + abs(rep.bulk_term)
@@ -175,6 +221,15 @@ def test_capillarity_solve_pinned():
 def test_minimize_energy_rejects_bad_iters_and_beta(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"iters": True}, {"iters": 2.5}, {"tol": np.nan},
+                                    {"tol": -1.0}, {"beta": True}])
+def test_minimize_energy_rejects_mistyped_inputs(kwargs):
+    # each ran before: a bool or fractional iters hit numpy's TypeError, a NaN or
+    # negative tol ran the whole budget, beta=True ran as 1
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, **{"iters": 5, **kwargs})
 
 
 @pytest.mark.parametrize("step_scale", [0, -1.0, np.inf, np.nan, True])
@@ -404,11 +459,110 @@ def test_energy_record_is_objective_at_final_iterate(iters, monkeypatch):
 
 def test_diagnostics_converged_run():
     res = minimize_energy(SQ, bulk="capillarity", nu=0.4, h=1 / 64,
-                          iters=4000, tol=1e-6)
+                          iters=4000, tol=1e-6, step_scale=8)
     diag = diagnostics(res.state)
     assert diag["residual_curve"][-1] < 1e-6
     assert diag["dual_feasibility_max"] <= diag["dual_bound"] + 1e-12
     assert diag["monotone_energy_after_10"]
+
+
+def test_capillarity_solve_default_step_pinned():
+    # step_scale 6 (the default): 596 iterations at h = 1/64, where 8 takes 1049,
+    # certified by the primal-dual gap
+    res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 64, iters=4000, tol=1e-6)
+    state = res.state
+    assert state.notes["step_scale"] == 6.0
+    assert state.iterations == 596
+    assert state.gap_relative <= 1e-7
+    diag = diagnostics(state)
+    assert diag["gap"] == state.gap and diag["gap_relative"] == state.gap_relative
+    rows = np.flatnonzero(~np.isnan(state.gap_history))
+    assert rows.tolist() == list(range(solver.GAP_EVERY - 1, 596, solver.GAP_EVERY)) + [595]
+    assert np.all(state.gap_history[rows] >= 0.0)
+
+
+def test_benchmark_solve_gap_is_a_certificate():
+    # the capillarity benchmark solve: every recorded gap is >= 0, and the
+    # last bounds P(u) - min P far below the residual rule's stop
+    res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 128, iters=5000, tol=1e-6)
+    gaps = res.state.gap_history[~np.isnan(res.state.gap_history)]
+    assert len(gaps) == res.state.iterations // solver.GAP_EVERY + 1
+    assert np.all(gaps >= 0.0)
+    assert res.state.gap_relative <= 1e-7
+
+
+def test_gap_is_none_without_a_dual_objective():
+    table = density.expression("p*p + 0.5*abs(p-0.25)", c=0.0, L=0.0)
+    for kwargs in (dict(d=table, bulk="quadratic"),
+                   dict(d=density.linear(0.2), bulk="none", allow_no_bulk=True)):
+        res = minimize_energy(SQ, ctx=YosidaContext(1.0), h=1 / 16, iters=20, tol=0.0,
+                              **kwargs)
+        assert res.state.gap_history is None and res.state.gap is None
+        assert diagnostics(res.state)["gap_relative"] is None
+
+
+# case -> (area mode, contact density, d tau_hat / dv at v != 0)
+GAP_CASES = {
+    "capillarity": (True, density.linear(0.5), lambda v: 0.5),
+    "linear": (False, density.linear(-0.4), lambda v: -0.4),
+    "absolute": (False, density.absolute(0.3), lambda v: 0.3 * np.sign(v)),
+    "absolute-nonconvex": (False, density.absolute(-0.3), None),
+    "no-contact": (False, None, lambda v: 0.0),
+}
+GAP_DOMAINS = {"square": SQ, "lshape": builtin_domain("lshape")}
+
+
+def _saddle(dom, case, rng, h=1 / 32, beta=1e-3):
+    """A gap function P(u) - D(xi) of the solver's scaled objective and a pair
+    (u, xi) with the forcing f at which it vanishes: xi = grad F(grad u) and f
+    chosen so that -K* xi lies in dG(u) cell by cell."""
+    area, d, slope = GAP_CASES[case]
+    g = dom.grid(h)
+    mask, ok = g.mask, g.neighbor_masks()
+    contact = _ContactProx(d, YosidaContext(1.0), g.boundary(), mask.shape, h)
+
+    def gap(u, xi, f):
+        gx, gy = solver._grad(u, h, *ok)
+        primal = solver._scaled_energy(u, gx, gy, mask, 1.0, beta, area, True, f, contact)
+        kxi = solver._grad_adjoint(*xi, h, *ok)
+        return primal - solver._dual_value(kxi, *xi, mask, beta, area, f, contact), primal
+
+    u = np.where(mask, rng.normal(size=mask.shape), 0.0)
+    gx, gy = solver._grad(u, h, *ok)
+    norm = np.sqrt(gx * gx + gy * gy)
+    den = np.sqrt(beta * beta + norm * norm) if area else np.where(norm > 0, norm, 1.0)
+    xi = (gx / den, gy / den)
+    f = u + 0.5 * solver._grad_adjoint(*xi, h, *ok)
+    if slope is not None and not contact.off:
+        f[contact.cells] += 0.5 * contact.W * slope(u[contact.cells])
+    return gap, u, xi, np.where(mask, f, 0.0), mask
+
+
+@pytest.mark.parametrize("dom", GAP_DOMAINS)
+@pytest.mark.parametrize("case", GAP_CASES)
+@given(seed=st.integers(0, 2 ** 32 - 1), eps_u=st.sampled_from([0.0, 1e-9, 1e-4, 1.0]),
+       eps_xi=st.sampled_from([0.0, 1e-9, 1e-4, 1.0]))
+@settings(max_examples=15, deadline=None)
+def test_gap_weak_duality(dom, case, seed, eps_u, eps_xi):
+    # P(u) - D(xi) >= 0 for every u and every xi with |xi| <= 1, here near a
+    # saddle (where a too-small G* would show) and far from it
+    rng = np.random.default_rng(seed)
+    gap, u, (xx, yy), f, mask = _saddle(GAP_DOMAINS[dom], case, rng)
+    u = u + eps_u * np.where(mask, rng.normal(size=mask.shape), 0.0)
+    xx = xx + eps_xi * rng.normal(size=mask.shape)
+    yy = yy + eps_xi * rng.normal(size=mask.shape)
+    scale = np.maximum(1.0, np.sqrt(xx * xx + yy * yy))
+    value, primal = gap(u, (xx / scale, yy / scale), f)
+    assert value >= -1e-12 * (1.0 + abs(primal))
+
+
+@pytest.mark.parametrize("dom", GAP_DOMAINS)
+@pytest.mark.parametrize("case", [c for c in GAP_CASES if GAP_CASES[c][2] is not None])
+def test_gap_vanishes_at_a_saddle(dom, case):
+    # the two-sided check: a G* or F* that is too large leaves a gap here
+    gap, u, xi, f, _ = _saddle(GAP_DOMAINS[dom], case, np.random.default_rng(3))
+    value, primal = gap(u, xi, f)
+    assert abs(value) <= 1e-12 * (1.0 + abs(primal))
 
 
 def test_diagnostics_detects_divergence():
