@@ -65,7 +65,8 @@ SCHEMA = {
          "domain": ("domain", tuple(geometry.BUILTIN_DOMAINS), "square"),
          "density": ("text", None, None, "yosida", "energy", "relax-verify"),
          "density_c": ("number", None, None), "density_L": ("number", None, None),
-         "sigma": ("float", "(0, inf)", 1.0), "nu": ("number", None, None, "solve:capillarity"),
+         "sigma": ("float", "(0, inf)", 1.0),
+         "nu": ("number", "[-1, 1]", None, "solve:capillarity"),
          "grid_h": ("number", "(0, inf)", PerTask({"energy": 1 / 256, "counterexample": 1 / 512,
                                                    "relax-verify": 1 / 128, "solve": 1 / 128,
                                                    "extend-verify": 1 / 512})),
@@ -333,7 +334,8 @@ def _task_solve(v, dom, d, ctx, out, rng):
     return {"residual": res.residual, "iterations": st.iterations,
             "energy_report": res.report.to_dict(),
             "dual_feasibility_max": st.dual_feasibility_max,
-            "dual_bound": st.dual_bound, "gap": st.gap, "gap_relative": st.gap_relative}
+            "dual_bound": st.dual_bound, "gap": st.gap, "gap_relative": st.gap_relative,
+            "relaxation": st.notes["relaxation"]}
 
 
 _RUNNERS = {"yosida": _task_yosida, "qgeom": _task_qgeom, "energy": _task_energy,

@@ -7,11 +7,12 @@ Solves, on the cell lattice of a polygonal domain,
 where R is either sigma * |.| (total variation) or sqrt(beta^2 + |.|^2)
 (smoothed area integrand; the conjugate -beta * sqrt(1 - |xi|^2) is handled
 exactly, so beta is a modeling knob, not an extra approximation layer), and
-B is a quadratic fidelity or the capillary u^2 bulk.  The dual variable is
-projected (TV) or solved radially (area) every iteration, so dual
-feasibility |xi| <= dual_bound holds exactly along the whole trajectory,
-and with a bulk and a closed-form contact the primal-dual gap P(u) - D(xi)
-bounds how far the returned iterate's objective is above its minimum.
+B is a quadratic fidelity or the capillary u^2 bulk.  The iteration is
+over-relaxed Chambolle-Pock (RELAX).  Its dual prox is a projection (TV) or
+a radial root (area), so every dual prox output keeps |xi| <= dual_bound
+exactly; the solver returns prox outputs, and with a bulk and a closed-form
+contact the primal-dual gap P(u) - D(xi) bounds how far the returned
+iterate's objective is above its minimum.
 
 The boundary contact acts through per-sample proximal steps on the probe
 cells, aggregated by arc-length weight.  The resolvent takes one of two
@@ -56,16 +57,31 @@ DUAL_NEWTON_CAP = 100
 #: the last); the dual objective costs about one energy record
 GAP_EVERY = 10
 
+#: over-relaxation of the primal-dual iteration: each iteration moves the pair
+#: (u_k, xi_k) to (u_k, xi_k) + RELAX ((u~, xi~) - (u_k, xi_k)), (u~, xi~) the
+#: prox outputs; any RELAX in (0, 2) converges under the same step bound
+#: (Condat, JOTA 158 (2013), Alg. 3.2; Chambolle & Pock, Acta Numerica 25
+#: (2016), sec. 5.1).  Iterations fall about as 1 / RELAX (capillarity at
+#: h = 1/128: 1207 at 1, 672 at 1.8, 639 at 1.9), but at 1.9 the nonconvex
+#: two-well contact solve (square, h = 1/128) diverges where 1.8 converges
+RELAX = 1.8
+
 
 # -- dual resolvents ---------------------------------------------------------------------
 
 
 def _dual_step_tv(zx, zy, sigma):
+    """Projection of z onto |xi| <= sigma, z * sigma / max(sigma, |z|), in
+    place on zx and zy with two temporaries."""
     mag = zx * zx
-    mag += zy * zy
+    tmp = zy * zy
+    mag += tmp
     np.sqrt(mag, out=mag)
-    scale = np.maximum(1.0, mag / sigma)
-    return zx / scale, zy / scale
+    np.maximum(mag, sigma, out=mag)
+    np.divide(sigma, mag, out=mag)
+    zx *= mag
+    zy *= mag
+    return zx, zy
 
 
 def _radial_newton(r, mag, s_beta, top):
@@ -326,24 +342,27 @@ class SolverState:
     """Iterate bundle with certificates: dual feasibility is exact, and the
     histories hold one entry per iteration k = 1 .. iterations.
 
-    energy_history[k - 1] is the scaled objective P(u_k): the masked cell sums
-    of the regularizer (the beta-smoothed area integrand sqrt(beta^2 +
-    |grad u|^2) in capillarity mode, sigma |grad u| otherwise), the bulk and
-    W tau_hat on the probe cells, i.e. the energy divided by h^2.  It is not
-    the report total (capillarity at h = 1/128: -16369.04 against -1.86e-4).
+    energy_history[k - 1] is the scaled objective P(u~_k) of iteration k's
+    primal prox output u~_k (the returned u at the last row): the masked
+    cell sums of the regularizer (the beta-smoothed area integrand
+    sqrt(beta^2 + |grad u|^2) in capillarity mode, sigma |grad u|
+    otherwise), the bulk and W tau_hat on the probe cells, i.e. the energy
+    divided by h^2.  It is not the report total (capillarity at h = 1/128:
+    -16369.04 against -1.86e-4).
 
-    residual_history[k - 1] is ||u_k - u_{k-1}|| / t_primal over the masked
-    cells.
+    residual_history[k - 1] is the un-relaxed step ||u~_k - u_{k-1}|| /
+    t_primal over the masked cells, u_{k-1} being the relaxed iterate.
 
-    gap_history[k - 1] is the primal-dual gap P(u_k) - D(xi_k) (see
-    _dual_value), xi_k being the dual iterate that produced u_k, on every
-    GAP_EVERY-th row and the last, NaN on the others.  Weak duality makes it
-    >= 0 and a bound on P(u_k) - min P, so the last row (gap) certifies the
-    returned iterate; gap_relative is gap / max(1, |P(u)|).  gap_history is
-    None where the solver has no dual objective: a table-mode contact or
-    bulk='none'.
+    gap_history[k - 1] is the primal-dual gap P(u~_k) - D(xi~_k) (see
+    _dual_value) at iteration k's prox outputs, on every GAP_EVERY-th row
+    and the last, NaN on the others.  xi~_k is feasible, so weak duality
+    makes it >= 0 and a bound on P(u~_k) - min P, and the last row (gap)
+    certifies the returned pair; gap_relative is gap / max(1, |P(u)|).
+    gap_history is None where the solver has no dual objective: a
+    table-mode contact or bulk='none'.
 
-    In capillarity mode notes also hold the area dual step's counts:
+    notes hold bulk, h, step_scale and relaxation (RELAX).  In capillarity
+    mode they also hold the area dual step's counts:
     dual_newton_steps_max, dual_one_step_calls (the calls in which every
     cell took the certified one step of _dual_step_area, or a loop whose
     first correction was already within DUAL_NEWTON_TOL) and
@@ -396,14 +415,21 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     TV + contact, which is frequently unbounded or trivial and therefore
     requires allow_no_bulk=True.
 
-    The primal step is step_scale / ||K|| and the dual step 1 / (step_scale
-    ||K||), ||K|| = sqrt(8) / h.  Returns the iterate once ||u_k - u_{k-1}|| /
-    t_primal <= tol or iters is exhausted, with the energy report evaluated
-    by the grid functionals.  Its certificate is the primal-dual gap
-    (SolverState.gap, a bound on how far the scaled objective is above its
-    minimum), recorded every GAP_EVERY iterations; on the capillarity
-    benchmark solve (square, nu = 0.5, h = 1/128) step_scale 6 stops after
-    1207 iterations with gap_relative 1.7e-8, where 8 took 2170.
+    The primal step is t = step_scale / ||K|| and the dual step s = 1 /
+    (step_scale ||K||), ||K|| = sqrt(8) / h.  Each iteration is over-relaxed
+    Chambolle-Pock: the primal prox u~ at u_k - t K* xi_k, the dual prox xi~
+    at xi_k + s K (2 u~ - u_k), then (u_{k+1}, xi_{k+1}) = (u_k, xi_k) +
+    RELAX ((u~, xi~) - (u_k, xi_k)); RELAX = 1 is the plain iteration.  The
+    residual is the un-relaxed step ||u~ - u_k|| / t over the masked cells.
+    Once it is <= tol, or after iters iterations, the solver returns that
+    iteration's prox outputs (u~, xi~), with the energy report evaluated by
+    the grid functionals; xi~ is a prox output, so |xi~| <= dual_bound, which
+    a relaxed xi_k need not keep.  The certificate is the primal-dual gap
+    P(u~) - D(xi~) (SolverState.gap, a bound on how far the scaled objective
+    is above its minimum), recorded every GAP_EVERY iterations.  On the
+    capillarity benchmark solve (square, nu = 0.5, h = 1/128) step_scale 6
+    stops after 672 iterations with gap_relative 1.7e-8, where the plain
+    iteration took 1207.
     """
     if bulk not in ("none", "quadratic", "capillarity"):
         raise ValueError("bulk must be 'none', 'quadratic', or 'capillarity'")
@@ -415,6 +441,13 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         raise ValueError(f"beta must be finite and >= 0 (0 is the TV limit), got {beta!r}")
     if isinstance(step_scale, bool) or not 0 < step_scale < math.inf:
         raise ValueError(f"step_scale must be a finite number > 0, got {step_scale!r}")
+    if isinstance(unsafe_step_product, bool) or not 0 < unsafe_step_product < math.inf:
+        raise ValueError("unsafe_step_product must be a finite number > 0, got "
+                         f"{unsafe_step_product!r}")
+    if bulk == "capillarity" and (nu is None or isinstance(nu, bool)
+                                  or not -math.inf < nu < math.inf):
+        raise ValueError(f"nu must be a finite number for capillarity, got {nu!r} "
+                         "(missing, non-finite or not a number)")
     if bulk == "none" and not allow_no_bulk:
         raise ValueError("bulk='none' is usually ill-posed; pass allow_no_bulk=True "
                          "to override")
@@ -424,8 +457,6 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     boundary = grid.boundary()
 
     if bulk == "capillarity":
-        if nu is None:
-            raise ValueError("capillarity needs nu")
         from . import density as density_mod
         ctx = YosidaContext(sigma=1.0)
         d = density_mod.linear(float(nu))
@@ -441,6 +472,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     if f is not None:
         f_arr = f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
         f_arr = np.broadcast_to(f_arr, mask.shape).copy()
+        f_arr[~mask] = 0.0               # so that every primal prox output is 0 there
     have_bulk = bulk != "none"
 
     # steps: t * s * ||grad||^2 <= 1 with ||grad|| <= sqrt(8)/h; a larger
@@ -454,67 +486,79 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         u = np.where(mask, _best_constant_capillarity(grid, boundary, nu), 0.0)
     else:
         u = f_arr.copy()
-    u[~mask] = 0.0
     lo = min(float(a.min(where=mask, initial=np.inf)) for a in (f_arr, u))
     hi = max(float(a.max(where=mask, initial=-np.inf)) for a in (f_arr, u))
     contact = _ContactProx(d, ctx, boundary, mask.shape, h, data_range=(lo, hi))
-    xx = np.zeros(mask.shape)
-    yy = np.zeros(mask.shape)
-    # one gradient per iteration: g_k = grad u_k feeds the energy record, and
-    # grad ubar_k = 2 g_k - g_{k-1} (the masked forward difference is linear)
-    # feeds the next dual step; ubar_0 = u_0
-    gx, gy = _grad(u, h, ok_x, ok_y)
-    zx, zy = gx.copy(), gy.copy()
+    # the relaxed iterates (u_k, xi_k) are carried as u_k, K* xi_k and
+    # c_k = xi_k - s grad u_k, the linear images that the prox inputs read
+    kxi = np.zeros(mask.shape)           # xi_0 = 0
+    cx, cy = _grad(u, h, ok_x, ok_y)
+    cx *= -s
+    cy *= -s
+    ut = np.empty(mask.shape)            # the primal prox output u~
+    inside = mask.astype(float)          # masked-cell sums as dot products
 
     res_hist = np.empty(iters)
     en_hist = np.empty(iters)
     # the dual objective needs the bulk and a closed-form contact prox
     has_gap = have_bulk and (contact.off or contact.closed is not None)
     gap_hist = np.full(iters, np.nan) if has_gap else None
-    n_done = iters
     newton_steps, newton_corr, one_step_calls = 0, 0.0, 0
-    tf = 2.0 * t * f_arr
+    tf = 2.0 * t * f_arr if f is not None and have_bulk else None
+    shrink = 1.0 / (1.0 + 2.0 * t)
+    t_contact = t * shrink if have_bulk else t
     for k in range(iters):
-        zx *= s                          # z = xi + s grad ubar_k, in place
-        zx += xx
-        zy *= s
-        zy += yy
+        # u~ = prox_tG(u_k - t K* xi_k), in place; 0 off the mask, as u_k is
+        np.multiply(kxi, -t, out=ut)
+        ut += u
+        if tf is not None:
+            ut += tf
+        if have_bulk:
+            ut *= shrink
+        contact.apply(ut, t_contact)
+        step = np.subtract(ut, u, out=u)  # u~ - u_k, in u_k's buffer
+        res = math.sqrt(float(np.dot(step.ravel(), step.ravel()))) / t
+        res_hist[k] = res
+        gx, gy = _grad(ut, h, ok_x, ok_y)
+        en_hist[k] = _scaled_energy(ut, gx, gy, inside, sigma, beta, area_mode,
+                                    have_bulk, f_arr, contact)
+        # z = xi_k + s K (2 u~ - u_k) = c_k + 2 s grad u~, the dual prox
+        # input, in place of grad u~.  The relaxed c_{k+1} = c_k + RELAX (xi~ -
+        # s grad u~ - c_k) is (1 - RELAX/2) c_k - (RELAX/2) z + RELAX xi~: its
+        # first two terms go into c now (a TV step overwrites z), the last
+        # after the step
+        for c, z in ((cx, gx), (cy, gy)):
+            z *= 2.0 * s
+            z += c
+            c *= (RELAX - 2.0) / RELAX
+            c += z
+            c *= -0.5 * RELAX
         if area_mode:
-            xx, yy, steps, corr = _dual_step_area(zx, zy, s * beta)
+            xx, yy, steps, corr = _dual_step_area(gx, gy, s * beta)
             newton_steps, newton_corr = max(newton_steps, steps), max(newton_corr, corr)
             one_step_calls += steps == 1
         else:
-            xx, yy = _dual_step_tv(zx, zy, sigma)
-        z = _grad_adjoint(xx, yy, h, ok_x, ok_y)
-        record = has_gap and (k + 1) % GAP_EVERY == 0
-        if record:
-            dual = _dual_value(z, xx, yy, mask, beta, area_mode, f_arr, contact)
-        z *= -t                          # z = u - t K* xi, in place
-        z += u
-        if have_bulk:
-            z += tf
-            z /= 1.0 + 2.0 * t
-        z = contact.apply(z, t / (1.0 + 2.0 * t) if have_bulk else t)
-        # u_{k+1} - u_k on the mask, then u_{k+1} in place (0 off the mask)
-        res = float(np.linalg.norm(np.subtract(z, u)[mask])) / t
-        np.copyto(u, z, where=mask)
-        res_hist[k] = res
-        px, py = gx, gy
-        gx, gy = _grad(u, h, ok_x, ok_y)
-        en_hist[k] = _scaled_energy(u, gx, gy, mask, sigma, beta, area_mode,
-                                    have_bulk, f_arr, contact)
-        if record:
-            gap_hist[k] = en_hist[k] - dual
-        if res <= tol:
+            xx, yy = _dual_step_tv(gx, gy, sigma)
+        kt = _grad_adjoint(xx, yy, h, ok_x, ok_y)
+        last = res <= tol or k + 1 == iters
+        if has_gap and ((k + 1) % GAP_EVERY == 0 or last):
+            gap_hist[k] = en_hist[k] - _dual_value(kt, xx, yy, inside, beta, area_mode,
+                                                   f_arr, contact)
+        if last:
             n_done = k + 1
             break
-        zx = np.subtract(2.0 * gx, px, out=px)   # g_{k-1} is not needed again
-        zy = np.subtract(2.0 * gy, py, out=py)
+        # relax: x_{k+1} = x_k + RELAX (x~ - x_k) for u, K* xi and c
+        step *= RELAX - 1.0
+        step += ut                       # u_{k+1} = u~ + (RELAX - 1) (u~ - u_k)
+        kt -= kxi
+        kt *= RELAX
+        kxi += kt
+        xx *= RELAX
+        cx += xx
+        yy *= RELAX
+        cy += yy
 
-    if has_gap:
-        kxi = _grad_adjoint(xx, yy, h, ok_x, ok_y)
-        gap_hist[n_done - 1] = en_hist[n_done - 1] - _dual_value(
-            kxi, xx, yy, mask, beta, area_mode, f_arr, contact)
+    u = ut
     dual_bound = 1.0 if area_mode else sigma
     feas = float(np.sqrt(xx * xx + yy * yy).max())
     state = SolverState(
@@ -522,7 +566,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         iterations=n_done, residual_history=res_hist[:n_done],
         energy_history=en_hist[:n_done], dual_bound=dual_bound,
         dual_feasibility_max=feas, beta=beta if area_mode else None,
-        notes={"bulk": bulk, "h": h, "step_scale": step_scale},
+        notes={"bulk": bulk, "h": h, "step_scale": step_scale, "relaxation": RELAX},
         gap_history=None if gap_hist is None else gap_hist[:n_done])
     if area_mode:
         state.notes.update(dual_newton_steps_max=newton_steps,
@@ -551,10 +595,11 @@ def _best_constant_capillarity(grid, boundary, nu):
     return -nu * per / (2.0 * area)
 
 
-def _scaled_energy(u, gx, gy, mask, sigma, beta, area_mode, have_bulk, f_arr, contact):
+def _scaled_energy(u, gx, gy, inside, sigma, beta, area_mode, have_bulk, f_arr, contact):
     """The objective at u divided by h^2, with (gx, gy) = _grad(u): the area
     integrand sqrt(beta^2 + |grad u|^2) or sigma |grad u|, the bulk and the
-    contact, summed over the masked cells.  In place on two temporaries."""
+    contact, summed over the masked cells (inside: the mask as 0.0 / 1.0,
+    so that the sum is one dot product).  In place on two temporaries."""
     e = gx * gx
     tmp = gy * gy
     e += tmp
@@ -568,18 +613,19 @@ def _scaled_energy(u, gx, gy, mask, sigma, beta, area_mode, have_bulk, f_arr, co
         np.subtract(u, f_arr, out=tmp)
         tmp *= tmp
         e += tmp
-    return float(e.sum(where=mask) + contact.energy(u))
+    return float(np.dot(e.ravel(), inside.ravel())) + contact.energy(u)
 
 
-def _dual_value(kxi, xx, yy, mask, beta, area_mode, f_arr, contact):
+def _dual_value(kxi, xx, yy, inside, beta, area_mode, f_arr, contact):
     """The dual objective D(xi) = -sum F*(xi) - sum G*(-K* xi) over the masked
-    cells, in the units of _scaled_energy, with kxi = K* xi = _grad_adjoint
-    of xi; weak duality gives P(u) - D(xi) >= 0 for every u and every xi
-    with |xi| <= dual_bound.  -F*(xi) is beta sqrt(1 - |xi|^2) in area mode
-    and 0 in TV mode.  With p = -K* xi, G*(p) is p f + p^2 / 4 off the probe
-    cells and p v - (v - f)^2 - W tau_hat(v) on them, v = prox(f + p / 2,
-    W / 2) the maximizer (capillarity: (p - nu W)^2 / 4).  Needs the bulk
-    and, on probe cells, the closed-form contact prox."""
+    cells (inside as in _scaled_energy), in the units of _scaled_energy, with
+    kxi = K* xi = _grad_adjoint of xi; weak duality gives P(u) - D(xi) >= 0
+    for every u and every xi with |xi| <= dual_bound.  -F*(xi) is beta
+    sqrt(1 - |xi|^2) in area mode and 0 in TV mode.  With p = -K* xi, G*(p)
+    is p f + p^2 / 4 off the probe cells and p v - (v - f)^2 - W tau_hat(v)
+    on them, v = prox(f + p / 2, W / 2) the maximizer (capillarity: (p - nu
+    W)^2 / 4).  Needs the bulk and, on probe cells, the closed-form contact
+    prox."""
     p = np.negative(kxi)
     g = p * 0.25
     g += f_arr
@@ -588,20 +634,21 @@ def _dual_value(kxi, xx, yy, mask, beta, area_mode, f_arr, contact):
         pc, fc, W = p[contact.cells], f_arr[contact.cells], contact.W
         v = contact.closed.prox(fc + 0.5 * pc, 0.5 * W)
         g[contact.cells] = pc * v - (v - fc) ** 2 - W * contact.closed.hat(v)
-    dual = -float(g.sum(where=mask))
+    dual = -float(np.dot(g.ravel(), inside.ravel()))
     if area_mode:
         e = np.subtract(1.0, xx * xx)
         e -= yy * yy
         np.sqrt(np.maximum(e, 0.0, out=e), out=e)
-        dual += beta * float(e.sum(where=mask))
+        dual += beta * float(np.dot(e.ravel(), inside.ravel()))
     return dual
 
 
 def diagnostics(state: SolverState) -> dict:
     """Convergence curves and certificates; needs at least 2 iterations.
     gap and gap_relative (None without a dual objective) are the solve's
-    certificate; monotone_energy_after_10 flags divergence, but a converging
-    solve need not be monotone either."""
+    certificate and relaxation the over-relaxation factor RELAX;
+    monotone_energy_after_10 flags divergence, but a converging solve need
+    not be monotone either."""
     if state.iterations < 2:
         raise ValueError("diagnostics need at least 2 iterations")
     en = state.energy_history
@@ -617,4 +664,5 @@ def diagnostics(state: SolverState) -> dict:
         "gap": state.gap,
         "gap_relative": state.gap_relative,
         "iterations": state.iterations,
+        "relaxation": state.notes["relaxation"],
     }

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bvcontact import cli, density, exprgrammar
+from bvcontact import cli, density, exprgrammar, solver
 from bvcontact.cli import main, parse_density_spec, run_scenario, validate_scenario
 from bvcontact.errors import ParseError, SchemaError
 
@@ -192,6 +192,7 @@ def test_solve_task_writes_field(tmp_path):
     assert (tmp_path / "field.f64").exists()
     assert (tmp_path / "diagnostics.csv").exists()
     assert rep["result"]["dual_feasibility_max"] <= 1.0 + 1e-12
+    assert rep["result"]["relaxation"] == solver.RELAX
 
 
 def test_solve_diagnostics_columns_are_documented(tmp_path):

@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -204,16 +205,20 @@ def test_dual_step_area_huge_s_beta_warns_nothing():
 
 
 def test_capillarity_solve_pinned():
-    # h = 1/64, nu = 0.5: 1049 iterations and this total before the one-step
-    # certificate; the total is -1.8e-4 from terms of size 1-2, so it is pinned
-    # to 1e-12 of the terms
+    # h = 1/64, nu = 0.5, step_scale 8: 580 over-relaxed iterations (the plain
+    # iteration took 1049); the total is -1.8e-4 from terms of size 1-2, so it
+    # is pinned to 1e-12 of the terms, and it stays within 1e-8 of them of the
+    # plain iteration's -1.815648363296951e-4
     res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 64, iters=4000, tol=1e-6,
                           step_scale=8)
     rep = res.report
-    assert res.state.iterations == 1049
+    assert res.state.iterations == 580
     scale = abs(rep.tv_term) + abs(rep.contact_term) + abs(rep.bulk_term)
-    assert abs(rep.total - -1.815648363296951e-4) <= 1e-12 * scale
-    assert res.state.notes["dual_one_step_calls"] == 1049
+    assert abs(rep.total - -1.8156315560458047e-4) <= 1e-12 * scale
+    assert abs(rep.total - -1.815648363296951e-4) <= 1e-8 * scale
+    assert res.state.notes["dual_one_step_calls"] == 580
+    assert res.state.gap_relative <= 1e-7
+    assert res.state.dual_feasibility_max <= res.state.dual_bound
 
 
 @pytest.mark.parametrize("kwargs", [{"iters": 0}, {"iters": -3}, {"beta": -1e-3},
@@ -467,18 +472,77 @@ def test_diagnostics_converged_run():
 
 
 def test_capillarity_solve_default_step_pinned():
-    # step_scale 6 (the default): 596 iterations at h = 1/64, where 8 takes 1049,
-    # certified by the primal-dual gap
+    # step_scale 6 (the default): 327 over-relaxed iterations at h = 1/64, where
+    # the plain iteration took 596, certified by the primal-dual gap
     res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 64, iters=4000, tol=1e-6)
     state = res.state
     assert state.notes["step_scale"] == 6.0
-    assert state.iterations == 596
+    assert state.notes["relaxation"] == solver.RELAX == 1.8
+    assert state.iterations == 327
     assert state.gap_relative <= 1e-7
     diag = diagnostics(state)
     assert diag["gap"] == state.gap and diag["gap_relative"] == state.gap_relative
+    assert diag["relaxation"] == solver.RELAX
     rows = np.flatnonzero(~np.isnan(state.gap_history))
-    assert rows.tolist() == list(range(solver.GAP_EVERY - 1, 596, solver.GAP_EVERY)) + [595]
+    assert rows.tolist() == list(range(solver.GAP_EVERY - 1, 327, solver.GAP_EVERY)) + [326]
     assert np.all(state.gap_history[rows] >= 0.0)
+    assert state.dual_feasibility_max <= state.dual_bound
+
+
+@pytest.mark.parametrize("d", [density.linear(-0.4), density.absolute(0.3)],
+                         ids=["linear", "absolute"])
+def test_relaxed_tv_solve_certifies_the_returned_pair(d):
+    # a jump of 4 in f saturates |xi| = 1 along it, where a relaxed xi_k
+    # overshoots the unit ball; the gap and the feasibility are those of the
+    # prox outputs, which the solver returns
+    dom, h = builtin_domain("lshape"), 1 / 32
+    g = dom.grid(h)
+    f = field_from_function(g, lambda X, Y: 4.0 * (X + Y > 1.0))
+    res = minimize_energy(dom, d=d, ctx=YosidaContext(1.0), bulk="quadratic", f=f, h=h,
+                          iters=600, tol=1e-6)
+    state = res.state
+    rows = np.flatnonzero(~np.isnan(state.gap_history))
+    assert rows[-1] == state.iterations - 1 and len(rows) >= state.iterations // 10
+    assert np.all(state.gap_history[rows] >= 0.0)
+    xx, yy = state.xi
+    assert 1.0 - 1e-9 <= np.sqrt(xx * xx + yy * yy).max() <= 1.0 + 1e-12
+    prox = _ContactProx(d, YosidaContext(1.0), g.boundary(), g.mask.shape, h)
+    u = res.u.values
+    gx, gy = solver._grad(u, h, *g.neighbor_masks())
+    want = (np.sqrt(gx * gx + gy * gy)[g.mask].sum() + ((u - f.values) ** 2)[g.mask].sum()
+            + (prox.W * prox.closed.hat(u[prox.cells])).sum())
+    assert state.energy_history[-1] == pytest.approx(want, rel=1e-12)
+
+
+def test_capillarity_solve_memory():
+    # the relaxed loop carries K* xi and xi - s grad u besides u and u~, in
+    # place; it peaks at 16.7 lattice arrays here (the plain iteration at
+    # 15.3), and a loop with a fresh buffer for each image would pass 18
+    g = SQ.grid(1 / 128)
+    g.neighbor_masks()
+    g.boundary()
+    tracemalloc.start()
+    try:
+        minimize_energy(SQ, bulk="capillarity", nu=0.5, h=g.h, iters=200, tol=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * g.mask.size * 8
+
+
+@pytest.mark.parametrize("kwargs", [{"nu": np.nan}, {"nu": np.inf}, {"nu": -np.inf},
+                                    {"unsafe_step_product": np.nan},
+                                    {"unsafe_step_product": np.inf},
+                                    {"unsafe_step_product": 0.0},
+                                    {"unsafe_step_product": -1.0}])
+def test_minimize_energy_rejects_non_finite_inputs_before_iterating(kwargs, monkeypatch):
+    # a NaN nu ran the whole budget on NaN iterates and then failed in GridField;
+    # unsafe_step_product = 0 failed in the contact prox, -1 in math.sqrt
+    calls = []
+    monkeypatch.setattr(solver, "_grad", lambda *a: calls.append(1))
+    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be a finite number"):
+        minimize_energy(SQ, bulk="capillarity", h=1 / 16, iters=5, **{"nu": 0.5, **kwargs})
+    assert calls == []
 
 
 def test_benchmark_solve_gap_is_a_certificate():
