@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Measure boundary-layer extension certificates over a corpus of boundary
-data: mass ratio ~ eps and gradient ratio ~ 1 + eps."""
+"""Measure boundary-layer extension certificates over the boundary-trace
+corpus (corpus.boundary_data): mass ratio ~ eps and gradient ratio ~ 1 + eps.
+The defaults (square, h = 1/512, seed 11, 20 members) reproduce the table of
+acceptance criterion 06."""
 
 import argparse
 

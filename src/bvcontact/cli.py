@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, density as density_mod, geometry
+from .corpus import boundary_data
 from .density import YosidaContext, yosida_eval_many
 from .errors import BVContactError, ParseError, SchemaError
 from .extension import extend_boundary_data, required_eps
@@ -281,24 +282,11 @@ def _task_relax_verify(v, dom, d, ctx, out, rng):
             "lower_detail": rep.lower_detail}
 
 
-def _extend_corpus(grid, n_members, rng):
-    fns = [("const", lambda x, y: np.ones_like(x)),
-           ("ramp", lambda x, y: x - y),
-           ("alt", lambda x, y: np.where(y < 1e-9, np.where(x < 0.5, 1.0, -1.0), 0.0)),
-           ("sin", lambda x, y: np.sin(2 * np.pi * (x + y)))]
-    while len(fns) < n_members:
-        k = len(fns)
-        a = rng.normal(size=3)
-        fns.append((f"fourier{k}", lambda x, y, a=a: a[0] * np.sin(np.pi * x)
-                    + a[1] * np.cos(2 * np.pi * y) + a[2]))
-    return fns[:n_members]
-
-
 def _task_extend_verify(v, dom, d, ctx, out, rng):
     eps, kappa = v["eps"], v["kappa"]
     g = dom.grid(v["grid_h"])
     rows = []
-    for name, fn in _extend_corpus(g, v["n_corpus"], rng):
+    for name, fn in boundary_data(v["n_corpus"], rng):
         tr = boundary_trace_from_function(g, fn)
         # members whose adaptive layer would drop under 8 cells run at their
         # resolvability floor instead of failing the whole corpus; a floor

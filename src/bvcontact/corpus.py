@@ -1,10 +1,12 @@
-"""Seeded random field corpora for property suites and trace-constant fits."""
+"""Seeded corpora: random fields for property suites and trace-constant fits,
+and the named boundary traces of the extension checks."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .grid import boundary_trace_from_function, field_from_function
+from .errors import LayerTooThin
 from .extension import extend_boundary_data
 
 
@@ -72,7 +74,7 @@ def _boundary_layer(grid, rng):
     eps = float(rng.uniform(0.1, 0.3))
     try:
         return extend_boundary_data(tr, eps=eps, h=grid.h).field
-    except Exception:
+    except LayerTooThin:
         return field_from_function(grid, gfn)
 
 
@@ -88,3 +90,36 @@ def random_fields(grid, n: int, seed: int):
         out.append(_MAKERS[i % len(_MAKERS)](grid, rng))
     return out
 
+
+# Named boundary traces (x, y) -> g: constants, ramps, steps, oscillations,
+# a spike and a near-singular bump.
+_TRACES = (
+    ("const", lambda x, y: np.ones_like(x)),
+    ("minus2", lambda x, y: -2 * np.ones_like(x)),
+    ("x", lambda x, y: x),
+    ("ramp", lambda x, y: x - y),
+    ("alt", lambda x, y: np.where(y < 1e-9, np.where(x < 0.5, 1.0, -1.0), 0.0)),
+    ("step", lambda x, y: (x > 0.3).astype(float)),
+    ("sin", lambda x, y: np.sin(2 * np.pi * (x + y))),
+    ("sincos", lambda x, y: np.sin(4 * np.pi * x) * np.cos(2 * np.pi * y)),
+    ("osc", lambda x, y: 0.5 + np.sin(6 * np.pi * x)),
+    ("abssin", lambda x, y: np.abs(np.sin(3 * x + 2 * y))),
+    ("spike", lambda x, y: np.exp(-40 * ((x - 0.5) ** 2 + y ** 2))),
+    ("bump", lambda x, y: np.exp(-10 * ((x - 1) ** 2 + (y - 0.5) ** 2)) - 0.5),
+    ("saw", lambda x, y: (3 * x) % 1.0),
+    ("parab", lambda x, y: x * (1 - x) + y),
+    ("pole", lambda x, y: 1.0 / (0.05 + (x - 0.2) ** 2 + y ** 2)),
+)
+
+
+def boundary_data(n: int, rng):
+    """The first n members [(name, fn)] of the boundary-trace corpus: the
+    named traces, then seeded Fourier traces fourier<k> (k the member's index),
+    each drawing rng.normal(size=4) twice."""
+    out = list(_TRACES[:n])
+    while len(out) < n:
+        a, b = rng.normal(size=4), rng.normal(size=4)
+        out.append((f"fourier{len(out)}", lambda x, y, a=a, b=b: sum(
+            a[j] * np.sin((j + 1) * np.pi * x) + b[j] * np.cos((j + 1) * np.pi * y)
+            for j in range(4)) / 3))
+    return out

@@ -369,7 +369,7 @@ def _cone_envelope(f, q, s):
     return np.where(take, left, right), np.where(take, left_at, len(q) - 1 - right_at[::-1])
 
 
-def _brute_force_yosida(d, ctx, x, p_values, radius=None):
+def _brute_force_yosida(d, ctx, x, p_values):
     """Grid minimization of q -> tau(x,q) + sigma|p-q| for scalar p values.
 
     All p values share one q-grid, centered so every p lies on a node (hence
@@ -379,8 +379,7 @@ def _brute_force_yosida(d, ctx, x, p_values, radius=None):
     """
     sigma = ctx.sigma
     P = np.atleast_1d(np.asarray(p_values, dtype=float))
-    if radius is None:
-        radius = ctx.search_radius
+    radius = ctx.search_radius
     if radius is None:
         radius = yosida_radius(d, sigma, x, P)
     step = ctx.q_grid_step if ctx.q_grid_step is not None else radius / 2000.0

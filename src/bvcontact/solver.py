@@ -405,8 +405,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
                     bulk: str = "quadratic", f=None, nu: float | None = None,
                     h: float = 1 / 128, iters: int = 2000, tol: float = 1e-6,
                     beta: float = 1e-3, step_scale: float = 6.0,
-                    allow_no_bulk: bool = False,
-                    unsafe_step_product: float = 1.0) -> SolverResult:
+                    allow_no_bulk: bool = False) -> SolverResult:
     """Primal-dual minimization on dom at spacing h.
 
     bulk selects the smooth term: 'quadratic' for (u - f)^2, 'capillarity'
@@ -441,9 +440,6 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         raise ValueError(f"beta must be finite and >= 0 (0 is the TV limit), got {beta!r}")
     if isinstance(step_scale, bool) or not 0 < step_scale < math.inf:
         raise ValueError(f"step_scale must be a finite number > 0, got {step_scale!r}")
-    if isinstance(unsafe_step_product, bool) or not 0 < unsafe_step_product < math.inf:
-        raise ValueError("unsafe_step_product must be a finite number > 0, got "
-                         f"{unsafe_step_product!r}")
     if bulk == "capillarity" and (nu is None or isinstance(nu, bool)
                                   or not -math.inf < nu < math.inf):
         raise ValueError(f"nu must be a finite number for capillarity, got {nu!r} "
@@ -477,10 +473,9 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
 
     # steps: t * s * ||grad||^2 <= 1 with ||grad|| <= sqrt(8)/h; a larger
     # primal step strengthens the contraction from the strongly convex bulk.
-    # unsafe_step_product > 1 deliberately breaks the bound (divergence demos).
     norm_K = math.sqrt(8.0) / h
-    t = step_scale * math.sqrt(unsafe_step_product) / norm_K
-    s = math.sqrt(unsafe_step_product) / (step_scale * norm_K)
+    t = step_scale / norm_K
+    s = 1.0 / (step_scale * norm_K)
 
     if bulk == "capillarity":
         u = np.where(mask, _best_constant_capillarity(grid, boundary, nu), 0.0)

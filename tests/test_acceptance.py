@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from bvcontact import density
+from bvcontact.cli import run_scenario
 from bvcontact.corpus import random_fields
 from bvcontact.density import (YosidaContext, lip_upper_approx_many, step_density,
                                tabulated, yosida_eval_many)
-from bvcontact.extension import extend_boundary_data
 from bvcontact.geometry import (admissibility_check, corner_q, domain_Q, l_shape,
                                 regular_ngon, unit_square, wedge_cut_ratio)
-from bvcontact.grid import (boundary_trace_from_function, constant_field, energy_F,
-                            field_from_function, l1_norm, trace_extract, tv_grid)
+from bvcontact.grid import (constant_field, energy_F, field_from_function, l1_norm,
+                            trace_extract, tv_grid)
 from bvcontact.relaxation import (E1Family, E2Family, Log1DFamily,
                                   detect_lsc_violation, verify_representation)
 from bvcontact.solver import diagnostics, minimize_energy
@@ -137,47 +137,15 @@ def test_criterion_05_geometry():
                f"admissibility flips at {flip:.6f}")
 
 
-def _extension_corpus(rng):
-    fns = [lambda x, y: np.ones_like(x),
-           lambda x, y: -2 * np.ones_like(x),
-           lambda x, y: x,
-           lambda x, y: x - y,
-           lambda x, y: np.where(y < 1e-9, np.where(x < 0.5, 1.0, -1.0), 0.0),
-           lambda x, y: (x > 0.3).astype(float),
-           lambda x, y: np.sin(2 * np.pi * (x + y)),
-           lambda x, y: np.sin(4 * np.pi * x) * np.cos(2 * np.pi * y),
-           lambda x, y: 0.5 + np.sin(6 * np.pi * x),
-           lambda x, y: np.abs(np.sin(3 * x + 2 * y)),
-           lambda x, y: np.exp(-40 * ((x - 0.5) ** 2 + y ** 2)),
-           lambda x, y: np.exp(-10 * ((x - 1) ** 2 + (y - 0.5) ** 2)) - 0.5,
-           lambda x, y: (3 * x) % 1.0,
-           lambda x, y: x * (1 - x) + y,
-           lambda x, y: 1.0 / (0.05 + (x - 0.2) ** 2 + y ** 2)]
-    while len(fns) < 20:
-        a = rng.normal(size=4)
-        b = rng.normal(size=4)
-
-        def f(x, y, a=a, b=b):
-            out = np.zeros_like(x)
-            for j in range(4):
-                out += a[j] * np.sin((j + 1) * np.pi * x) \
-                    + b[j] * np.cos((j + 1) * np.pi * y)
-            return out / 3
-        fns.append(f)
-    return fns
-
-
-def test_criterion_06_extension_bounds():
+def test_criterion_06_extension_bounds(tmp_path):
+    # every member at eps itself: a resolvability floor may not loosen a bound
     start = time.monotonic()
-    g = unit_square().grid(1 / 512)
-    rng = np.random.default_rng(11)
     eps = 0.1
-    worst_l1, worst_grad = 0.0, 0.0
-    for fn in _extension_corpus(rng):
-        tr = boundary_trace_from_function(g, fn)
-        res = extend_boundary_data(tr, eps=eps, h=g.h)
-        worst_l1 = max(worst_l1, res.l1_ratio)
-        worst_grad = max(worst_grad, res.grad_ratio)
+    scn = {"task": "extend-verify", "domain": "square", "grid_h": 1 / 512, "seed": 11,
+           "params": {"eps": eps, "n_corpus": 20}}
+    r = run_scenario(scn, tmp_path)["result"]
+    worst_l1, worst_grad = r["worst_l1_ratio"], r["worst_grad_ratio"]
+    assert r["n_corpus"] == 20 and r["max_eps_effective"] == eps
     assert worst_l1 <= eps * 1.05
     assert worst_grad <= 1.0 + eps + 0.15
     elapsed = time.monotonic() - start

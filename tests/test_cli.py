@@ -8,6 +8,7 @@ import pytest
 
 from bvcontact import cli, density, exprgrammar, solver
 from bvcontact.cli import main, parse_density_spec, run_scenario, validate_scenario
+from bvcontact.corpus import boundary_data
 from bvcontact.errors import ParseError, SchemaError
 
 
@@ -213,9 +214,14 @@ def test_solve_diagnostics_columns_are_documented(tmp_path):
 def test_extend_verify_task(tmp_path):
     scn = {"task": "extend-verify", "domain": "square", "grid_h": 1 / 128,
            "seed": 5, "params": {"eps": 0.2, "n_corpus": 6}}
-    rep = run_scenario(scn, tmp_path)
+    rep = run_scenario(dict(scn), tmp_path / "a")
+    run_scenario(dict(scn), tmp_path / "b")
     assert rep["result"]["worst_l1_ratio"] <= 0.2 * 1.1
     assert rep["result"]["worst_grad_ratio"] <= 1.2 + 0.15
+    ratios = (tmp_path / "a" / "ratios.csv").read_bytes()
+    assert ratios == (tmp_path / "b" / "ratios.csv").read_bytes()
+    names = [line.split(",")[0] for line in ratios.decode().splitlines()[1:]]
+    assert names == [name for name, _ in boundary_data(6, None)]
 
 
 def test_relax_verify_task(tmp_path):

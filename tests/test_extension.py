@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bvcontact import density
+from bvcontact import corpus, density
 from bvcontact.density import NEG_SENTINEL, YosidaContext, yosida_eval_many
 from bvcontact.errors import LayerTooThin, UnboundedBelow
 from bvcontact.extension import (extend_boundary_data, optimal_boundary_values,
@@ -247,3 +247,12 @@ def test_optimal_values_read_nan_density_as_sentinel():
     achieved = np.where(np.isfinite(tau), tau, NEG_SENTINEL) + ctx.sigma * np.abs(t - p.values)
     hat = yosida_eval_many(d, ctx, None, t)
     assert np.all(np.abs(achieved - hat) <= eps)
+
+
+def test_random_fields_lets_other_extension_errors_through(monkeypatch):
+    # the boundary-layer family falls back to the plain field on LayerTooThin only
+    def broken(*args, **kwargs):
+        raise ValueError("broken extension")
+    monkeypatch.setattr(corpus, "extend_boundary_data", broken)
+    with pytest.raises(ValueError, match="broken extension"):
+        corpus.random_fields(SQ.grid(1 / 32), 7, seed=0)
