@@ -5,7 +5,7 @@ distance to the boundary and s(x) the arc position of the nearest boundary
 point,
 
     w(x) = (1 - d(x)/delta)_+ * avg of g over the arc window of half-width
-           max(kappa * d(x), h/2) around s(x).
+           max(kappa * d(x), 1e-12) around s(x).
 
 The linear cutoff makes the normal part of the gradient integrate to about
 int |g|, and the widening window tames the tangential part for rough g, so
@@ -13,10 +13,14 @@ the achieved ratios  int |w| / int |g|  and  int |grad w| / int |g|  land at
 about eps and 1 + eps respectively.  The layer width adapts to the arc total
 variation of g: a fixed width cannot meet the gradient target for oscillatory
 data, so delta shrinks like eps * ||g||_1 / TV(g) when g oscillates.
-The layer is built on its own cells (dist < delta, read from the grid's band
-distance maps), and both ratios are certified there: the mass sums over the
-layer cells, the masked total variation over the layer and the ring of cells
-whose forward x or y neighbor lies in it; every other cell has zero gradient.
+The layer is built on its own cells: the rows t < delta of the grid's
+arc-window table (DomainGrid.arc_windows), which holds every band cell's
+distance and where its window ends fall in the boundary samples, once per
+(grid, kappa), so a trace costs only its prefix sums and a few gathers.
+Both ratios are certified there: the mass sums over the layer cells, the
+masked total variation over the layer and the ring of cells whose forward x
+or y neighbor lies in it; every other cell has zero gradient.  g must be
+sampled at the grid's own boundary samples.
 
 recovery_sequence adds such layers to a base field to prescribe its trace,
 and optimal_boundary_values picks per-sample contact values q minimizing
@@ -61,42 +65,50 @@ def _arc_tv(g: TraceSample) -> float:
     return float(np.abs(np.diff(v)).sum() + abs(v[0] - v[-1]))
 
 
-class _ArcAverager:
-    """Windowed averages of a boundary sample table via periodic prefix sums."""
+def _layer_width(g: TraceSample, eps: float) -> float:
+    """The adaptive layer width before the cap at W: 1.8 eps (scaled down on
+    domains of perimeter below 4), and at most 2 eps ||g||_1 / TV(g)."""
+    delta = DELTA_L1_FACTOR * eps * min(1.0, g.dom.perimeter / 4.0)
+    tv = _arc_tv(g)
+    if tv > 0:
+        delta = min(delta, DELTA_TV_FACTOR * eps * g.abs_integral() / tv)
+    return delta
 
-    def __init__(self, g: TraceSample):
-        self.P = float(g.w.sum())
-        # segment boundaries: samples tile the boundary contiguously
-        self.breaks = np.concatenate([[0.0], np.cumsum(g.w)])
-        self.vals = g.values
-        seg = g.values * g.w if g.values.ndim == 1 else g.values * g.w[:, None]
-        self.cum = np.concatenate([[0.0], np.cumsum(seg)]) if g.values.ndim == 1 \
-            else np.vstack([np.zeros(g.values.shape[1]), np.cumsum(seg, axis=0)])
 
-    def _F(self, s):
-        # integral of g over [0, s], s may lie outside [0, P]; overwrites s
-        wraps = np.floor(s / self.P)
-        s -= wraps * self.P
-        idx = np.searchsorted(self.breaks, s, side="right")
-        idx -= 1
-        np.clip(idx, 0, len(self.breaks) - 2, out=idx)
-        s -= self.breaks[idx]
-        if self.vals.ndim > 1:
-            s, wraps = s[:, None], wraps[:, None]
-        out = self.vals[idx]
-        out *= s
-        out += self.cum[idx]
-        out += wraps * self.cum[-1]
-        return out
+def _layer(aw, g: TraceSample, delta: float):
+    """The layer's flat lattice indices (table rows with t < delta, in
+    lattice order) and w there: the cutoff 1 - t/delta times the mean of g
+    over the arc window.  Written in place: the layer's temporaries set the
+    extension's peak."""
+    sel = np.flatnonzero(aw.t < delta)
+    rows = (-1,) + (1,) * (g.values.ndim - 1)      # layer rows against components
+    seg = g.values * g.w.reshape(rows)
+    cum = np.concatenate([np.zeros((1,) + seg.shape[1:]), np.cumsum(seg, axis=0)])
+    w = _arc_integral(aw, 1, sel, g.values, cum)
+    w -= _arc_integral(aw, 0, sel, g.values, cum)
+    t = aw.t.take(sel)
+    hw = aw.half_width(t)
+    hw *= 2
+    w /= hw.reshape(rows)
+    w *= np.subtract(1.0, np.divide(t, delta, out=t), out=t).reshape(rows)
+    return aw.cells.take(sel).astype(np.intp), w
 
-    def window_mean(self, s, half_width):
-        # written in place: the layer's temporaries set the extension's peak
-        hw = np.maximum(half_width, 1e-12)
-        mean = self._F(s + hw)
-        mean -= self._F(s - hw)
-        hw *= 2
-        mean /= hw if self.vals.ndim == 1 else hw[:, None]
-        return mean
+
+def _arc_integral(aw, end, sel, vals, cum):
+    """Integral of g over [0, s] at the table rows sel, s = arc -+ hw for end
+    0 / 1: g's value on the bracketing sample times the offset into it, plus
+    the prefix sum before it and one full turn per wrap."""
+    idx, wraps, offset = aw.ends[end]
+    rows = (-1,) + (1,) * (vals.ndim - 1)
+    # one widening of the int32 brackets serves both gathers
+    idx = idx.take(sel).astype(np.intp)
+    out = vals.take(idx, axis=0)
+    out *= offset.take(sel).reshape(rows)
+    out += cum.take(idx, axis=0)
+    wraps = wraps.take(sel).reshape(rows)
+    # without wraps, add the signed zero 0 * cum[-1] of a k = 0 row: bit for bit
+    out += wraps.astype(float) * cum[-1] if wraps.any() else 0.0 * cum[-1]
+    return out
 
 
 def extend_boundary_data(g: TraceSample, eps: float, h: float,
@@ -107,7 +119,8 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
     l1_ratio <~ eps and grad_ratio <~ 1 + eps (plus O(kappa) and O(h/delta)
     grid terms).  Raises LayerTooThin when h > delta/8 for the selected
     width; widths beyond W = dom.band_width (half the shortest edge, where
-    the grid's distance maps end) are clamped and flagged.  The ratios are
+    the grid's band ends) are clamped and flagged.  Raises MaskMismatch when
+    g is not sampled at grid(h).boundary()'s samples.  The ratios are
     computed on the layer cells and one ring around them, and equal
     l1_norm(field) / int |g| and tv_grid(field) / int |g| up to summation
     order.
@@ -118,6 +131,9 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
         raise ValueError(f"kappa must be a finite number >= 0, got {kappa}")
     dom = g.dom
     grid = dom.grid(h)
+    b = grid.boundary()
+    if not (np.array_equal(g.s, b.s) and np.array_equal(g.w, b.w)):
+        raise MaskMismatch(f"g is not sampled at the boundary samples of the h = {h:.4g} grid")
     total = g.abs_integral()
     if total == 0.0:
         zero = GridField(grid, np.zeros(grid.mask.shape if g.values.ndim == 1
@@ -125,10 +141,7 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
         return ExtensionResult(zero, 0.0, 0.0, 0.0, kappa, False, 0.0)
 
     corner_overlap = False
-    delta = DELTA_L1_FACTOR * eps * min(1.0, dom.perimeter / 4.0)
-    tv = _arc_tv(g)
-    if tv > 0:
-        delta = min(delta, DELTA_TV_FACTOR * eps * total / tv)
+    delta = _layer_width(g, eps)
     if delta > dom.band_width:
         delta = dom.band_width
         corner_overlap = True
@@ -137,22 +150,20 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
                "it needs h <= W/8" if corner_overlap else "refine the grid or increase eps")
         raise LayerTooThin(f"h = {h:.4g} exceeds delta/8 = {delta / 8:.4g}; {why}")
 
-    dist, arc = grid.distance_maps()
-    # dist is inf off the band and off the mask, so the layer is dist < delta
-    layer = dist < delta
-    cells = np.flatnonzero(layer)
-    t = dist.ravel()[cells]
-    w = _ArcAverager(g).window_mean(arc.ravel()[cells], kappa * t)
-    cutoff = np.subtract(1.0, t / delta, out=t)      # written over t
+    cells, w = _layer(grid.arc_windows(kappa), g, delta)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("field has non-finite values on masked cells")
     vector = g.values.ndim > 1
-    w *= cutoff if not vector else cutoff[:, None]
     vals = np.zeros(grid.mask.shape + w.shape[1:])
-    vals.reshape((layer.size,) + w.shape[1:])[cells] = w
-    w_field = GridField(grid, vals)
+    vals.reshape((grid.mask.size,) + w.shape[1:])[cells] = w
+    w_field = GridField.from_checked(grid, vals)
     # certificates: w vanishes off the layer, so its masked gradient vanishes
     # off the layer and the cells whose +x or +y neighbor lies in it
-    mass = np.abs(w) if not vector else np.sqrt((w * w).sum(axis=-1))
+    mass = np.abs(w, out=w) if not vector else np.sqrt((w * w).sum(axis=-1))
     l1_ratio = float(grid.cell_area * mass.sum()) / total
+    layer = np.zeros(grid.mask.shape, dtype=bool)
+    layer.reshape(-1)[cells] = True
+    del cells, w, mass      # layer-sized, and the gradient's gathers come on top
     ring = layer.copy()
     ring[:, :-1] |= layer[:, 1:]
     ring[:-1, :] |= layer[1:, :]
@@ -175,13 +186,19 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
 
 def required_eps(g: TraceSample, h: float) -> float:
     """Smallest eps whose adaptive layer width stays resolvable (>= 8h) for
-    this particular boundary datum, arc-oscillation included."""
+    this particular boundary datum, arc-oscillation included: 8h over the
+    width per unit eps, stepped up by the ulps the width loses to rounding
+    (the cap at W is not considered)."""
     per_unit = DELTA_L1_FACTOR * min(1.0, g.dom.perimeter / 4.0)
     tv = _arc_tv(g)
     total = g.abs_integral()
     if tv > 0 and total > 0:
         per_unit = min(per_unit, DELTA_TV_FACTOR * total / tv)
-    return 8.0 * h / per_unit
+    eps = 8.0 * h / per_unit
+    # the layer width rounds on its own path; step up the last ulps it misses
+    while h > _layer_width(g, eps) / 8.0:
+        eps = float(np.nextafter(eps, np.inf))
+    return eps
 
 
 def recovery_sequence(u: GridField, p: TraceSample, n: int) -> GridField:

@@ -23,6 +23,8 @@ FLAT_TOL = 1e-12
 #: PolygonalDomain's simplicity check tests edge pairs in blocks of rows of
 #: about this many pairs, so its temporaries stay bounded for large polygons
 SIMPLE_CHECK_PAIRS = 1 << 16
+#: smallest arc-window half-width of the boundary-layer extension
+MIN_HALF_WIDTH = 1e-12
 
 
 def corner_q(theta: float) -> float:
@@ -115,32 +117,39 @@ class PolygonalDomain:
         self.edge_normals = np.column_stack([t[:, 1], -t[:, 0]])
         self.arc_offsets = np.concatenate([[0.0], np.cumsum(self.edge_lengths)])
 
-        overrides = dict(angle_overrides or {})
-        self.interior_angles = np.array(
-            [overrides.get(i, self._interior_angle(i)) for i in range(self.n)])
-        for i, th in enumerate(self.interior_angles):
-            if not (ANGLE_TOL < th < 2 * math.pi - ANGLE_TOL):
-                raise SchemaError(f"cusp or invalid interior angle {th}", location=f"vertex {i}")
-        self.corner_records = [
-            CornerRecord(i, float(th), (1.0 / math.tan(th / 2.0)) if th < math.pi - FLAT_TOL else None)
-            for i, th in enumerate(self.interior_angles)
-            if abs(th - math.pi) > 1e-9
-        ]
+        angles = self._interior_angles()
+        for i, th in dict(angle_overrides or {}).items():
+            if i in range(self.n):
+                angles[int(i)] = th
+        self.interior_angles = angles
+        bad = np.flatnonzero(~((ANGLE_TOL < angles) & (angles < 2 * math.pi - ANGLE_TOL)))
+        if len(bad):
+            raise SchemaError(f"cusp or invalid interior angle {angles[bad[0]]}",
+                              location=f"vertex {bad[0]}")
+        half = angles / 2.0
+        corners = np.flatnonzero(np.abs(angles - math.pi) > 1e-9)
+        convex = corners[angles[corners] < math.pi - FLAT_TOL]
+        slopes = dict(zip(convex.tolist(), (1.0 / _libm(math.tan, half[convex])).tolist()))
+        self.corner_records = [CornerRecord(i, float(angles[i]), slopes.get(i))
+                               for i in corners.tolist()]
         if lipschitz_constant is not None:
             self.lipschitz_constant = float(lipschitz_constant)
         else:
-            slopes = [abs(math.cos(th / 2.0) / math.sin(th / 2.0)) for th in self.interior_angles]
-            self.lipschitz_constant = max(slopes) if slopes else 0.0
+            self.lipschitz_constant = float(
+                np.abs(_libm(math.cos, half) / _libm(math.sin, half)).max())
         self._grids = {}
 
     # -- construction helpers -------------------------------------------------
 
-    def _interior_angle(self, i):
+    def _interior_angles(self):
+        """pi minus the turn at each vertex, from the edges into and out of it."""
         v = self.vertices
-        prev = v[i] - v[i - 1]
-        nxt = v[(i + 1) % self.n] - v[i]
-        turn = math.atan2(prev[0] * nxt[1] - prev[1] * nxt[0], prev[0] * nxt[0] + prev[1] * nxt[1])
-        return math.pi - turn
+        prev = v - np.roll(v, 1, axis=0)
+        nxt = np.roll(v, -1, axis=0) - v
+        cross = prev[:, 0] * nxt[:, 1] - prev[:, 1] * nxt[:, 0]
+        dot = prev[:, 0] * nxt[:, 0] + prev[:, 1] * nxt[:, 1]
+        return math.pi - np.fromiter(map(math.atan2, cross.tolist(), dot.tolist()),
+                                     float, self.n)
 
     def _check_simple(self):
         """Raise SchemaError at the first crossing pair of edges (i, j),
@@ -217,6 +226,13 @@ class PolygonalDomain:
         if key not in self._grids:
             self._grids[key] = DomainGrid(self, float(h))
         return self._grids[key]
+
+
+def _libm(fn, x):
+    """The math-module function fn at each entry of x.  numpy's SIMD atan2,
+    tan, sin and cos may differ from libm in the last bit, and the corner
+    data stay the values the scalar functions give."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
 def _crossings(a, b, y):
@@ -314,8 +330,9 @@ class DomainGrid:
 
     Holds everything that depends only on (domain, h): the cell mask, cell
     centers, boundary samples with arc positions / outward normals / probe
-    cells, and (lazily) the distance and nearest-arc maps used by the
-    extension, which are inf/0 outside the band of width W = dom.band_width.
+    cells, the neighbor masks of the masked gradient, and (built on first
+    use, per kappa) the extension's arc-window table over the band of width
+    W = dom.band_width.
     """
 
     def __init__(self, dom: PolygonalDomain, h: float):
@@ -348,8 +365,8 @@ class DomainGrid:
             raise LayerTooThin(f"h = {h:.4g} leaves no cell center inside {dom.name}")
         self.cell_area = h * h
         self._boundary = None
-        self._dist_maps = None
         self._neighbors = None
+        self._arc_windows = {}
 
     @property
     def n_cells(self):
@@ -433,29 +450,83 @@ class DomainGrid:
     # -- interior distance/arc maps (for the extension) -------------------------
 
     def distance_maps(self):
-        """(dist, arc) arrays over the full lattice: exact for masked cells
-        closer than W = dom.band_width to the boundary, inf/0 outside that
-        band.  Each edge is evaluated only on the cells of its bounding box
-        grown by W (and two cells); nearer edges win in edge order."""
-        if self._dist_maps is None:
-            dom, h = self.dom, self.h
-            d, s = np.full((self.ny, self.nx), np.inf), np.zeros((self.ny, self.nx))
-            a, b = dom.vertices, np.roll(dom.vertices, -1, axis=0)
-            grow = dom.band_width + 2 * h
-            lo = np.floor((np.minimum(a, b) - grow - self.origin) / h).astype(int)
-            hi = np.ceil((np.maximum(a, b) + grow - self.origin) / h).astype(int)
-            lo, hi = np.maximum(lo, 0), np.minimum(hi, (self.nx, self.ny))
-            for i in range(dom.n):
-                box = np.s_[lo[i, 1]:hi[i, 1], lo[i, 0]:hi[i, 0]]
-                X, Y = np.meshgrid(self.xs[box[1]], self.ys[box[0]])
-                dist, arc = dom._edge_distance(i, np.column_stack([X.ravel(), Y.ravel()]))
-                dist, arc = dist.reshape(X.shape), arc.reshape(X.shape)
-                upd = dist < d[box]
-                d[box][upd] = dist[upd]
-                s[box][upd] = arc[upd]
-            band = self.mask & (d < dom.band_width)
-            self._dist_maps = (np.where(band, d, np.inf), np.where(band, s, 0.0))
-        return self._dist_maps
+        """(dist, arc) arrays over the full lattice, computed afresh on each
+        call: exact for masked cells closer than W = dom.band_width to the
+        boundary, inf/0 outside that band.  Each edge is evaluated only on
+        the cells of its bounding box grown by W (and two cells); nearer
+        edges win in edge order.  The grid keeps only the band cells, in
+        arc_windows."""
+        dom, h = self.dom, self.h
+        d, s = np.full((self.ny, self.nx), np.inf), np.zeros((self.ny, self.nx))
+        a, b = dom.vertices, np.roll(dom.vertices, -1, axis=0)
+        grow = dom.band_width + 2 * h
+        lo = np.floor((np.minimum(a, b) - grow - self.origin) / h).astype(int)
+        hi = np.ceil((np.maximum(a, b) + grow - self.origin) / h).astype(int)
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, (self.nx, self.ny))
+        for i in range(dom.n):
+            box = np.s_[lo[i, 1]:hi[i, 1], lo[i, 0]:hi[i, 0]]
+            X, Y = np.meshgrid(self.xs[box[1]], self.ys[box[0]])
+            dist, arc = dom._edge_distance(i, np.column_stack([X.ravel(), Y.ravel()]))
+            dist, arc = dist.reshape(X.shape), arc.reshape(X.shape)
+            upd = dist < d[box]
+            d[box][upd] = dist[upd]
+            s[box][upd] = arc[upd]
+        band = self.mask & (d < dom.band_width)
+        return np.where(band, d, np.inf), np.where(band, s, 0.0)
+
+    def arc_windows(self, kappa):
+        """ArcWindows of the boundary-layer extension at this kappa, built
+        once: the band cells (masked, dist < W) in flat lattice order with
+        their distance t and, for both window ends arc -+ hw, where the end
+        falls in the boundary samples."""
+        key = float(kappa)
+        if key not in self._arc_windows:
+            dist, arc = self.distance_maps()
+            cells = np.flatnonzero(dist < self.dom.band_width)
+            t, arc = dist.ravel()[cells], arc.ravel()[cells]
+            del dist                # the grid keeps no full-lattice map
+            w = self.boundary().w
+            period, breaks = float(w.sum()), np.concatenate([[0.0], np.cumsum(w)])
+            tab = ArcWindows(kappa=key, cells=cells.astype(np.int32), t=t, ends=[])
+            hw = tab.half_width(t)
+            for end in (np.subtract, np.add):
+                s = end(arc, hw)
+                wraps = s / period
+                np.floor(wraps, out=wraps)
+                s -= wraps * period
+                idx = np.searchsorted(breaks, s, side="right")
+                idx -= 1
+                np.clip(idx, 0, len(breaks) - 2, out=idx)
+                s -= breaks[idx]
+                if wraps.size == 0 or -128 <= wraps.min() <= wraps.max() <= 127:
+                    wraps = wraps.astype(np.int8)
+                tab.ends.append((idx.astype(np.int32), wraps, s))
+            self._arc_windows[key] = tab
+        return self._arc_windows[key]
+
+
+@dataclass
+class ArcWindows:
+    """Arc-window geometry of the boundary-layer extension on one grid.
+
+    A band cell at distance t averages the boundary data over the arc window
+    arc -+ hw, hw = max(kappa * t, MIN_HALF_WIDTH), from the prefix sums of
+    the data over the boundary samples, whose weights w sum to P and end at
+    the breaks [0, cumsum(w)].  ends[0] and ends[1] hold, for the window ends
+    s = arc - hw and s = arc + hw: the sample j whose breaks bracket
+    s - k * P (clipped to a sample), the wrap count k = floor(s / P) (int8,
+    or float where a window wraps more than 127 times), and the offset
+    s - k * P - breaks[j] into the sample.
+    """
+
+    kappa: float
+    cells: np.ndarray      # flat lattice indices of the band cells
+    t: np.ndarray          # distance to the boundary
+    ends: list
+
+    def half_width(self, t):
+        hw = self.kappa * t
+        return np.maximum(hw, MIN_HALF_WIDTH, out=hw)
 
 
 @dataclass

@@ -66,6 +66,15 @@ class GridField:
         if not np.all(np.isfinite(self.values[self.grid.mask])):
             raise ValueError("field has non-finite values on masked cells")
 
+    @classmethod
+    def from_checked(cls, grid, values):
+        """A field over values the caller built as a float array of the
+        lattice's shape and checked finite on the mask: no __post_init__
+        pass over the mask."""
+        u = cls.__new__(cls)
+        u.grid, u.values, u.jump_set = grid, values, None
+        return u
+
     @property
     def h(self):
         return self.grid.h

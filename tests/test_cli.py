@@ -224,6 +224,17 @@ def test_extend_verify_task(tmp_path):
     assert names == [name for name, _ in boundary_data(6, None)]
 
 
+def test_extend_verify_runs_members_at_their_floor(tmp_path):
+    # sincos runs at its resolvability floor here, whose layer width used to
+    # round to one ulp below 8h and raise LayerTooThin
+    rc = main(["extend-verify", "--domain", "lshape", "--grid", str(1 / 256),
+               "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = [line.split(",") for line in (tmp_path / "ratios.csv").read_text().splitlines()]
+    sincos = rows[[r[0] for r in rows].index("sincos")]
+    assert float(sincos[-1]) > 0.1 and len(rows) == 21
+
+
 def test_relax_verify_task(tmp_path):
     scn = {"task": "relax-verify", "domain": "square", "density": "linear:-0.5",
            "grid_h": 1 / 64, "params": {"field": "zero", "budget": 16}}

@@ -2,14 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bvcontact import corpus, density
 from bvcontact.density import NEG_SENTINEL, YosidaContext, yosida_eval_many
-from bvcontact.errors import LayerTooThin, UnboundedBelow
-from bvcontact.extension import (extend_boundary_data, optimal_boundary_values,
-                                 recovery_sequence)
+from bvcontact.errors import LayerTooThin, MaskMismatch, UnboundedBelow
+from bvcontact.extension import (_layer_width, extend_boundary_data,
+                                 optimal_boundary_values, recovery_sequence, required_eps)
 from bvcontact.geometry import builtin_domain, l_shape, unit_square
-from bvcontact.grid import (boundary_trace_from_function, constant_field,
+from bvcontact.grid import (_grad_at, boundary_trace_from_function, constant_field,
                             field_from_function, l1_distance, l1_norm, trace_extract,
                             tv_grid)
 
@@ -120,6 +121,108 @@ def test_certificates_equal_full_lattice_values(case):
     assert res.grad_ratio == pytest.approx(tv_grid(res.field) / total, rel=1e-13, abs=0)
 
 
+class _SearchsortedAverager:
+    """Arc-window means with one searchsorted per window end and trace: the
+    reference for the grid's arc-window table."""
+
+    def __init__(self, g):
+        self.P = float(g.w.sum())
+        self.breaks = np.concatenate([[0.0], np.cumsum(g.w)])
+        self.vals = g.values
+        seg = g.values * g.w if g.values.ndim == 1 else g.values * g.w[:, None]
+        self.cum = np.concatenate([[0.0], np.cumsum(seg)]) if g.values.ndim == 1 \
+            else np.vstack([np.zeros(g.values.shape[1]), np.cumsum(seg, axis=0)])
+
+    def _F(self, s):
+        wraps = np.floor(s / self.P)
+        s -= wraps * self.P
+        idx = np.searchsorted(self.breaks, s, side="right")
+        idx -= 1
+        np.clip(idx, 0, len(self.breaks) - 2, out=idx)
+        s -= self.breaks[idx]
+        if self.vals.ndim > 1:
+            s, wraps = s[:, None], wraps[:, None]
+        out = self.vals[idx]
+        out *= s
+        out += self.cum[idx]
+        out += wraps * self.cum[-1]
+        return out
+
+    def window_mean(self, s, half_width):
+        hw = np.maximum(half_width, 1e-12)
+        mean = self._F(s + hw)
+        mean -= self._F(s - hw)
+        hw *= 2
+        mean /= hw if self.vals.ndim == 1 else hw[:, None]
+        return mean
+
+
+def _reference_extension(g, tr, delta, kappa):
+    """Field and ratios from the full-lattice maps and _SearchsortedAverager."""
+    dist, arc = g.distance_maps()
+    layer = dist < delta
+    cells = np.flatnonzero(layer)
+    t = dist.ravel()[cells]
+    w = _SearchsortedAverager(tr).window_mean(arc.ravel()[cells], kappa * t)
+    cutoff = 1.0 - t / delta
+    w *= cutoff if w.ndim == 1 else cutoff[:, None]
+    vals = np.zeros(g.mask.shape + w.shape[1:])
+    vals.reshape((layer.size,) + w.shape[1:])[cells] = w
+    mass = np.abs(w) if w.ndim == 1 else np.sqrt((w * w).sum(axis=-1))
+    ring = layer.copy()
+    ring[:, :-1] |= layer[:, 1:]
+    ring[:-1, :] |= layer[1:, :]
+    dx, dy = _grad_at(vals, g.h, *g.neighbor_masks(), np.flatnonzero(ring))
+    grad = dx * dx + dy * dy
+    if w.ndim > 1:
+        grad = grad.sum(axis=-1)
+    total = tr.abs_integral()
+    return (vals, float(g.cell_area * mass.sum()) / total,
+            float(g.cell_area * np.sqrt(grad).sum()) / total)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 4.0])
+@pytest.mark.parametrize("case", ["square", "lshape", "disk64", "M2"])
+def test_arc_window_table_matches_searchsorted(case, kappa):
+    # the table's brackets and wrap counts replay the same float operations
+    # as a searchsorted per member; kappa = 4 wraps windows past arc 0
+    g, tr, eps = _certified_case(case)
+    res = extend_boundary_data(tr, eps=eps, h=g.h, kappa=kappa)
+    vals, l1_ratio, grad_ratio = _reference_extension(g, tr, res.layer_width, kappa)
+    assert np.array_equal(res.field.values, vals)
+    assert (res.l1_ratio, res.grad_ratio) == (l1_ratio, grad_ratio)
+    aw = g.arc_windows(kappa)
+    assert aw is g.arc_windows(kappa) and aw.cells.dtype == np.int32
+    if kappa == 4.0:
+        assert all(wraps.dtype == np.int8 and np.any(wraps != 0) for _, wraps, _ in aw.ends)
+
+
+def test_trace_of_another_grid_is_rejected():
+    tr = _const_trace(SQ.grid(1 / 64), 1.0)
+    with pytest.raises(MaskMismatch):
+        extend_boundary_data(tr, eps=0.5, h=1 / 128)
+    with pytest.raises(MaskMismatch):
+        extend_boundary_data(tr.map_values(np.zeros_like), eps=0.5, h=1 / 128)
+
+
+_FLOOR_DOMAINS = {name: builtin_domain(name) for name in ("square", "lshape", "disk64")}
+
+
+@given(name=st.sampled_from(sorted(_FLOOR_DOMAINS)), k=st.sampled_from([64, 128, 256]),
+       member=st.integers(0, 39), seed=st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_required_eps_is_resolvable(name, k, member, seed):
+    # the floor's eps gives a layer of at least 8 cells whenever the width
+    # stays below the cap W: rounding must not drop it one ulp under 8h
+    g = _FLOOR_DOMAINS[name].grid(1 / k)
+    fn = corpus.boundary_data(member + 1, np.random.default_rng(seed))[member][1]
+    tr = boundary_trace_from_function(g, fn)
+    eps = required_eps(tr, g.h)
+    assume(eps <= 1 and _layer_width(tr, eps) < g.dom.band_width)
+    assert not g.h > _layer_width(tr, eps) / 8
+    extend_boundary_data(tr, eps=eps, h=g.h)
+
+
 def test_certificates_of_zero_data():
     g = SQ.grid(1 / 512)
     res = extend_boundary_data(_const_trace(g, 0.0), eps=0.1, h=g.h)
@@ -128,10 +231,10 @@ def test_certificates_of_zero_data():
 
 
 def test_extension_memory_guard():
-    # with the grid's maps warm, one member costs less than three lattice
-    # float arrays; certificates over the full lattice need about 4.5
+    # with the grid's arc-window table warm, one member costs less than three
+    # lattice float arrays; certificates over the full lattice need about 4.5
     g = builtin_domain("disk64").grid(1 / 384)
-    g.distance_maps()
+    g.arc_windows(0.5)
     g.neighbor_masks()
     tr = boundary_trace_from_function(g, lambda x, y: x - y)
     tracemalloc.start()

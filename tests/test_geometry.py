@@ -156,6 +156,33 @@ def test_self_intersection_location_matches_pairwise_loop(pairs, monkeypatch):
         assert got == want
 
 
+def _loop_corner_data(dom):
+    """Interior angles, corner records and Lipschitz constant vertex by
+    vertex with the math module, as PolygonalDomain computed them before."""
+    v, n = dom.vertices, dom.n
+    angles = []
+    for i in range(n):
+        prev, nxt = v[i] - v[i - 1], v[(i + 1) % n] - v[i]
+        angles.append(math.pi - math.atan2(prev[0] * nxt[1] - prev[1] * nxt[0],
+                                           prev[0] * nxt[0] + prev[1] * nxt[1]))
+    records = [geometry.CornerRecord(i, float(th), (1.0 / math.tan(th / 2.0))
+                                     if th < math.pi - geometry.FLAT_TOL else None)
+               for i, th in enumerate(angles) if abs(th - math.pi) > 1e-9]
+    lip = max(abs(math.cos(th / 2.0) / math.sin(th / 2.0)) for th in angles)
+    return angles, records, lip
+
+
+@pytest.mark.parametrize("make", [*geometry.BUILTIN_DOMAINS.values(),
+                                  lambda: regular_ngon(256, radius=0.7)],
+                         ids=[*geometry.BUILTIN_DOMAINS, "ngon256-r0.7"])
+def test_corner_data_identical_to_vertex_loop(make):
+    dom = make()
+    angles, records, lip = _loop_corner_data(dom)
+    assert dom.interior_angles.tolist() == angles
+    assert dom.corner_records == records
+    assert dom.lipschitz_constant == lip
+
+
 def test_rejects_repeated_vertex():
     with pytest.raises(SchemaError, match="vertex 1"):
         geometry.PolygonalDomain([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]])
