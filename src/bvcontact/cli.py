@@ -306,6 +306,9 @@ def _task_extend_verify(v, dom, d, ctx, out, rng):
 
 
 def _task_solve(v, dom, d, ctx, out, rng):
+    if v["f"] is not None and v["bulk"] == "capillarity":
+        raise SchemaError("bulk 'capillarity' has the bulk term u^2 and reads no f",
+                          location="params.f")
     f = None if v["f"] is None else _load_field_spec(v["f"], dom.grid(v["grid_h"]))
     step = {} if v["step_scale"] is None else {"step_scale": v["step_scale"]}
     res = minimize_energy(

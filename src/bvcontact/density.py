@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprgrammar
-from .errors import DegenerateMargin, UnboundedBelow, UnsupportedArity
+from .errors import DegenerateMargin, SchemaError, UnboundedBelow, UnsupportedArity
 
 KINDS = ("linear", "absolute", "quadratic", "tabulated", "expression", "custom")
 
@@ -180,9 +180,15 @@ def tabulated(p_grid, values, interp="linear", c=0.0, L=0.0, regularity=None):
 
 def expression(text, c=None, L=None):
     """Compile a DSL expression; missing (c, L) are estimated by sampling p on
-    [-8, 8] and the estimate is flagged on the returned density."""
+    [-8, 8] at one point x and the estimate is flagged on the returned
+    density.  An expression naming x1 or x2 must declare both: SchemaError
+    at the first missing key."""
     ast = exprgrammar.parse_expression(text)
     estimated = c is None or L is None
+    if estimated and not exprgrammar.ast_vars(ast).isdisjoint(("x1", "x2")):
+        key = "density_c" if c is None else "density_L"
+        raise SchemaError(f"{text!r} depends on x1 or x2, so give {key}: sampling p "
+                          "at one point cannot bound it for every x", location=key)
     if estimated:
         ps = np.linspace(-8.0, 8.0, 4001)
         vals = exprgrammar.eval_ast(ast, ps, 0.0, 0.0)
@@ -429,51 +435,29 @@ def yosida_eval_many(d, ctx, x, P, force_bruteforce=False):
 BALL_GRID_PER_UNIT = 10_000
 
 
-def _ball_sup(d, x, j):
-    """max(sup tau(x, q) over |q| <= j, 0) on a dense 1-D grid (includes the
-    endpoints; M = 2 uses a coarser product grid).  Memoized per density."""
-    cache = getattr(d, "_sup_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(d, "_sup_cache", cache)
-    xk = (None if x is None else (round(float(np.atleast_1d(x)[0]), 12),
-                                  round(float(np.atleast_1d(x)[-1]), 12)))
-    key = (j, xk)
-    if key in cache:
-        return cache[key]
-    if d.value_dim == 1:
-        n = max(3, int(2 * j * BALL_GRID_PER_UNIT) + 1)
-        q = np.linspace(-j, j, n)
-        out = max(float(d.eval_many(x, q).max()), 0.0)
-    elif d.value_dim == 2:
-        n = 201
-        g = np.linspace(-j, j, n)
-        Q1, Q2 = np.meshgrid(g, g)
-        pts = np.column_stack([Q1.ravel(), Q2.ravel()])
-        pts = pts[_pnorm(pts, 2) <= j + 1e-12]
-        out = max(float(d.eval_many(x, pts).max()), 0.0)
-    else:
-        raise UnsupportedArity("upper envelope supports M <= 2")
-    cache[key] = out
-    return out
+def upper_envelope_T(d: SurfaceDensity, x, p):
+    """Caratheodory upper envelope T(x, p) = sum_j M_{j+2}(x) psi_j(|p|), where
+    M_j(x) = max(sup_{|q| <= j} tau(x, q), 0), psi_1 is 1 on [0, 1] and falls
+    to 0 at 2, and psi_j (j >= 2) is the unit hat on [j-1, j+1]; T >= max(tau, 0).
 
-
-def _psi_weights(r):
-    """Active (j, psi_j(r)) pairs of the radial hat partition of unity:
-    psi_1 is 1 on [0,1] and falls to 0 at 2; psi_j (j >= 2) is the unit hat
-    on [j-1, j+1]."""
-    r = float(r)
-    if r <= 1.0:
-        return [(1, 1.0)]
-    j = int(math.floor(r))
-    return [(j, 1.0 - (r - j))] + ([(j + 1, r - j)] if r > j else [])
-
-
-def upper_envelope_T(d: SurfaceDensity, x, p) -> float:
-    """Caratheodory upper envelope T(x, p) = sum_j M_{j+2}(x) psi_j(|p|) with
-    M_j(x) = max(sup_{|q| <= j} tau(x, q), 0); satisfies T >= max(tau, 0)."""
-    r = float(_pnorm(p, d.value_dim))
-    return sum(w * _ball_sup(d, x, j + 2) for j, w in _psi_weights(r) if w > 0)
+    T is piecewise linear in |p| through (0, M_3) and (j, M_{j+2}), j >= 1.
+    Every M_j is read from one dense grid on [-(J+2), J+2]: the largest tau in
+    each unit shell j - 1 < |q| <= j, then a running max over the shells.
+    Vectorized over scalar p; a scalar p returns a float.
+    """
+    if d.value_dim != 1:
+        raise UnsupportedArity("upper envelope supports M = 1 only")
+    r = np.abs(np.asarray(p, dtype=float))
+    J = max(1, math.ceil(r.max()))
+    m, n = J + 2, BALL_GRID_PER_UNIT
+    c = m * n                                  # the node q = 0
+    tau = d.eval_many(x, np.linspace(-m, m, 2 * c + 1))
+    shells = np.maximum(tau[c + 1:].reshape(m, n).max(axis=1),
+                        tau[c - 1::-1].reshape(m, n).max(axis=1))
+    M = np.maximum.accumulate(np.concatenate([tau[c:c + 1], shells]))
+    np.maximum(M, 0.0, out=M)                  # M[j] = M_j, j = 0 .. J + 2
+    T = np.interp(r, np.arange(J + 1), np.concatenate([M[3:4], M[3:]]))
+    return float(T) if T.ndim == 0 else T
 
 
 def lip_upper_approx_many(d: SurfaceDensity, k: int, x, P):
@@ -484,7 +468,7 @@ def lip_upper_approx_many(d: SurfaceDensity, k: int, x, P):
     if d.value_dim != 1:
         raise UnsupportedArity("approximation ladder supports M = 1 only")
     P = np.atleast_1d(np.asarray(P, dtype=float))
-    T_P = _envelope_values(d, x, P)
+    T_P = upper_envelope_T(d, x, P)
     tau_P = d.eval_many(x, P)
     # search radius from the lower-bound logic applied to -t = T - tau >= 0
     neg_t = np.where(np.isfinite(tau_P), T_P - tau_P, 1.0)
@@ -493,7 +477,7 @@ def lip_upper_approx_many(d: SurfaceDensity, k: int, x, P):
     lo, hi = float(P.min()) - R, float(P.max()) + R
     n = min(max(4001, int(math.ceil((hi - lo) / (R / 4000.0))) + 1), 200_001)
     q = np.unique(np.concatenate([np.linspace(lo, hi, n), P]))
-    t_q = _finite_or_sentinel(d.eval_many(x, q)) - _envelope_values(d, x, q)
+    t_q = _finite_or_sentinel(d.eval_many(x, q)) - upper_envelope_T(d, x, q)
     t_k = -_cone_envelope(-t_q, q, k)[0][np.searchsorted(q, P)]
     return t_k + T_P
 
@@ -507,15 +491,6 @@ def lip_upper_approx(d: SurfaceDensity, k: int, x, p) -> float:
     tau(x, .) is upper semicontinuous.
     """
     return float(lip_upper_approx_many(d, k, x, np.asarray([p], dtype=float))[0])
-
-
-def _envelope_values(d, x, q):
-    # T is piecewise linear in |p| with knots at the integers (and 0), so
-    # evaluating on the half-integer lattice and interpolating is exact
-    lo, hi = float(np.min(q)), float(np.max(q))
-    ks = np.arange(math.floor(lo) - 1, math.ceil(hi) + 2, 0.5)
-    T_k = np.array([upper_envelope_T(d, x, ki) for ki in ks])
-    return np.interp(q, ks, T_k)
 
 
 def step_density(low=-1.0, at=0.0, regularity="normal-integrand"):

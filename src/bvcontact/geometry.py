@@ -329,7 +329,7 @@ class DomainGrid:
     """Masked-lattice discretization of a polygon at spacing h.
 
     Holds everything that depends only on (domain, h): the cell mask, cell
-    centers, boundary samples with arc positions / outward normals / probe
+    centers, boundary samples with arc positions / weights / probe
     cells, the neighbor masks of the masked gradient, and (built on first
     use, per kappa) the extension's arc-window table over the band of width
     W = dom.band_width.
@@ -343,8 +343,15 @@ class DomainGrid:
         v = dom.vertices
         x0, y0 = v[:, 0].min(), v[:, 1].min()
         x1, y1 = v[:, 0].max(), v[:, 1].max()
-        nx = max(1, int(round((x1 - x0) / h)))
-        ny = max(1, int(round((y1 - y0) / h)))
+        # ArcWindows indexes cells with int32, so at most 2^31 of them.  Check
+        # before allocating, on Python floats (a tiny h gives inf, no warning);
+        # rounding and the snap below add at most 1.5 cells per axis.
+        rx, ry = float(x1 - x0) / float(h), float(y1 - y0) / float(h)
+        if not (rx + 1.5) * (ry + 1.5) <= 2.0 ** 31:
+            raise SchemaError(f"h = {h:.4g} could give {dom.name} more than 2^31 grid cells",
+                              location="grid_h")
+        nx = max(1, int(round(rx)))
+        ny = max(1, int(round(ry)))
         # snap the lattice so the bounding box is covered
         if x0 + nx * h < x1 - 1e-12 * h:
             nx += 1
@@ -393,7 +400,7 @@ class DomainGrid:
     # -- boundary sampling -----------------------------------------------------
 
     def boundary(self):
-        """Boundary sample table (built once): arc positions, weights, normals,
+        """Boundary sample table (built once): arc positions, weights,
         closest edge ids, and the interior probe cell for each sample."""
         if self._boundary is None:
             self._boundary = self._build_boundary()
@@ -415,8 +422,7 @@ class DomainGrid:
         x = self.dom.boundary_point(s)
         normal = dom.edge_normals[eid]
         iy, ix = self._probe_cells(x, normal)
-        return BoundarySamples(s=s, x=x, w=w, edge_id=eid, normal=normal,
-                               probe_iy=iy, probe_ix=ix, perimeter=dom.perimeter)
+        return BoundarySamples(s=s, x=x, w=w, edge_id=eid, probe_iy=iy, probe_ix=ix)
 
     def _probe_cells(self, x, normal):
         h = self.h
@@ -537,10 +543,8 @@ class BoundarySamples:
     x: np.ndarray
     w: np.ndarray
     edge_id: np.ndarray
-    normal: np.ndarray
     probe_iy: np.ndarray
     probe_ix: np.ndarray
-    perimeter: float
 
     def __len__(self):
         return len(self.s)

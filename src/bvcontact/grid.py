@@ -6,10 +6,10 @@ jumps exact up to O(h).  Traces are read by a depth-1 normal probe: each
 boundary sample takes the value of the nearest interior cell along the inward
 normal, with arc-length quadrature weights from edge subdivision at step <= h.
 The resulting error is O(h * local gradient), so piecewise-constant catalog
-fields carry analytic jump sets and closed forms alongside the grid values.
+members carry analytic jump sets and closed forms alongside the grid values.
 
-One-dimensional fields (1 x K masks on an interval, boundary = two endpoints)
-are supported for the logarithmic example only.
+The interval is a 1 x K lattice (LineGrid) whose boundary is its two
+endpoints; it serves the logarithmic example only.
 """
 
 from __future__ import annotations
@@ -21,23 +21,37 @@ import numpy as np
 
 from .errors import MaskMismatch, SchemaError
 from .density import NEG_SENTINEL, yosida_eval_many
-from .geometry import DomainGrid, LineDomain
+from .geometry import BoundarySamples, LineDomain
 
 
 class LineGrid:
-    """1-D analog of DomainGrid: K cells of width h on an interval."""
+    """The interval as a 1 x K lattice of cells of width h on the line y = 0,
+    answering what the grid functions ask of a DomainGrid: no y neighbours,
+    and a boundary of the two endpoints with unit weight each, probing the
+    end cells."""
 
     def __init__(self, dom: LineDomain, h: float):
         self.dom = dom
         self.h = float(h)
-        self.n = max(2, int(round(dom.length / h)))
-        self.xs = dom.a + (np.arange(self.n) + 0.5) * self.h
-        self.mask = np.ones(self.n, dtype=bool)
+        n = max(2, int(round(dom.length / h)))
+        self.xs = dom.a + (np.arange(n) + 0.5) * self.h
+        self.ys = np.zeros(1)
+        self.mask = np.ones((1, n), dtype=bool)
         self.cell_area = self.h
 
-    @property
-    def is_1d(self):
-        return True
+    def cell_centers(self):
+        return np.meshgrid(self.xs, self.ys)
+
+    def neighbor_masks(self):
+        ok_x = self.mask.copy()
+        ok_x[:, -1] = False
+        return ok_x, np.zeros_like(self.mask)
+
+    def boundary(self):
+        ends = np.array([self.dom.a, self.dom.b])
+        return BoundarySamples(s=ends, x=np.column_stack([ends, np.zeros(2)]), w=np.ones(2),
+                               edge_id=np.array([0, 1]), probe_iy=np.zeros(2, dtype=int),
+                               probe_ix=np.array([0, len(self.xs) - 1]))
 
 
 def line_grid(a=0.0, b=1.0, n_cells=10_000):
@@ -50,13 +64,11 @@ class GridField:
     """Scalar or vector field sampled at cell centers of a masked lattice.
 
     values has shape (ny, nx) for M = 1 or (ny, nx, M); entries outside the
-    mask are ignored (kept at 0 by the constructors).  jump_set optionally
-    carries the analytic jump segments of a piecewise-constant field.
+    mask are ignored (kept at 0 by the constructors).
     """
 
     grid: object                 # DomainGrid or LineGrid
     values: np.ndarray
-    jump_set: list | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -72,7 +84,7 @@ class GridField:
         lattice's shape and checked finite on the mask: no __post_init__
         pass over the mask."""
         u = cls.__new__(cls)
-        u.grid, u.values, u.jump_set = grid, values, None
+        u.grid, u.values = grid, values
         return u
 
     @property
@@ -84,26 +96,18 @@ class GridField:
         return self.grid.dom
 
     @property
-    def is_1d(self):
-        return getattr(self.grid, "is_1d", False)
-
-    @property
     def value_dim(self):
         extra = self.values.ndim - self.grid.mask.ndim
         return 1 if extra == 0 else self.values.shape[-1]
 
 
 def field_from_function(grid, fn, vector_dim=None) -> GridField:
-    """Sample fn at cell centers.  fn takes (X, Y) arrays for 2-D grids or a
-    coordinate array for 1-D grids and must broadcast."""
-    if getattr(grid, "is_1d", False):
-        vals = np.asarray(fn(grid.xs), dtype=float)
-        vals = np.broadcast_to(vals, grid.xs.shape).copy()
-    else:
-        X, Y = grid.cell_centers()
-        vals = np.asarray(fn(X, Y), dtype=float)
-        target = X.shape if vector_dim is None else X.shape + (vector_dim,)
-        vals = np.broadcast_to(vals, target).copy()
+    """Sample fn at cell centers.  fn takes the (X, Y) arrays of the cell
+    centers and must broadcast."""
+    X, Y = grid.cell_centers()
+    vals = np.asarray(fn(X, Y), dtype=float)
+    target = X.shape if vector_dim is None else X.shape + (vector_dim,)
+    vals = np.broadcast_to(vals, target).copy()
     vals[~grid.mask] = 0.0
     return GridField(grid, vals)
 
@@ -171,11 +175,6 @@ def _grad_adjoint(xx, yy, h, ok_x, ok_y):
 
 def gradient_magnitude(u: GridField):
     """Per-cell |grad u| (Frobenius norm across value components)."""
-    if u.is_1d:
-        v = u.values
-        d = np.zeros_like(v)
-        d[:-1] = (v[1:] - v[:-1]) / u.h
-        return np.abs(d)
     dx, dy = _grad(u.values, u.h, *u.grid.neighbor_masks())
     dx *= dx
     dy *= dy
@@ -188,8 +187,6 @@ def gradient_magnitude(u: GridField):
 def tv_grid(u: GridField) -> float:
     """Isotropic discrete total variation sum h^d |grad u| over masked cells."""
     g = gradient_magnitude(u)
-    if u.is_1d:
-        return float(u.h * g[u.grid.mask].sum())
     return float(u.grid.cell_area * g[u.grid.mask].sum())
 
 
@@ -215,17 +212,15 @@ class TraceSample:
     """Boundary values with quadrature: sum(w) = perimeter up to O(h).
 
     values holds the trace at each sample (shape (n,) or (n, M)); s is the
-    arc-length position, normal the outward unit normal, edge_id the polygon
-    edge index.  Samples are arc-ordered.
+    arc-length position, edge_id the polygon edge index.  Samples are
+    arc-ordered.
     """
 
     s: np.ndarray
     x: np.ndarray
-    normal: np.ndarray
     w: np.ndarray
     values: np.ndarray
     edge_id: np.ndarray
-    perimeter: float
     dom: object = None
 
     def __len__(self):
@@ -237,23 +232,14 @@ class TraceSample:
         return float((self.w * v).sum())
 
     def map_values(self, fn):
-        return TraceSample(self.s, self.x, self.normal, self.w, fn(self.values),
-                           self.edge_id, self.perimeter, self.dom)
+        return TraceSample(self.s, self.x, self.w, fn(self.values), self.edge_id, self.dom)
 
 
 def trace_extract(u: GridField) -> TraceSample:
     """Boundary trace by depth-1 normal probe into the nearest interior cell."""
-    if u.is_1d:
-        g = u.grid
-        ends = np.array([g.dom.a, g.dom.b])
-        vals = np.array([u.values[0], u.values[-1]])
-        return TraceSample(s=ends, x=ends[:, None], normal=np.array([[-1.0], [1.0]]),
-                           w=np.ones(2), values=vals, edge_id=np.array([0, 1]),
-                           perimeter=2.0, dom=g.dom)
     b = u.grid.boundary()
     vals = u.values[b.probe_iy, b.probe_ix]
-    return TraceSample(s=b.s, x=b.x, normal=b.normal, w=b.w, values=vals,
-                       edge_id=b.edge_id, perimeter=b.perimeter, dom=u.dom)
+    return TraceSample(s=b.s, x=b.x, w=b.w, values=vals, edge_id=b.edge_id, dom=u.dom)
 
 
 def boundary_trace_from_function(grid, fn) -> TraceSample:
@@ -262,8 +248,7 @@ def boundary_trace_from_function(grid, fn) -> TraceSample:
     b = grid.boundary()
     vals = np.asarray(fn(b.x[:, 0], b.x[:, 1]), dtype=float)
     vals = np.broadcast_to(vals, b.s.shape).copy()
-    return TraceSample(s=b.s, x=b.x, normal=b.normal, w=b.w, values=vals,
-                       edge_id=b.edge_id, perimeter=b.perimeter, dom=grid.dom)
+    return TraceSample(s=b.s, x=b.x, w=b.w, values=vals, edge_id=b.edge_id, dom=grid.dom)
 
 
 # -- energies ---------------------------------------------------------------------------
@@ -405,7 +390,6 @@ def save_field(u: GridField, basepath):
         "shape": list(u.values.shape),
         "M": u.value_dim,
         "mask_rle": _mask_rle(u.grid.mask),
-        "is_1d": bool(u.is_1d),
     }
     with open(base + ".json", "w") as f:
         json.dump(header, f)

@@ -124,7 +124,6 @@ class E1Family(CounterexampleFamily):
         vals_fn = lambda X, Y: np.where(X + Y < c, float(n), 0.0)
         f = field_from_function(g, vals_fn)
         jump = [((c, 0.0), (0.0, c), float(n))]
-        f.jump_set = jump
         exact = _legs_trace(self.dom, [(0.0, c, float(n)),
                                        (4.0 - c, 4.0, float(n))])
         return SequenceSpec(self.name, n, f, self.member_energy(n), jump, exact)
@@ -153,9 +152,8 @@ def _legs_trace(dom, segments) -> TraceSample:
     s_mid = np.asarray(s_mid)
     pts = dom.boundary_point(s_mid)
     _, _, eid = dom.boundary_distance(pts)
-    return TraceSample(s=s_mid, x=pts, normal=np.zeros_like(pts), w=np.asarray(w),
-                       values=np.asarray(vals), edge_id=eid, perimeter=dom.perimeter,
-                       dom=dom)
+    return TraceSample(s=s_mid, x=pts, w=np.asarray(w), values=np.asarray(vals),
+                       edge_id=eid, dom=dom)
 
 
 class E2Family(CounterexampleFamily):
@@ -220,12 +218,12 @@ class Log1DFamily(CounterexampleFamily):
 
     def member(self, n, h=None):
         g = line_grid(self.dom.a, self.dom.b, self.n_cells)
-        f = field_from_function(g, lambda x: np.log(np.maximum(x, 1.0 / n)))
+        f = field_from_function(g, lambda X, Y: np.log(np.maximum(X, 1.0 / n)))
         return SequenceSpec(self.name, n, f, self.member_energy(n))
 
     def limit_field(self, h=None):
         g = line_grid(self.dom.a, self.dom.b, self.n_cells)
-        return field_from_function(g, lambda x: np.log(x))
+        return field_from_function(g, lambda X, Y: np.log(X))
 
 
 def family_by_name(name, lam=None, sigma=1.0, **kw):

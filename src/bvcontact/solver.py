@@ -410,7 +410,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
 
     bulk selects the smooth term: 'quadratic' for (u - f)^2, 'capillarity'
     for the area integrand + u^2 + nu * boundary trace (d and ctx are then
-    ignored; the contact is the linear density nu), 'none' for pure
+    ignored; the contact is the linear density nu; f must be None), 'none' for pure
     TV + contact, which is frequently unbounded or trivial and therefore
     requires allow_no_bulk=True.
 
@@ -444,6 +444,8 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
                                   or not -math.inf < nu < math.inf):
         raise ValueError(f"nu must be a finite number for capillarity, got {nu!r} "
                          "(missing, non-finite or not a number)")
+    if bulk == "capillarity" and f is not None:
+        raise ValueError("bulk='capillarity' has the bulk term u^2 and reads no f")
     if bulk == "none" and not allow_no_bulk:
         raise ValueError("bulk='none' is usually ill-posed; pass allow_no_bulk=True "
                          "to override")

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from bvcontact.density import (SurfaceDensity, YosidaContext, absolute, eval_den
                                lip_upper_approx_many, quadratic, step_density,
                                tabulated, upper_envelope_T, verify_lower_bound,
                                yosida_eval, yosida_eval_many, yosida_radius)
-from bvcontact.errors import DegenerateMargin, UnboundedBelow
+from bvcontact.errors import DegenerateMargin, SchemaError, UnboundedBelow, UnsupportedArity
 from bvcontact.extension import optimal_boundary_values
 from bvcontact.geometry import unit_square
 from bvcontact.grid import field_from_function, trace_extract
@@ -76,6 +77,20 @@ def test_lower_bound_estimation_for_expression():
         SurfaceDensity(kind="expression", expr_text=d.expr_text, c=1.0, L=0.5),
         [(X, np.linspace(-8, 8, 201))])
     assert rep.holds
+
+
+def test_x_dependent_expression_needs_declared_bounds():
+    # sampled at x = (0, 0) only, the estimate read c = L = 0, and the bound
+    # then failed by 0.2 at x = (1, 0)
+    for kw, key in (({}, "density_c"), ({"c": 0.2}, "density_L"), ({"L": 1.0}, "density_c")):
+        with pytest.raises(SchemaError) as ei:
+            expression("abs(p) - 0.2*x1*x1", **kw)
+        assert ei.value.location == key
+    with pytest.raises(SchemaError):
+        expression("p + x2")
+    d = expression("abs(p) - 0.2*x1*x1", c=0.2, L=0.0)
+    assert verify_lower_bound(d, [((1.0, 0.0), np.linspace(-8, 8, 101))]).holds
+    assert expression("0.5*abs(p) - 1").lower_bound_estimated  # x-free: still estimated
 
 
 # -- the sigma-Yosida transform -----------------------------------------------------
@@ -251,6 +266,63 @@ def test_envelope_dominates_density():
         assert upper_envelope_T(d, X, p) >= d.eval_many(X, np.array([p]))[0] - 1e-6
 
 
+def sum_of_ball_sups_T(d, x, ps):
+    """Reference T = sum_j M_{j+2} psi_j(|p|): psi_1 is 1 on [0, 1] and falls
+    to 0 at 2, psi_j (j >= 2) is the unit hat on [j-1, j+1], and each
+    M_j = max(sup_{|q| <= j} tau, 0) is read from its own dense grid on [-j, j]."""
+    sups = {}
+
+    def ball_sup(j):
+        if j not in sups:
+            q = np.linspace(-j, j, int(2 * j * density.BALL_GRID_PER_UNIT) + 1)
+            sups[j] = max(float(d.eval_many(x, q).max()), 0.0)
+        return sups[j]
+
+    out = []
+    for p in ps:
+        r = abs(float(p))
+        j = math.floor(r)
+        weights = [(1, 1.0)] if r <= 1.0 else [(j, 1.0 - (r - j)), (j + 1, r - j)]
+        out.append(sum(w * ball_sup(i + 2) for i, w in weights if w > 0))
+    return np.array(out)
+
+
+ENVELOPE_DENSITIES = {
+    "linear": lambda: linear(-0.5), "linear1": lambda: linear(1.0),
+    "absolute": lambda: absolute(0.5), "quadratic": quadratic,
+    "two-well": lambda: expression("2*min(abs(p-1), abs(p+1))", c=0.0, L=0.0),
+    "table": lambda: expression("p*p + 0.5*abs(p-0.25)", c=0.0, L=0.0),
+    "x1": lambda: expression("abs(p) - 0.2*x1*x1", c=0.2, L=1.0),
+    "step": step_density,
+    "tabulated": lambda: tabulated([-2.0, -0.5, 0.0, 1.0, 3.0], [1.0, -0.3, 0.7, 2.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("name", ENVELOPE_DENSITIES)
+def test_envelope_is_the_sum_of_ball_sups(name):
+    d = ENVELOPE_DENSITIES[name]()
+    x = (0.3, 0.7)
+    ps = np.linspace(-7.3, 7.3, 1461)
+    got = upper_envelope_T(d, x, ps)
+    ref = sum_of_ball_sups_T(d, x, ps)
+    if name == "step":
+        assert np.array_equal(got, ref)
+    assert np.all(np.abs(got - ref) <= 4.4e-16 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_envelope_is_vectorized():
+    d = expression(TWO_WELL, c=0.0, L=0.0)
+    ps = np.array([-4.2, -1.0, -0.3, 0.0, 0.5, 1.5, 2.0, 3.75])
+    scalar = [upper_envelope_T(d, X, p) for p in ps]
+    assert all(type(t) is float for t in scalar)
+    assert np.array_equal(upper_envelope_T(d, X, ps), scalar)
+
+
+def test_envelope_rejects_vector_density():
+    with pytest.raises(UnsupportedArity):
+        upper_envelope_T(quadratic(value_dim=2), X, np.array([0.6, 0.8]))
+
+
 def test_ladder_fixed_point_for_smooth_small_density():
     # tau continuous, <= T, and 1-Lipschitz: the sup is attained at q = p
     d = SurfaceDensity.from_callable(lambda x, P: -np.abs(np.asarray(P, float)),
@@ -368,8 +440,8 @@ def test_ladder_matches_dense_reference(k, envelope_nodes):
     got = lip_upper_approx_many(d, k, X, P)
     (q,) = envelope_nodes
     assert np.isin(P, q).all()
-    t_q = d.eval_many(X, q) - density._envelope_values(d, X, q)
-    ref = density._envelope_values(d, X, P) - dense_cone_min(-t_q, q, k, P)
+    t_q = d.eval_many(X, q) - density.upper_envelope_T(d, X, q)
+    ref = density.upper_envelope_T(d, X, P) - dense_cone_min(-t_q, q, k, P)
     assert np.abs(got - ref).max() <= 1e-12
 
 

@@ -13,6 +13,7 @@ from bvcontact.grid import (GridField, _grad, _grad_adjoint, _grad_at,
                             energy_capillarity, energy_F, energy_H, field_from_function,
                             l1_distance, line_grid, load_field, save_field,
                             trace_extract, tv_exact_pc, tv_grid)
+from bvcontact.relaxation import Log1DFamily
 
 SQ = unit_square()
 DISK = regular_ngon(256)
@@ -235,11 +236,32 @@ def test_l1_distance_rejects_mismatch():
 def test_1d_log_field_energy():
     g = line_grid(0, 1, 10_000)
     n = 10
-    u = field_from_function(g, lambda x: np.log(np.maximum(x, 1.0 / n)))
+    u = field_from_function(g, lambda X, Y: np.log(np.maximum(X, 1.0 / n)))
     tr = trace_extract(u)
     assert tr.values[0] == pytest.approx(math.log(1 / n), abs=1e-6)
     rep = energy_F(u, density.linear(1.0), sigma=1.0)
     assert abs(rep.total) < 1e-2
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_interval_lattice_matches_1d_formulas(n):
+    # the interval as a 1 x K lattice gives, bit for bit, the direct 1-D
+    # forward differences and the endpoint trace with unit weights
+    fam = Log1DFamily(n_cells=10_000)
+    u = fam.member(n).realization
+    h = 1.0 / 10_000
+    v = np.log(np.maximum((np.arange(10_000) + 0.5) * h, 1.0 / n))
+    assert u.values.shape == (1, 10_000) and np.array_equal(u.values[0], v)
+    d = np.zeros_like(v)
+    d[:-1] = (v[1:] - v[:-1]) / h
+    tv = float(h * np.abs(d).sum())
+    assert tv_grid(u) == tv
+    tr = trace_extract(u)
+    assert np.array_equal(tr.values, [v[0], v[-1]]) and np.array_equal(tr.w, [1.0, 1.0])
+    assert np.array_equal(tr.s, [0.0, 1.0]) and np.array_equal(tr.edge_id, [0, 1])
+    rep = energy_F(u, fam.density, 1.0)
+    assert (rep.tv_term, rep.contact_term) == (tv, float(v[0]) + float(v[-1]))
+    assert rep.per_edge == {0: float(v[0]), 1: float(v[-1])}
 
 
 def test_vector_field_tv_frobenius():

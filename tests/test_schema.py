@@ -62,6 +62,29 @@ def test_probe_raises_schema_error_at_its_key(scn, where, tmp_path):
     assert _location(scn, tmp_path) == where
 
 
+@pytest.mark.parametrize("scn, where", [
+    ({"task": "solve", "nu": 0.5, "grid_h": 1 / 16,
+      "params": {"bulk": "capillarity", "f": "const:3", "iters": 3}}, "params.f"),
+    ({"task": "energy", "density": "abs(p) - 0.2*x1*x1", "grid_h": 1 / 16}, "density_c"),
+    ({"task": "energy", "density": "abs(p) - 0.2*x1*x1", "density_c": 0.2, "grid_h": 1 / 16},
+     "density_L"),
+])
+def test_refused_combination_raises_at_its_key(scn, where, tmp_path):
+    assert _location(scn, tmp_path) == where
+
+
+@pytest.mark.parametrize("h", [1e-300, 5e-324, 1e-7])
+def test_too_fine_grid_raises_schema_error(h, tmp_path, capsys):
+    # numpy's ValueError, an OverflowError and a 90.9 TiB MemoryError before
+    scn = {"task": "energy", "density": "linear:-0.5", "grid_h": h}
+    assert _location(scn, tmp_path / "run") == "grid_h"
+    cfg = tmp_path / "scn.json"
+    cfg.write_text(json.dumps(scn))
+    assert main(["energy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "SchemaError" and err["location"] == "grid_h"
+
+
 @pytest.mark.parametrize("sweep", [[1, 0, 0.1], [0, 1, -0.1], [0, 1, 0]])
 def test_bad_lam_sweep_is_refused(sweep, tmp_path):
     # these raised UnboundLocalError (no family built) or ZeroDivisionError
@@ -263,7 +286,8 @@ def scenarios(draw):
 
 
 def _missing(scn):
-    """Location of the first required key the scenario lacks, or None."""
+    """Location of the first required key the scenario lacks, else of an f
+    given to a capillarity solve (whose bulk reads no f), or None."""
     task, params = scn["task"], scn["params"]
     needs = {task, f"{task}:{params.get('bulk', 'quadratic')}"}
     for where, given, rows in (("", scn, SCHEMA[""]), ("params.", params, SCHEMA[task])):
@@ -271,6 +295,8 @@ def _missing(scn):
             value = given.get(key, default)
             if needs & set(required) and (value is None or value is False):
                 return where + key
+    if "solve:capillarity" in needs and params.get("f") is not None:
+        return "params.f"
     return None
 
 

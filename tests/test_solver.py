@@ -245,6 +245,15 @@ def test_minimize_energy_rejects_bad_step_scale(step_scale):
                         step_scale=step_scale)
 
 
+def test_capillarity_rejects_f():
+    # the solve used to add (u - f)^2 while the report read int u^2: at f = 3
+    # u went to 2.0 and the report said bulk 4.0, total 9.0
+    dom = unit_square()
+    f = constant_field(dom.grid(1 / 16), 3.0)
+    with pytest.raises(ValueError, match="reads no f"):
+        minimize_energy(dom, bulk="capillarity", nu=0.5, f=f, h=1 / 16, iters=3)
+
+
 def test_capillarity_runs_at_beta_zero():
     res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, iters=50,
                           tol=0.0, beta=0.0)
