@@ -31,6 +31,9 @@ from .solver import minimize_energy
 
 FLOAT_FMT = "%.12g"
 
+#: the most lambda values a lam_sweep may ask for
+MAX_SWEEP_VALUES = 10 ** 6
+
 TASKS = ("yosida", "qgeom", "energy", "counterexample", "relax-verify",
          "extend-verify", "solve")
 
@@ -49,7 +52,8 @@ _FIELD_BUILDERS = {
 _KINDS = {"float": "a finite number", "number": "a finite number", "count": "a whole number",
           "counts": "a non-empty list of whole numbers", "flag": "true or false",
           "enum": "one of", "text": "a non-empty string", "object": "a JSON object",
-          "sweep": "[lo, hi, step] with lo <= hi and step > 0",
+          "sweep": f"[lo, hi, step] with lo <= hi, step > 0 and at most {MAX_SWEEP_VALUES} "
+                   "values",
           "domain": '{"file": path} or one of', "field": 'const:<v>, {"file": path} or one of'}
 
 
@@ -151,8 +155,11 @@ def _ok(v, kind, allowed):
     if kind == "counts":
         return isinstance(v, list) and v != [] and all(_ok(x, "count", allowed) for x in v)
     if kind == "sweep":
+        # (hi + 1e-12 - lo) / step rounds up to the runner's np.arange length,
+        # and reads inf for a sweep too long for any float count
         return (isinstance(v, list) and len(v) == 3 and all(_ok(x, "number", None) for x in v)
-                and v[0] <= v[1] and v[2] > 0)
+                and v[0] <= v[1] and v[2] > 0
+                and (v[1] + 1e-12 - v[0]) / v[2] <= MAX_SWEEP_VALUES)
     if isinstance(v, dict):
         return kind == "object" or (kind in ("field", "domain") and set(v) == {"file"}
                                     and isinstance(v["file"], str))
@@ -309,6 +316,9 @@ def _task_solve(v, dom, d, ctx, out, rng):
     if v["f"] is not None and v["bulk"] == "capillarity":
         raise SchemaError("bulk 'capillarity' has the bulk term u^2 and reads no f",
                           location="params.f")
+    if d is not None and d.depends_on_x and v["bulk"] != "capillarity":
+        raise SchemaError("the solver tabulates the contact transform at one boundary "
+                          "point, so its density may not read x1 or x2", location="density")
     f = None if v["f"] is None else _load_field_spec(v["f"], dom.grid(v["grid_h"]))
     step = {} if v["step_scale"] is None else {"step_scale": v["step_scale"]}
     res = minimize_energy(

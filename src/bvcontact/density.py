@@ -31,6 +31,9 @@ NEG_SENTINEL = -1e30
 #: slope threshold for declaring a descent direction at the search boundary
 DESCENT_MARGIN = 1e-6
 
+#: elements (rows x nodes) in one chunk of the per-sample transform search
+ROW_CHUNK = 2 ** 15
+
 
 def _pnorm(p, value_dim=1):
     """|p| for batches: elementwise abs when M = 1, Euclidean row norms else."""
@@ -105,7 +108,8 @@ class SurfaceDensity:
     # -- evaluation ---------------------------------------------------------------
 
     def eval_many(self, x, P):
-        """Vectorized tau(x, P[i]); P has shape (n,) for M = 1, (n, M) else."""
+        """Vectorized tau(x, P[i]); P has shape (n,) for M = 1, (n, M) else, and
+        x is one point or one per sample (x[..., 0] broadcasts against P)."""
         P = np.asarray(P, dtype=float)
         if self.kind == "linear":
             return self.lam * (P if P.ndim <= 1 else P.sum(axis=-1))
@@ -120,10 +124,9 @@ class SurfaceDensity:
             idx = np.clip(np.searchsorted(grid, P, side="right") - 1, 0, len(grid) - 1)
             return np.asarray(vals)[idx]
         if self.kind == "expression":
-            x1, x2 = (float(x[0]), float(x[1])) if x is not None else (0.0, 0.0)
-            out = exprgrammar.eval_ast(self._ast, P, x1, x2)
-            return np.broadcast_to(np.asarray(out, dtype=float), P.shape).copy() \
-                if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+            x1, x2 = (0.0, 0.0) if x is None else np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+            out = np.asarray(exprgrammar.eval_ast(self._ast, P, x1, x2), dtype=float)
+            return out if out.shape == P.shape else np.broadcast_to(out, P.shape).copy()
         return np.asarray(self.fn(x, P), dtype=float)
 
     @property
@@ -279,9 +282,9 @@ def yosida_radius(d: SurfaceDensity, sigma, x, p) -> float:
 
         R = (c(x) + tau(x,p) + 1 + 2*sigma*|p|) / (sigma - sup L),
 
-    clamped below by |p| + 1.  p may also be an array of values at the same x;
-    the largest of their radii is returned.  Requires sup L strictly below
-    sigma.
+    clamped below by |p| + 1.  p may also be an array of values, at one x or
+    at its samples' points x (n, 2); the largest of their radii is returned.
+    Requires sup L strictly below sigma.
     """
     margin = 1e-9 * max(1.0, sigma)
     Ls = d.L_sup
@@ -289,7 +292,8 @@ def yosida_radius(d: SurfaceDensity, sigma, x, p) -> float:
         raise DegenerateMargin(f"sigma - sup L = {sigma - Ls:.3g}; widen sigma or use closed forms")
     P = np.asarray(p, dtype=float).reshape((-1,) + ((d.value_dim,) if d.value_dim > 1 else ()))
     pn = _pnorm(P, d.value_dim)
-    num = d.c_at(x) + d.eval_many(x, P) + 1.0 + 2.0 * sigma * pn
+    c = np.asarray(d.c(x) if callable(d.c) else d.c, dtype=float)
+    num = c + d.eval_many(x, P) + 1.0 + 2.0 * sigma * pn
     return float(np.max(np.maximum(num / (sigma - Ls), pn + 1.0)))
 
 
@@ -376,34 +380,51 @@ def _cone_envelope(f, q, s):
 
 
 def _brute_force_yosida(d, ctx, x, p_values):
-    """Grid minimization of q -> tau(x,q) + sigma|p-q| for scalar p values.
-
-    All p values share one q-grid, centered so every p lies on a node (hence
-    sigma-Lipschitz densities are exact fixed points); the minimum at every
-    node is the cone envelope of tau on the grid.  A descent slope
-    <= -DESCENT_MARGIN at the search boundary raises UnboundedBelow.
-    """
+    """Grid minimum of q -> tau(x,q) + sigma|p-q| per scalar p, and a node
+    attaining it.  Every p is a node.  A density that reads x, at the samples'
+    points x (n, 2), is searched on each row p_i + k step, |k step| <= radius,
+    ROW_CHUNK elements at a time, ties going to the node nearest p_i; else all
+    p share one q-grid, whose minimum at every node is the cone envelope of tau."""
     sigma = ctx.sigma
     P = np.atleast_1d(np.asarray(p_values, dtype=float))
-    radius = ctx.search_radius
-    if radius is None:
-        radius = yosida_radius(d, sigma, x, P)
-    step = ctx.q_grid_step if ctx.q_grid_step is not None else radius / 2000.0
-    step = min(step, radius / 8.0)
+    radius = ctx.search_radius or yosida_radius(d, sigma, x, P)
+    step = min(ctx.q_grid_step or radius / 2000.0, radius / 8.0)
+    if np.ndim(x) == 2 and d.depends_on_x:
+        k = math.ceil(radius / step)
+        offsets = np.arange(-k, k + 1) * step
+        cone = sigma * np.abs(offsets)         # sigma |p_i - q| on every row
+        rows = max(1, ROW_CHUNK // len(offsets))
+        hat, q_min = np.empty((2, len(P)))
+        for a in range(0, len(P), rows):
+            q = P[a:a + rows, None] + offsets
+            g = _finite_or_sentinel(d.eval_many(x[a:a + rows, None], q))
+            g += cone
+            hat[a:a + rows] = m = g.min(axis=1)
+            _refuse_descent(g, m, q, sigma)
+            # of the nodes within rounding of the minimum, the one nearest p_i
+            near = g <= (m + 1e-13 * (1.0 + np.abs(m)))[:, None]
+            q_min[a:a + rows] = q[np.arange(len(q)), np.where(near, cone, np.inf).argmin(axis=1)]
+        return hat, q_min
     lo, hi = float(P.min()) - radius, float(P.max()) + radius
     # anchor the grid on the p-values: union of a coarse cover and exact p nodes
     n = int(math.ceil((hi - lo) / step)) + 1
     q = np.unique(np.concatenate([np.linspace(lo, hi, n), P]))
-    tau_q = _finite_or_sentinel(d.eval_many(x, q))
-    # boundary descent test on the envelope for the extreme p values
-    for pi in ((P.min(), P.max()) if len(q) > 2 else ()):
-        gi = tau_q + sigma * np.abs(pi - q)
-        near_min = gi.min() + sigma * (q[1] - q[0])
-        if (gi[0] - gi[1]) / (q[1] - q[0]) <= -DESCENT_MARGIN and gi[0] <= near_min:
-            raise UnboundedBelow("descent direction active at left search boundary")
-        if (gi[-1] - gi[-2]) / (q[-1] - q[-2]) <= -DESCENT_MARGIN and gi[-1] <= near_min:
-            raise UnboundedBelow("descent direction active at right search boundary")
-    return _cone_envelope(tau_q, q, sigma)[0][np.searchsorted(q, P)]
+    tau_q = _finite_or_sentinel(d.eval_many(None if np.ndim(x) == 2 else x, q))
+    g = tau_q + sigma * np.abs(np.array([[P.min()], [P.max()]]) - q)
+    _refuse_descent(g, g.min(axis=1), q, sigma)
+    env, arg = _cone_envelope(tau_q, q, sigma)
+    at = np.searchsorted(q, P)
+    return env[at], q[arg[at]]
+
+
+def _refuse_descent(g, g_min, q, sigma):
+    """UnboundedBelow where a row of g = tau(q) + sigma|p - q| still falls (slope
+    <= -DESCENT_MARGIN) at an end of its nodes q, within a step of its minimum."""
+    near_min = g_min + sigma * (q[..., 1] - q[..., 0])
+    for side, end, inner in (("left", 0, 1), ("right", -1, -2)):
+        slope = (g[:, end] - g[:, inner]) / np.abs(q[..., end] - q[..., inner])
+        if np.any((slope <= -DESCENT_MARGIN) & (g[:, end] <= near_min)):
+            raise UnboundedBelow(f"descent direction active at {side} search boundary")
 
 
 def yosida_eval(d: SurfaceDensity, ctx: YosidaContext, x, p, force_bruteforce=False):
@@ -419,7 +440,7 @@ def yosida_eval(d: SurfaceDensity, ctx: YosidaContext, x, p, force_bruteforce=Fa
 
 
 def yosida_eval_many(d, ctx, x, P, force_bruteforce=False):
-    """Vectorized tau_hat over an array of scalar p values (shared q-grid)."""
+    """Vectorized tau_hat over scalar p values, at one point x or per sample."""
     P = np.asarray(P, dtype=float)
     if not force_bruteforce:
         cf = closed_form(d, ctx.sigma)
@@ -427,7 +448,7 @@ def yosida_eval_many(d, ctx, x, P, force_bruteforce=False):
             return cf.hat(P)
     if d.value_dim != 1:
         raise UnsupportedArity("brute-force transform supports M = 1 only")
-    return _brute_force_yosida(d, ctx, x, P.ravel()).reshape(P.shape)
+    return _brute_force_yosida(d, ctx, x, P.ravel())[0].reshape(P.shape)
 
 
 # -- upper envelope and the Lipschitz approximation ladder ------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _cone_envelope, _finite_or_sentinel, closed_form, yosida_radius
+from .density import YosidaContext, _brute_force_yosida, closed_form
 from .errors import LayerTooThin, MaskMismatch
 from .grid import GridField, TraceSample, _grad_at, trace_extract
 
@@ -213,7 +213,7 @@ def recovery_sequence(u: GridField, p: TraceSample, n: int) -> GridField:
 
 
 def _recovery_with_sharpness(u, p, n):
-    """(field, effective eps): eps = max(1/n, resolvability floor for p - Tr u)."""
+    """(field, effective eps): eps = max(1/n, resolvability floor for p - Tr u) <= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     tr = trace_extract(u)
@@ -222,7 +222,7 @@ def _recovery_with_sharpness(u, p, n):
     g = p.map_values(lambda v: v - tr.values)
     if np.max(np.abs(g.values)) == 0.0:
         return u, 0.0
-    eps = max(1.0 / n, required_eps(g, u.h))
+    eps = min(max(1.0 / n, required_eps(g, u.h)), 1.0)
     ext = extend_boundary_data(g, eps, u.h)
     return GridField(u.grid, u.values + ext.field.values), eps
 
@@ -230,34 +230,19 @@ def _recovery_with_sharpness(u, p, n):
 def optimal_boundary_values(u: GridField, d, ctx, eps: float) -> TraceSample:
     """Per-sample near-minimizers of tau(x, q) + sigma |t - q| at t = Tr u.
 
-    The achieved value is within eps of the transform at every sample (grid
-    step eps / (4 sigma) inside the radius bound; closed forms for builtins).
-    Densities free of x share one q-grid holding every t, whose cone-envelope
-    argmins give all samples at once; others search a grid around each t.
+    The achieved value is within eps of the transform at every sample: the
+    closed-form argmin for builtins, else the minimizer of the transform's
+    grid search (density._brute_force_yosida) at step eps / (4 sigma), each
+    sample at its own point.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     tr = trace_extract(u)
-    t = tr.values
-    sigma = ctx.sigma
-    cf = closed_form(d, sigma)
+    cf = closed_form(d, ctx.sigma)
     if cf is not None:
         return tr.map_values(cf.argmin)
-    radius = (max(yosida_radius(d, sigma, tuple(xi), ti) for xi, ti in zip(tr.x, t))
-              if d.depends_on_x or callable(d.c) else yosida_radius(d, sigma, None, t))
-    step = eps / (4.0 * sigma)
-    offsets = np.arange(-radius, radius + step, step)
-    if not d.depends_on_x:
-        qgrid = np.unique(np.concatenate([offsets, t]))
-        arg = _cone_envelope(_finite_or_sentinel(d.eval_many(None, qgrid)), qgrid, sigma)[1]
-        q = qgrid[arg[np.searchsorted(qgrid, t)]]
-    else:
-        q = np.empty_like(t)
-        for i in range(len(t)):
-            qgrid = np.concatenate([t[i] + offsets, [t[i]]])
-            tau_q = _finite_or_sentinel(d.eval_many(tuple(tr.x[i]), qgrid))
-            q[i] = qgrid[np.argmin(tau_q + sigma * np.abs(t[i] - qgrid))]
-    return tr.map_values(lambda _: q)
+    search = YosidaContext(ctx.sigma, q_grid_step=eps / (4.0 * ctx.sigma))
+    return tr.map_values(lambda t: _brute_force_yosida(d, search, tr.x, t)[1])
 
 
 def compactness_bound(energy: float, d, dom, sigma: float, epsilon0: float,

@@ -277,23 +277,15 @@ class EnergyReport:
 
 
 def _contact_integral(trace: TraceSample, evaluate) -> tuple[float, dict, bool]:
-    """sum w_i * evaluate(x_i, value_i), grouped per edge.  evaluate is called
-    once per edge with vectorized values (densities are continuous in x at
-    the sample scale, so the edge's first sample point represents it).  The
-    third return flags values at the negative clamping sentinel."""
-    per_edge = {}
-    total = 0.0
-    clamped = False
-    for e in np.unique(trace.edge_id):
-        sel = trace.edge_id == e
-        x_rep = trace.x[np.argmax(sel)]
-        vals = np.asarray(evaluate(x_rep, trace.values[sel]), dtype=float)
-        if np.any(vals <= 0.9 * NEG_SENTINEL):
-            clamped = True
-        contrib = float((trace.w[sel] * vals).sum())
-        per_edge[int(e)] = contrib
-        total += contrib
-    return total, per_edge, clamped
+    """sum w_i * evaluate(x_i, value_i), each sample at its own point, as
+    the sum of its per-edge sums, and those sums.  evaluate is called once,
+    with the samples' points (n, 2) and values.  The third return flags
+    values at the negative clamping sentinel."""
+    vals = np.asarray(evaluate(trace.x, trace.values), dtype=float)
+    edges, at = np.unique(trace.edge_id, return_inverse=True)
+    sums = np.bincount(at, weights=trace.w * vals, minlength=len(edges))
+    per_edge = dict(zip(edges.tolist(), sums.tolist()))
+    return float(sums.sum()), per_edge, bool(np.any(vals <= 0.9 * NEG_SENTINEL))
 
 
 def _energy(u: GridField, sigma, evaluate, jumps, exact_trace) -> EnergyReport:

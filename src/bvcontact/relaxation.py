@@ -379,14 +379,15 @@ def _bump_tail(u, d, ctx, budget, seed):
     X, Y = g.cell_centers()
     for j in picks:
         x0, y0 = b.x[j]
-        for amp in (-1.5, 0.75):
-            energies = []
-            for n in (max(2, budget // 2), budget):
-                width = max(0.5 / n, 4 * g.h)
-                bump = amp * np.exp(-((X - x0) ** 2 + (Y - y0) ** 2) / (2 * width ** 2))
-                un = GridField(g, u.values + np.where(g.mask, bump, 0.0))
-                energies.append(energy_F(un, d, ctx.sigma).total)
-            out.append((f"bump({x0:.2f},{y0:.2f},A={amp})", energies[0], energies[1]))
+        r2 = (X - x0) ** 2 + (Y - y0) ** 2
+        energies = {-1.5: [], 0.75: []}        # amplitude -> energies at n/2, n
+        for n in (max(2, budget // 2), budget):
+            width = max(0.5 / n, 4 * g.h)
+            gauss = np.exp(-r2 / (2 * width ** 2))
+            for amp, e in energies.items():
+                un = GridField(g, u.values + np.where(g.mask, amp * gauss, 0.0))
+                e.append(energy_F(un, d, ctx.sigma).total)
+        out += [(f"bump({x0:.2f},{y0:.2f},A={amp})", *e) for amp, e in energies.items()]
     return out
 
 

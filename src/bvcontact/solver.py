@@ -233,7 +233,8 @@ class _ContactProx:
 
     Two resolvent paths: the density's closed-form prox where it has one
     (density.closed_form), else the exact argmin over tabulated transform
-    values T on the nodes qs.
+    values T on the nodes qs.  One table serves every cell, so the table
+    path raises ValueError for a density that reads x (depends_on_x).
 
     The table path brackets each cell by the node j minimizing the convex
     surrogate S = s C + (q - z)^2 / 2, with C the lower convex envelope of T
@@ -271,15 +272,15 @@ class _ContactProx:
         cf = None if d is None else closed_form(d, ctx.sigma)
         self.closed = cf if cf is not None and cf.prox is not None else None
         if d is not None and self.closed is None:
+            if d.depends_on_x:
+                raise ValueError("the table-mode contact prox takes densities free of x; "
+                                 "this one reads the boundary point")
             R, dq = PROX_VALUE_RANGE, PROX_NODE_STEP
             lo, hi = data_range
             k_lo = math.floor(lo / dq) if lo < -R else 0
             k_hi = PROX_NODES - 1 + (math.ceil(hi / dq) if hi > R else 0)
             self.qs = np.arange(k_lo, k_hi + 1) * dq + (-R)
-            # representative boundary point: densities vary continuously in x
-            # at the cell scale, vectorized tabulation uses the first sample
-            x0 = tuple(boundary.x[0])
-            self.table = yosida_eval_many(d, ctx, x0, self.qs)
+            self.table = yosida_eval_many(d, ctx, tuple(boundary.x[0]), self.qs)
             hull = _lower_hull(self.qs, self.table)
             envelope = np.interp(self.qs, self.qs[hull], self.table[hull])
             self.node_gap = np.maximum(self.table - envelope, 0.0)   # T - C

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvcontact import density, extension
+from bvcontact import density
 from bvcontact.density import (SurfaceDensity, YosidaContext, absolute, eval_density,
                                expression, linear, lip_upper_approx,
                                lip_upper_approx_many, quadratic, step_density,
@@ -380,6 +380,7 @@ def test_depends_on_x_reads_the_expression_tree():
 
 TWO_WELL = "2*min(abs(p-1), abs(p+1))"
 TABLE = "p*p + 0.5*abs(p-0.25)"
+X1_WELL = "abs(p) - 0.2*x1*x1"
 
 
 def dense_cone_min(f, q, s, p):
@@ -428,7 +429,21 @@ def envelope_nodes(monkeypatch):
         return real(f, q, s)
 
     monkeypatch.setattr(density, "_cone_envelope", spy)
-    monkeypatch.setattr(extension, "_cone_envelope", spy)
+    return seen
+
+
+@pytest.fixture
+def search_rows(monkeypatch):
+    """The node rows (2-D P) of every density evaluation, in call order."""
+    seen = []
+    real = SurfaceDensity.eval_many
+
+    def spy(self, x, P):
+        if np.ndim(P) == 2:
+            seen.append(np.array(P))
+        return real(self, x, P)
+
+    monkeypatch.setattr(SurfaceDensity, "eval_many", spy)
     return seen
 
 
@@ -457,16 +472,26 @@ def test_brute_force_transform_matches_dense_reference(text, P, envelope_nodes):
     assert np.abs(got - dense_cone_min(d.eval_many(X, q), q, 1.0, P)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("text", [TWO_WELL, TABLE])
-def test_optimal_boundary_values_attain_dense_minimum(text, envelope_nodes):
+@pytest.mark.parametrize("text", [TWO_WELL, TABLE, X1_WELL])
+def test_optimal_boundary_values_attain_dense_minimum(text, envelope_nodes, search_rows):
     u = field_from_function(unit_square().grid(1 / 64),
                             lambda X1, X2: 3 * X1 - 1.5 + 0.4 * np.sin(9 * X2))
-    d = expression(text, c=0.0, L=0.0)
+    d = expression(text, c=0.2, L=0.0)      # the x1 density's bound; valid for all three
     p = optimal_boundary_values(u, d, YosidaContext(sigma=1.0), eps=1e-3)
-    t = trace_extract(u).values
-    (q,) = envelope_nodes
-    achieved = d.eval_many(None, p.values) + np.abs(t - p.values)
-    assert np.abs(achieved - dense_cone_min(d.eval_many(None, q), q, 1.0, t)).max() <= 1e-12
+    tr = trace_extract(u)
+    t = tr.values
+    achieved = d.eval_many(tr.x, p.values) + np.abs(t - p.values)
+    if d.depends_on_x:
+        # one row of nodes per sample, holding its value; the dense row
+        # minimum is taken at that sample's point alone
+        rows = np.vstack(search_rows)
+        assert not envelope_nodes and len(rows) == len(t) and (rows == t[:, None]).any(axis=1).all()
+        ref = [(d.eval_many(tuple(xi), q) + np.abs(ti - q)).min()
+               for xi, ti, q in zip(tr.x, t, rows)]
+    else:
+        (q,) = envelope_nodes
+        ref = dense_cone_min(d.eval_many(None, q), q, 1.0, t)
+    assert np.abs(achieved - ref).max() <= 1e-12
 
 
 def test_transforms_run_in_linear_memory():
@@ -486,3 +511,23 @@ def test_transforms_run_in_linear_memory():
         tracemalloc.stop()
     assert ladder_peak < 32 * 2 ** 20
     assert transform_peak < 8 * 2 ** 20
+
+
+def test_per_sample_search_runs_in_chunks():
+    # 512 samples of the square at h = 1/128, each searched on its own row of
+    # ~11 400 nodes: the whole sample x node matrix would take ~45 MiB
+    tr = trace_extract(field_from_function(unit_square().grid(1 / 128),
+                                           lambda X1, X2: 3 * X1 - 1.5))
+    d = expression(X1_WELL, c=0.2, L=0.0)
+    ctx = YosidaContext(sigma=1.0, q_grid_step=1e-3)
+    tracemalloc.start()
+    try:
+        hat, q = density._brute_force_yosida(d, ctx, tr.x, tr.values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    # tau_hat(x, p) = |p| - 0.2 x1^2, attained on every node between 0 and p;
+    # the tie goes to the node nearest p, p itself
+    assert np.abs(hat - (np.abs(tr.values) - 0.2 * tr.x[:, 0] ** 2)).max() <= 1e-12
+    assert np.array_equal(q, tr.values)

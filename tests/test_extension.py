@@ -352,6 +352,15 @@ def test_optimal_values_read_nan_density_as_sentinel():
     assert np.all(np.abs(achieved - hat) <= eps)
 
 
+def test_recovery_past_eps_one_raises_layer_too_thin():
+    # a resolvability floor above eps = 1 reached extend_boundary_data as
+    # eps > 1, an untyped ValueError (relax-verify on the square at h = 1)
+    g = SQ.grid(1.0)
+    u = field_from_function(g, lambda X, Y: X)
+    with pytest.raises(LayerTooThin):
+        recovery_sequence(u, trace_extract(constant_field(g, 0.0)), 4)
+
+
 def test_random_fields_lets_other_extension_errors_through(monkeypatch):
     # the boundary-layer family falls back to the plain field on LayerTooThin only
     def broken(*args, **kwargs):

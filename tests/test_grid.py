@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcontact import density
-from bvcontact.density import YosidaContext
+from bvcontact.density import YosidaContext, yosida_eval_many
 from bvcontact.errors import MaskMismatch
 from bvcontact.geometry import l_shape, regular_ngon, unit_square
 from bvcontact.grid import (GridField, _grad, _grad_adjoint, _grad_at,
@@ -197,6 +197,32 @@ def test_energy_H_less_equal_F():
         u = field_from_function(g, lambda X, Y: rng.uniform(-2, 2) * X
                                 + rng.uniform(-2, 2) * Y + rng.uniform(-1, 1))
         assert energy_H(u, d, ctx).total <= energy_F(u, d, 1.0).total + 1e-9
+
+
+@pytest.mark.parametrize("text", ["abs(p) - 0.2*x1*x1", "abs(p) - 0.2*(1-x1)*(1-x1)"])
+def test_contact_term_reads_each_sample_at_its_own_point(text):
+    # each edge used to be read at its first sample point: -0.396899 for both
+    # densities, where the sample sum is about -1/3
+    u = constant_field(SQ.grid(1 / 64), 0.0)
+    d = density.expression(text, c=0.2, L=0.0)
+    tr = trace_extract(u)
+    want = sum(wi * d.eval_many(tuple(xi), np.zeros(1))[0] for wi, xi in zip(tr.w, tr.x))
+    assert want == pytest.approx(-1 / 3, abs=1e-4)
+    assert energy_F(u, d, sigma=1.0).contact_term == pytest.approx(want, abs=1e-12)
+
+
+def test_energy_H_reads_each_sample_at_its_own_point():
+    # L = 0 keeps sigma = 1 off the margin; tau_hat(x, p) = |p| - 0.2 x1^2
+    u = field_from_function(SQ.grid(1 / 64), lambda X, Y: X - 0.3 + 0.5 * Y)
+    d = density.expression("abs(p) - 0.2*x1*x1", c=0.2, L=0.0)
+    ctx = YosidaContext(sigma=1.0)
+    tr = trace_extract(u)
+    hat = [yosida_eval_many(d, ctx, tuple(xi), np.array([ti]))[0]
+           for xi, ti in zip(tr.x, tr.values)]
+    got = energy_H(u, d, ctx).contact_term
+    assert got == pytest.approx(float(np.dot(tr.w, hat)), abs=1e-12)
+    closed = np.abs(tr.values) - 0.2 * tr.x[:, 0] ** 2
+    assert got == pytest.approx(float(np.dot(tr.w, closed)), abs=1e-12)
 
 
 def test_capillarity_flat_field():

@@ -68,6 +68,8 @@ def test_probe_raises_schema_error_at_its_key(scn, where, tmp_path):
     ({"task": "energy", "density": "abs(p) - 0.2*x1*x1", "grid_h": 1 / 16}, "density_c"),
     ({"task": "energy", "density": "abs(p) - 0.2*x1*x1", "density_c": 0.2, "grid_h": 1 / 16},
      "density_L"),
+    ({"task": "solve", "density": "abs(p) - 0.2*x1*x1", "density_c": 0.2, "density_L": 0.0,
+      "grid_h": 1 / 16, "params": {"iters": 3}}, "density"),
 ])
 def test_refused_combination_raises_at_its_key(scn, where, tmp_path):
     assert _location(scn, tmp_path) == where
@@ -85,9 +87,12 @@ def test_too_fine_grid_raises_schema_error(h, tmp_path, capsys):
     assert err["type"] == "SchemaError" and err["location"] == "grid_h"
 
 
-@pytest.mark.parametrize("sweep", [[1, 0, 0.1], [0, 1, -0.1], [0, 1, 0]])
+@pytest.mark.parametrize("sweep", [[1, 0, 0.1], [0, 1, -0.1], [0, 1, 0],
+                                   [0, 1e-300, 1e-300], [0, 1, 1e-12]])
 def test_bad_lam_sweep_is_refused(sweep, tmp_path):
-    # these raised UnboundLocalError (no family built) or ZeroDivisionError
+    # these raised UnboundLocalError (no family built) or ZeroDivisionError, and
+    # the last two numpy's "Maximum allowed size exceeded" and a 7.28 TiB
+    # MemoryError
     scn = {"task": "counterexample", "params": {"family": "E1", "lam_sweep": sweep}}
     assert _location(scn, tmp_path) == "params.lam_sweep"
 

@@ -254,6 +254,13 @@ def test_capillarity_rejects_f():
         minimize_energy(dom, bulk="capillarity", nu=0.5, f=f, h=1 / 16, iters=3)
 
 
+def test_table_contact_refuses_x_dependent_density():
+    # the table prox tabulated tau_hat at the first boundary sample for every cell
+    d = density.expression("abs(p) - 0.2*x1*x1", c=0.2, L=0.0)
+    with pytest.raises(ValueError, match="free of x"):
+        minimize_energy(SQ, d, YosidaContext(1.0), h=1 / 16, iters=3)
+
+
 def test_capillarity_runs_at_beta_zero():
     res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, iters=50,
                           tol=0.0, beta=0.0)
