@@ -208,27 +208,6 @@ def expression(text, c=None, L=None):
                           lower_bound_estimated=estimated, _ast=ast)
 
 
-def eval_density(d: SurfaceDensity, x, p, dom=None, tol=None):
-    """tau(x, p) at a single boundary point; rejects non-finite p and, when a
-    domain is supplied, boundary points farther than tol from its boundary."""
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("p must be finite")
-    if d.value_dim == 1:
-        if p.ndim != 0 and p.shape != (1,):
-            raise ValueError("scalar density expects scalar p")
-        p = p.reshape(())
-    elif p.shape != (d.value_dim,):
-        raise ValueError(f"density expects vectors of length {d.value_dim}")
-    if dom is not None:
-        x = np.asarray(x, dtype=float)
-        dist, _, _ = dom.boundary_distance(x[None, :])
-        limit = tol if tol is not None else 1e-9 * max(1.0, dom.perimeter)
-        if dist[0] > limit:
-            raise ValueError(f"x is {dist[0]:.3g} away from the boundary (tol {limit:.3g})")
-    return float(d.eval_many(x, p[None])[0])
-
-
 @dataclass(frozen=True)
 class YosidaContext:
     """Parameters for the inf-convolution: TV weight sigma, optional search
@@ -427,20 +406,14 @@ def _refuse_descent(g, g_min, q, sigma):
             raise UnboundedBelow(f"descent direction active at {side} search boundary")
 
 
-def yosida_eval(d: SurfaceDensity, ctx: YosidaContext, x, p, force_bruteforce=False):
-    """tau_hat(x, p) = inf_q tau(x, q) + sigma|p - q|.
+def yosida_eval_many(d, ctx, x, P, force_bruteforce=False):
+    """tau_hat(x, p) = inf_q tau(x, q) + sigma|p - q| over the p values P, at
+    one point x or per sample.
 
     Builtin kinds use closed forms; everything else is minimized on a q-grid
     of radius yosida_radius around p.  Raises UnboundedBelow when the inf is
     -infinity (slope of tau beyond sigma at infinity).
     """
-    p_arr = np.asarray(p, dtype=float)
-    out = yosida_eval_many(d, ctx, x, p_arr, force_bruteforce)
-    return float(out) if p_arr.ndim == 0 or (d.value_dim > 1 and p_arr.ndim == 1) else out
-
-
-def yosida_eval_many(d, ctx, x, P, force_bruteforce=False):
-    """Vectorized tau_hat over scalar p values, at one point x or per sample."""
     P = np.asarray(P, dtype=float)
     if not force_bruteforce:
         cf = closed_form(d, ctx.sigma)
@@ -482,8 +455,13 @@ def upper_envelope_T(d: SurfaceDensity, x, p):
 
 
 def lip_upper_approx_many(d: SurfaceDensity, k: int, x, P):
-    """Vectorized tau_k over scalar p values: one q-grid holding every p, on
-    which the sup over q is the O(n) cone envelope of -t, exact on the nodes."""
+    """k-th member of the decreasing Lipschitz upper ladder over scalar p values,
+
+        tau_k = t_k + T,   t_k(x, p) = sup_q { t(x, q) - k|p - q| },
+
+    with t = tau - T <= 0.  tau_k decreases pointwise to tau as k grows when
+    tau(x, .) is upper semicontinuous.  One q-grid holds every p, on which the
+    sup over q is the O(n) cone envelope of -t, exact on the nodes."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if d.value_dim != 1:
@@ -501,17 +479,6 @@ def lip_upper_approx_many(d: SurfaceDensity, k: int, x, P):
     t_q = _finite_or_sentinel(d.eval_many(x, q)) - upper_envelope_T(d, x, q)
     t_k = -_cone_envelope(-t_q, q, k)[0][np.searchsorted(q, P)]
     return t_k + T_P
-
-
-def lip_upper_approx(d: SurfaceDensity, k: int, x, p) -> float:
-    """k-th member of the decreasing Lipschitz upper ladder:
-
-        tau_k = t_k + T,   t_k(x, p) = sup_q { t(x, q) - k|p - q| },
-
-    with t = tau - T <= 0.  tau_k decreases pointwise to tau as k grows when
-    tau(x, .) is upper semicontinuous.
-    """
-    return float(lip_upper_approx_many(d, k, x, np.asarray([p], dtype=float))[0])
 
 
 def step_density(low=-1.0, at=0.0, regularity="normal-integrand"):

@@ -2,11 +2,18 @@
 
 Total variation uses isotropic forward differences, one-sided (zero) where a
 forward neighbor leaves the mask; this keeps the TV of axis-aligned indicator
-jumps exact up to O(h).  Traces are read by a depth-1 normal probe: each
-boundary sample takes the value of the nearest interior cell along the inward
-normal, with arc-length quadrature weights from edge subdivision at step <= h.
-The resulting error is O(h * local gradient), so piecewise-constant catalog
-members carry analytic jump sets and closed forms alongside the grid values.
+jumps exact up to O(h).  The gradient and its adjoint are contiguous shifts
+of the flattened (row-major) lattice, by one cell for x and by one row for y.
+The x shift also pairs each row's last cell with the next row's first; ok_x is
+False at row ends, so those pairs are zeroed as any pair leaving the mask is.
+Differences are scaled by one multiply with 1/h: that is x / h exactly where h
+is a power of two, and within one ulp of it otherwise.
+
+Traces are read by a depth-1 normal probe: each boundary sample takes the
+value of the nearest interior cell along the inward normal, with arc-length
+quadrature weights from edge subdivision at step <= h.  The resulting error
+is O(h * local gradient), so piecewise-constant catalog members carry
+analytic jump sets and closed forms alongside the grid values.
 
 The interval is a 1 x K lattice (LineGrid) whose boundary is its two
 endpoints; it serves the logarithmic example only.
@@ -124,16 +131,27 @@ def constant_field(grid, value) -> GridField:
 
 
 def _grad(u, h, ok_x, ok_y):
-    """Forward differences / h of a (ny, nx) or (ny, nx, M) array, zero where
-    the forward neighbor leaves the mask (ok_x, ok_y from
-    DomainGrid.neighbor_masks)."""
-    dx = np.empty_like(u)
-    dy = np.empty_like(u)
-    np.subtract(u[:, 1:], u[:, :-1], out=dx[:, :-1])
-    dx[:, :-1] /= h
-    np.subtract(u[1:, :], u[:-1, :], out=dy[:-1, :])
-    dy[:-1, :] /= h
-    # the unwritten last column / row is outside ok_x / ok_y
+    """Forward differences times 1/h of a (ny, nx) or (ny, nx, M) array, zero
+    where the forward neighbor leaves the mask (ok_x, ok_y from
+    DomainGrid.neighbor_masks).
+
+    Both differences are shifts of the flattened lattice, by one cell and by
+    one row; the outputs are C-ordered whatever u's layout."""
+    n, nx = ok_x.size, ok_x.shape[1]
+    flat = u.reshape((n,) + u.shape[2:])
+    dx = np.empty(u.shape)
+    dy = np.empty(u.shape)
+    fx = dx.reshape(flat.shape)
+    fy = dy.reshape(flat.shape)
+    inv_h = 1.0 / h
+    # values off the mask are ignored, inf - inf among them included
+    with np.errstate(invalid="ignore"):
+        np.subtract(flat[1:], flat[:-1], out=fx[:-1])
+        np.subtract(flat[nx:], flat[:-nx], out=fy[:-nx])
+    fx[:-1] *= inv_h
+    fy[:-nx] *= inv_h
+    # the unwritten last cell / row and the pairs across row ends lie
+    # outside ok_x / ok_y
     tail = (1,) * (u.ndim - 2)
     np.copyto(dx, 0.0, where=~ok_x.reshape(ok_x.shape + tail))
     np.copyto(dy, 0.0, where=~ok_y.reshape(ok_y.shape + tail))
@@ -149,28 +167,34 @@ def _grad_at(u, h, ok_x, ok_y, cells):
     here = flat[cells]
     okx = ok_x.ravel()[cells]
     oky = ok_y.ravel()[cells]
+    inv_h = 1.0 / h
     # where the neighbor leaves the mask (or the lattice) read the cell itself
     dx = flat[cells + okx]
     dx -= here
-    dx /= h
+    dx *= inv_h
     dx[~okx] = 0.0
     dy = flat[cells + nx * oky]
     dy -= here
-    dy /= h
+    dy *= inv_h
     dy[~oky] = 0.0
     return dx, dy
 
 
 def _grad_adjoint(xx, yy, h, ok_x, ok_y):
-    """Exact adjoint of _grad on scalar fields: <grad u, xi> = <u, adjoint(xi)>."""
-    vx = np.where(ok_x, xx, 0.0)
-    vy = np.where(ok_y, yy, 0.0)
+    """Exact adjoint of _grad on scalar fields: <grad u, xi> = <u, adjoint(xi)>.
+
+    The same flat shifts as _grad, then one multiply by 1/h: the x shift
+    carries each row's last cell into the next row's first, where vx is 0
+    (ok_x is False at row ends)."""
+    nx = ok_x.shape[1]
+    vx = np.where(ok_x, xx, 0.0).reshape(-1)
+    vy = np.where(ok_y, yy, 0.0).reshape(-1)
     out = np.subtract(0.0, vx)         # not np.negative: +0.0 where vx is 0
-    out[:, 1:] += vx[:, :-1]
+    out[1:] += vx[:-1]
     out -= vy
-    out[1:, :] += vy[:-1, :]
-    out /= h
-    return out
+    out[nx:] += vy[:-nx]
+    out *= 1.0 / h
+    return out.reshape(ok_x.shape)
 
 
 def gradient_magnitude(u: GridField):

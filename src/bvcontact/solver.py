@@ -229,7 +229,9 @@ def _lower_hull(x, y):
 
 class _ContactProx:
     """Per-cell resolvent  v = argmin_v  t W tau_hat(x, v) + (v - z)^2 / 2  on
-    the probe cells, W being the cells' summed sample weights.
+    the probe cells, W being the cells' summed sample weights.  cells holds
+    their flat lattice indices in row-major order, so apply and energy read a
+    C-contiguous lattice array through its flat view (apply writes in place).
 
     Two resolvent paths: the density's closed-form prox where it has one
     (density.closed_form), else the exact argmin over tabulated transform
@@ -263,9 +265,9 @@ class _ContactProx:
     def __init__(self, d, ctx, boundary, mask_shape, h, data_range=(0.0, 0.0)):
         W = np.zeros(mask_shape)
         np.add.at(W, (boundary.probe_iy, boundary.probe_ix), boundary.w)
-        self.cells = np.nonzero(W > 0)
-        self.W = W[self.cells] / (h * h)   # scaled weights (energy divided by h^2)
-        self.off = d is None or len(self.cells[0]) == 0
+        self.cells = np.flatnonzero(W)
+        self.W = W.reshape(-1)[self.cells] / (h * h)   # scaled weights (energy divided by h^2)
+        self.off = d is None or len(self.cells) == 0
         if d is not None and d.value_dim != 1:
             raise UnsupportedArity("the solver's field is scalar; the density needs M = 1")
         # raises UnboundedBelow when the slope exceeds sigma
@@ -292,7 +294,7 @@ class _ContactProx:
             self.midpoint = np.append(0.5 * (self.qs[1:] + self.qs[:-1]), np.inf)
             self.class_W, cls = np.unique(self.W, return_inverse=True)
             order = np.argsort(cls, kind="stable")
-            self.class_cells = tuple(c[order] for c in self.cells)
+            self.class_cells = self.cells[order]
             self.class_ends = np.cumsum(np.bincount(cls)).tolist()
             self.class_cell_W = self.W[order]
             self._t = None
@@ -303,10 +305,11 @@ class _ContactProx:
             raise ValueError("t must be positive")
         if self.off:
             return u
+        flat = u.reshape(-1)
         if self.closed is not None:
-            u[self.cells] = self.closed.prox(u[self.cells], t * self.W)
+            flat[self.cells] = self.closed.prox(flat[self.cells], t * self.W)
         else:
-            u[self.class_cells] = self._table_argmin(u[self.class_cells], t)
+            flat[self.class_cells] = self._table_argmin(flat[self.class_cells], t)
         return u
 
     def _table_argmin(self, z, t):
@@ -333,7 +336,7 @@ class _ContactProx:
     def energy(self, u):
         if self.off:
             return 0.0
-        z = u[self.cells]
+        z = u.reshape(-1)[self.cells]
         vals = self.closed.hat(z) if self.closed is not None else np.interp(z, self.qs, self.table)
         return float((self.W * vals).sum())
 
@@ -629,9 +632,10 @@ def _dual_value(kxi, xx, yy, inside, beta, area_mode, f_arr, contact):
     g += f_arr
     g *= p                               # G*(p) off the probe cells
     if not contact.off:
-        pc, fc, W = p[contact.cells], f_arr[contact.cells], contact.W
+        cells, W = contact.cells, contact.W
+        pc, fc = p.reshape(-1)[cells], f_arr.reshape(-1)[cells]
         v = contact.closed.prox(fc + 0.5 * pc, 0.5 * W)
-        g[contact.cells] = pc * v - (v - fc) ** 2 - W * contact.closed.hat(v)
+        g.reshape(-1)[cells] = pc * v - (v - fc) ** 2 - W * contact.closed.hat(v)
     dual = -float(np.dot(g.ravel(), inside.ravel()))
     if area_mode:
         e = np.subtract(1.0, xx * xx)

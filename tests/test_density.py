@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcontact import density
-from bvcontact.density import (SurfaceDensity, YosidaContext, absolute, eval_density,
-                               expression, linear, lip_upper_approx,
+from bvcontact.density import (SurfaceDensity, YosidaContext, absolute, expression, linear,
                                lip_upper_approx_many, quadratic, step_density,
                                tabulated, upper_envelope_T, verify_lower_bound,
-                               yosida_eval, yosida_eval_many, yosida_radius)
+                               yosida_eval_many, yosida_radius)
 from bvcontact.errors import DegenerateMargin, SchemaError, UnboundedBelow, UnsupportedArity
 from bvcontact.extension import optimal_boundary_values
 from bvcontact.geometry import unit_square
@@ -29,25 +28,14 @@ def oracle_yosida(d, sigma, x, p, radius=12.0, n=480_001):
 
 
 def test_eval_builtin_kinds():
-    assert eval_density(linear(-0.8), X, 2.0) == pytest.approx(-1.6)
-    assert eval_density(absolute(2.0), X, -3.0) == pytest.approx(6.0)
-    assert eval_density(quadratic(), X, 0.5) == pytest.approx(0.25)
-
-
-def test_eval_rejects_nonfinite_and_offboundary():
-    with pytest.raises(ValueError):
-        eval_density(linear(1.0), X, float("nan"))
-    with pytest.raises(ValueError):
-        eval_density(linear(1.0), (0.5, 0.5), 1.0, dom=unit_square())
-    # on-boundary point passes
-    assert eval_density(linear(1.0), (0.5, 0.0), 1.0, dom=unit_square()) == 1.0
+    assert linear(-0.8).eval_many(X, [2.0]) == pytest.approx([-1.6])
+    assert absolute(2.0).eval_many(X, [-3.0]) == pytest.approx([6.0])
+    assert quadratic().eval_many(X, [0.5]) == pytest.approx([0.25])
 
 
 def test_eval_vector_values():
     d = absolute(2.0, value_dim=2)
-    assert eval_density(d, X, np.array([3.0, 4.0])) == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        eval_density(d, X, 1.0)
+    assert d.eval_many(X, np.array([[3.0, 4.0]])) == pytest.approx([10.0])
 
 
 def test_lower_bound_equality_case():
@@ -98,36 +86,36 @@ def test_x_dependent_expression_needs_declared_bounds():
 
 def test_fixed_point_for_sigma_lipschitz_linear():
     ctx = YosidaContext(sigma=1.0)
-    assert yosida_eval(linear(-0.5), ctx, X, 3.0) == pytest.approx(-1.5, abs=1e-12)
+    assert yosida_eval_many(linear(-0.5), ctx, X, 3.0) == pytest.approx(-1.5, abs=1e-12)
 
 
 def test_quadratic_closed_form_value():
     ctx = YosidaContext(sigma=1.0)
-    assert yosida_eval(quadratic(), ctx, X, 1.0) == pytest.approx(0.75, abs=1e-12)
-    assert yosida_eval(quadratic(), ctx, X, 0.3) == pytest.approx(0.09, abs=1e-12)
+    assert yosida_eval_many(quadratic(), ctx, X, 1.0) == pytest.approx(0.75, abs=1e-12)
+    assert yosida_eval_many(quadratic(), ctx, X, 0.3) == pytest.approx(0.09, abs=1e-12)
 
 
 def test_quadratic_brute_force_matches_piecewise():
     ctx = YosidaContext(sigma=1.0)
     for p in np.linspace(-2, 2, 41):
         expected = p * p if abs(p) <= 0.5 else abs(p) - 0.25
-        got = yosida_eval(quadratic(), ctx, X, float(p), force_bruteforce=True)
+        got = yosida_eval_many(quadratic(), ctx, X, float(p), force_bruteforce=True)
         assert got == pytest.approx(expected, abs=1e-3)
 
 
 def test_absolute_transform_caps_slope():
     ctx = YosidaContext(sigma=1.0)
-    assert yosida_eval(absolute(2.0), ctx, X, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert yosida_eval_many(absolute(2.0), ctx, X, 1.0) == pytest.approx(1.0, abs=1e-12)
     # grid path needs an explicit radius since sup L = 2 > sigma
     ctx2 = YosidaContext(sigma=1.0, search_radius=6.0, q_grid_step=2e-4)
-    got = yosida_eval(absolute(2.0), ctx2, X, 1.0, force_bruteforce=True)
+    got = yosida_eval_many(absolute(2.0), ctx2, X, 1.0, force_bruteforce=True)
     assert got == pytest.approx(oracle_yosida(absolute(2.0), 1.0, X, 1.0), abs=1e-3)
 
 
 def test_unbounded_below_linear():
     ctx = YosidaContext(sigma=1.0)
     with pytest.raises(UnboundedBelow):
-        yosida_eval(linear(-2.0), ctx, X, 0.0)
+        yosida_eval_many(linear(-2.0), ctx, X, 0.0)
 
 
 def test_unbounded_below_detected_by_grid_search():
@@ -136,7 +124,7 @@ def test_unbounded_below_detected_by_grid_search():
     d = SurfaceDensity.from_callable(lambda x, P: -2.0 * np.abs(P), c=0.0, L=0.5)
     ctx = YosidaContext(sigma=1.0, search_radius=5.0)
     with pytest.raises(UnboundedBelow):
-        yosida_eval(d, ctx, X, 0.0)
+        yosida_eval_many(d, ctx, X, 0.0)
 
 
 def test_yosida_radius_values():
@@ -174,7 +162,7 @@ def test_fixed_point_property_brute_force(p, lam):
     # sigma-Lipschitz densities are fixed points, also along the grid path
     d = linear(lam)
     ctx = YosidaContext(sigma=1.0)
-    got = yosida_eval(d, ctx, X, p, force_bruteforce=True)
+    got = yosida_eval_many(d, ctx, X, p, force_bruteforce=True)
     assert got == pytest.approx(lam * p, abs=1e-6)
 
 
@@ -235,8 +223,8 @@ def test_transform_preserves_lower_bound():
 def test_vector_closed_forms():
     ctx = YosidaContext(sigma=1.0)
     p = np.array([0.6, 0.8])  # |p| = 1
-    assert yosida_eval(absolute(2.0, value_dim=2), ctx, X, p) == pytest.approx(1.0)
-    assert yosida_eval(quadratic(value_dim=2), ctx, X, p) == pytest.approx(0.75)
+    assert yosida_eval_many(absolute(2.0, value_dim=2), ctx, X, [p]) == pytest.approx([1.0])
+    assert yosida_eval_many(quadratic(value_dim=2), ctx, X, [p]) == pytest.approx([0.75])
 
 
 # -- upper envelope and the approximation ladder -------------------------------------
@@ -328,14 +316,14 @@ def test_ladder_fixed_point_for_smooth_small_density():
     d = SurfaceDensity.from_callable(lambda x, P: -np.abs(np.asarray(P, float)),
                                      c=0.0, L=1.0)
     for p in (-1.0, 0.2, 2.0):
-        assert lip_upper_approx(d, 2, X, p) == pytest.approx(-abs(p), abs=1e-6)
+        assert lip_upper_approx_many(d, 2, X, [p])[0] == pytest.approx(-abs(p), abs=1e-6)
 
 
 def test_ladder_step_density_values():
     d = step_density()
-    assert lip_upper_approx(d, 2, X, 0.25) == pytest.approx(-0.5, abs=1e-3)
+    assert lip_upper_approx_many(d, 2, X, [0.25])[0] == pytest.approx(-0.5, abs=1e-3)
     # monotone limit toward tau at a continuity point
-    vals = [lip_upper_approx(d, k, X, 0.25) for k in (1, 2, 4, 8, 16, 32, 64)]
+    vals = [lip_upper_approx_many(d, k, X, [0.25])[0] for k in (1, 2, 4, 8, 16, 32, 64)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(-1.0, abs=1e-6)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bvcontact import density
 from bvcontact.density import YosidaContext, yosida_eval_many
 from bvcontact.errors import MaskMismatch
-from bvcontact.geometry import l_shape, regular_ngon, unit_square
+from bvcontact.geometry import builtin_domain, l_shape, regular_ngon, unit_square
 from bvcontact.grid import (GridField, _grad, _grad_adjoint, _grad_at,
                             boundary_trace_from_function, constant_field,
                             energy_capillarity, energy_F, energy_H, field_from_function,
@@ -56,8 +57,8 @@ def test_grad_pair_matches_the_zero_filled_reference_bit_for_bit(dom, M):
     u[rng.random(shape) < 0.2] = -0.0
     dx = np.zeros_like(u)
     dy = np.zeros_like(u)
-    dx[:, :-1] = (u[:, 1:] - u[:, :-1]) / h
-    dy[:-1, :] = (u[1:, :] - u[:-1, :]) / h
+    dx[:, :-1] = (u[:, 1:] - u[:, :-1]) * (1.0 / h)
+    dy[:-1, :] = (u[1:, :] - u[:-1, :]) * (1.0 / h)
     dx[~ok_x] = 0.0
     dy[~ok_y] = 0.0
     gx, gy = _grad(u, h, ok_x, ok_y)
@@ -71,7 +72,63 @@ def test_grad_pair_matches_the_zero_filled_reference_bit_for_bit(dom, M):
         out[:, 1:] += vx[:, :-1]
         out -= vy
         out[1:, :] += vy[:-1, :]
-        assert _grad_adjoint(xx, yy, h, ok_x, ok_y).tobytes() == (out / h).tobytes()
+        assert _grad_adjoint(xx, yy, h, ok_x, ok_y).tobytes() == (out * (1.0 / h)).tobytes()
+
+
+@pytest.mark.parametrize("name", ["square", "lshape", "disk64", "line"])
+def test_grad_adjoint_is_the_transpose_of_grad(name):
+    # xi is nonzero where ok_x / ok_y are False, which the adjoint must ignore
+    # as _grad's zeros do; on the 1 x K line the y shift is empty
+    g = line_grid(0, 1, 37) if name == "line" else builtin_domain(name).grid(1 / 40)
+    ok_x, ok_y = g.neighbor_masks()
+    rng = np.random.default_rng(7)
+    u, xx, yy = rng.normal(size=(3,) + g.mask.shape)
+    gx, gy = _grad(u, g.h, ok_x, ok_y)
+    lhs = float((gx * xx).sum() + (gy * yy).sum())
+    rhs = float((u * _grad_adjoint(xx, yy, g.h, ok_x, ok_y)).sum())
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["lshape", "disk64"])
+@pytest.mark.parametrize("M", [1, 2])
+def test_grad_ignores_nonfinite_values_off_the_mask(name, M):
+    # the flat x shift pairs each row's last cell with the next row's first,
+    # and both can lie off the mask: inf - inf there must neither warn nor
+    # reach a masked cell
+    g = builtin_domain(name).grid(1 / 40)
+    ok = g.neighbor_masks()
+    rng = np.random.default_rng(11)
+    shape = g.mask.shape + ((M,) if M > 1 else ())
+    u = rng.normal(size=shape)
+    u[~g.mask] = 0.0
+    bad = u.copy()
+    bad[~g.mask] = rng.choice([np.nan, np.inf, -np.inf], size=bad[~g.mask].shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _grad(bad, g.h, *ok)
+        tv = tv_grid(GridField(g, bad))
+    for a, b in zip(got, _grad(u, g.h, *ok)):
+        assert a[g.mask].tobytes() == b[g.mask].tobytes()
+    assert tv == tv_grid(GridField(g, u))
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_grad_pair_reads_any_layout_as_its_c_copy(M):
+    g = l_shape().grid(1 / 40)
+    ok = g.neighbor_masks()
+    rng = np.random.default_rng(13)
+    shape = g.mask.shape + ((M,) if M > 1 else ())
+    fortran = np.asfortranarray(rng.normal(size=shape))
+    transposed = rng.normal(size=shape[::-1]).T
+    for u in (fortran, transposed):
+        c = np.ascontiguousarray(u)
+        for a, b in zip(_grad(u, g.h, *ok), _grad(c, g.h, *ok)):
+            assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+    if M == 1:
+        got = _grad_adjoint(fortran, transposed, g.h, *ok)
+        want = _grad_adjoint(np.ascontiguousarray(fortran), np.ascontiguousarray(transposed),
+                             g.h, *ok)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_tv_halfplane_indicator():
