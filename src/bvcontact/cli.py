@@ -92,7 +92,7 @@ SCHEMA = {
                       "kappa": ("float", "[0, inf)", 0.5)},
     "solve": {"bulk": ("enum", ("quadratic", "capillarity", "none"), "quadratic"),
               "iters": ("count", "[1, inf)", 2000), "tol": ("float", "[0, inf)", 1e-6),
-              "beta": ("float", "[0, inf)", 1e-3), "step_scale": ("float", "[1e-06, 1e+06]", None),
+              "beta": ("float", "[0, inf)", 1e-3),
               "f": ("field", tuple(_FIELD_BUILDERS), None),
               "allow_no_bulk": ("flag", None, False, "solve:none")},
 }
@@ -256,9 +256,8 @@ def _task_counterexample(v, dom, d, ctx, out, rng):
         lams = list(np.arange(sweep[0], sweep[1] + 1e-12, sweep[2])) or [sweep[0]]
     rows = []
     for lam in lams:
-        fam = (family_by_name(name) if name == "LOG1D"
-               else family_by_name(name, lam=float(lam), sigma=ctx.sigma))
-        rep = detect_lsc_violation(fam, budget=max(n_values))
+        fam = family_by_name(name, lam=float(lam), sigma=ctx.sigma)
+        rep = detect_lsc_violation(fam)
         for n in n_values:
             rows.append((lam, n, fam.member_energy(n), rep.liminf_energy,
                          rep.limit_energy_F, rep.gap, rep.violated))
@@ -320,11 +319,10 @@ def _task_solve(v, dom, d, ctx, out, rng):
         raise SchemaError("the solver tabulates the contact transform at one boundary "
                           "point, so its density may not read x1 or x2", location="density")
     f = None if v["f"] is None else _load_field_spec(v["f"], dom.grid(v["grid_h"]))
-    step = {} if v["step_scale"] is None else {"step_scale": v["step_scale"]}
     res = minimize_energy(
         dom, d=d, ctx=ctx, bulk=v["bulk"], f=f, nu=v["nu"], h=v["grid_h"],
         iters=v["iters"], tol=v["tol"], beta=v["beta"],
-        allow_no_bulk=v["allow_no_bulk"], **step)
+        allow_no_bulk=v["allow_no_bulk"])
     save_field(res.u, out / "field")
     st = res.state
     if st.iterations >= 2:

@@ -58,7 +58,6 @@ class SurfaceDensity:
     lam: float | None = None
     c: object = 0.0
     L: object = None
-    regularity: str = "caratheodory"
     value_dim: int = 1
     table: tuple | None = None          # (p_grid, values, interp) for 'tabulated'
     expr_text: str | None = None
@@ -148,8 +147,8 @@ class SurfaceDensity:
         raise ValueError(f"{self.kind} densities have no text form")
 
     @staticmethod
-    def from_callable(fn, c=0.0, L=0.0, regularity="caratheodory"):
-        return SurfaceDensity(kind="custom", fn=fn, c=c, L=L, regularity=regularity)
+    def from_callable(fn, c=0.0, L=0.0):
+        return SurfaceDensity(kind="custom", fn=fn, c=c, L=L)
 
 
 def linear(lam, value_dim=1, c=0.0, L=None):
@@ -164,7 +163,7 @@ def quadratic(value_dim=1, c=0.0, L=None):
     return SurfaceDensity(kind="quadratic", value_dim=value_dim, c=c, L=L)
 
 
-def tabulated(p_grid, values, interp="linear", c=0.0, L=0.0, regularity=None):
+def tabulated(p_grid, values, interp="linear", c=0.0, L=0.0):
     """Tabulated scalar density; interp 'linear' (Caratheodory) or 'pc-left'
     (piecewise constant on [p_i, p_{i+1}), can encode discontinuities)."""
     p_grid = np.asarray(p_grid, dtype=float)
@@ -175,10 +174,7 @@ def tabulated(p_grid, values, interp="linear", c=0.0, L=0.0, regularity=None):
         raise ValueError("p_grid must be strictly increasing")
     if interp not in ("linear", "pc-left"):
         raise ValueError("interp must be 'linear' or 'pc-left'")
-    if regularity is None:
-        regularity = "caratheodory" if interp == "linear" else "normal-integrand"
-    return SurfaceDensity(kind="tabulated", table=(p_grid, values, interp),
-                          c=c, L=L, regularity=regularity)
+    return SurfaceDensity(kind="tabulated", table=(p_grid, values, interp), c=c, L=L)
 
 
 def expression(text, c=None, L=None):
@@ -336,34 +332,43 @@ def _finite_or_sentinel(tau):
     return np.where(np.isfinite(tau), tau, NEG_SENTINEL)
 
 
+def _near(a, m):
+    """Where a lies within rounding, 1e-13 (1 + |m|), of the minimum m."""
+    return a <= m + 1e-13 * (1.0 + np.abs(m))
+
+
 def _running_min(a):
-    """Running minimum of a and the first index attaining it."""
+    """Running minimum of a and the last index within rounding of it."""
     m = np.minimum.accumulate(a)
-    new = np.concatenate([[True], a[1:] < m[:-1]])
-    return m, np.maximum.accumulate(np.where(new, np.arange(len(a)), 0))
+    return m, np.maximum.accumulate(np.where(_near(a, m), np.arange(len(a)), 0))
 
 
 def _cone_envelope(f, q, s):
     """Lower envelope min_j f_j + s|q_i - q_j| of cones on the sorted nodes q
     and the index j attaining it: the smaller of prefix-min(f - s q) + s q and
     suffix-min(f + s q) - s q, exact on the nodes in O(n) (Felzenszwalb &
-    Huttenlocher, Distance Transforms of Sampled Functions).  The sup form
+    Huttenlocher, Distance Transforms of Sampled Functions).  Of the nodes
+    within rounding of the minimum, j is the one nearest q_i.  The sup form
     max_j f_j - s|q_i - q_j| is minus the envelope of -f."""
     sq = s * q
     left, left_at = _running_min(f - sq)
     right, right_at = _running_min((f + sq)[::-1])
     left += sq
     right = right[::-1] - sq
-    take = left <= right
-    return np.where(take, left, right), np.where(take, left_at, len(q) - 1 - right_at[::-1])
+    right_at = len(q) - 1 - right_at[::-1]
+    env = np.minimum(left, right)
+    tie = _near(np.maximum(left, right), env)
+    take = np.where(tie, q - q[left_at] <= q[right_at] - q, left <= right)
+    return env, np.where(take, left_at, right_at)
 
 
 def _brute_force_yosida(d, ctx, x, p_values):
     """Grid minimum of q -> tau(x,q) + sigma|p-q| per scalar p, and a node
     attaining it.  Every p is a node.  A density that reads x, at the samples'
     points x (n, 2), is searched on each row p_i + k step, |k step| <= radius,
-    ROW_CHUNK elements at a time, ties going to the node nearest p_i; else all
-    p share one q-grid, whose minimum at every node is the cone envelope of tau."""
+    ROW_CHUNK elements at a time; else all p share one q-grid, whose minimum
+    at every node is the cone envelope of tau.  On both paths a tie within
+    rounding goes to the node nearest p."""
     sigma = ctx.sigma
     P = np.atleast_1d(np.asarray(p_values, dtype=float))
     radius = ctx.search_radius or yosida_radius(d, sigma, x, P)
@@ -381,7 +386,7 @@ def _brute_force_yosida(d, ctx, x, p_values):
             hat[a:a + rows] = m = g.min(axis=1)
             _refuse_descent(g, m, q, sigma)
             # of the nodes within rounding of the minimum, the one nearest p_i
-            near = g <= (m + 1e-13 * (1.0 + np.abs(m)))[:, None]
+            near = _near(g, m[:, None])
             q_min[a:a + rows] = q[np.arange(len(q)), np.where(near, cone, np.inf).argmin(axis=1)]
         return hat, q_min
     lo, hi = float(P.min()) - radius, float(P.max()) + radius
@@ -481,9 +486,9 @@ def lip_upper_approx_many(d: SurfaceDensity, k: int, x, P):
     return t_k + T_P
 
 
-def step_density(low=-1.0, at=0.0, regularity="normal-integrand"):
+def step_density(low=-1.0, at=0.0):
     """Upper-semicontinuous step: 0 for p <= at, `low` for p > at."""
     def fn(x, P):
         P = np.asarray(P, dtype=float)
         return np.where(P > at, low, 0.0)
-    return SurfaceDensity.from_callable(fn, c=max(0.0, -low), L=0.0, regularity=regularity)
+    return SurfaceDensity.from_callable(fn, c=max(0.0, -low), L=0.0)

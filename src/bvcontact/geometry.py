@@ -119,8 +119,10 @@ class PolygonalDomain:
 
         angles = self._interior_angles()
         for i, th in dict(angle_overrides or {}).items():
-            if i in range(self.n):
-                angles[int(i)] = th
+            if i not in range(self.n):
+                raise SchemaError(f"angle override for {i!r}, which is not a vertex "
+                                  f"index in [0, {self.n})", location="angle_overrides")
+            angles[int(i)] = th
         self.interior_angles = angles
         bad = np.flatnonzero(~((ANGLE_TOL < angles) & (angles < 2 * math.pi - ANGLE_TOL)))
         if len(bad):
@@ -254,14 +256,14 @@ def domain_Q(dom: PolygonalDomain) -> float:
 
 @dataclass
 class AdmissibilityReport:
-    """Pointwise products L(x) q(x) along the boundary and the verdict.
+    """Extremes of the products L(x) q(x) along the boundary and the verdict.
 
-    verdict is one of 'C2_clause' (smooth-flagged domain with sup L <= sigma),
-    'almost_C1_clause' (slack (1-2*eps0)*sigma - L*q >= 0 everywhere), or
+    min_slack is the least slack (1-2*eps0)*sigma - L*q and sup_L the largest
+    L over the sampled points.  verdict is one of 'C2_clause' (smooth-flagged
+    domain with sup L <= sigma), 'almost_C1_clause' (min_slack >= 0), or
     'inadmissible'.
     """
 
-    per_point: list
     verdict: str
     epsilon0: float
     sigma: float
@@ -287,7 +289,6 @@ def admissibility_check(dom: PolygonalDomain, density, sigma: float,
     if epsilon0 < 0:
         raise ValueError("epsilon0 must be nonnegative")
     step = dom.shortest_edge / 16.0
-    per_point = []
     bound = (1.0 - 2.0 * epsilon0) * sigma
     sup_L = 0.0
     min_slack = math.inf
@@ -298,23 +299,18 @@ def admissibility_check(dom: PolygonalDomain, density, sigma: float,
         k = max(1, int(math.ceil(length / step)))
         ts = (np.arange(k) + 0.5) / k
         pts = a + ts[:, None] * (b - a)
-        qs = np.ones(k)
-        xs = list(pts) + [a]
-        qvals = list(qs) + [corner_q(dom.interior_angles[i])]
-        for x, q in zip(xs, qvals):
+        qvals = [1.0] * k + [corner_q(dom.interior_angles[i])]
+        for x, q in zip(list(pts) + [a], qvals):
             Lx = float(density.L_at(x))
-            slack = bound - Lx * q
             sup_L = max(sup_L, Lx)
-            min_slack = min(min_slack, slack)
-            per_point.append({"x": (float(x[0]), float(x[1])), "L": Lx, "q": float(q),
-                              "Lq": Lx * float(q), "slack": float(slack)})
+            min_slack = min(min_slack, bound - Lx * q)
     if dom.smooth and sup_L <= sigma + 1e-12:
         verdict = "C2_clause"
     elif min_slack >= -1e-12 and epsilon0 >= 0:
         verdict = "almost_C1_clause"
     else:
         verdict = "inadmissible"
-    return AdmissibilityReport(per_point=per_point, verdict=verdict, epsilon0=epsilon0,
+    return AdmissibilityReport(verdict=verdict, epsilon0=epsilon0,
                                sigma=sigma, min_slack=float(min_slack), sup_L=float(sup_L))
 
 
@@ -603,14 +599,13 @@ def builtin_domain(name: str) -> PolygonalDomain:
                           f"choose one of {sorted(BUILTIN_DOMAINS)}")
 
 
-_DOMAIN_KEYS = {"vertices", "smooth_flag", "smooth_n", "angle_overrides",
+_DOMAIN_KEYS = {"vertices", "smooth_flag", "angle_overrides",
                 "lipschitz_constant", "name"}
 
 
 def load_domain(path) -> PolygonalDomain:
     """Load a polygon from JSON: {"vertices": [[x,y],...], "smooth_flag": bool,
-    optional "angle_overrides": {"i": theta}, optional "lipschitz_constant"}.
-    A "smooth_n" key is accepted and ignored."""
+    optional "angle_overrides": {"i": theta}, optional "lipschitz_constant"}."""
     with open(path) as f:
         try:
             data = json.load(f)

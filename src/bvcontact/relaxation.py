@@ -70,31 +70,7 @@ class ViolationReport:
     notes: dict = field(default_factory=dict)
 
 
-class CounterexampleFamily:
-    """Shared protocol: closed-form member energies + grid realizations."""
-
-    name = "?"
-
-    def member_energy(self, n: int) -> float:
-        raise NotImplementedError
-
-    def sequence_limit(self) -> float:
-        raise NotImplementedError
-
-    def limit_energy_F(self) -> float:
-        raise NotImplementedError
-
-    def limit_energy_H(self) -> float:
-        raise NotImplementedError
-
-    def member(self, n: int, h: float) -> SequenceSpec:
-        raise NotImplementedError
-
-    def limit_field(self, h: float) -> GridField:
-        raise NotImplementedError
-
-
-class E1Family(CounterexampleFamily):
+class E1Family:
     """Corner jumps n * 1_{x1+x2 < 1/n} on the unit square, tau = lam * p."""
 
     def __init__(self, lam: float, sigma: float = 1.0):
@@ -156,13 +132,13 @@ def _legs_trace(dom, segments) -> TraceSample:
                        edge_id=eid, dom=dom)
 
 
-class E2Family(CounterexampleFamily):
+class E2Family:
     """Radial tents min(|x|, (n-1)(1-|x|)) on the disk surrogate, tau = lam |p|."""
 
-    def __init__(self, lam: float, sigma: float = 1.0, ngon: int = 256):
+    def __init__(self, lam: float, sigma: float = 1.0):
         self.lam = float(lam)
         self.sigma = float(sigma)
-        self.dom = regular_ngon(ngon)
+        self.dom = regular_ngon(256)
         self.density = density_mod.absolute(lam)
         self.name = f"E2(lam={lam})"
 
@@ -192,7 +168,7 @@ class E2Family(CounterexampleFamily):
         return field_from_function(self.dom.grid(h), lambda X, Y: np.hypot(X, Y))
 
 
-class Log1DFamily(CounterexampleFamily):
+class Log1DFamily:
     """Truncated logarithms on (0, 1), tau(x, p) = p at both endpoints."""
 
     def __init__(self, n_cells: int = 10_000):
@@ -226,13 +202,13 @@ class Log1DFamily(CounterexampleFamily):
         return field_from_function(g, lambda X, Y: np.log(X))
 
 
-def family_by_name(name, lam=None, sigma=1.0, **kw):
+def family_by_name(name, lam=None, sigma=1.0):
     if name.upper() == "E1":
         return E1Family(lam, sigma)
     if name.upper() == "E2":
-        return E2Family(lam, sigma, **kw)
+        return E2Family(lam, sigma)
     if name.upper() == "LOG1D":
-        return Log1DFamily(**kw)
+        return Log1DFamily()
     raise SchemaError(f"unknown counterexample family {name!r}")
 
 
@@ -243,12 +219,12 @@ class CatalogReport:
     per_n: list
     limit_of_sequence: float
     energy_of_limit: float
-    energy_of_limit_H: float
     grid_checks: dict = field(default_factory=dict)
 
 
-def counterexample_energy(fam: CounterexampleFamily, n_values=(4, 8, 16, 32),
-                          grid_check_n=None, h=1 / 512) -> CatalogReport:
+def counterexample_energy(fam: E1Family | E2Family | Log1DFamily,
+                          n_values=(4, 8, 16, 32), grid_check_n=None,
+                          h=1 / 512) -> CatalogReport:
     """Closed-form member energies, their limit, the energy of the L1 limit,
     and an optional grid confirmation at one member."""
     per_n = [fam.member_energy(n) for n in n_values]
@@ -266,27 +242,23 @@ def counterexample_energy(fam: CounterexampleFamily, n_values=(4, 8, 16, 32),
         family=fam.name, n_values=list(n_values), per_n=per_n,
         limit_of_sequence=fam.sequence_limit(),
         energy_of_limit=fam.limit_energy_F(),
-        energy_of_limit_H=fam.limit_energy_H(),
         grid_checks=checks)
 
 
-def detect_lsc_violation(fam: CounterexampleFamily, budget: int = 64,
+def detect_lsc_violation(fam: E1Family | E2Family | Log1DFamily,
                          tol: float = 1e-9) -> ViolationReport:
     """Compare liminf of the family's energies with the energy of its limit.
 
-    Catalog families carry closed-form limits, so liminf is exact; the tail
-    minimum over n in [budget/2, budget] is recorded as a consistency check
-    (member energies are constant or monotone in n).  A limit outside BV
-    reports infinite limit energy and counts as a violation of
+    Catalog families carry closed-form limits, so liminf is exact.  A limit
+    outside BV reports infinite limit energy and counts as a violation of
     semicontinuity at that limit.
     """
     liminf = fam.sequence_limit()
-    tail = [fam.member_energy(n) for n in range(max(2, budget // 2), budget + 1)]
     limit_F = fam.limit_energy_F()
     limit_H = fam.limit_energy_H()
     gap = limit_F - liminf
     violated = bool(gap > tol)
-    notes = {"tail_min": min(tail), "tail_max": max(tail)}
+    notes = {}
     if math.isinf(limit_F):
         notes["limit"] = "outside BV; TV sentinel inf"
     return ViolationReport(family=fam.name, liminf_energy=liminf,

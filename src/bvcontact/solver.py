@@ -66,6 +66,13 @@ GAP_EVERY = 10
 #: two-well contact solve (square, h = 1/128) diverges where 1.8 converges
 RELAX = 1.8
 
+#: primal over dual step: t = STEP_RATIO / ||K|| and s = 1 / (STEP_RATIO ||K||),
+#: so t s ||K||^2 = 1 at any ratio, and a longer primal step strengthens the
+#: contraction from the strongly convex bulk.  On the capillarity benchmark
+#: solve (square, nu = 0.5, h = 1/128) 6 stops after 672 iterations with
+#: gap_relative 1.7e-8, where the plain iteration took 1207
+STEP_RATIO = 6.0
+
 
 # -- dual resolvents ---------------------------------------------------------------------
 
@@ -352,7 +359,9 @@ class SolverState:
     sqrt(beta^2 + |grad u|^2) in capillarity mode, sigma |grad u|
     otherwise), the bulk and W tau_hat on the probe cells, i.e. the energy
     divided by h^2.  It is not the report total (capillarity at h = 1/128:
-    -16369.04 against -1.86e-4).
+    -16369.04 against -1.86e-4): in capillarity mode the report reads the
+    area integrand with beta = 1, and the two agree, times h^2, only at
+    beta = 1.
 
     residual_history[k - 1] is the un-relaxed step ||u~_k - u_{k-1}|| /
     t_primal over the masked cells, u_{k-1} being the relaxed iterate.
@@ -365,8 +374,8 @@ class SolverState:
     gap_history is None where the solver has no dual objective: a
     table-mode contact or bulk='none'.
 
-    notes hold bulk, h, step_scale and relaxation (RELAX).  In capillarity
-    mode they also hold the area dual step's counts:
+    notes hold bulk, h, step_scale (STEP_RATIO) and relaxation (RELAX).
+    In capillarity mode they also hold the area dual step's counts:
     dual_newton_steps_max, dual_one_step_calls (the calls in which every
     cell took the certified one step of _dual_step_area, or a loop whose
     first correction was already within DUAL_NEWTON_TOL) and
@@ -408,8 +417,7 @@ class SolverResult:
 def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = None,
                     bulk: str = "quadratic", f=None, nu: float | None = None,
                     h: float = 1 / 128, iters: int = 2000, tol: float = 1e-6,
-                    beta: float = 1e-3, step_scale: float = 6.0,
-                    allow_no_bulk: bool = False) -> SolverResult:
+                    beta: float = 1e-3, allow_no_bulk: bool = False) -> SolverResult:
     """Primal-dual minimization on dom at spacing h.
 
     bulk selects the smooth term: 'quadratic' for (u - f)^2, 'capillarity'
@@ -418,8 +426,16 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     TV + contact, which is frequently unbounded or trivial and therefore
     requires allow_no_bulk=True.
 
-    The primal step is t = step_scale / ||K|| and the dual step s = 1 /
-    (step_scale ||K||), ||K|| = sqrt(8) / h.  Each iteration is over-relaxed
+    The capillarity solve minimizes sqrt(beta^2 + |grad u|^2) + u^2 + nu Tr u,
+    while its report (grid.energy_capillarity) reads the area functional
+    sqrt(1 + |grad u|^2) at the returned u; the two are one functional only
+    at beta = 1.  At the default beta = 1e-3 the solve is the near-TV problem,
+    whose minimizer is the best constant (square, h = 1/32, nu = 0.5: u within
+    [-1.0002, -0.9999], report total -1.7e-4); at beta = 1 the same solve
+    reports -0.0772, equal to h^2 energy_history[-1] to rounding.
+
+    The primal step is t = STEP_RATIO / ||K|| and the dual step s = 1 /
+    (STEP_RATIO ||K||), ||K|| = sqrt(8) / h.  Each iteration is over-relaxed
     Chambolle-Pock: the primal prox u~ at u_k - t K* xi_k, the dual prox xi~
     at xi_k + s K (2 u~ - u_k), then (u_{k+1}, xi_{k+1}) = (u_k, xi_k) +
     RELAX ((u~, xi~) - (u_k, xi_k)); RELAX = 1 is the plain iteration.  The
@@ -429,10 +445,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     the grid functionals; xi~ is a prox output, so |xi~| <= dual_bound, which
     a relaxed xi_k need not keep.  The certificate is the primal-dual gap
     P(u~) - D(xi~) (SolverState.gap, a bound on how far the scaled objective
-    is above its minimum), recorded every GAP_EVERY iterations.  On the
-    capillarity benchmark solve (square, nu = 0.5, h = 1/128) step_scale 6
-    stops after 672 iterations with gap_relative 1.7e-8, where the plain
-    iteration took 1207.
+    is above its minimum), recorded every GAP_EVERY iterations.
     """
     if bulk not in ("none", "quadratic", "capillarity"):
         raise ValueError("bulk must be 'none', 'quadratic', or 'capillarity'")
@@ -442,8 +455,6 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if isinstance(beta, bool) or not 0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0 (0 is the TV limit), got {beta!r}")
-    if isinstance(step_scale, bool) or not 0 < step_scale < math.inf:
-        raise ValueError(f"step_scale must be a finite number > 0, got {step_scale!r}")
     if bulk == "capillarity" and (nu is None or isinstance(nu, bool)
                                   or not -math.inf < nu < math.inf):
         raise ValueError(f"nu must be a finite number for capillarity, got {nu!r} "
@@ -477,11 +488,9 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         f_arr[~mask] = 0.0               # so that every primal prox output is 0 there
     have_bulk = bulk != "none"
 
-    # steps: t * s * ||grad||^2 <= 1 with ||grad|| <= sqrt(8)/h; a larger
-    # primal step strengthens the contraction from the strongly convex bulk.
-    norm_K = math.sqrt(8.0) / h
-    t = step_scale / norm_K
-    s = 1.0 / (step_scale * norm_K)
+    norm_K = math.sqrt(8.0) / h          # ||grad|| <= sqrt(8) / h
+    t = STEP_RATIO / norm_K
+    s = 1.0 / (STEP_RATIO * norm_K)
 
     if bulk == "capillarity":
         u = np.where(mask, _best_constant_capillarity(grid, boundary, nu), 0.0)
@@ -567,7 +576,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         iterations=n_done, residual_history=res_hist[:n_done],
         energy_history=en_hist[:n_done], dual_bound=dual_bound,
         dual_feasibility_max=feas, beta=beta if area_mode else None,
-        notes={"bulk": bulk, "h": h, "step_scale": step_scale, "relaxation": RELAX},
+        notes={"bulk": bulk, "h": h, "step_scale": STEP_RATIO, "relaxation": RELAX},
         gap_history=None if gap_hist is None else gap_hist[:n_done])
     if area_mode:
         state.notes.update(dual_newton_steps_max=newton_steps,

@@ -10,6 +10,8 @@ from bvcontact import cli, density, exprgrammar, solver
 from bvcontact.cli import main, parse_density_spec, run_scenario, validate_scenario
 from bvcontact.corpus import boundary_data
 from bvcontact.errors import ParseError, SchemaError
+from bvcontact.geometry import l_shape
+from bvcontact.grid import save_field
 
 
 def test_parse_builtins():
@@ -39,6 +41,13 @@ def test_parse_error_position_midway():
     with pytest.raises(ParseError) as ei:
         parse_density_spec("1 + 2 $ 3")
     assert ei.value.offset == 6
+
+
+@pytest.mark.parametrize("text, offset", [("", 0), ("linear:abc", 7)])
+def test_parse_error_position_of_empty_and_bad_coefficient(text, offset):
+    with pytest.raises(ParseError) as ei:
+        parse_density_spec(text)
+    assert ei.value.offset == offset
 
 
 P = np.linspace(-2.0, 2.0, 17)
@@ -96,27 +105,6 @@ def test_solve_rejects_bad_iters_and_beta(key, value):
     with pytest.raises(SchemaError) as ei:
         validate_scenario({"task": "solve", "params": {key: value}})
     assert ei.value.location == f"params.{key}"
-
-
-@pytest.mark.parametrize("value", [0, -1.0, math.inf, math.nan, True, "8", None])
-def test_solve_rejects_bad_step_scale(value):
-    with pytest.raises(SchemaError) as ei:
-        validate_scenario({"task": "solve", "params": {"step_scale": value}})
-    assert ei.value.location == "params.step_scale"
-
-
-def test_solve_passes_step_scale_only_when_given(tmp_path, monkeypatch):
-    # the default lives in minimize_energy alone
-    seen = []
-    solve = cli.minimize_energy
-    monkeypatch.setattr(cli, "minimize_energy",
-                        lambda *a, **kw: seen.append(kw) or solve(*a, **kw))
-    for k, params in enumerate(({}, {"step_scale": 4})):
-        scn = {"task": "solve", "domain": "square", "nu": 0.5, "grid_h": 1 / 16,
-               "params": {"bulk": "capillarity", "iters": 5, **params}}
-        run_scenario(scn, tmp_path / str(k))
-    assert "step_scale" not in seen[0]
-    assert seen[1]["step_scale"] == 4.0
 
 
 def test_solve_accepts_beta_zero_and_whole_float_iters():
@@ -235,6 +223,18 @@ def test_extend_verify_runs_members_at_their_floor(tmp_path):
     assert float(sincos[-1]) > 0.1 and len(rows) == 21
 
 
+def test_field_file_reads_as_the_builtin_field(tmp_path):
+    # a field given as {"file": ...} is the one save_field wrote
+    base = {"domain": "lshape", "density": "linear:-0.5", "grid_h": 1 / 32}
+    g = l_shape().grid(1 / 32)
+    save_field(cli._FIELD_BUILDERS["cone"](g), tmp_path / "cone")
+    for task, params in (("energy", {}), ("relax-verify", {"budget": 4})):
+        reps = [run_scenario({"task": task, **base, "params": {"field": field, **params}},
+                             tmp_path / f"{task}-{k}")["result"]
+                for k, field in enumerate(("cone", {"file": str(tmp_path / "cone")}))]
+        assert reps[0] == reps[1]
+
+
 def test_relax_verify_task(tmp_path):
     scn = {"task": "relax-verify", "domain": "square", "density": "linear:-0.5",
            "grid_h": 1 / 64, "params": {"field": "zero", "budget": 16}}
@@ -258,6 +258,16 @@ def test_main_reports_an_unreadable_config(tmp_path, capsys, config):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"].startswith("cannot read the scenario")
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_reports_malformed_scenario_json(tmp_path, capsys):
+    cfg = tmp_path / "scn.json"
+    cfg.write_text('{"task": "qgeom",\n "domain": }')
+    rc = main(["qgeom", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"].startswith("invalid scenario JSON") and err["line"] == 2
     assert not (tmp_path / "o").exists()
 
 

@@ -33,6 +33,14 @@ def test_eval_builtin_kinds():
     assert quadratic().eval_many(X, [0.5]) == pytest.approx([0.25])
 
 
+def test_L_sup_of_a_callable_needs_its_sup():
+    bounded = lambda x: 0.5
+    bounded.sup = 0.5
+    assert SurfaceDensity.from_callable(lambda x, P: P, L=bounded).L_sup == 0.5
+    with pytest.raises(ValueError, match=r"\.sup"):
+        SurfaceDensity.from_callable(lambda x, P: P, L=lambda x: 0.5).L_sup
+
+
 def test_eval_vector_values():
     d = absolute(2.0, value_dim=2)
     assert d.eval_many(X, np.array([[3.0, 4.0]])) == pytest.approx([10.0])
@@ -480,6 +488,16 @@ def test_optimal_boundary_values_attain_dense_minimum(text, envelope_nodes, sear
         (q,) = envelope_nodes
         ref = dense_cone_min(d.eval_many(None, q), q, 1.0, t)
     assert np.abs(achieved - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("text", ["abs(p) - 0.25", "abs(p) - 0.25 + 0*x1"])
+def test_optimal_boundary_values_take_the_minimizer_nearest_the_trace(text):
+    # at sigma = 1 every node between 0 and Tr u attains the transform; the
+    # shared q-grid used to take the node farthest from Tr u (|q| <= 0.0013)
+    u = field_from_function(unit_square().grid(1 / 64), lambda X1, X2: X1)
+    d = expression(text, c=0.25, L=0.0)
+    q = optimal_boundary_values(u, d, YosidaContext(sigma=1.0), eps=1e-2)
+    assert np.array_equal(q.values, trace_extract(u).values)
 
 
 def test_transforms_run_in_linear_memory():

@@ -274,6 +274,45 @@ def test_domain_json_rejects_unknown_keys(tmp_path):
         geometry.load_domain(path)
 
 
+@pytest.mark.parametrize("text, location", [
+    ('{"vertices": [[0,0],[1,0],\n[0,1]', "line 2"),
+    ('[[0,0],[1,0],[0,1]]', None),
+    ('{"smooth_flag": true}', None),
+    ('{"vertices": [[0,0],[1,0],[0,1]], "angle_overrides": [1.0]}', "angle_overrides"),
+])
+def test_domain_json_refuses_malformed_files(tmp_path, text, location):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as ei:
+        geometry.load_domain(path)
+    assert ei.value.location == location
+
+
+@pytest.mark.parametrize("index", ["7", "-1"])
+def test_angle_override_of_a_non_vertex_is_refused(tmp_path, index):
+    # such an override was dropped: every angle stayed pi/2 and Q sqrt(2)
+    path = tmp_path / "square.json"
+    path.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,1]], '
+                    f'"angle_overrides": {{"{index}": 1.0}}}}')
+    with pytest.raises(SchemaError, match=f"override for {index}") as ei:
+        geometry.load_domain(path)
+    assert ei.value.location == "angle_overrides"
+
+
+def test_angle_override_sets_the_vertex_angle(tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,1]], "angle_overrides": {"0": 1.0}}')
+    dom = geometry.load_domain(path)
+    assert dom.interior_angles[0] == 1.0
+    assert np.allclose(dom.interior_angles[1:], math.pi / 2)
+    assert domain_Q(dom) == pytest.approx(1.0 / math.sin(0.5), rel=1e-12)
+
+
+def test_builtin_domain_refuses_an_unknown_name():
+    with pytest.raises(SchemaError, match="'annulus'"):
+        builtin_domain("annulus")
+
+
 # -- band-limited lattice geometry against the dense all-edges references ------
 
 

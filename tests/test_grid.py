@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvcontact import density
 from bvcontact.density import YosidaContext, yosida_eval_many
-from bvcontact.errors import MaskMismatch
+from bvcontact.errors import MaskMismatch, SchemaError
 from bvcontact.geometry import builtin_domain, l_shape, regular_ngon, unit_square
 from bvcontact.grid import (GridField, _grad, _grad_adjoint, _grad_at,
                             boundary_trace_from_function, constant_field,
@@ -363,6 +363,17 @@ def test_field_io_roundtrip(tmp_path):
     assert l1_distance(u, v) == 0.0
 
 
+@pytest.mark.parametrize("grid, match", [
+    (None, "needs the grid"),
+    (l_shape().grid(1 / 16), "does not match stored"),
+    (SQ.grid(1 / 32), "stored mask"),
+])
+def test_field_io_refuses_another_grid(tmp_path, grid, match):
+    save_field(constant_field(l_shape().grid(1 / 32), 1.0), tmp_path / "field")
+    with pytest.raises(SchemaError, match=match):
+        load_field(tmp_path / "field", grid=grid)
+
+
 def test_boundary_trace_from_function():
     g = SQ.grid(1 / 128)
     tr = boundary_trace_from_function(g, lambda x, y: x)
@@ -376,7 +387,7 @@ def test_sentinel_values_flagged_in_report():
         P = np.asarray(P, dtype=float)
         return np.where(P > 0, NEG_SENTINEL, 0.0)
 
-    d = SurfaceDensity.from_callable(fn, c=0.0, L=0.0, regularity="normal-integrand")
+    d = SurfaceDensity.from_callable(fn, c=0.0, L=0.0)
     g = SQ.grid(1 / 32)
     rep = energy_F(constant_field(g, 1.0), d, sigma=1.0)
     assert rep.notes.get("sentinel_clamped") is True

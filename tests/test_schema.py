@@ -54,7 +54,7 @@ def _location(scn, tmp_path):
     ({"task": "qgeom", "density": None}, "density"),
     ({"task": "energy", "density": "linear:-0.5", "grid_h": 0}, "grid_h"),
     ({"task": "qgeom", "sigma": -1}, "sigma"),
-    ({"task": "solve", "params": {"step_scale": 5e-324}}, "params.step_scale"),
+    ({"task": "solve", "params": {"step_scale": 6}}, "params"),  # a constant, not a key
     ({"task": "solve", "nu": -math.inf, "params": {"bulk": "capillarity"}}, "nu"),
     ({"task": "solve", "nu": 1.5, "params": {"bulk": "capillarity", "iters": 3}}, "nu"),
 ])
@@ -211,7 +211,7 @@ FIELDS = st.sampled_from(["zero", "x1", "x2", "cone", "bump", "const:0.5"])
 # drawn from the table's lower end up to these
 CHEAP = {"n_points": 9, "n_values": 16, "grid_check_n": 8, "budget": 8, "n_corpus": 6,
          "iters": 3, "seed": 2 ** 40, "sigma": 2.0, "eps": 1.0, "kappa": 2.0, "tol": 1.0,
-         "beta": 0.5, "step_scale": 20.0, "nu": 1.0}
+         "beta": 0.5, "nu": 1.0}
 
 
 def _in_range(key, kind, interval):
