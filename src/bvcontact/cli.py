@@ -25,8 +25,8 @@ from .errors import BVContactError, ParseError, SchemaError
 from .extension import extend_boundary_data, required_eps
 from .grid import (boundary_trace_from_function, constant_field, energy_F,
                    field_from_function, load_field, save_field)
-from .relaxation import (counterexample_energy, detect_lsc_violation,
-                         family_by_name, relaxed_energy, verify_representation)
+from .relaxation import (counterexample_energy, family_by_name, relaxed_energy,
+                         verify_representation)
 from .solver import minimize_energy
 
 FLOAT_FMT = "%.12g"
@@ -255,21 +255,20 @@ def _task_counterexample(v, dom, d, ctx, out, rng):
     else:  # [lo, lo, step] is [lo] also where hi + 1e-12 rounds to hi
         lams = list(np.arange(sweep[0], sweep[1] + 1e-12, sweep[2])) or [sweep[0]]
     rows = []
-    for lam in lams:
+    for i, lam in enumerate(lams):
         fam = family_by_name(name, lam=float(lam), sigma=ctx.sigma)
-        rep = detect_lsc_violation(fam)
-        for n in n_values:
-            rows.append((lam, n, fam.member_energy(n), rep.liminf_energy,
-                         rep.limit_energy_F, rep.gap, rep.violated))
+        cat = counterexample_energy(fam, n_values=n_values, h=v["grid_h"],
+                                    grid_check_n=v["grid_check_n"] if i == len(lams) - 1
+                                    else None)
+        rows += [(lam, n, e, cat.liminf_energy, cat.limit_energy_F, cat.gap, cat.violated)
+                 for n, e in zip(n_values, cat.per_n)]
     write_csv(out / "sweep.csv",
               ["lambda", "n", "energy", "liminf", "limit_energy_F", "gap", "violated"],
               rows, dat=True)
-    cat = counterexample_energy(fam, n_values=n_values, grid_check_n=v["grid_check_n"],
-                                h=v["grid_h"])
     return {"families": name, "lambdas": [float(lam) for lam in lams],
             "last_catalog": {"per_n": cat.per_n,
-                             "limit_of_sequence": cat.limit_of_sequence,
-                             "energy_of_limit": _json_num(cat.energy_of_limit),
+                             "limit_of_sequence": cat.liminf_energy,
+                             "energy_of_limit": _json_num(cat.limit_energy_F),
                              "grid_checks": {k: _json_num(x) for k, x in
                                              cat.grid_checks.items()}}}
 
@@ -315,7 +314,10 @@ def _task_solve(v, dom, d, ctx, out, rng):
     if v["f"] is not None and v["bulk"] == "capillarity":
         raise SchemaError("bulk 'capillarity' has the bulk term u^2 and reads no f",
                           location="params.f")
-    if d is not None and d.depends_on_x and v["bulk"] != "capillarity":
+    if d is not None and v["bulk"] == "capillarity":
+        raise SchemaError("bulk 'capillarity' has the contact density nu * p and reads "
+                          "no density", location="density")
+    if d is not None and d.depends_on_x:
         raise SchemaError("the solver tabulates the contact transform at one boundary "
                           "point, so its density may not read x1 or x2", location="density")
     f = None if v["f"] is None else _load_field_spec(v["f"], dom.grid(v["grid_h"]))

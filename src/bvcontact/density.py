@@ -226,7 +226,6 @@ class YosidaContext:
 class LowerBoundReport:
     holds: bool
     worst_violation: float
-    worst_sample: tuple | None
 
 
 def verify_lower_bound(d: SurfaceDensity, samples, tol=1e-9) -> LowerBoundReport:
@@ -239,16 +238,11 @@ def verify_lower_bound(d: SurfaceDensity, samples, tol=1e-9) -> LowerBoundReport
     if not samples:
         raise ValueError("sample_spec must be nonempty")
     worst = math.inf
-    worst_at = None
     for x, ps in samples:
         ps = np.atleast_1d(np.asarray(ps, dtype=float))
         slack = d.eval_many(x, ps) + d.c_at(x) + d.L_at(x) * _pnorm(ps, d.value_dim)
-        i = int(np.argmin(slack))
-        if slack[i] < worst:
-            worst = float(slack[i])
-            worst_at = (x, float(np.atleast_1d(ps)[i]) if ps.ndim == 1 else ps[i])
-    return LowerBoundReport(holds=bool(worst >= -tol),
-                            worst_violation=min(worst, 0.0), worst_sample=worst_at)
+        worst = min(worst, float(slack.min()))
+    return LowerBoundReport(holds=bool(worst >= -tol), worst_violation=min(worst, 0.0))
 
 
 def yosida_radius(d: SurfaceDensity, sigma, x, p) -> float:

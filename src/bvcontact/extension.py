@@ -201,19 +201,16 @@ def required_eps(g: TraceSample, h: float) -> float:
     return eps
 
 
-def recovery_sequence(u: GridField, p: TraceSample, n: int) -> GridField:
-    """n-th recovery field: u plus a boundary layer carrying p - Tr u.
+def recovery_sequence(u: GridField, p: TraceSample, n: int) -> tuple[GridField, float]:
+    """n-th recovery field, u plus a boundary layer carrying p - Tr u, and the
+    layer's effective eps = max(1/n, resolvability floor for p - Tr u) <= 1
+    (0 where Tr u already equals p).
 
     Its trace approaches p, its L1 distance to u is at most about
-    (1/n) int |p - Tr u|, and its gradient exceeds TV(u) by at most about
-    (1 + 1/n) int |p - Tr u|.  n is clamped so the layer stays resolvable
-    (>= 8 cells); the realized sharpness is u.grid dependent.
+    eps int |p - Tr u|, and its gradient exceeds TV(u) by at most about
+    (1 + eps) int |p - Tr u|.  The floor keeps the layer resolvable
+    (>= 8 cells), so the realized sharpness is u.grid dependent.
     """
-    return _recovery_with_sharpness(u, p, n)[0]
-
-
-def _recovery_with_sharpness(u, p, n):
-    """(field, effective eps): eps = max(1/n, resolvability floor for p - Tr u) <= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     tr = trace_extract(u)

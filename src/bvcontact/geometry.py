@@ -258,21 +258,13 @@ def domain_Q(dom: PolygonalDomain) -> float:
 class AdmissibilityReport:
     """Extremes of the products L(x) q(x) along the boundary and the verdict.
 
-    min_slack is the least slack (1-2*eps0)*sigma - L*q and sup_L the largest
-    L over the sampled points.  verdict is one of 'C2_clause' (smooth-flagged
-    domain with sup L <= sigma), 'almost_C1_clause' (min_slack >= 0), or
-    'inadmissible'.
+    min_slack is the least slack (1-2*eps0)*sigma - L*q over the sampled
+    points.  verdict is one of 'C2_clause' (smooth-flagged domain with sup L
+    <= sigma), 'almost_C1_clause' (min_slack >= 0), or 'inadmissible'.
     """
 
     verdict: str
-    epsilon0: float
-    sigma: float
     min_slack: float
-    sup_L: float
-
-    @property
-    def admissible(self) -> bool:
-        return self.verdict in ("C2_clause", "almost_C1_clause")
 
 
 def admissibility_check(dom: PolygonalDomain, density, sigma: float,
@@ -310,8 +302,7 @@ def admissibility_check(dom: PolygonalDomain, density, sigma: float,
         verdict = "almost_C1_clause"
     else:
         verdict = "inadmissible"
-    return AdmissibilityReport(verdict=verdict, epsilon0=epsilon0,
-                               sigma=sigma, min_slack=float(min_slack), sup_L=float(sup_L))
+    return AdmissibilityReport(verdict=verdict, min_slack=float(min_slack))
 
 
 def emmer_check(nu: float, dom: PolygonalDomain) -> dict:
@@ -541,9 +532,6 @@ class BoundarySamples:
     edge_id: np.ndarray
     probe_iy: np.ndarray
     probe_ix: np.ndarray
-
-    def __len__(self):
-        return len(self.s)
 
 
 class LineDomain:

@@ -32,15 +32,19 @@ from .geometry import BoundarySamples, LineDomain
 
 
 class LineGrid:
-    """The interval as a 1 x K lattice of cells of width h on the line y = 0,
-    answering what the grid functions ask of a DomainGrid: no y neighbours,
-    and a boundary of the two endpoints with unit weight each, probing the
-    end cells."""
+    """The interval tiled by K = round(length / h) >= 2 equal cells, as a
+    1 x K lattice on the line y = 0, answering what the grid functions ask of
+    a DomainGrid: no y neighbours, and a boundary of the two endpoints with
+    unit weight each, probing the end cells."""
 
     def __init__(self, dom: LineDomain, h: float):
-        self.dom = dom
-        self.h = float(h)
+        # the cap of DomainGrid, checked before allocating (a tiny h gives inf)
+        if not dom.length / h <= 2.0 ** 31:
+            raise SchemaError(f"h = {h:.4g} could give {dom.name} more than 2^31 grid cells",
+                              location="grid_h")
         n = max(2, int(round(dom.length / h)))
+        self.dom = dom
+        self.h = dom.length / n
         self.xs = dom.a + (np.arange(n) + 0.5) * self.h
         self.ys = np.zeros(1)
         self.mask = np.ones((1, n), dtype=bool)

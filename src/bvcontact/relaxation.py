@@ -26,48 +26,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import density as density_mod
 from .density import YosidaContext
 from .errors import SchemaError
-from .extension import _recovery_with_sharpness, optimal_boundary_values
+from .extension import optimal_boundary_values, recovery_sequence
 from .geometry import (LineDomain, PolygonalDomain, admissibility_check,
                        regular_ngon, unit_square)
-from .grid import (GridField, TraceSample, constant_field, energy_F, energy_H,
-                   field_from_function, line_grid, trace_extract)
+from .grid import (GridField, LineGrid, TraceSample, constant_field, energy_F,
+                   energy_H, field_from_function, trace_extract)
 
 
 @dataclass
 class SequenceSpec:
-    """One member of a named sequence family: grid realization plus the
-    closed-form energy when the family has one."""
+    """One member's grid realization and, where the family has them, its
+    exact jump set and trace."""
 
-    family: str
-    n: int
     realization: GridField
-    closed_form_energy: float | None = None
     jump_set: list | None = None
     exact_trace: TraceSample | None = None
-
-
-@dataclass
-class ViolationReport:
-    """Semicontinuity audit of a family: is liminf F(u_n) below F(limit)?
-
-    gap = limit_energy_F - liminf_energy is positive exactly for violations.
-    limit_energy_H is reported for context (it is the claimed relaxed value
-    when the configuration is admissible).
-    """
-
-    family: str
-    liminf_energy: float
-    limit_energy_F: float
-    limit_energy_H: float
-    violated: bool
-    gap: float
-    notes: dict = field(default_factory=dict)
 
 
 class E1Family:
@@ -79,20 +59,15 @@ class E1Family:
         self.dom = unit_square()
         self.density = density_mod.linear(lam)
         self.name = f"E1(lam={lam})"
+        self.sequence_limit = self.member_energy(1)
+        self.limit_energy_F = 0.0
+        # |lam| <= sigma needed for tau_hat = tau; at p = 0 both vanish
+        self.limit_energy_H = 0.0
 
     def member_energy(self, n):
         # jump height n across the diagonal of length sqrt(2)/n, trace n on
         # two boundary legs of length 1/n each
         return self.sigma * math.sqrt(2.0) + 2.0 * self.lam
-
-    def sequence_limit(self):
-        return self.member_energy(1)
-
-    def limit_energy_F(self):
-        return 0.0
-
-    def limit_energy_H(self):
-        return 0.0  # |lam| <= sigma needed for tau_hat = tau; at p = 0 both vanish
 
     def member(self, n, h):
         g = self.dom.grid(h)
@@ -102,7 +77,7 @@ class E1Family:
         jump = [((c, 0.0), (0.0, c), float(n))]
         exact = _legs_trace(self.dom, [(0.0, c, float(n)),
                                        (4.0 - c, 4.0, float(n))])
-        return SequenceSpec(self.name, n, f, self.member_energy(n), jump, exact)
+        return SequenceSpec(f, jump, exact)
 
     def limit_field(self, h):
         return constant_field(self.dom.grid(h), 0.0)
@@ -114,8 +89,6 @@ def _legs_trace(dom, segments) -> TraceSample:
     cuts = sorted({0.0, dom.perimeter} | {s for lo, hi, _ in segments for s in (lo, hi)})
     s_mid, w, vals = [], [], []
     for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo <= 0:
-            continue
         mid = 0.5 * (lo + hi)
         v = 0.0
         for a, b, val in segments:
@@ -141,6 +114,9 @@ class E2Family:
         self.dom = regular_ngon(256)
         self.density = density_mod.absolute(lam)
         self.name = f"E2(lam={lam})"
+        self.sequence_limit = 3.0 * math.pi * self.sigma
+        self.limit_energy_F = self.sigma * math.pi + self.lam * 2.0 * math.pi
+        self.limit_energy_H = self.sigma * math.pi + min(self.lam, self.sigma) * 2.0 * math.pi
 
     def member_energy(self, n):
         # gradient 1 inside radius r_n = (n-1)/n, slope n-1 on the outer
@@ -148,21 +124,11 @@ class E2Family:
         r = (n - 1.0) / n
         return self.sigma * (math.pi * r * r + (n - 1.0) * math.pi * (1.0 - r * r))
 
-    def sequence_limit(self):
-        return 3.0 * math.pi * self.sigma
-
-    def limit_energy_F(self):
-        return self.sigma * math.pi + self.lam * 2.0 * math.pi
-
-    def limit_energy_H(self):
-        return self.sigma * math.pi + min(self.lam, self.sigma) * 2.0 * math.pi
-
     def member(self, n, h):
         g = self.dom.grid(h)
         fn = lambda X, Y: np.minimum(np.hypot(X, Y), (n - 1.0) * (1.0 - np.hypot(X, Y)))
         f = field_from_function(g, fn)
-        exact = _legs_trace(self.dom, [])  # trace identically zero
-        return SequenceSpec(self.name, n, f, self.member_energy(n), None, exact)
+        return SequenceSpec(f, exact_trace=_legs_trace(self.dom, []))  # trace identically zero
 
     def limit_field(self, h):
         return field_from_function(self.dom.grid(h), lambda X, Y: np.hypot(X, Y))
@@ -171,35 +137,23 @@ class E2Family:
 class Log1DFamily:
     """Truncated logarithms on (0, 1), tau(x, p) = p at both endpoints."""
 
-    def __init__(self, n_cells: int = 10_000):
+    def __init__(self):
         self.dom = LineDomain(0.0, 1.0)
-        self.n_cells = n_cells
         self.sigma = 1.0
         self.density = density_mod.linear(1.0)
         self.name = "LOG1D"
+        self.sequence_limit = 0.0
+        self.limit_energy_F = math.inf  # the limit log leaves BV(0, 1): TV sentinel
+        self.limit_energy_H = math.inf
 
     def member_energy(self, n):
         # TV = log(n), contact = u(1) + u(0) = 0 - log(n); exact cancellation
         ln = math.log(n)
         return ln + (0.0 - ln)
 
-    def sequence_limit(self):
-        return 0.0
-
-    def limit_energy_F(self):
-        return math.inf  # the limit log leaves BV(0, 1): TV sentinel
-
-    def limit_energy_H(self):
-        return math.inf
-
-    def member(self, n, h=None):
-        g = line_grid(self.dom.a, self.dom.b, self.n_cells)
-        f = field_from_function(g, lambda X, Y: np.log(np.maximum(X, 1.0 / n)))
-        return SequenceSpec(self.name, n, f, self.member_energy(n))
-
-    def limit_field(self, h=None):
-        g = line_grid(self.dom.a, self.dom.b, self.n_cells)
-        return field_from_function(g, lambda X, Y: np.log(X))
+    def member(self, n, h):
+        g = LineGrid(self.dom, h)
+        return SequenceSpec(field_from_function(g, lambda X, Y: np.log(np.maximum(X, 1.0 / n))))
 
 
 def family_by_name(name, lam=None, sigma=1.0):
@@ -214,56 +168,47 @@ def family_by_name(name, lam=None, sigma=1.0):
 
 @dataclass
 class CatalogReport:
+    """Semicontinuity audit of a family: its member energies, their liminf,
+    and the energies F and H of the L1 limit (H is the claimed relaxed value
+    when the configuration is admissible).  gap = limit_energy_F -
+    liminf_energy, positive exactly for violations."""
+
     family: str
     n_values: list
     per_n: list
-    limit_of_sequence: float
-    energy_of_limit: float
+    liminf_energy: float
+    limit_energy_F: float
+    limit_energy_H: float
+    gap: float
+    violated: bool
     grid_checks: dict = field(default_factory=dict)
 
 
 def counterexample_energy(fam: E1Family | E2Family | Log1DFamily,
                           n_values=(4, 8, 16, 32), grid_check_n=None,
                           h=1 / 512) -> CatalogReport:
-    """Closed-form member energies, their limit, the energy of the L1 limit,
-    and an optional grid confirmation at one member."""
-    per_n = [fam.member_energy(n) for n in n_values]
+    """The audit of one family: closed-form member energies, their liminf
+    (exact, as the catalog carries closed-form limits), the energies of the
+    L1 limit, and an optional grid confirmation at one member on the grid of
+    spacing h (grid_checks["h"] is the spacing that grid realized).  A limit
+    outside BV has infinite energy and counts as a violation there."""
     checks = {}
     if grid_check_n is not None:
         spec = fam.member(grid_check_n, h)
         rep = energy_F(spec.realization, fam.density, fam.sigma,
                        exact_jump_set=spec.jump_set, exact_trace=spec.exact_trace)
         grid_rep = energy_F(spec.realization, fam.density, fam.sigma)
-        checks = {"n": grid_check_n, "h": h,
+        checks = {"n": grid_check_n, "h": spec.realization.grid.h,
                   "exact_mode_total": rep.total,
                   "grid_mode_total": grid_rep.total,
-                  "closed_form": spec.closed_form_energy}
+                  "closed_form": fam.member_energy(grid_check_n)}
+    gap = fam.limit_energy_F - fam.sequence_limit
     return CatalogReport(
-        family=fam.name, n_values=list(n_values), per_n=per_n,
-        limit_of_sequence=fam.sequence_limit(),
-        energy_of_limit=fam.limit_energy_F(),
+        family=fam.name, n_values=list(n_values),
+        per_n=[fam.member_energy(n) for n in n_values],
+        liminf_energy=fam.sequence_limit, limit_energy_F=fam.limit_energy_F,
+        limit_energy_H=fam.limit_energy_H, gap=gap, violated=bool(gap > 1e-9),
         grid_checks=checks)
-
-
-def detect_lsc_violation(fam: E1Family | E2Family | Log1DFamily,
-                         tol: float = 1e-9) -> ViolationReport:
-    """Compare liminf of the family's energies with the energy of its limit.
-
-    Catalog families carry closed-form limits, so liminf is exact.  A limit
-    outside BV reports infinite limit energy and counts as a violation of
-    semicontinuity at that limit.
-    """
-    liminf = fam.sequence_limit()
-    limit_F = fam.limit_energy_F()
-    limit_H = fam.limit_energy_H()
-    gap = limit_F - liminf
-    violated = bool(gap > tol)
-    notes = {}
-    if math.isinf(limit_F):
-        notes["limit"] = "outside BV; TV sentinel inf"
-    return ViolationReport(family=fam.name, liminf_energy=liminf,
-                           limit_energy_F=limit_F, limit_energy_H=limit_H,
-                           violated=violated, gap=gap, notes=notes)
 
 
 # -- the relaxed-energy oracle -------------------------------------------------------
@@ -309,68 +254,56 @@ class RepresentationReport:
     lower_detail: dict
 
 
-def _corner_wedge_tail(u, d, sigma, base_F, budget):
-    """Exact-increment energies of corner-jump perturbations of u.
+def _tail_candidates(u, d, sigma, base_F, seed):
+    """The perturbation families of the lower check as (name, energy at n)
+    entries, in a fixed order.
 
-    Adding a jump of height n on the triangle with legs a0/n at a convex
-    corner changes TV by 2 a0 sin(theta/2) (independent of n) and the contact
-    term by about (2 a0 / n) * [tau(x_c, t_c + n) - tau(x_c, t_c)]; the
-    subadditive estimate upper-bounds the true energy, so any value below
-    H - tol is a genuine violation witness.
+    corner_wedge: a jump of height n on the triangle with legs a0/n at a
+    convex corner changes TV by 2 a0 sin(theta/2) (independent of n) and the
+    contact term by about (2 a0 / n) * [tau(x_c, t_c + n) - tau(x_c, t_c)];
+    the subadditive estimate upper-bounds the true energy, so any value below
+    H - tol is a genuine violation witness.  bump: grid energy of a shrinking
+    boundary Gaussian of amplitude -1.5 or 0.75 at a few seeded boundary
+    points.  shift: grid energy of u -/+ 1/n.
     """
-    dom = u.dom
+    dom, g = u.dom, u.grid
+    b = g.boundary()
+    X, Y = g.cell_centers()
+    last = {}   # the Gaussian of the last (point, n) asked for
+
+    def wedge(v, a0, t_c, dtv, n):
+        dtau = d.eval_many(v, np.array([t_c + n]))[0] - d.eval_many(v, np.array([t_c]))[0]
+        return base_F + dtv + (2.0 * a0 / n) * float(dtau)
+
+    def bump(j, amp, n):
+        if (j, n) not in last:
+            x0, y0 = b.x[j]
+            width = max(0.5 / n, 4 * g.h)
+            last.clear()
+            last[j, n] = np.exp(-((X - x0) ** 2 + (Y - y0) ** 2) / (2 * width ** 2))
+        un = GridField(g, u.values + np.where(g.mask, amp * last[j, n], 0.0))
+        return energy_F(un, d, sigma).total
+
+    def shift(c, n):
+        return energy_F(GridField(g, u.values + c / n), d, sigma).total
+
     out = []
     tr = trace_extract(u)
     for rec in dom.corner_records:
         if rec.theta >= math.pi:
             continue
-        v = dom.vertices[rec.index]
-        e_prev = dom.edge_lengths[rec.index - 1]
-        e_next = dom.edge_lengths[rec.index]
-        a0 = min(e_prev, e_next)
+        v = tuple(dom.vertices[rec.index])
+        a0 = min(dom.edge_lengths[rec.index - 1], dom.edge_lengths[rec.index])
         dists = np.hypot(tr.x[:, 0] - v[0], tr.x[:, 1] - v[1])
         t_c = float(tr.values[int(np.argmin(dists))])
         dtv = sigma * 2.0 * a0 * math.sin(rec.theta / 2.0)
-        energies = []
-        for n in (max(2, budget // 2), budget):
-            shift = d.eval_many(tuple(v), np.array([t_c + n]))[0] \
-                - d.eval_many(tuple(v), np.array([t_c]))[0]
-            energies.append(base_F + dtv + (2.0 * a0 / n) * float(shift))
-        out.append((f"corner_wedge(v{rec.index})", energies[0], energies[1]))
-    return out
-
-
-def _bump_tail(u, d, ctx, budget, seed):
-    """Grid energies of shrinking boundary bumps added to u."""
+        out.append((f"corner_wedge(v{rec.index})", partial(wedge, v, a0, t_c, dtv)))
     rng = np.random.default_rng(seed)
-    dom, g = u.dom, u.grid
-    b = g.boundary()
-    out = []
-    n_pts = min(4, max(1, len(b.s) // 64))
-    picks = rng.choice(len(b.s), size=n_pts, replace=False)
-    X, Y = g.cell_centers()
-    for j in picks:
+    for j in rng.choice(len(b.s), size=min(4, max(1, len(b.s) // 64)), replace=False):
         x0, y0 = b.x[j]
-        r2 = (X - x0) ** 2 + (Y - y0) ** 2
-        energies = {-1.5: [], 0.75: []}        # amplitude -> energies at n/2, n
-        for n in (max(2, budget // 2), budget):
-            width = max(0.5 / n, 4 * g.h)
-            gauss = np.exp(-r2 / (2 * width ** 2))
-            for amp, e in energies.items():
-                un = GridField(g, u.values + np.where(g.mask, amp * gauss, 0.0))
-                e.append(energy_F(un, d, ctx.sigma).total)
-        out += [(f"bump({x0:.2f},{y0:.2f},A={amp})", *e) for amp, e in energies.items()]
-    return out
-
-
-def _shift_tail(u, d, ctx, budget):
-    out = []
-    for c in (-1.0, 1.0):
-        energies = []
-        for n in (max(2, budget // 2), budget):
-            un = GridField(u.grid, u.values + c / n)
-            energies.append(energy_F(un, d, ctx.sigma).total)
-        out.append((f"shift({c:+.0f}/n)", energies[0], energies[1]))
+        out += [(f"bump({x0:.2f},{y0:.2f},A={amp})", partial(bump, j, amp))
+                for amp in (-1.5, 0.75)]
+    out += [(f"shift({c:+.0f}/n)", partial(shift, c)) for c in (-1.0, 1.0)]
     return out
 
 
@@ -393,7 +326,7 @@ def verify_representation(u: GridField, d, ctx: YosidaContext,
     best_n = None
     rec_tail = []   # (effective eps, energy) for the two largest ladder rungs
     for n in ladder:
-        un, eps_eff = _recovery_with_sharpness(u, p, n)
+        un, eps_eff = recovery_sequence(u, p, n)
         e = energy_F(un, d, ctx.sigma).total
         rec_tail.append((eps_eff, e))
         if e < best:
@@ -415,9 +348,12 @@ def verify_representation(u: GridField, d, ctx: YosidaContext,
     else:
         rec_lim = pts[-1][1]
     candidates.append(("recovery_tail", rec_lim, min(e for _, e in rec_tail)))
-    for name, e_half, e_full in (_corner_wedge_tail(u, d, ctx.sigma, base_F, budget)
-                                 + _bump_tail(u, d, ctx, budget, seed)
-                                 + _shift_tail(u, d, ctx, budget)):
+    # every other family at the pair (n/2, n); the loop runs n outermost so
+    # that a bump's Gaussian is built once per (point, n)
+    table = _tail_candidates(u, d, ctx.sigma, base_F, seed)
+    halves, fulls = ([energy_at(n) for _, energy_at in table]
+                     for n in (max(2, budget // 2), budget))
+    for (name, _), e_half, e_full in zip(table, halves, fulls):
         candidates.append((name, 2.0 * e_full - e_half, min(e_half, e_full)))
     lower_name, lower_energy, lower_raw = min(candidates, key=lambda kv: kv[1])
     return RepresentationReport(

@@ -363,8 +363,9 @@ class SolverState:
     area integrand with beta = 1, and the two agree, times h^2, only at
     beta = 1.
 
-    residual_history[k - 1] is the un-relaxed step ||u~_k - u_{k-1}|| /
-    t_primal over the masked cells, u_{k-1} being the relaxed iterate.
+    residual_history[k - 1] is the un-relaxed step ||u~_k - u_{k-1}|| / t
+    over the masked cells, t being the primal step and u_{k-1} the relaxed
+    iterate.
 
     gap_history[k - 1] is the primal-dual gap P(u~_k) - D(xi~_k) (see
     _dual_value) at iteration k's prox outputs, on every GAP_EVERY-th row
@@ -384,14 +385,11 @@ class SolverState:
 
     u: GridField
     xi: tuple
-    t_primal: float
-    t_dual: float
     iterations: int
     residual_history: np.ndarray
     energy_history: np.ndarray
     dual_bound: float
     dual_feasibility_max: float
-    beta: float | None = None
     notes: dict = field(default_factory=dict)
     gap_history: np.ndarray | None = None
 
@@ -421,8 +419,8 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     """Primal-dual minimization on dom at spacing h.
 
     bulk selects the smooth term: 'quadratic' for (u - f)^2, 'capillarity'
-    for the area integrand + u^2 + nu * boundary trace (d and ctx are then
-    ignored; the contact is the linear density nu; f must be None), 'none' for pure
+    for the area integrand + u^2 + nu * boundary trace (the contact is the
+    linear density nu, so d and f must be None; ctx is ignored), 'none' for pure
     TV + contact, which is frequently unbounded or trivial and therefore
     requires allow_no_bulk=True.
 
@@ -461,6 +459,8 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
                          "(missing, non-finite or not a number)")
     if bulk == "capillarity" and f is not None:
         raise ValueError("bulk='capillarity' has the bulk term u^2 and reads no f")
+    if bulk == "capillarity" and d is not None:
+        raise ValueError("bulk='capillarity' has the contact density nu * p and reads no d")
     if bulk == "none" and not allow_no_bulk:
         raise ValueError("bulk='none' is usually ill-posed; pass allow_no_bulk=True "
                          "to override")
@@ -572,10 +572,9 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     dual_bound = 1.0 if area_mode else sigma
     feas = float(np.sqrt(xx * xx + yy * yy).max())
     state = SolverState(
-        u=GridField(grid, u), xi=(xx, yy), t_primal=t, t_dual=s,
-        iterations=n_done, residual_history=res_hist[:n_done],
-        energy_history=en_hist[:n_done], dual_bound=dual_bound,
-        dual_feasibility_max=feas, beta=beta if area_mode else None,
+        u=GridField(grid, u), xi=(xx, yy), iterations=n_done,
+        residual_history=res_hist[:n_done], energy_history=en_hist[:n_done],
+        dual_bound=dual_bound, dual_feasibility_max=feas,
         notes={"bulk": bulk, "h": h, "step_scale": STEP_RATIO, "relaxation": RELAX},
         gap_history=None if gap_hist is None else gap_hist[:n_done])
     if area_mode:

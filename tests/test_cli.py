@@ -12,6 +12,7 @@ from bvcontact.corpus import boundary_data
 from bvcontact.errors import ParseError, SchemaError
 from bvcontact.geometry import l_shape
 from bvcontact.grid import save_field
+from bvcontact.relaxation import Log1DFamily
 
 
 def test_parse_builtins():
@@ -65,6 +66,10 @@ P = np.linspace(-2.0, 2.0, 17)
     ("2 * foo(p)", 4),        # unknown name: offset of the name
     ("1 + max(p)", 4),        # wrong arity: offset of the function name
     ("abs(p, 1)", 0),
+    ("abs(p", 5),             # expected ')': offset of what came instead
+    ("p p", 2),               # trailing input
+    ("p + *", 4),             # unexpected token
+    ("  ", 0),                # empty expression
 ])
 def test_grammar_operators_match_numpy(text, want):
     if isinstance(want, int):
@@ -126,6 +131,37 @@ def test_energy_zero_field(tmp_path):
                         "params": {"field": "zero"}}, tmp_path)
     assert rep["result"]["F"]["total"] == pytest.approx(0.0, abs=1e-12)
     assert rep["result"]["H"]["notes"]["representation_claimed"]
+
+
+def test_energy_of_a_constant_field(tmp_path):
+    rep = run_scenario({"task": "energy", "density": "linear:-0.5", "grid_h": 1 / 16,
+                        "params": {"field": "const:0.5", "mode": "F"}}, tmp_path)
+    # no gradient; the trace 0.5 on the perimeter 4 at tau = -0.5 p
+    assert rep["result"]["F"]["total"] == pytest.approx(-1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("grid_h, cells", [(1 / 64, 64), (0.3, 3)])
+def test_log1d_grid_check_runs_at_grid_h(grid_h, cells, tmp_path):
+    # the members were built on 10,000 cells whatever grid_h said: at h = 1/64
+    # the report gave h 0.015625 with the 1e-4 lattice's value -1.0000250008e-4
+    assert Log1DFamily().member(10, grid_h).realization.values.shape == (1, cells)
+    scn = {"task": "counterexample", "grid_h": grid_h,
+           "params": {"family": "LOG1D", "n_values": [10], "grid_check_n": 10}}
+    checks = run_scenario(scn, tmp_path)["result"]["last_catalog"]["grid_checks"]
+    # a monotone lattice function with tau = p at both ends: TV(u) + u(0) +
+    # u(1) = 2 u(1), read at the last cell center 1 - h/2
+    h = 1 / cells
+    assert checks["h"] == h
+    assert checks["grid_mode_total"] == pytest.approx(2 * math.log(1 - h / 2), rel=1e-9)
+
+
+@pytest.mark.parametrize("h", [1e-300, 5e-324, 1e-10])
+def test_log1d_too_fine_grid_raises_schema_error(h, tmp_path):
+    scn = {"task": "counterexample", "grid_h": h,
+           "params": {"family": "LOG1D", "n_values": [10], "grid_check_n": 10}}
+    with pytest.raises(SchemaError) as ei:
+        run_scenario(scn, tmp_path)
+    assert ei.value.location == "grid_h"
 
 
 def test_counterexample_threshold_sweep(tmp_path):

@@ -355,6 +355,21 @@ def test_tabulated_pc_left_encodes_step():
     assert got[0] == 0.0 and got[1] == -1.0 and got[2] == -1.0
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: YosidaContext(0.0), "sigma must be positive"),
+    (lambda: YosidaContext(1.0, search_radius=0.0), "search_radius must be positive"),
+    (lambda: YosidaContext(1.0, q_grid_step=-1e-3), "q_grid_step must be positive"),
+    (lambda: tabulated([0.0], [1.0]), ">= 2 samples"),
+    (lambda: tabulated([0.0, 1.0], [1.0, 2.0, 3.0]), ">= 2 samples"),
+    (lambda: tabulated([0.0, 0.0, 1.0], [1.0, 2.0, 3.0]), "strictly increasing"),
+    (lambda: tabulated([0.0, 1.0], [1.0, 2.0], interp="cubic"), "interp must be"),
+    (lambda: lip_upper_approx_many(step_density(), 0, X, np.zeros(3)), "k must be >= 1"),
+])
+def test_context_table_and_ladder_refuse_bad_values(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_spec_text_roundtrip():
     for d in (linear(-0.8), absolute(2.0), quadratic()):
         from bvcontact.cli import parse_density_spec

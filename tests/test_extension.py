@@ -262,8 +262,8 @@ def test_recovery_identity_when_trace_matches():
     g = SQ.grid(1 / 128)
     u = field_from_function(g, lambda X, Y: X)
     p = trace_extract(u)
-    un = recovery_sequence(u, p, 10)
-    assert un is u
+    un, eps = recovery_sequence(u, p, 10)
+    assert un is u and eps == 0.0
 
 
 def test_recovery_bounds_constant_lift():
@@ -271,7 +271,8 @@ def test_recovery_bounds_constant_lift():
     u = constant_field(g, 0.0)
     p = _const_trace(g, 1.0)
     n = 10
-    un = recovery_sequence(u, p, n)
+    un, eps = recovery_sequence(u, p, n)
+    assert eps == 1 / n
     # int |p - Tr u| = 4: gradient <= 4 (1 + 1/n), distance <= 4/n
     assert tv_grid(un) <= 4 * (1 + 1 / n) * 1.05
     assert l1_distance(un, u) <= 0.4 * 1.05

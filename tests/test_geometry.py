@@ -183,6 +183,18 @@ def test_corner_data_identical_to_vertex_loop(make):
     assert dom.lipschitz_constant == lip
 
 
+@pytest.mark.parametrize("verts, match, location", [
+    ([[0, 0], [1, 0]], "n >= 3", None),
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "n >= 3", None),
+    ([[0, 0], [1, 0], [1, math.nan], [0, 1]], "non-finite", "vertex 2"),
+    ([[0, 0], [1, 0], [1, 1], [-math.inf, 1]], "non-finite", "vertex 3"),
+])
+def test_rejects_malformed_vertices(verts, match, location):
+    with pytest.raises(SchemaError, match=match) as ei:
+        geometry.PolygonalDomain(verts)
+    assert ei.value.location == location
+
+
 def test_rejects_repeated_vertex():
     with pytest.raises(SchemaError, match="vertex 1"):
         geometry.PolygonalDomain([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]])

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from bvcontact import density
 from bvcontact.density import YosidaContext, yosida_eval_many
 from bvcontact.errors import MaskMismatch, SchemaError
-from bvcontact.geometry import builtin_domain, l_shape, regular_ngon, unit_square
-from bvcontact.grid import (GridField, _grad, _grad_adjoint, _grad_at,
+from bvcontact.geometry import LineDomain, builtin_domain, l_shape, regular_ngon, unit_square
+from bvcontact.grid import (GridField, LineGrid, _grad, _grad_adjoint, _grad_at,
                             boundary_trace_from_function, constant_field,
                             energy_capillarity, energy_F, energy_H, field_from_function,
                             l1_distance, line_grid, load_field, save_field,
@@ -326,12 +326,21 @@ def test_1d_log_field_energy():
     assert abs(rep.total) < 1e-2
 
 
+@pytest.mark.parametrize("h, cells", [(0.3, 3), (1.0, 2), (0.4, 2), (1 / 64, 64)])
+def test_interval_lattice_tiles_the_interval(h, cells):
+    # cells of width h ran past the end: at h = 0.3 the last center was 0.75,
+    # at h = 1 it was 1.5, outside the interval
+    g = LineGrid(LineDomain(0.0, 1.0), h)
+    assert g.xs.shape == (cells,) and g.h == 1.0 / cells
+    assert g.xs[0] - g.h / 2 == 0.0 and g.xs[-1] + g.h / 2 == pytest.approx(1.0, abs=1e-15)
+
+
 @pytest.mark.parametrize("n", [10, 100, 1000])
 def test_interval_lattice_matches_1d_formulas(n):
     # the interval as a 1 x K lattice gives, bit for bit, the direct 1-D
     # forward differences and the endpoint trace with unit weights
-    fam = Log1DFamily(n_cells=10_000)
-    u = fam.member(n).realization
+    fam = Log1DFamily()
+    u = fam.member(n, 1e-4).realization
     h = 1.0 / 10_000
     v = np.log(np.maximum((np.arange(10_000) + 0.5) * h, 1.0 / n))
     assert u.values.shape == (1, 10_000) and np.array_equal(u.values[0], v)
@@ -352,6 +361,19 @@ def test_vector_field_tv_frobenius():
     u = field_from_function(g, lambda X, Y: np.stack([X, Y], axis=-1), vector_dim=2)
     # |grad u| = sqrt(1 + 1) on interior cells
     assert tv_grid(u) == pytest.approx(math.sqrt(2), rel=0.05)
+
+
+def test_field_refuses_a_wrong_shape_and_non_finite_values():
+    g = l_shape().grid(1 / 16)
+    with pytest.raises(MaskMismatch, match="does not match mask"):
+        GridField(g, np.zeros((3, 3)))
+    values = np.zeros(g.mask.shape)
+    values[~g.mask] = np.nan          # cells outside the mask are not read
+    GridField(g, values)
+    iy, ix = np.argwhere(g.mask)[0]
+    values[iy, ix] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        GridField(g, values)
 
 
 def test_field_io_roundtrip(tmp_path):

@@ -54,7 +54,7 @@ def test_compactness_diagnostic_bounds_gradients():
     p = optimal_boundary_values(u, d, ctx, eps=1e-3)
     fitted_C = 8.0
     for n in (4, 8, 16):
-        un = recovery_sequence(u, p, n)
+        un, _ = recovery_sequence(u, p, n)
         e = energy_F(un, d, 1.0).total
         cap = compactness_bound(e, d, dom, sigma=1.0, epsilon0=0.1,
                                 l1_mass=l1_norm(un), fitted_C=fitted_C)

@@ -5,11 +5,11 @@ import pytest
 
 from bvcontact import density
 from bvcontact.density import YosidaContext
+from bvcontact.errors import SchemaError
 from bvcontact.geometry import regular_ngon, unit_square
 from bvcontact.grid import constant_field, energy_F, field_from_function, l1_distance
 from bvcontact.relaxation import (E1Family, E2Family, Log1DFamily, CatalogReport,
-                                  counterexample_energy, detect_lsc_violation,
-                                  family_by_name, relaxed_energy,
+                                  counterexample_energy, family_by_name, relaxed_energy,
                                   representation_claimed, verify_representation)
 
 SQRT2 = math.sqrt(2.0)
@@ -31,7 +31,7 @@ def test_e1_exact_mode_matches_closed_form():
     rep = energy_F(spec.realization, fam.density, fam.sigma,
                    exact_jump_set=spec.jump_set, exact_trace=spec.exact_trace)
     assert rep.validity == "exact_closed_form"
-    assert rep.total == pytest.approx(spec.closed_form_energy, abs=1e-9)
+    assert rep.total == pytest.approx(fam.member_energy(16), abs=1e-9)
 
 
 def test_e1_grid_confirms_closed_form():
@@ -39,7 +39,7 @@ def test_e1_grid_confirms_closed_form():
     spec = fam.member(8, h=1 / 512)
     rep = energy_F(spec.realization, fam.density, fam.sigma)
     assert rep.validity == "grid_estimate"
-    assert rep.total == pytest.approx(spec.closed_form_energy, rel=0.03)
+    assert rep.total == pytest.approx(fam.member_energy(8), rel=0.03)
 
 
 def test_e1_l1_convergence_decreasing():
@@ -53,16 +53,16 @@ def test_e1_l1_convergence_decreasing():
 
 
 def test_e1_violation_threshold():
-    assert detect_lsc_violation(E1Family(-0.75)).violated
-    assert not detect_lsc_violation(E1Family(-0.65)).violated
+    assert counterexample_energy(E1Family(-0.75)).violated
+    assert not counterexample_energy(E1Family(-0.65)).violated
     # scan brackets the crossover at sqrt(2)/2
-    flips = [detect_lsc_violation(E1Family(lam)).violated
+    flips = [counterexample_energy(E1Family(lam)).violated
              for lam in (-0.65, -0.70, -0.71, -0.75)]
     assert flips == [False, False, True, True]
 
 
 def test_e1_violation_gap_value():
-    rep = detect_lsc_violation(E1Family(-0.9))
+    rep = counterexample_energy(E1Family(-0.9))
     assert rep.violated
     assert rep.gap == pytest.approx(abs(SQRT2 - 1.8), abs=1e-12)
     assert rep.limit_energy_F == 0.0
@@ -78,27 +78,27 @@ def test_e2_member_energy_formula():
         r = (n - 1) / n
         assert fam.member_energy(n) == pytest.approx(
             math.pi * r * r + (n - 1) * math.pi * (1 - r * r))
-    assert fam.sequence_limit() == pytest.approx(3 * math.pi)
+    assert fam.sequence_limit == pytest.approx(3 * math.pi)
 
 
 def test_e2_gap_converges_to_minus_two_pi_lam_minus_one():
     lam = 2.0
     fam = E2Family(lam)
-    gap_n = fam.member_energy(64) - fam.limit_energy_F()
+    gap_n = fam.member_energy(64) - fam.limit_energy_F
     target = -2.0 * math.pi * (lam - 1.0)
     assert gap_n == pytest.approx(target, rel=0.05)
 
 
 def test_e2_violation_iff_lam_above_sigma():
-    results = {lam: detect_lsc_violation(E2Family(lam)).violated
+    results = {lam: counterexample_energy(E2Family(lam)).violated
                for lam in (0.9, 1.0, 1.1)}
     assert results == {0.9: False, 1.0: False, 1.1: True}
 
 
 def test_e2_limit_energies():
     fam = E2Family(2.0)
-    assert fam.limit_energy_F() == pytest.approx(math.pi + 4 * math.pi)
-    assert fam.limit_energy_H() == pytest.approx(3 * math.pi)
+    assert fam.limit_energy_F == pytest.approx(math.pi + 4 * math.pi)
+    assert fam.limit_energy_H == pytest.approx(3 * math.pi)
 
 
 def test_e2_grid_tv_confirms_member():
@@ -118,23 +118,25 @@ def test_log1d_exact_zero():
 
 
 def test_log1d_grid_value_small():
-    fam = Log1DFamily(n_cells=10_000)
-    spec = fam.member(100)
+    fam = Log1DFamily()
+    spec = fam.member(100, 1e-4)
     rep = energy_F(spec.realization, fam.density, 1.0)
     assert abs(rep.total) < 1e-2
 
 
 def test_log1d_limit_outside_bv():
-    rep = detect_lsc_violation(Log1DFamily())
+    rep = counterexample_energy(Log1DFamily())
     assert rep.liminf_energy == 0.0
-    assert math.isinf(rep.limit_energy_F)
-    assert rep.notes.get("limit") == "outside BV; TV sentinel inf"
+    assert math.isinf(rep.limit_energy_F) and math.isinf(rep.limit_energy_H)
+    assert rep.violated and math.isinf(rep.gap)
 
 
 def test_family_by_name():
     assert family_by_name("E1", lam=-0.8).name.startswith("E1")
     assert family_by_name("e2", lam=2.0).name.startswith("E2")
     assert family_by_name("LOG1D").name == "LOG1D"
+    with pytest.raises(SchemaError, match="'E3'"):
+        family_by_name("E3")
 
 
 def test_counterexample_energy_report():

@@ -256,6 +256,17 @@ def test_capillarity_rejects_f():
         minimize_energy(dom, bulk="capillarity", nu=0.5, f=f, h=1 / 16, iters=3)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(bulk="area"), "bulk must be"),
+    (dict(bulk="quadratic"), "ctx"),
+    # the solve dropped d: the report was the same with or without it
+    (dict(bulk="capillarity", nu=0.5, d=density.linear(1.0)), "reads no d"),
+])
+def test_minimize_energy_refuses_bad_combinations(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        minimize_energy(SQ, h=1 / 16, iters=3, **kwargs)
+
+
 def test_table_contact_refuses_x_dependent_density():
     # the table prox tabulated tau_hat at the first boundary sample for every cell
     d = density.expression("abs(p) - 0.2*x1*x1", c=0.2, L=0.0)
