@@ -221,10 +221,12 @@ def _task_yosida(v, dom, d, ctx, out, rng):
     ps = np.linspace(v["p_min"], v["p_max"], v["n_points"])
     x0 = tuple(dom.vertices[0])
     tau = d.eval_many(x0, ps)
-    hat = yosida_eval_many(d, ctx, x0, ps, force_bruteforce=v["force_bruteforce"])
+    hat, search = yosida_eval_many(d, ctx, x0, ps, force_bruteforce=v["force_bruteforce"],
+                                   return_search=True)
     rows = list(zip(ps, hat, tau))
     write_csv(out / "table.csv", ["p", "tau_hat", "tau"], rows, dat=True)
-    return {"n_points": v["n_points"], "max_drop": float((tau - hat).max())}
+    return {"n_points": v["n_points"], "max_drop": float((tau - hat).max()),
+            "search": search}
 
 
 def _task_qgeom(v, dom, d, ctx, out, rng):

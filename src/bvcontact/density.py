@@ -7,7 +7,8 @@ tau(x, p) >= -c(x) - L(x)|p|.  The transform
 
 is the greatest sigma-Lipschitz function below tau(x, .).  closed_form holds
 the builtin kinds' closed forms for it, its minimizer and its resolvent;
-every other kind goes through a certified brute-force grid search.  The
+every other kind goes through one search: exact over the kinks of a density
+piecewise linear in p, else a certified grid minimum.  The
 module also provides the Caratheodory upper envelope T and the decreasing
 Lipschitz approximation ladder tau_k used for densities that are only upper
 semicontinuous in p.
@@ -33,6 +34,10 @@ DESCENT_MARGIN = 1e-6
 
 #: elements (rows x nodes) in one chunk of the per-sample transform search
 ROW_CHUNK = 2 ** 15
+
+#: samples in one chunk of the per-sample kink search; a chunk whose kinks
+#: outgrow ROW_CHUNK elements (64 a sample) sends the search to the grid
+KINK_ROWS = ROW_CHUNK // 64
 
 
 def _pnorm(p, value_dim=1):
@@ -245,6 +250,14 @@ def verify_lower_bound(d: SurfaceDensity, samples, tol=1e-9) -> LowerBoundReport
     return LowerBoundReport(holds=bool(worst >= -tol), worst_violation=min(worst, 0.0))
 
 
+def _refuse_degenerate_margin(d, sigma):
+    """sup L; raises DegenerateMargin unless it lies strictly below sigma."""
+    Ls = d.L_sup
+    if sigma - Ls < max(1e-9 * max(1.0, sigma), 1e-12):
+        raise DegenerateMargin(f"sigma - sup L = {sigma - Ls:.3g}; widen sigma or use closed forms")
+    return Ls
+
+
 def yosida_radius(d: SurfaceDensity, sigma, x, p) -> float:
     """Search radius R such that any near-optimal q in the inf-convolution at
     (x, p) satisfies |q| <= R:
@@ -255,10 +268,7 @@ def yosida_radius(d: SurfaceDensity, sigma, x, p) -> float:
     at its samples' points x (n, 2); the largest of their radii is returned.
     Requires sup L strictly below sigma.
     """
-    margin = 1e-9 * max(1.0, sigma)
-    Ls = d.L_sup
-    if sigma - Ls < max(margin, 1e-12):
-        raise DegenerateMargin(f"sigma - sup L = {sigma - Ls:.3g}; widen sigma or use closed forms")
+    Ls = _refuse_degenerate_margin(d, sigma)
     P = np.asarray(p, dtype=float).reshape((-1,) + ((d.value_dim,) if d.value_dim > 1 else ()))
     pn = _pnorm(P, d.value_dim)
     c = np.asarray(d.c(x) if callable(d.c) else d.c, dtype=float)
@@ -322,7 +332,7 @@ def closed_form(d: SurfaceDensity, sigma) -> ClosedForm | None:
 
 
 def _finite_or_sentinel(tau):
-    """tau values with NaN and +-inf read as NEG_SENTINEL, as every grid search does."""
+    """tau values with NaN and +-inf read as NEG_SENTINEL, as every search does."""
     return np.where(np.isfinite(tau), tau, NEG_SENTINEL)
 
 
@@ -357,17 +367,36 @@ def _cone_envelope(f, q, s):
 
 
 def _brute_force_yosida(d, ctx, x, p_values):
-    """Grid minimum of q -> tau(x,q) + sigma|p-q| per scalar p, and a node
-    attaining it.  Every p is a node.  A density that reads x, at the samples'
-    points x (n, 2), is searched on each row p_i + k step, |k step| <= radius,
-    ROW_CHUNK elements at a time; else all p share one q-grid, whose minimum
-    at every node is the cone envelope of tau.  On both paths a tie within
-    rounding goes to the node nearest p."""
+    """Minimum of q -> tau(x,q) + sigma|p-q| per scalar p, a q attaining it,
+    and the search that ran: 'kinks' or 'grid'.
+
+    A density piecewise linear in q (_kinks) is searched exactly: the map is
+    affine between the kinks of tau and p, so it attains a bounded minimum at
+    one of them, and search_radius and q_grid_step go unread.  Every other
+    density, and one whose kinks outgrow a chunk, takes a grid minimum in
+    which every p is a node.  A density that reads x, at the samples' points
+    x (n, 2), is searched per sample: among its p and kinks, KINK_ROWS
+    samples at a time, or on its row p_i + k step, |k step| <= radius,
+    ROW_CHUNK elements at a time.  Else all p share one node set, the kinks
+    and the p or a q-grid, whose minimum at every node is the cone envelope
+    of tau.  On every path a tie within rounding goes to the candidate
+    nearest p."""
     sigma = ctx.sigma
     P = np.atleast_1d(np.asarray(p_values, dtype=float))
+    if ctx.search_radius is None:       # the refusal yosida_radius makes
+        _refuse_degenerate_margin(d, sigma)
+    per_sample = np.ndim(x) == 2 and d.depends_on_x
+    x_shared = None if np.ndim(x) == 2 else x      # the point every p shares
+    if per_sample:
+        found = _per_sample_kink_search(d, sigma, x, P)
+    else:
+        kinks = _kinks(d, x_shared)
+        found = None if kinks is None else _shared_kink_search(d, sigma, x_shared, P, kinks[0])
+    if found is not None:
+        return (*found, "kinks")
     radius = ctx.search_radius or yosida_radius(d, sigma, x, P)
     step = min(ctx.q_grid_step or radius / 2000.0, radius / 8.0)
-    if np.ndim(x) == 2 and d.depends_on_x:
+    if per_sample:
         k = math.ceil(radius / step)
         offsets = np.arange(-k, k + 1) * step
         cone = sigma * np.abs(offsets)         # sigma |p_i - q| on every row
@@ -379,20 +408,97 @@ def _brute_force_yosida(d, ctx, x, p_values):
             g += cone
             hat[a:a + rows] = m = g.min(axis=1)
             _refuse_descent(g, m, q, sigma)
-            # of the nodes within rounding of the minimum, the one nearest p_i
-            near = _near(g, m[:, None])
-            q_min[a:a + rows] = q[np.arange(len(q)), np.where(near, cone, np.inf).argmin(axis=1)]
-        return hat, q_min
+            q_min[a:a + rows] = _nearest_minimizer(g, m, cone, q)
+        return hat, q_min, "grid"
     lo, hi = float(P.min()) - radius, float(P.max()) + radius
     # anchor the grid on the p-values: union of a coarse cover and exact p nodes
     n = int(math.ceil((hi - lo) / step)) + 1
     q = np.unique(np.concatenate([np.linspace(lo, hi, n), P]))
-    tau_q = _finite_or_sentinel(d.eval_many(None if np.ndim(x) == 2 else x, q))
+    tau_q = _finite_or_sentinel(d.eval_many(x_shared, q))
     g = tau_q + sigma * np.abs(np.array([[P.min()], [P.max()]]) - q)
     _refuse_descent(g, g.min(axis=1), q, sigma)
+    return (*_envelope_at(tau_q, q, sigma, P), "grid")
+
+
+def _kinks(d, x):
+    """The kinks in q of tau(x, q), as an array (rows, K) padded with NaN,
+    for a density piecewise linear in q whose kinks fit in ROW_CHUNK
+    elements; None for every other.  x is None, one point, or the samples'
+    points (n, 2) for one row each."""
+    if d.kind == "linear":
+        return np.empty((1, 0))
+    if d.kind == "absolute":
+        return np.zeros((1, 1))
+    if d.kind == "tabulated":
+        nodes, _, interp = d.table          # np.interp is flat past the end nodes
+        return nodes[None, :] if interp == "linear" else None
+    if d.kind == "expression":
+        x1, x2 = (0.0, 0.0) if x is None else np.moveaxis(
+            np.asarray(x, dtype=float)[..., None], -2, 0)
+        return exprgrammar.kinks(d._ast, x1, x2, limit=ROW_CHUNK)
+    return None
+
+
+def _envelope_at(tau_q, q, sigma, P):
+    """The cone envelope of tau_q on the sorted nodes q, which hold P, read at P."""
     env, arg = _cone_envelope(tau_q, q, sigma)
     at = np.searchsorted(q, P)
     return env[at], q[arg[at]]
+
+
+def _shared_kink_search(d, sigma, x, P, kinks):
+    """The exact search of every p at one x: the cone envelope of tau on its
+    kinks and P, plus one node a unit past each end, where a descent is an
+    affine end piece falling toward -infinity."""
+    q = np.unique(np.concatenate([kinks[np.isfinite(kinks)], P]))
+    q = np.concatenate([q[:1] - 1.0, q, q[-1:] + 1.0])
+    tau_q = _finite_or_sentinel(d.eval_many(x, q))
+    _refuse_end_descent(tau_q[[0, -1]] - tau_q[[1, -2]], sigma)
+    return _envelope_at(tau_q, q, sigma, P)
+
+
+def _per_sample_kink_search(d, sigma, x, P):
+    """The exact search per sample, KINK_ROWS samples at a time, or None when
+    tau is not piecewise linear in q or a chunk's kinks outgrow ROW_CHUNK."""
+    hat, q_min = np.empty((2, len(P)))
+    for a in range(0, len(P), KINK_ROWS):
+        rows = slice(a, a + KINK_ROWS)
+        kinks = _kinks(d, x[rows])
+        if kinks is None:
+            return None
+        hat[rows], q_min[rows] = _kink_minimum(d, sigma, x[rows], P[rows], kinks)
+    return hat, q_min
+
+
+def _kink_minimum(d, sigma, x, P, kinks):
+    """Exact minimum per sample over its candidates: p and its row of kinks,
+    a NaN read as p, and for the descent test the outermost candidates and
+    a point one unit past each."""
+    p = P[:, None]
+    C = np.concatenate([p, np.where(np.isfinite(kinks), kinks, p)], axis=1)
+    lo, hi = C.min(axis=1, keepdims=True), C.max(axis=1, keepdims=True)
+    C = np.hstack([C, lo - 1.0, lo, hi, hi + 1.0])
+    tau = _finite_or_sentinel(d.eval_many(x[:, None], C))
+    _refuse_end_descent(tau[:, [-4, -1]] - tau[:, [-3, -2]], sigma)
+    cone = sigma * np.abs(p - C)
+    g = tau + cone
+    m = g.min(axis=1)
+    return m, _nearest_minimizer(g, m, cone, C)
+
+
+def _nearest_minimizer(g, m, cone, q):
+    """Per row of g, the node q within rounding of the row minimum m that lies
+    nearest p, where cone = sigma |p - q|."""
+    near = _near(g, m[:, None])
+    return q[np.arange(len(q)), np.where(near, cone, np.inf).argmin(axis=1)]
+
+
+def _refuse_end_descent(rise, sigma):
+    """UnboundedBelow where tau(q) + sigma|p - q| falls (slope <= -DESCENT_MARGIN)
+    on an end piece past every kink and p, where tau rises by rise per unit
+    step outward."""
+    if np.any(rise + sigma <= -DESCENT_MARGIN):
+        raise UnboundedBelow("descent direction active past the outermost kink")
 
 
 def _refuse_descent(g, g_min, q, sigma):
@@ -405,22 +511,27 @@ def _refuse_descent(g, g_min, q, sigma):
             raise UnboundedBelow(f"descent direction active at {side} search boundary")
 
 
-def yosida_eval_many(d, ctx, x, P, force_bruteforce=False):
+def yosida_eval_many(d, ctx, x, P, force_bruteforce=False, return_search=False):
     """tau_hat(x, p) = inf_q tau(x, q) + sigma|p - q| over the p values P, at
-    one point x or per sample.
+    one point x or per sample; with return_search also the search that ran:
+    'closed_form', 'kinks' or 'grid'.
 
-    Builtin kinds use closed forms; everything else is minimized on a q-grid
-    of radius yosida_radius around p.  Raises UnboundedBelow when the inf is
-    -infinity (slope of tau beyond sigma at infinity).
+    Builtin kinds use closed forms; every other density, and every density
+    under force_bruteforce, goes through _brute_force_yosida: exact over the
+    kinks of a density piecewise linear in p, else a grid minimum within
+    yosida_radius of p.  Raises UnboundedBelow when the inf is -infinity
+    (slope of tau beyond sigma at infinity).
     """
     P = np.asarray(P, dtype=float)
-    if not force_bruteforce:
-        cf = closed_form(d, ctx.sigma)
-        if cf is not None:
-            return cf.hat(P)
-    if d.value_dim != 1:
+    cf = None if force_bruteforce else closed_form(d, ctx.sigma)
+    if cf is not None:
+        hat, search = cf.hat(P), "closed_form"
+    elif d.value_dim != 1:
         raise UnsupportedArity("brute-force transform supports M = 1 only")
-    return _brute_force_yosida(d, ctx, x, P.ravel())[0].reshape(P.shape)
+    else:
+        hat, _, search = _brute_force_yosida(d, ctx, x, P.ravel())
+        hat = hat.reshape(P.shape)
+    return (hat, search) if return_search else hat
 
 
 # -- upper envelope and the Lipschitz approximation ladder ------------------------

@@ -13,6 +13,8 @@ Grammar (EBNF, also in docs/density-grammar.md):
 
 abs and sqrt take one argument, min and max take two.  Evaluation is
 numpy-vectorized in p.  Parse failures raise ParseError with a byte offset.
+kinks lists where an expression piecewise linear in p bends, for the exact
+transform search.
 """
 
 from __future__ import annotations
@@ -174,4 +176,70 @@ def ast_vars(node) -> set:
         return {node[1]}
     kids = node[2] if node[0] == "call" else [k for k in node[1:] if isinstance(k, tuple)]
     return set().union(*map(ast_vars, kids))
+
+
+def kinks(node, x1=0.0, x2=0.0, limit=2 ** 15):
+    """The kinks in p of an expression that is piecewise linear in p, at the
+    boundary point (x1, x2): scalars, or columns (n, 1) for one row per
+    sample.  Returns an array (rows, K) with rows 1 or n, each row a sorted
+    superset of the kinks without repeats, padded with NaN; None when p
+    enters other than through +, -, * with one factor reading p, / by a
+    p-free denominator, abs, min and max, or when the kinks of a
+    subexpression take more than limit elements over all rows.  Past its
+    outermost kink the expression is affine."""
+    if "p" not in ast_vars(node) or node[0] == "var":
+        return np.empty((1, 0))
+    if node[0] == "neg":
+        return kinks(node[1], x1, x2, limit)
+    if node[0] in ("*", "/", "^"):
+        reads = ["p" in ast_vars(k) for k in node[1:]]
+        if node[0] == "^" or reads[1] and (node[0] == "/" or reads[0]):
+            return None
+        return kinks(node[1] if reads[0] else node[2], x1, x2, limit)
+    if node[0] == "call" and node[1] == "sqrt":
+        return None
+    args = node[2] if node[0] == "call" else node[1:]
+    ks = [kinks(a, x1, x2, limit) for a in args]
+    if any(k is None for k in ks):
+        return None
+    k = _cat(*ks)
+    if node[0] == "call":
+        # abs(e) bends where e = 0; min(a, b) and max(a, b) where a - b = 0
+        e = args[0] if node[1] == "abs" else ("-", *args)
+        k = _cat(k, _zeros(e, k, x1, x2))
+    k = _compact(k)
+    return k if k.shape[1] * max(np.size(x1), np.size(x2)) <= limit else None
+
+
+def _cat(*ks):
+    rows = max(k.shape[0] for k in ks)
+    return np.concatenate([np.broadcast_to(k, (rows, k.shape[1])) for k in ks], axis=1)
+
+
+def _compact(k):
+    """Each row of k sorted, its finite entries once each, then NaN, in as
+    many columns as its fullest row needs."""
+    k = np.sort(np.where(np.isfinite(k), k, np.nan), axis=1)     # NaN sorts last
+    k[:, 1:][k[:, 1:] == k[:, :-1]] = np.nan
+    k = np.sort(k, axis=1)
+    return k[:, :np.isfinite(k).sum(axis=1).max(initial=0)]
+
+
+def _zeros(node, t, x1, x2):
+    """The zeros in p of an expression affine between the points t (rows, m)
+    and past the outermost: per piece, the root of its line where the root
+    lies on the piece, else NaN."""
+    t = np.sort(np.where(np.isfinite(t), t, 0.0), axis=1)   # any extra point will do
+    if t.shape[1] == 0:
+        t = np.zeros((t.shape[0], 1))
+    ends = np.concatenate([t[:, :1] - 1.0, t, t[:, -1:] + 1.0], axis=1)
+    ends, f = np.broadcast_arrays(ends, eval_ast(node, ends, x1, x2))
+    a, b, fa, fb = ends[:, :-1], ends[:, 1:], f[:, :-1], f[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = fa / (fa - fb)                    # the root at a + (b - a) lam
+    on = (lam >= 0) & (lam <= 1)
+    on[:, 0] = lam[:, 0] <= 1                   # the pieces reaching -inf and +inf
+    on[:, -1] = lam[:, -1] >= 0
+    on &= np.isfinite(lam)
+    return np.where(on, a + (b - a) * np.where(on, lam, 0.0), np.nan)
 

@@ -229,8 +229,9 @@ def optimal_boundary_values(u: GridField, d, ctx, eps: float) -> TraceSample:
 
     The achieved value is within eps of the transform at every sample: the
     closed-form argmin for builtins, else the minimizer of the transform's
-    grid search (density._brute_force_yosida) at step eps / (4 sigma), each
-    sample at its own point.
+    search (density._brute_force_yosida), exact for a density piecewise
+    linear in p and on a grid of step eps / (4 sigma) otherwise, each sample
+    at its own point.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

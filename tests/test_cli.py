@@ -207,6 +207,17 @@ def test_yosida_table(tmp_path):
         p, hat, tau = map(float, line.split(","))
         expected = p * p if abs(p) <= 0.5 else abs(p) - 0.25
         assert hat == pytest.approx(expected, abs=1e-9)
+    assert rep["result"]["search"] == "closed_form"
+
+
+@pytest.mark.parametrize("density, force, search", [
+    ("quadratic", True, "grid"), ("2*min(abs(p-1), abs(p+1))", False, "kinks"),
+    ("p*p + 0.5*abs(p-0.25)", False, "grid"), ("absolute:0.5", True, "kinks")])
+def test_yosida_report_names_its_search(density, force, search, tmp_path):
+    # every density here is nonnegative: c = L = 0
+    rep = run_scenario({"task": "yosida", "density": density, "density_c": 0.0,
+                        "density_L": 0.0, "params": {"n_points": 9, "force_bruteforce": force}}, tmp_path)
+    assert rep["result"]["search"] == search
 
 
 def test_solve_task_writes_field(tmp_path):

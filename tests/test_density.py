@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvcontact import density
+from bvcontact import density, exprgrammar
 from bvcontact.density import (SurfaceDensity, YosidaContext, absolute, expression, linear,
                                lip_upper_approx_many, quadratic, step_density,
                                tabulated, upper_envelope_T, verify_lower_bound,
@@ -392,6 +392,8 @@ def test_depends_on_x_reads_the_expression_tree():
 TWO_WELL = "2*min(abs(p-1), abs(p+1))"
 TABLE = "p*p + 0.5*abs(p-0.25)"
 X1_WELL = "abs(p) - 0.2*x1*x1"
+# |p| on [-4, 4] spelled through p*p: not piecewise linear, so a grid search
+V_NOT_PL = "max(abs(p), p*p/4)"
 
 
 def dense_cone_min(f, q, s, p):
@@ -505,50 +507,190 @@ def test_optimal_boundary_values_attain_dense_minimum(text, envelope_nodes, sear
     assert np.abs(achieved - ref).max() <= 1e-12
 
 
-@pytest.mark.parametrize("text", ["abs(p) - 0.25", "abs(p) - 0.25 + 0*x1"])
-def test_optimal_boundary_values_take_the_minimizer_nearest_the_trace(text):
-    # at sigma = 1 every node between 0 and Tr u attains the transform; the
+@pytest.mark.parametrize("text, search", [
+    pytest.param(text, search, id=text) for text, search in (
+        ("abs(p) - 0.25", "kinks"), ("abs(p) - 0.25 + 0*x1", "kinks"),
+        (V_NOT_PL + " - 0.25", "grid"), (V_NOT_PL + " - 0.25 + 0*x1", "grid"))])
+def test_optimal_boundary_values_take_the_minimizer_nearest_the_trace(text, search):
+    # at sigma = 1 every q between 0 and Tr u attains the transform; the
     # shared q-grid used to take the node farthest from Tr u (|q| <= 0.0013)
     u = field_from_function(unit_square().grid(1 / 64), lambda X1, X2: X1)
     d = expression(text, c=0.25, L=0.0)
+    tr = trace_extract(u)
+    assert density._brute_force_yosida(d, YosidaContext(1.0), tr.x, tr.values)[2] == search
     q = optimal_boundary_values(u, d, YosidaContext(sigma=1.0), eps=1e-2)
-    assert np.array_equal(q.values, trace_extract(u).values)
+    assert np.array_equal(q.values, tr.values)
 
 
 def test_transforms_run_in_linear_memory():
     # a P x q matrix over the criterion-10 ladder grid takes over 1 GiB, and
     # over a 4001-point transform tens of MiB
     P = np.unique(np.concatenate([np.linspace(-3.0, 3.0, 4801), [1.0]]))
-    two_well = expression(TWO_WELL, c=0.0, L=0.0)
+    ps = np.linspace(-3, 3, 4001)
+    transform_peaks = []
     tracemalloc.start()
     try:
         lip_upper_approx_many(step_density(), 1, X, P)
         ladder_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        yosida_eval_many(two_well, YosidaContext(sigma=1.0), X, np.linspace(-3, 3, 4001),
-                         force_bruteforce=True)
-        transform_peak = tracemalloc.get_traced_memory()[1]
+        for text in (TWO_WELL, TABLE):          # the kink search and the q-grid
+            tracemalloc.reset_peak()
+            yosida_eval_many(expression(text, c=0.0, L=0.0), YosidaContext(sigma=1.0), X,
+                             ps, force_bruteforce=True)
+            transform_peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert ladder_peak < 32 * 2 ** 20
-    assert transform_peak < 8 * 2 ** 20
+    assert max(transform_peaks) < 8 * 2 ** 20
 
 
 def test_per_sample_search_runs_in_chunks():
-    # 512 samples of the square at h = 1/128, each searched on its own row of
-    # ~11 400 nodes: the whole sample x node matrix would take ~45 MiB
+    # 512 samples of the square at h = 1/128; on the grid each is searched on
+    # its own row of ~11 400 nodes: the whole sample x node matrix would take
+    # ~45 MiB.  The kink search reads a few candidates a sample
     tr = trace_extract(field_from_function(unit_square().grid(1 / 128),
                                            lambda X1, X2: 3 * X1 - 1.5))
-    d = expression(X1_WELL, c=0.2, L=0.0)
     ctx = YosidaContext(sigma=1.0, q_grid_step=1e-3)
-    tracemalloc.start()
-    try:
-        hat, q = density._brute_force_yosida(d, ctx, tr.x, tr.values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
-    # tau_hat(x, p) = |p| - 0.2 x1^2, attained on every node between 0 and p;
-    # the tie goes to the node nearest p, p itself
-    assert np.abs(hat - (np.abs(tr.values) - 0.2 * tr.x[:, 0] ** 2)).max() <= 1e-12
-    assert np.array_equal(q, tr.values)
+    for text, search in ((X1_WELL, "kinks"), (V_NOT_PL + " - 0.2*x1*x1", "grid")):
+        d = expression(text, c=0.2, L=0.0)
+        tracemalloc.start()
+        try:
+            hat, q, searched = density._brute_force_yosida(d, ctx, tr.x, tr.values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert searched == search and peak < 8 * 2 ** 20
+        # tau_hat(x, p) = |p| - 0.2 x1^2, attained at every q between 0 and p;
+        # the tie goes to the candidate nearest p, p itself
+        assert np.abs(hat - (np.abs(tr.values) - 0.2 * tr.x[:, 0] ** 2)).max() <= 1e-12
+        assert np.array_equal(q, tr.values)
+
+
+# -- the exact kink search for densities piecewise linear in p ------------------------
+
+
+def _pl_expressions(depth):
+    """(text, slope bound in p for x1 in [0, 1]) of expressions piecewise
+    linear in p, built from p, x1 and constants by abs, min, max, +, -,
+    scalar * and unary minus."""
+    const = st.floats(-2, 2).map(lambda c: round(c, 3))
+    leaf = st.one_of(st.sampled_from([("p", 1.0), ("x1", 0.0), ("x1*p", 1.0)]),
+                     const.map(lambda c: (repr(c), 0.0)),
+                     const.map(lambda c: (f"(p - {c!r})", 1.0)))
+    if depth == 0:
+        return leaf
+    sub = _pl_expressions(depth - 1)
+    pair = st.tuples(sub, sub)
+    return st.one_of(
+        leaf,
+        sub.map(lambda a: (f"abs({a[0]})", a[1])),
+        sub.map(lambda a: (f"-({a[0]})", a[1])),
+        st.tuples(const, sub).map(lambda ca: (f"{ca[0]!r}*({ca[1][0]})", abs(ca[0]) * ca[1][1])),
+        *(pair.map(lambda ab, f=f: (f"{f}({ab[0][0]}, {ab[1][0]})", max(ab[0][1], ab[1][1])))
+          for f in ("min", "max")),
+        *(pair.map(lambda ab, o=o: (f"{ab[0][0]} {o} {ab[1][0]}", ab[0][1] + ab[1][1]))
+          for o in ("+", "-")))
+
+
+@given(case=_pl_expressions(3), sigma=st.floats(0.1, 2.0),
+       ps=st.lists(st.floats(-3, 3), min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_kink_search_is_exact_on_drawn_pl_expressions(case, sigma, ps):
+    # tau = e + S|p| for a drawn e of slope bound S is bounded below by
+    # tau(x, 0) at every sigma, and its slopes up to 2S exceed sigma where
+    # the transform must read the kinks.  The kink search is a minimum over
+    # a superset of the minimizers: it lies below every grid minimum and
+    # within one grid step of it
+    e, slope = case
+    text, slope = f"{e} + {slope!r}*abs(p)", 2 * slope
+    xs = np.column_stack([np.linspace(0.0, 1.0, 4), np.zeros(4)])
+    ps = np.array(ps)
+    tau0 = expression(text, c=0.0, L=0.0).eval_many(xs, np.zeros(4))
+    d = expression(text, c=max(0.0, float(-tau0.min())), L=0.0)
+    hat, q, search = density._brute_force_yosida(d, YosidaContext(sigma), xs, ps)
+    assert search == "kinks"
+    assert np.abs(d.eval_many(xs, q) + sigma * np.abs(ps - q) - hat).max() <= 1e-12
+    on_grid = SurfaceDensity.from_callable(d.eval_many, c=d.c, L=d.L)
+    step = density.yosida_radius(d, sigma, xs, ps) / 20000
+    grid_hat, _, _ = density._brute_force_yosida(on_grid, YosidaContext(sigma, q_grid_step=step),
+                                                 xs, ps)
+    assert np.all(hat <= grid_hat + 1e-12)
+    assert np.all(grid_hat - hat <= (slope + sigma) * step + 1e-12)
+
+
+def test_two_well_transform_is_exact():
+    # the q-grid read 1.0e-3 above min(|p - 1|, |p + 1|) on [-3, 3]
+    ps = np.linspace(-3.0, 3.0, 4001)
+    d = expression(TWO_WELL, c=0.0, L=0.0)
+    got = yosida_eval_many(d, YosidaContext(sigma=1.0), X, ps, force_bruteforce=True)
+    assert np.abs(got - np.minimum(np.abs(ps - 1), np.abs(ps + 1))).max() <= 1e-12
+
+
+def test_unbounded_below_detected_by_kink_search():
+    # the kink-search twin of test_unbounded_below_detected_by_grid_search
+    d = expression("-2*abs(p)", c=0, L=0.5)
+    with pytest.raises(UnboundedBelow, match="outermost kink"):
+        yosida_eval_many(d, YosidaContext(sigma=1.0), X, 0.0)
+    with pytest.raises(UnboundedBelow, match="outermost kink"):   # one row per sample
+        density._brute_force_yosida(expression("-2*abs(p) + x1", c=0, L=0.5),
+                                    YosidaContext(sigma=1.0), np.zeros((3, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize("text", ["p*p", "sqrt(p)", "p^2", "1/p", "p*abs(p)", TABLE])
+def test_kinks_refuse_expressions_not_piecewise_linear(text):
+    assert exprgrammar.kinks(exprgrammar.parse_expression(text)) is None
+
+
+@pytest.mark.parametrize("text, kinks", [
+    ("abs(p-1)", [1.0]), (TWO_WELL, [-1.0, 0.0, 1.0]), ("max(p, 2*p - 1)", [1.0]),
+    ("3 - p/2 + x1^2", []), ("abs(abs(p) - 1)", [-1.0, 0.0, 1.0])])
+def test_kinks_of_piecewise_linear_expressions(text, kinks):
+    k = exprgrammar.kinks(exprgrammar.parse_expression(text), 0.5, 0.0)
+    assert np.array_equal(np.unique(k[np.isfinite(k)]), kinks)
+
+
+@pytest.mark.parametrize("d, force, search", [
+    (quadratic(), False, "closed_form"), (quadratic(), True, "grid"),
+    (absolute(0.5), True, "kinks"), (tabulated([0.0, 1.0], [0.0, 1.0]), False, "kinks"),
+    (tabulated([0.0, 1.0], [0.0, 1.0], "pc-left"), False, "grid"),
+    (step_density(), False, "grid")])
+def test_transform_returns_the_search_that_ran(d, force, search):
+    ps = np.linspace(-1.0, 1.0, 5)
+    hat, searched = yosida_eval_many(d, YosidaContext(sigma=1.0), X, ps,
+                                     force_bruteforce=force, return_search=True)
+    assert searched == search
+    assert np.array_equal(hat, yosida_eval_many(d, YosidaContext(sigma=1.0), X, ps,
+                                                force_bruteforce=force))
+
+
+def _nested(outer, inner, depth):
+    for i in range(depth):
+        inner = outer(inner, i)
+    return inner
+
+
+# a 30-well chain spelled with two-argument min, abs nested 40 deep, and a
+# nest whose kinks double at every level (2^21 - 1 of them): kept with every
+# repeat, each set of kinks once grew past a GiB.  Without repeats the first
+# two hold 61 kinks and one; the third outgrows ROW_CHUNK and takes the grid
+CHAINED_WELLS = _nested(lambda e, i: f"min({e}, abs(p - {i + 1}))", "abs(p)", 30)
+DEEP_ABS = _nested(lambda e, i: f"abs({e})", "p", 40)
+DOUBLING = _nested(lambda e, i: f"abs({e} - {2.0 ** -i!r})", "abs(p)", 20)
+
+
+@pytest.mark.parametrize("text, search", [
+    (CHAINED_WELLS, "kinks"), (DEEP_ABS, "kinks"), (DOUBLING, "grid")],
+    ids=["chained-wells", "deep-abs", "doubling"])
+def test_kink_search_runs_in_bounded_memory(text, search):
+    tr = trace_extract(field_from_function(unit_square().grid(1 / 16),
+                                           lambda X1, X2: 3 * X1 - 1.5))
+    ctx = YosidaContext(sigma=1.0)
+    for suffix, x in (("", X), (" + 0*x1", tr.x)):
+        d = expression(text + suffix, c=0.0, L=0.0)
+        tracemalloc.start()
+        try:
+            hat, q, searched = density._brute_force_yosida(d, ctx, x, tr.values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert searched == search and peak < 8 * 2 ** 20
+        assert np.abs(d.eval_many(x, q) + np.abs(tr.values - q) - hat).max() <= 1e-12

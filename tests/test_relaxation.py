@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bvcontact import density
+from bvcontact import density, relaxation
 from bvcontact.density import YosidaContext
 from bvcontact.errors import SchemaError
 from bvcontact.geometry import regular_ngon, unit_square
@@ -146,6 +146,23 @@ def test_counterexample_energy_report():
     assert rep.per_n == [pytest.approx(SQRT2 - 1.6)] * 3
     assert rep.grid_checks["exact_mode_total"] == pytest.approx(SQRT2 - 1.6, abs=1e-9)
     assert rep.grid_checks["grid_mode_total"] == pytest.approx(SQRT2 - 1.6, rel=0.05)
+
+
+def test_log1d_grid_check_evaluates_the_member_once(monkeypatch):
+    # LOG1D has no exact jump set or trace: its grid check used to evaluate
+    # energy_F twice with the same arguments and report the second value as
+    # an exact-mode total
+    calls = []
+    real = relaxation.energy_F
+
+    def spy(*args, **kw):
+        calls.append(kw)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(relaxation, "energy_F", spy)
+    rep = counterexample_energy(Log1DFamily(), n_values=(10,), grid_check_n=10, h=1 / 64)
+    assert calls == [{}]
+    assert set(rep.grid_checks) == {"n", "h", "grid_mode_total", "closed_form"}
 
 
 # -- the relaxed-energy oracle ----------------------------------------------------------
