@@ -331,7 +331,7 @@ def _task_solve(v, dom, d, ctx, out, rng):
     st = res.state
     if st.iterations >= 2:
         gaps = np.full(st.iterations, np.nan) if st.gap_history is None else st.gap_history
-        rows = [(k, e, r, "" if math.isnan(g) else g)
+        rows = [(k, "" if math.isnan(e) else e, r, "" if math.isnan(g) else g)
                 for k, (e, r, g) in enumerate(zip(st.energy_history, st.residual_history, gaps))]
         write_csv(out / "diagnostics.csv", ["iter", "energy", "residual", "gap"], rows)
     return {"residual": res.residual, "iterations": st.iterations,

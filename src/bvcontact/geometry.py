@@ -180,16 +180,6 @@ class PolygonalDomain:
 
     # -- point queries ---------------------------------------------------------
 
-    def contains(self, points):
-        """Vectorized crossing-number test; True strictly inside."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = np.zeros(len(pts), dtype=bool)
-        v = self.vertices
-        for i in range(self.n):
-            cond, xint = _crossings(v[i], v[(i + 1) % self.n], pts[:, 1])
-            inside ^= cond & (pts[:, 0] < xint)
-        return inside
-
     def _edge_distance(self, i, pts):
         """Distance from pts to edge i and the arc position of the nearest point."""
         a = self.vertices[i]
@@ -621,10 +611,3 @@ def load_domain(path) -> PolygonalDomain:
         name=data.get("name"),
     )
 
-
-def save_domain(dom: PolygonalDomain, path):
-    data = {"vertices": dom.vertices.tolist(), "smooth_flag": dom.smooth}
-    if dom.name:
-        data["name"] = dom.name
-    with open(path, "w") as f:
-        json.dump(data, f, indent=1)

@@ -65,11 +65,6 @@ class LineGrid:
                                probe_ix=np.array([0, len(self.xs) - 1]))
 
 
-def line_grid(a=0.0, b=1.0, n_cells=10_000):
-    dom = LineDomain(a, b)
-    return LineGrid(dom, dom.length / n_cells)
-
-
 @dataclass
 class GridField:
     """Scalar or vector field sampled at cell centers of a masked lattice.

@@ -53,8 +53,9 @@ PROX_NODE_STEP = 2 * PROX_VALUE_RANGE / (PROX_NODES - 1)
 DUAL_NEWTON_TOL = 4.0 * np.finfo(float).eps
 DUAL_NEWTON_CAP = 100
 
-#: the solver records the primal-dual gap on every GAP_EVERY-th iteration (and
-#: the last); the dual objective costs about one energy record
+#: the solver records the scaled objective and the primal-dual gap on the same
+#: rows, every GAP_EVERY-th iteration and the last, and NaN on the others; the
+#: dual objective costs about one energy record
 GAP_EVERY = 10
 
 #: over-relaxation of the primal-dual iteration: each iteration moves the pair
@@ -351,7 +352,10 @@ class _ContactProx:
 @dataclass
 class SolverState:
     """Iterate bundle with certificates: dual feasibility is exact, and the
-    histories hold one entry per iteration k = 1 .. iterations.
+    histories hold one row per iteration k = 1 .. iterations.
+    residual_history has a value on every row; energy_history and
+    gap_history are recorded on the same rows, every GAP_EVERY-th and the
+    last, and are NaN on the others.
 
     energy_history[k - 1] is the scaled objective P(u~_k) of iteration k's
     primal prox output u~_k (the returned u at the last row): the masked
@@ -368,10 +372,10 @@ class SolverState:
     iterate.
 
     gap_history[k - 1] is the primal-dual gap P(u~_k) - D(xi~_k) (see
-    _dual_value) at iteration k's prox outputs, on every GAP_EVERY-th row
-    and the last, NaN on the others.  xi~_k is feasible, so weak duality
-    makes it >= 0 and a bound on P(u~_k) - min P, and the last row (gap)
-    certifies the returned pair; gap_relative is gap / max(1, |P(u)|).
+    _dual_value) at iteration k's prox outputs, on the recorded rows.  xi~_k
+    is feasible, so weak duality makes it >= 0 and a bound on P(u~_k) - min
+    P, and the last row (gap) certifies the returned pair; gap_relative is
+    gap / max(1, |P(u)|).
     gap_history is None where the solver has no dual objective: a
     table-mode contact or bulk='none'.
 
@@ -443,7 +447,10 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     the grid functionals; xi~ is a prox output, so |xi~| <= dual_bound, which
     a relaxed xi_k need not keep.  The certificate is the primal-dual gap
     P(u~) - D(xi~) (SolverState.gap, a bound on how far the scaled objective
-    is above its minimum), recorded every GAP_EVERY iterations.
+    is above its minimum).  The scaled objective and the gap are recorded on
+    the same rows, every GAP_EVERY iterations and at the last, and are NaN on
+    the others; the gradient of u~ is still taken on every iteration, since
+    the dual step reads it.
     """
     if bulk not in ("none", "quadratic", "capillarity"):
         raise ValueError("bulk must be 'none', 'quadratic', or 'capillarity'")
@@ -509,7 +516,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     inside = mask.astype(float)          # masked-cell sums as dot products
 
     res_hist = np.empty(iters)
-    en_hist = np.empty(iters)
+    en_hist = np.full(iters, np.nan)
     # the dual objective needs the bulk and a closed-form contact prox
     has_gap = have_bulk and (contact.off or contact.closed is not None)
     gap_hist = np.full(iters, np.nan) if has_gap else None
@@ -530,8 +537,11 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         res = math.sqrt(float(np.dot(step.ravel(), step.ravel()))) / t
         res_hist[k] = res
         gx, gy = _grad(ut, h, ok_x, ok_y)
-        en_hist[k] = _scaled_energy(ut, gx, gy, inside, sigma, beta, area_mode,
-                                    have_bulk, f_arr, contact)
+        last = res <= tol or k + 1 == iters
+        record = last or (k + 1) % GAP_EVERY == 0
+        if record:
+            en_hist[k] = _scaled_energy(ut, gx, gy, inside, sigma, beta, area_mode,
+                                        have_bulk, f_arr, contact)
         # z = xi_k + s K (2 u~ - u_k) = c_k + 2 s grad u~, the dual prox
         # input, in place of grad u~.  The relaxed c_{k+1} = c_k + RELAX (xi~ -
         # s grad u~ - c_k) is (1 - RELAX/2) c_k - (RELAX/2) z + RELAX xi~: its
@@ -550,8 +560,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         else:
             xx, yy = _dual_step_tv(gx, gy, sigma)
         kt = _grad_adjoint(xx, yy, h, ok_x, ok_y)
-        last = res <= tol or k + 1 == iters
-        if has_gap and ((k + 1) % GAP_EVERY == 0 or last):
+        if has_gap and record:
             gap_hist[k] = en_hist[k] - _dual_value(kt, xx, yy, inside, beta, area_mode,
                                                    f_arr, contact)
         if last:
@@ -656,15 +665,19 @@ def _dual_value(kxi, xx, yy, inside, beta, area_mode, f_arr, contact):
 def diagnostics(state: SolverState) -> dict:
     """Convergence curves and certificates; needs at least 2 iterations.
     gap and gap_relative (None without a dual objective) are the solve's
-    certificate and relaxation the over-relaxation factor RELAX;
-    monotone_energy_after_10 flags divergence, but a converging solve need
-    not be monotone either."""
+    certificate and relaxation the over-relaxation factor RELAX.
+    energy_curve is energy_history, NaN on the rows without a record;
+    monotone_energy_after_10 compares the recorded rows from iteration 10 on
+    and flags divergence, but a converging solve need not be monotone
+    either."""
     if state.iterations < 2:
         raise ValueError("diagnostics need at least 2 iterations")
     en = state.energy_history
-    window = np.convolve(en, np.ones(5) / 5.0, mode="valid") if len(en) >= 5 else en
-    monotone_after_10 = bool(np.all(np.diff(window[max(0, 10 - 4):]) <= 1e-8 *
-                                    max(1.0, np.abs(window).max())))
+    recorded = en[9:][~np.isnan(en[9:])]
+    scale = 1e-8 * max(1.0, np.abs(recorded).max(initial=0.0))
+    # an inf record, or a NaN one (the last row is always recorded), diverged
+    monotone_after_10 = bool(np.isfinite(en[-1]) and np.isfinite(scale)
+                             and np.all(np.diff(recorded) <= scale))
     return {
         "energy_curve": en.copy(),
         "residual_curve": state.residual_history.copy(),

@@ -241,6 +241,8 @@ def test_solve_diagnostics_columns_are_documented(tmp_path):
     assert lines[0].split(",") == [c.strip() for c in cols.split(",")]
     gaps = [line.split(",")[3] for line in lines[1:]]
     assert [k for k, g in enumerate(gaps) if g] == [9, 19, 24]
+    energies = [line.split(",")[1] for line in lines[1:]]
+    assert [k for k, e in enumerate(energies) if e] == [9, 19, 24]
     assert float(gaps[-1]) == pytest.approx(rep["result"]["gap"], rel=1e-11)
     assert rep["result"]["gap_relative"] == pytest.approx(
         rep["result"]["gap"] / max(1.0, abs(float(lines[-1].split(",")[1]))), rel=1e-11)

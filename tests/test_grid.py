@@ -12,7 +12,7 @@ from bvcontact.geometry import LineDomain, builtin_domain, l_shape, regular_ngon
 from bvcontact.grid import (GridField, LineGrid, _grad, _grad_adjoint, _grad_at,
                             boundary_trace_from_function, constant_field,
                             energy_capillarity, energy_F, energy_H, field_from_function,
-                            l1_distance, line_grid, load_field, save_field,
+                            l1_distance, load_field, save_field,
                             trace_extract, tv_exact_pc, tv_grid)
 from bvcontact.relaxation import Log1DFamily
 
@@ -79,7 +79,8 @@ def test_grad_pair_matches_the_zero_filled_reference_bit_for_bit(dom, M):
 def test_grad_adjoint_is_the_transpose_of_grad(name):
     # xi is nonzero where ok_x / ok_y are False, which the adjoint must ignore
     # as _grad's zeros do; on the 1 x K line the y shift is empty
-    g = line_grid(0, 1, 37) if name == "line" else builtin_domain(name).grid(1 / 40)
+    g = (LineGrid(LineDomain(0, 1), 1 / 37) if name == "line"
+         else builtin_domain(name).grid(1 / 40))
     ok_x, ok_y = g.neighbor_masks()
     rng = np.random.default_rng(7)
     u, xx, yy = rng.normal(size=(3,) + g.mask.shape)
@@ -317,7 +318,7 @@ def test_l1_distance_rejects_mismatch():
 
 
 def test_1d_log_field_energy():
-    g = line_grid(0, 1, 10_000)
+    g = LineGrid(LineDomain(0, 1), 1e-4)
     n = 10
     u = field_from_function(g, lambda X, Y: np.log(np.maximum(X, 1.0 / n)))
     tr = trace_extract(u)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -492,9 +493,46 @@ def test_energy_record_is_objective_at_final_iterate(iters, monkeypatch):
         assert len(calls) == iters + 1
 
 
+@pytest.mark.parametrize("case", ["closed-form", "table"])
+def test_energy_is_recorded_on_the_gap_rows(case, monkeypatch):
+    # the objective is evaluated on every GAP_EVERY-th row and the last only,
+    # NaN elsewhere, and each record is _scaled_energy at that row's iterate
+    # (the u~_k a solve of k iterations returns)
+    h, beta, iters = 1 / 32, 1e-3, 25
+    g = SQ.grid(h)
+    ctx = YosidaContext(1.0)
+    if case == "closed-form":
+        kwargs, area, f = dict(bulk="capillarity", nu=0.5, beta=beta), True, np.zeros(g.mask.shape)
+        d = density.linear(0.5)
+    else:
+        d = density.expression("p*p + 0.5*abs(p-0.25)", c=0.0, L=0.0)
+        bump = field_from_function(g, lambda X, Y: np.exp(-8 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)))
+        kwargs, area, f = dict(d=d, ctx=ctx, bulk="quadratic", f=bump), False, bump.values
+    prox = _ContactProx(d, ctx, g.boundary(), g.mask.shape, h)
+    energy, iterates = solver._scaled_energy, []
+    monkeypatch.setattr(solver, "_scaled_energy",
+                        lambda u, *a: iterates.append(u.copy()) or energy(u, *a))
+    state = minimize_energy(SQ, h=h, iters=iters, tol=0.0, **kwargs).state
+    monkeypatch.undo()
+    rows = np.flatnonzero(~np.isnan(state.energy_history))
+    assert rows.tolist() == [solver.GAP_EVERY - 1, 2 * solver.GAP_EVERY - 1, iters - 1]
+    assert len(iterates) == len(rows) <= math.ceil(iters / solver.GAP_EVERY) + 1
+    for k, u in zip(rows, iterates):
+        assert minimize_energy(SQ, h=h, iters=k + 1, tol=0.0, **kwargs).u.values.tobytes() \
+            == u.tobytes()
+        gx, gy = solver._grad(u, h, *g.neighbor_masks())
+        want = energy(u, gx, gy, g.mask, 1.0, beta, area, True, f, prox)
+        assert state.energy_history[k] == pytest.approx(want, rel=1e-12)
+    if case == "closed-form":
+        assert np.array_equal(np.isnan(state.gap_history), np.isnan(state.energy_history))
+        assert state.gap_relative == state.gap / max(1.0, abs(state.energy_history[-1]))
+    else:
+        assert state.gap_history is None and state.gap_relative is None
+
+
 def test_diagnostics_converged_run():
-    # 77 iterations; at h = 1/32 and 1/64 the energy record of this solve is
-    # not monotone after iteration 10
+    # 77 iterations; the recorded rows of this solve's energy are monotone
+    # from iteration 10 on, here and at h = 1/32 and 1/64 (159 and 324)
     res = minimize_energy(SQ, bulk="capillarity", nu=0.4, h=1 / 16, iters=4000, tol=1e-6)
     diag = diagnostics(res.state)
     assert diag["residual_curve"][-1] < 1e-6
@@ -516,6 +554,7 @@ def test_capillarity_solve_default_step_pinned():
     assert diag["relaxation"] == solver.RELAX
     rows = np.flatnonzero(~np.isnan(state.gap_history))
     assert rows.tolist() == list(range(solver.GAP_EVERY - 1, 327, solver.GAP_EVERY)) + [326]
+    assert np.flatnonzero(~np.isnan(state.energy_history)).tolist() == rows.tolist()
     assert np.all(state.gap_history[rows] >= 0.0)
     assert state.dual_feasibility_max <= state.dual_bound
 
@@ -666,6 +705,22 @@ def test_diagnostics_detects_divergence():
     res = minimize_energy(SQ, bulk="capillarity", nu=0.4, h=1 / 32, iters=40, tol=0.0)
     rising = dataclasses.replace(res.state, energy_history=np.exp(np.arange(40.0)))
     assert not diagnostics(rising)["monotone_energy_after_10"]
+
+
+def test_diagnostics_compares_the_recorded_rows():
+    # the record is NaN between its rows, so no two adjacent rows are both
+    # recorded: a fall from row to recorded row passes, a rise is flagged
+    res = minimize_energy(SQ, bulk="capillarity", nu=0.4, h=1 / 32, iters=40, tol=0.0)
+    en = np.full(40, np.nan)
+    en[[9, 19, 29, 39]] = [1.0, 0.5, 0.45, 0.4]
+    diag = diagnostics(dataclasses.replace(res.state, energy_history=en))
+    assert diag["monotone_energy_after_10"]
+    assert np.array_equal(diag["energy_curve"], en, equal_nan=True)
+    for row, value in ((29, 0.6), (29, np.inf), (39, np.nan)):
+        bad = en.copy()
+        bad[row] = value
+        assert not diagnostics(dataclasses.replace(res.state, energy_history=bad))[
+            "monotone_energy_after_10"]
 
 
 def test_diagnostics_needs_two_iterations():
