@@ -194,13 +194,14 @@ def _load_field_spec(spec, grid):
 
 
 def _fmt(x):
+    # floats first, as most cells are; FLOAT_FMT writes inf, -inf and nan
+    if type(x) is float or type(x) is np.float64:
+        return FLOAT_FMT % x
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
         return FLOAT_FMT % x
     return str(x)
 

@@ -228,7 +228,10 @@ def _compact(k):
 def _zeros(node, t, x1, x2):
     """The zeros in p of an expression affine between the points t (rows, m)
     and past the outermost: per piece, the root of its line where the root
-    lies on the piece, else NaN."""
+    lies on the piece, else NaN.  A piece whose end values differ by no more
+    than rounding at the scale of its values and ends is constant and has no
+    root: p - (p - 0.094) reads 0.094 and 0.09399999999999997 at 0 and 1,
+    whose line crosses zero near 3.4e15."""
     t = np.sort(np.where(np.isfinite(t), t, 0.0), axis=1)   # any extra point will do
     if t.shape[1] == 0:
         t = np.zeros((t.shape[0], 1))
@@ -241,5 +244,7 @@ def _zeros(node, t, x1, x2):
     on[:, 0] = lam[:, 0] <= 1                   # the pieces reaching -inf and +inf
     on[:, -1] = lam[:, -1] >= 0
     on &= np.isfinite(lam)
+    on &= np.abs(fa - fb) > 16 * np.finfo(float).eps * (np.abs(fa) + np.abs(fb) + np.abs(a)
+                                                         + np.abs(b))
     return np.where(on, a + (b - a) * np.where(on, lam, 0.0), np.nan)
 

@@ -180,14 +180,29 @@ class PolygonalDomain:
 
     # -- point queries ---------------------------------------------------------
 
-    def _edge_distance(self, i, pts):
-        """Distance from pts to edge i and the arc position of the nearest point."""
+    def _edge_distance(self, i, x, y):
+        """Distance from the points (x, y), broadcast together, to edge i and
+        the arc position of the nearest point.  The projection stays one
+        matmul of the offsets from the edge's first vertex as (n, 2) rows:
+        an elementwise dot product rounds differently where BLAS uses FMA."""
         a = self.vertices[i]
         d = self.vertices[(i + 1) % self.n] - a
-        t = np.clip(((pts - a) @ d) / (d @ d), 0.0, 1.0)
-        proj = a + t[:, None] * d
-        dist = np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1])
-        return dist, self.arc_offsets[i] + t * self.edge_lengths[i]
+        off = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)) + (2,))
+        np.subtract(x, a[0], out=off[..., 0])
+        np.subtract(y, a[1], out=off[..., 1])
+        t = (off.reshape(-1, 2) @ d).reshape(off.shape[:-1])
+        del off
+        t /= d @ d
+        np.clip(t, 0.0, 1.0, out=t)
+        fx, fy = t * d[0], t * d[1]             # the nearest point, then (x, y) less it
+        fx += a[0]
+        fy += a[1]
+        np.subtract(x, fx, out=fx)
+        np.subtract(y, fy, out=fy)
+        dist = np.hypot(fx, fy, out=fx)
+        t *= self.edge_lengths[i]
+        t += self.arc_offsets[i]
+        return dist, t
 
     def boundary_distance(self, points):
         """Distance to the boundary, nearest arc position, and edge index."""
@@ -196,7 +211,7 @@ class PolygonalDomain:
         best_s = np.zeros(len(pts))
         best_e = np.zeros(len(pts), dtype=int)
         for i in range(self.n):
-            dist, arc = self._edge_distance(i, pts)
+            dist, arc = self._edge_distance(i, pts[:, 0], pts[:, 1])
             upd = dist < best_d
             best_d[upd] = dist[upd]
             best_s[upd] = arc[upd]
@@ -234,6 +249,23 @@ def _crossings(a, b, y):
     with np.errstate(divide="ignore", invalid="ignore"):
         xint = a[..., 0] + (y - a[..., 1]) * (b[..., 0] - a[..., 0]) / (b[..., 1] - a[..., 1])
     return cond, xint
+
+
+def _scanline_mask(v, xs, ys):
+    """The cells (ys x xs) inside the polygon v by the even-odd rule: each
+    crossing of a row toggles the cells strictly left of it, as one toggle
+    at column 0 and one at the first cell not left of it, and a running
+    XOR along the row sums the toggles.  One byte per cell."""
+    cond, xint = _crossings(v, np.roll(v, -1, axis=0), ys[:, None])
+    r, e = np.nonzero(cond)
+    pos = np.searchsorted(xs, xint[r, e], side="left")
+    del cond, xint
+    ends = pos < len(xs)
+    toggles = np.zeros((len(ys), len(xs)), dtype=np.uint8)
+    np.bitwise_xor.at(toggles[:, 0], r, 1)
+    np.bitwise_xor.at(toggles, (r[ends], pos[ends]), 1)
+    np.bitwise_xor.accumulate(toggles, axis=1, out=toggles)
+    return toggles.view(bool)
 
 
 def domain_Q(dom: PolygonalDomain) -> float:
@@ -310,6 +342,11 @@ class DomainGrid:
     cells, the neighbor masks of the masked gradient, and (built on first
     use, per kappa) the extension's arc-window table over the band of width
     W = dom.band_width.
+
+    The mask is built in one pass over the scanline crossing table: a cell
+    is inside when an odd number of its row's crossings lie strictly right
+    of its centre.  A lattice under the 2^31-cell cap that does not fit in
+    memory raises SchemaError at grid_h, as one over the cap does.
     """
 
     def __init__(self, dom: PolygonalDomain, h: float):
@@ -336,15 +373,14 @@ class DomainGrid:
             ny += 1
         self.origin = (float(x0), float(y0))
         self.nx, self.ny = nx, ny
-        xs = x0 + (np.arange(nx) + 0.5) * h
-        ys = y0 + (np.arange(ny) + 0.5) * h
+        try:
+            xs = x0 + (np.arange(nx) + 0.5) * h
+            ys = y0 + (np.arange(ny) + 0.5) * h
+            self.mask = _scanline_mask(v, xs, ys)
+        except MemoryError:
+            raise SchemaError(f"h = {h:.4g} gives {dom.name} a {ny} x {nx} lattice that "
+                              f"does not fit in memory", location="grid_h") from None
         self.xs, self.ys = xs, ys
-        # scanlines: inside when an odd number of the row's crossings lie right of it
-        cond, xint = _crossings(v, np.roll(v, -1, axis=0), ys[:, None])
-        self.mask = np.empty((ny, nx), dtype=bool)
-        for j in range(ny):
-            row = np.sort(xint[j, cond[j]])
-            self.mask[j] = (len(row) - np.searchsorted(row, xs, side="right")) % 2 == 1
         if not self.mask.any():
             raise LayerTooThin(f"h = {h:.4g} leaves no cell center inside {dom.name}")
         self.cell_area = h * h
@@ -436,9 +472,10 @@ class DomainGrid:
         """(dist, arc) arrays over the full lattice, computed afresh on each
         call: exact for masked cells closer than W = dom.band_width to the
         boundary, inf/0 outside that band.  Each edge is evaluated only on
-        the cells of its bounding box grown by W (and two cells); nearer
-        edges win in edge order.  The grid keeps only the band cells, in
-        arc_windows."""
+        the cells of its bounding box grown by W (and two cells), by the
+        same edge distance as dom.boundary_distance; nearer edges win in
+        edge order, written into views of the box.  The grid keeps only the
+        band cells, in arc_windows."""
         dom, h = self.dom, self.h
         d, s = np.full((self.ny, self.nx), np.inf), np.zeros((self.ny, self.nx))
         a, b = dom.vertices, np.roll(dom.vertices, -1, axis=0)
@@ -447,15 +484,16 @@ class DomainGrid:
         hi = np.ceil((np.maximum(a, b) + grow - self.origin) / h).astype(int)
         lo, hi = np.maximum(lo, 0), np.minimum(hi, (self.nx, self.ny))
         for i in range(dom.n):
-            box = np.s_[lo[i, 1]:hi[i, 1], lo[i, 0]:hi[i, 0]]
-            X, Y = np.meshgrid(self.xs[box[1]], self.ys[box[0]])
-            dist, arc = dom._edge_distance(i, np.column_stack([X.ravel(), Y.ravel()]))
-            dist, arc = dist.reshape(X.shape), arc.reshape(X.shape)
-            upd = dist < d[box]
-            d[box][upd] = dist[upd]
-            s[box][upd] = arc[upd]
-        band = self.mask & (d < dom.band_width)
-        return np.where(band, d, np.inf), np.where(band, s, 0.0)
+            rows, cols = slice(lo[i, 1], hi[i, 1]), slice(lo[i, 0], hi[i, 0])
+            dist, arc = dom._edge_distance(i, self.xs[cols], self.ys[rows, None])
+            upd = dist < d[rows, cols]
+            np.copyto(d[rows, cols], dist, where=upd)
+            np.copyto(s[rows, cols], arc, where=upd)
+        outside = d >= dom.band_width
+        outside |= ~self.mask
+        np.copyto(d, np.inf, where=outside)
+        np.copyto(s, 0.0, where=outside)
+        return d, s
 
     def arc_windows(self, kappa):
         """ArcWindows of the boundary-layer extension at this kappa, built

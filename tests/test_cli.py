@@ -336,3 +336,17 @@ def test_scenario_output_dir_honored(tmp_path):
     rc = main(["qgeom", "--config", str(cfg)])
     assert rc == 0
     assert (target / "report.json").exists()
+
+
+def test_write_csv_cells_of_every_type(tmp_path):
+    # the bytes every cell type wrote before floats were tested first
+    row = [True, False, 3, np.int64(-7), 0.1, np.float64(1 / 3), math.inf, -math.inf,
+           math.nan, np.float64("-inf"), np.float64("nan"), "abc", 1e300, -2.5e-12,
+           np.float32(0.5)]
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, [str(i) for i in range(len(row))], [row, row[::-1]], dat=True)
+    assert path.read_bytes() == (
+        b"0,1,2,3,4,5,6,7,8,9,10,11,12,13,14\n"
+        b"1,0,3,-7,0.1,0.333333333333,inf,-inf,nan,-inf,nan,abc,1e+300,-2.5e-12,0.5\n"
+        b"0.5,-2.5e-12,1e+300,abc,nan,-inf,nan,-inf,inf,0.333333333333,0.1,-7,3,0,1\n")
+    assert path.with_suffix(".dat").read_bytes() == b"1 0\n0.5 -2.5e-12\n"

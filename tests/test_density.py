@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bvcontact import density, exprgrammar
 from bvcontact.density import (SurfaceDensity, YosidaContext, absolute, expression, linear,
@@ -594,6 +594,7 @@ def _pl_expressions(depth):
 @given(case=_pl_expressions(3), sigma=st.floats(0.1, 2.0),
        ps=st.lists(st.floats(-3, 3), min_size=4, max_size=4))
 @settings(max_examples=100, deadline=None)
+@example(case=("abs(abs(min(p, (p - 0.094))))", 1.0), sigma=1.0, ps=[0.0, 0.0, 0.0, 1.0])
 def test_kink_search_is_exact_on_drawn_pl_expressions(case, sigma, ps):
     # tau = e + S|p| for a drawn e of slope bound S is bounded below by
     # tau(x, 0) at every sigma, and its slopes up to 2S exceed sigma where
@@ -615,6 +616,19 @@ def test_kink_search_is_exact_on_drawn_pl_expressions(case, sigma, ps):
                                                  xs, ps)
     assert np.all(hat <= grid_hat + 1e-12)
     assert np.all(grid_hat - hat <= (slope + sigma) * step + 1e-12)
+
+
+def test_kinks_skip_pieces_constant_up_to_rounding():
+    # p - (p - 0.094) reads 0.094 and 0.09399999999999997 at 0 and 1: the
+    # line through them crossed zero near 3.4e15, and the abs around it,
+    # evaluated there, lost its zero at 0.094
+    assert exprgrammar.kinks(exprgrammar.parse_expression("min(p, (p - 0.094))")).size == 0
+    k = exprgrammar.kinks(exprgrammar.parse_expression("abs(abs(min(p, (p - 0.094))))"))
+    assert np.allclose(k[np.isfinite(k)], 0.094, rtol=0, atol=1e-15)
+    d = expression("abs(abs(min(p, (p - 0.094)))) + 1.0*abs(p)", c=0.0, L=0.0)
+    hat, q, search = density._brute_force_yosida(d, YosidaContext(1.0), X, np.array([1.0]))
+    assert search == "kinks"
+    assert hat[0] == pytest.approx(1.0, abs=1e-15) and q[0] == pytest.approx(0.094, abs=1e-15)
 
 
 def test_two_well_transform_is_exact():

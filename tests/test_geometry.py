@@ -395,6 +395,40 @@ def test_band_geometry_matches_dense_with_vertices_on_rows():
     _assert_matches_dense(dom, 1 / 32)
 
 
+def test_band_geometry_matches_dense_with_vertical_edges_on_columns():
+    # a notch whose vertical edges lie on the cell-centre columns x = 27/64
+    # and x = 37/64 of the h = 1/32 lattice: a crossing at a centre is not
+    # right of it
+    dom = geometry.PolygonalDomain([[0, 0], [1, 0], [1, 1], [37 / 64, 1], [37 / 64, 0.5],
+                                    [27 / 64, 0.5], [27 / 64, 1], [0, 1]])
+    g = dom.grid(1 / 32)
+    assert np.any(g.xs == 27 / 64) and np.any(g.xs == 37 / 64)
+    _assert_matches_dense(dom, 1 / 32)
+
+
+def test_mask_memory_guard():
+    # the crossing table (1024 rows x 256 edges) sets the peak at 4.34 MiB;
+    # the mask takes one byte a cell
+    dom = regular_ngon(256)
+    tracemalloc.start()
+    try:
+        geometry.DomainGrid(dom, 1 / 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 4.34 * 2 ** 20
+
+
+def test_grid_out_of_memory_raises_schema_error(monkeypatch):
+    # a lattice under the 2^31-cell cap that does not fit in memory
+    def no_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(geometry, "_crossings", no_memory)
+    with pytest.raises(SchemaError, match="does not fit in memory") as ei:
+        geometry.DomainGrid(unit_square(), 1 / 16)
+    assert ei.value.location == "grid_h"
+
+
 @st.composite
 def _snapped_polygons(draw):
     """Simple polygons with vertices on the half-cell lattice of h, so some
