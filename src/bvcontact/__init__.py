@@ -3,6 +3,6 @@
 from . import (corpus, density, exprgrammar, extension, geometry, grid,
                relaxation, solver)
 from .errors import (BVContactError, DegenerateMargin, LayerTooThin, MaskMismatch,
-                     ParseError, SchemaError, UnboundedBelow, UnsupportedArity)
+                     ParseError, SchemaError, UnboundedBelow)
 
 __version__ = "0.1.0"

@@ -184,10 +184,14 @@ def _check(where, v, kind, allowed):
     return float(v) if kind == "float" else int(v) if kind == "count" else v
 
 
-def _load_field_spec(spec, grid):
-    """A field from a spec that passed _check."""
+def _load_field_spec(spec, grid, location):
+    """A field from a spec that passed _check; a field file load_field
+    refuses raises SchemaError at location, the spec's key."""
     if isinstance(spec, dict):
-        return load_field(spec["file"], grid=grid)
+        try:
+            return load_field(spec["file"], grid=grid)
+        except SchemaError as e:
+            raise SchemaError(str(e), location=location) from None
     if spec.startswith("const:"):
         return constant_field(grid, float(spec[6:]))
     return _FIELD_BUILDERS[spec](grid)
@@ -240,7 +244,7 @@ def _task_qgeom(v, dom, d, ctx, out, rng):
 
 
 def _task_energy(v, dom, d, ctx, out, rng):
-    u = _load_field_spec(v["field"], dom.grid(v["grid_h"]))
+    u = _load_field_spec(v["field"], dom.grid(v["grid_h"]), "params.field")
     result = {}
     if v["mode"] in ("F", "both"):
         result["F"] = energy_F(u, d, ctx.sigma).to_dict()
@@ -281,7 +285,7 @@ def _json_num(v):
 
 
 def _task_relax_verify(v, dom, d, ctx, out, rng):
-    u = _load_field_spec(v["field"], dom.grid(v["grid_h"]))
+    u = _load_field_spec(v["field"], dom.grid(v["grid_h"]), "params.field")
     rep = verify_representation(u, d, ctx, dom, budget=v["budget"], seed=v["seed"])
     write_csv(out / "gaps.csv", ["upper_gap", "lower_gap", "H_value"],
               [(rep.upper_gap, rep.lower_gap, rep.H_value)])
@@ -323,7 +327,7 @@ def _task_solve(v, dom, d, ctx, out, rng):
     if d is not None and d.depends_on_x:
         raise SchemaError("the solver tabulates the contact transform at one boundary "
                           "point, so its density may not read x1 or x2", location="density")
-    f = None if v["f"] is None else _load_field_spec(v["f"], dom.grid(v["grid_h"]))
+    f = None if v["f"] is None else _load_field_spec(v["f"], dom.grid(v["grid_h"]), "params.f")
     res = minimize_energy(
         dom, d=d, ctx=ctx, bulk=v["bulk"], f=f, nu=v["nu"], h=v["grid_h"],
         iters=v["iters"], tol=v["tol"], beta=v["beta"],

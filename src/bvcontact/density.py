@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprgrammar
-from .errors import DegenerateMargin, SchemaError, UnboundedBelow, UnsupportedArity
+from .errors import DegenerateMargin, SchemaError, UnboundedBelow
 
 KINDS = ("linear", "absolute", "quadratic", "tabulated", "expression", "custom")
 
@@ -40,21 +40,14 @@ ROW_CHUNK = 2 ** 15
 KINK_ROWS = ROW_CHUNK // 64
 
 
-def _pnorm(p, value_dim=1):
-    """|p| for batches: elementwise abs when M = 1, Euclidean row norms else."""
-    p = np.asarray(p, dtype=float)
-    if value_dim == 1 or p.ndim == 0:
-        return np.abs(p)
-    return np.sqrt(np.sum(p * p, axis=-1))
-
-
 @dataclass(frozen=True)
 class SurfaceDensity:
-    """Contact energy integrand tau(x, p) with lower-bound data (c, L).
+    """Contact energy integrand tau(x, p) of a scalar trace value p, with
+    lower-bound data (c, L).
 
-    kind selects the formula: 'linear' is lam * sum(p_i), 'absolute' is
-    lam * |p|, 'quadratic' is |p|^2; 'tabulated' interpolates sample points
-    (scalar p only); 'expression' evaluates a parsed DSL tree over p, x1, x2;
+    kind selects the formula: 'linear' is lam * p, 'absolute' is lam * |p|,
+    'quadratic' is p^2; 'tabulated' interpolates sample points;
+    'expression' evaluates a parsed DSL tree over p, x1, x2;
     'custom' wraps a callable (used for step densities and the approximation
     ladder).  c and L may be constants or callables of the boundary point.
     """
@@ -63,7 +56,6 @@ class SurfaceDensity:
     lam: float | None = None
     c: object = 0.0
     L: object = None
-    value_dim: int = 1
     table: tuple | None = None          # (p_grid, values, interp) for 'tabulated'
     expr_text: str | None = None
     fn: object = None                   # callable(x, p_array) for 'custom'
@@ -73,10 +65,6 @@ class SurfaceDensity:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown density kind {self.kind!r}")
-        if self.kind in ("linear", "absolute", "quadratic") and self.value_dim < 1:
-            raise ValueError("value_dim must be >= 1")
-        if self.kind in ("tabulated", "expression") and self.value_dim != 1:
-            raise UnsupportedArity(f"{self.kind} densities support M = 1 only")
         if self.L is None:
             object.__setattr__(self, "L", self._default_L())
         if self.kind == "expression" and self._ast is None:
@@ -85,9 +73,7 @@ class SurfaceDensity:
     def _default_L(self):
         # slope of the default lower bound -c - L|p|; |lam| for the two
         # 1-homogeneous kinds, 0 for quadratic (bounded below by 0)
-        if self.kind == "linear":
-            return abs(self.lam) * math.sqrt(self.value_dim)
-        if self.kind == "absolute":
+        if self.kind in ("linear", "absolute"):
             return abs(self.lam)
         return 0.0
 
@@ -112,15 +98,15 @@ class SurfaceDensity:
     # -- evaluation ---------------------------------------------------------------
 
     def eval_many(self, x, P):
-        """Vectorized tau(x, P[i]); P has shape (n,) for M = 1, (n, M) else, and
-        x is one point or one per sample (x[..., 0] broadcasts against P)."""
+        """Vectorized tau(x, p) over an array P of scalar values p; x is one
+        point or one per value (x[..., 0] broadcasts against P)."""
         P = np.asarray(P, dtype=float)
         if self.kind == "linear":
-            return self.lam * (P if P.ndim <= 1 else P.sum(axis=-1))
+            return self.lam * P
         if self.kind == "absolute":
-            return self.lam * _pnorm(P, self.value_dim)
+            return self.lam * np.abs(P)
         if self.kind == "quadratic":
-            return _pnorm(P, self.value_dim) ** 2
+            return np.abs(P) ** 2
         if self.kind == "tabulated":
             grid, vals, interp = self.table
             if interp == "linear":
@@ -156,16 +142,16 @@ class SurfaceDensity:
         return SurfaceDensity(kind="custom", fn=fn, c=c, L=L)
 
 
-def linear(lam, value_dim=1, c=0.0, L=None):
-    return SurfaceDensity(kind="linear", lam=float(lam), value_dim=value_dim, c=c, L=L)
+def linear(lam, c=0.0, L=None):
+    return SurfaceDensity(kind="linear", lam=float(lam), c=c, L=L)
 
 
-def absolute(lam, value_dim=1, c=0.0, L=None):
-    return SurfaceDensity(kind="absolute", lam=float(lam), value_dim=value_dim, c=c, L=L)
+def absolute(lam, c=0.0, L=None):
+    return SurfaceDensity(kind="absolute", lam=float(lam), c=c, L=L)
 
 
-def quadratic(value_dim=1, c=0.0, L=None):
-    return SurfaceDensity(kind="quadratic", value_dim=value_dim, c=c, L=L)
+def quadratic(c=0.0, L=None):
+    return SurfaceDensity(kind="quadratic", c=c, L=L)
 
 
 def tabulated(p_grid, values, interp="linear", c=0.0, L=0.0):
@@ -245,7 +231,7 @@ def verify_lower_bound(d: SurfaceDensity, samples, tol=1e-9) -> LowerBoundReport
     worst = math.inf
     for x, ps in samples:
         ps = np.atleast_1d(np.asarray(ps, dtype=float))
-        slack = d.eval_many(x, ps) + d.c_at(x) + d.L_at(x) * _pnorm(ps, d.value_dim)
+        slack = d.eval_many(x, ps) + d.c_at(x) + d.L_at(x) * np.abs(ps)
         worst = min(worst, float(slack.min()))
     return LowerBoundReport(holds=bool(worst >= -tol), worst_violation=min(worst, 0.0))
 
@@ -269,8 +255,8 @@ def yosida_radius(d: SurfaceDensity, sigma, x, p) -> float:
     Requires sup L strictly below sigma.
     """
     Ls = _refuse_degenerate_margin(d, sigma)
-    P = np.asarray(p, dtype=float).reshape((-1,) + ((d.value_dim,) if d.value_dim > 1 else ()))
-    pn = _pnorm(P, d.value_dim)
+    P = np.asarray(p, dtype=float).reshape(-1)
+    pn = np.abs(P)
     c = np.asarray(d.c(x) if callable(d.c) else d.c, dtype=float)
     num = c + d.eval_many(x, P) + 1.0 + 2.0 * sigma * pn
     return float(np.max(np.maximum(num / (sigma - Ls), pn + 1.0)))
@@ -303,13 +289,11 @@ def closed_form(d: SurfaceDensity, sigma) -> ClosedForm | None:
     kind.  Raises UnboundedBelow when tau_hat is -infinity, i.e. when tau
     falls faster than sigma|p| in some direction."""
     if d.kind == "linear":
-        lip = abs(d.lam) * math.sqrt(d.value_dim)
-        if lip > sigma * (1 + 1e-12):
-            raise UnboundedBelow(f"linear density slope {lip} exceeds sigma {sigma}")
         lam = d.lam
+        if abs(lam) > sigma * (1 + 1e-12):
+            raise UnboundedBelow(f"linear density slope {abs(lam)} exceeds sigma {sigma}")
         return ClosedForm(
-            hat=lambda p: np.asarray(lam * (np.asarray(p) if np.ndim(p) <= 1
-                                            else np.sum(p, axis=-1)), dtype=float),
+            hat=lambda p: np.asarray(lam * np.asarray(p), dtype=float),
             argmin=lambda t: t.copy(),
             prox=lambda z, a: z - a * lam)
     if d.kind == "absolute":
@@ -317,12 +301,12 @@ def closed_form(d: SurfaceDensity, sigma) -> ClosedForm | None:
             raise UnboundedBelow(f"absolute density slope {d.lam} below -sigma")
         mu = min(d.lam, sigma)
         return ClosedForm(
-            hat=lambda p: np.asarray(mu * _pnorm(p, d.value_dim), dtype=float),
+            hat=lambda p: np.asarray(mu * np.abs(np.asarray(p, dtype=float)), dtype=float),
             argmin=lambda t: t.copy() if d.lam <= sigma else np.zeros_like(t),
             prox=lambda z, a: _absolute_prox(mu, z, a))
     if d.kind == "quadratic":
         def hat(p):
-            pn = _pnorm(p, d.value_dim)
+            pn = np.abs(np.asarray(p, dtype=float))
             return np.asarray(np.where(pn <= sigma / 2.0, pn ** 2, sigma * pn - sigma ** 2 / 4.0),
                               dtype=float)
         return ClosedForm(
@@ -526,8 +510,6 @@ def yosida_eval_many(d, ctx, x, P, force_bruteforce=False, return_search=False):
     cf = None if force_bruteforce else closed_form(d, ctx.sigma)
     if cf is not None:
         hat, search = cf.hat(P), "closed_form"
-    elif d.value_dim != 1:
-        raise UnsupportedArity("brute-force transform supports M = 1 only")
     else:
         hat, _, search = _brute_force_yosida(d, ctx, x, P.ravel())
         hat = hat.reshape(P.shape)
@@ -549,8 +531,6 @@ def upper_envelope_T(d: SurfaceDensity, x, p):
     each unit shell j - 1 < |q| <= j, then a running max over the shells.
     Vectorized over scalar p; a scalar p returns a float.
     """
-    if d.value_dim != 1:
-        raise UnsupportedArity("upper envelope supports M = 1 only")
     r = np.abs(np.asarray(p, dtype=float))
     J = max(1, math.ceil(r.max()))
     m, n = J + 2, BALL_GRID_PER_UNIT
@@ -574,8 +554,6 @@ def lip_upper_approx_many(d: SurfaceDensity, k: int, x, P):
     sup over q is the O(n) cone envelope of -t, exact on the nodes."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if d.value_dim != 1:
-        raise UnsupportedArity("approximation ladder supports M = 1 only")
     P = np.atleast_1d(np.asarray(P, dtype=float))
     T_P = upper_envelope_T(d, x, P)
     tau_P = d.eval_many(x, P)

@@ -43,9 +43,5 @@ class ParseError(BVContactError):
         super().__init__(f"{message} at offset {offset}")
 
 
-class UnsupportedArity(BVContactError):
-    """Expression/tabulated densities only support scalar values (M = 1)."""
-
-
 class NonconvexBoundaryTerm(UserWarning):
     """Sampled contact term is nonconvex; solver certificate downgraded."""

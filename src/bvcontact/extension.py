@@ -60,8 +60,6 @@ class ExtensionResult:
 
 def _arc_tv(g: TraceSample) -> float:
     v = g.values
-    if v.ndim > 1:
-        return float(np.abs(np.diff(v, axis=0)).sum() + np.abs(v[0] - v[-1]).sum())
     return float(np.abs(np.diff(v)).sum() + abs(v[0] - v[-1]))
 
 
@@ -81,16 +79,14 @@ def _layer(aw, g: TraceSample, delta: float):
     over the arc window.  Written in place: the layer's temporaries set the
     extension's peak."""
     sel = np.flatnonzero(aw.t < delta)
-    rows = (-1,) + (1,) * (g.values.ndim - 1)      # layer rows against components
-    seg = g.values * g.w.reshape(rows)
-    cum = np.concatenate([np.zeros((1,) + seg.shape[1:]), np.cumsum(seg, axis=0)])
+    cum = np.concatenate([np.zeros(1), np.cumsum(g.values * g.w)])
     w = _arc_integral(aw, 1, sel, g.values, cum)
     w -= _arc_integral(aw, 0, sel, g.values, cum)
     t = aw.t.take(sel)
     hw = aw.half_width(t)
     hw *= 2
-    w /= hw.reshape(rows)
-    w *= np.subtract(1.0, np.divide(t, delta, out=t), out=t).reshape(rows)
+    w /= hw
+    w *= np.subtract(1.0, np.divide(t, delta, out=t), out=t)
     return aw.cells.take(sel).astype(np.intp), w
 
 
@@ -99,13 +95,12 @@ def _arc_integral(aw, end, sel, vals, cum):
     0 / 1: g's value on the bracketing sample times the offset into it, plus
     the prefix sum before it and one full turn per wrap."""
     idx, wraps, offset = aw.ends[end]
-    rows = (-1,) + (1,) * (vals.ndim - 1)
     # one widening of the int32 brackets serves both gathers
     idx = idx.take(sel).astype(np.intp)
-    out = vals.take(idx, axis=0)
-    out *= offset.take(sel).reshape(rows)
-    out += cum.take(idx, axis=0)
-    wraps = wraps.take(sel).reshape(rows)
+    out = vals.take(idx)
+    out *= offset.take(sel)
+    out += cum.take(idx)
+    wraps = wraps.take(sel)
     # without wraps, add the signed zero 0 * cum[-1] of a k = 0 row: bit for bit
     out += wraps.astype(float) * cum[-1] if wraps.any() else 0.0 * cum[-1]
     return out
@@ -136,9 +131,8 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
         raise MaskMismatch(f"g is not sampled at the boundary samples of the h = {h:.4g} grid")
     total = g.abs_integral()
     if total == 0.0:
-        zero = GridField(grid, np.zeros(grid.mask.shape if g.values.ndim == 1
-                                        else grid.mask.shape + (g.values.shape[1],)))
-        return ExtensionResult(zero, 0.0, 0.0, 0.0, kappa, False, 0.0)
+        return ExtensionResult(GridField(grid, np.zeros(grid.mask.shape)),
+                               0.0, 0.0, 0.0, kappa, False, 0.0)
 
     corner_overlap = False
     delta = _layer_width(g, eps)
@@ -153,17 +147,15 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
     cells, w = _layer(grid.arc_windows(kappa), g, delta)
     if not np.all(np.isfinite(w)):
         raise ValueError("field has non-finite values on masked cells")
-    vector = g.values.ndim > 1
-    vals = np.zeros(grid.mask.shape + w.shape[1:])
-    vals.reshape((grid.mask.size,) + w.shape[1:])[cells] = w
+    vals = np.zeros(grid.mask.shape)
+    vals.reshape(-1)[cells] = w
     w_field = GridField.from_checked(grid, vals)
     # certificates: w vanishes off the layer, so its masked gradient vanishes
     # off the layer and the cells whose +x or +y neighbor lies in it
-    mass = np.abs(w, out=w) if not vector else np.sqrt((w * w).sum(axis=-1))
-    l1_ratio = float(grid.cell_area * mass.sum()) / total
+    l1_ratio = float(grid.cell_area * np.abs(w, out=w).sum()) / total
     layer = np.zeros(grid.mask.shape, dtype=bool)
     layer.reshape(-1)[cells] = True
-    del cells, w, mass      # layer-sized, and the gradient's gathers come on top
+    del cells, w            # layer-sized, and the gradient's gathers come on top
     ring = layer.copy()
     ring[:, :-1] |= layer[:, 1:]
     ring[:-1, :] |= layer[1:, :]
@@ -171,8 +163,6 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
     dx *= dx
     dy *= dy
     dx += dy
-    if vector:
-        dx = dx.sum(axis=-1)
     return ExtensionResult(
         field=w_field,
         l1_ratio=l1_ratio,

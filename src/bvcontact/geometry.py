@@ -345,8 +345,9 @@ class DomainGrid:
 
     The mask is built in one pass over the scanline crossing table: a cell
     is inside when an odd number of its row's crossings lie strictly right
-    of its centre.  A lattice under the 2^31-cell cap that does not fit in
-    memory raises SchemaError at grid_h, as one over the cap does.
+    of its centre.  A lattice under the 2^31-cell cap whose mask, distance
+    maps or arc-window table does not fit in memory raises SchemaError at
+    grid_h, as one over the cap does.
     """
 
     def __init__(self, dom: PolygonalDomain, h: float):
@@ -378,8 +379,7 @@ class DomainGrid:
             ys = y0 + (np.arange(ny) + 0.5) * h
             self.mask = _scanline_mask(v, xs, ys)
         except MemoryError:
-            raise SchemaError(f"h = {h:.4g} gives {dom.name} a {ny} x {nx} lattice that "
-                              f"does not fit in memory", location="grid_h") from None
+            raise self._out_of_memory("mask") from None
         self.xs, self.ys = xs, ys
         if not self.mask.any():
             raise LayerTooThin(f"h = {h:.4g} leaves no cell center inside {dom.name}")
@@ -387,6 +387,11 @@ class DomainGrid:
         self._boundary = None
         self._neighbors = None
         self._arc_windows = {}
+
+    def _out_of_memory(self, what):
+        """The SchemaError at grid_h for a MemoryError while building what."""
+        return SchemaError(f"h = {self.h:.4g} gives {self.dom.name} a {self.ny} x {self.nx} "
+                           f"lattice whose {what} does not fit in memory", location="grid_h")
 
     @property
     def n_cells(self):
@@ -475,54 +480,62 @@ class DomainGrid:
         the cells of its bounding box grown by W (and two cells), by the
         same edge distance as dom.boundary_distance; nearer edges win in
         edge order, written into views of the box.  The grid keeps only the
-        band cells, in arc_windows."""
-        dom, h = self.dom, self.h
-        d, s = np.full((self.ny, self.nx), np.inf), np.zeros((self.ny, self.nx))
-        a, b = dom.vertices, np.roll(dom.vertices, -1, axis=0)
-        grow = dom.band_width + 2 * h
-        lo = np.floor((np.minimum(a, b) - grow - self.origin) / h).astype(int)
-        hi = np.ceil((np.maximum(a, b) + grow - self.origin) / h).astype(int)
-        lo, hi = np.maximum(lo, 0), np.minimum(hi, (self.nx, self.ny))
-        for i in range(dom.n):
-            rows, cols = slice(lo[i, 1], hi[i, 1]), slice(lo[i, 0], hi[i, 0])
-            dist, arc = dom._edge_distance(i, self.xs[cols], self.ys[rows, None])
-            upd = dist < d[rows, cols]
-            np.copyto(d[rows, cols], dist, where=upd)
-            np.copyto(s[rows, cols], arc, where=upd)
-        outside = d >= dom.band_width
-        outside |= ~self.mask
-        np.copyto(d, np.inf, where=outside)
-        np.copyto(s, 0.0, where=outside)
-        return d, s
+        band cells, in arc_windows.  A MemoryError raises SchemaError at
+        grid_h."""
+        try:
+            dom, h = self.dom, self.h
+            d, s = np.full((self.ny, self.nx), np.inf), np.zeros((self.ny, self.nx))
+            a, b = dom.vertices, np.roll(dom.vertices, -1, axis=0)
+            grow = dom.band_width + 2 * h
+            lo = np.floor((np.minimum(a, b) - grow - self.origin) / h).astype(int)
+            hi = np.ceil((np.maximum(a, b) + grow - self.origin) / h).astype(int)
+            lo, hi = np.maximum(lo, 0), np.minimum(hi, (self.nx, self.ny))
+            for i in range(dom.n):
+                rows, cols = slice(lo[i, 1], hi[i, 1]), slice(lo[i, 0], hi[i, 0])
+                dist, arc = dom._edge_distance(i, self.xs[cols], self.ys[rows, None])
+                upd = dist < d[rows, cols]
+                np.copyto(d[rows, cols], dist, where=upd)
+                np.copyto(s[rows, cols], arc, where=upd)
+            outside = d >= dom.band_width
+            outside |= ~self.mask
+            np.copyto(d, np.inf, where=outside)
+            np.copyto(s, 0.0, where=outside)
+            return d, s
+        except MemoryError:
+            raise self._out_of_memory("distance maps") from None
 
     def arc_windows(self, kappa):
         """ArcWindows of the boundary-layer extension at this kappa, built
         once: the band cells (masked, dist < W) in flat lattice order with
         their distance t and, for both window ends arc -+ hw, where the end
-        falls in the boundary samples."""
+        falls in the boundary samples.  A MemoryError raises SchemaError at
+        grid_h."""
         key = float(kappa)
         if key not in self._arc_windows:
-            dist, arc = self.distance_maps()
-            cells = np.flatnonzero(dist < self.dom.band_width)
-            t, arc = dist.ravel()[cells], arc.ravel()[cells]
-            del dist                # the grid keeps no full-lattice map
-            w = self.boundary().w
-            period, breaks = float(w.sum()), np.concatenate([[0.0], np.cumsum(w)])
-            tab = ArcWindows(kappa=key, cells=cells.astype(np.int32), t=t, ends=[])
-            hw = tab.half_width(t)
-            for end in (np.subtract, np.add):
-                s = end(arc, hw)
-                wraps = s / period
-                np.floor(wraps, out=wraps)
-                s -= wraps * period
-                idx = np.searchsorted(breaks, s, side="right")
-                idx -= 1
-                np.clip(idx, 0, len(breaks) - 2, out=idx)
-                s -= breaks[idx]
-                if wraps.size == 0 or -128 <= wraps.min() <= wraps.max() <= 127:
-                    wraps = wraps.astype(np.int8)
-                tab.ends.append((idx.astype(np.int32), wraps, s))
-            self._arc_windows[key] = tab
+            try:
+                dist, arc = self.distance_maps()
+                cells = np.flatnonzero(dist < self.dom.band_width)
+                t, arc = dist.ravel()[cells], arc.ravel()[cells]
+                del dist                # the grid keeps no full-lattice map
+                w = self.boundary().w
+                period, breaks = float(w.sum()), np.concatenate([[0.0], np.cumsum(w)])
+                tab = ArcWindows(kappa=key, cells=cells.astype(np.int32), t=t, ends=[])
+                hw = tab.half_width(t)
+                for end in (np.subtract, np.add):
+                    s = end(arc, hw)
+                    wraps = s / period
+                    np.floor(wraps, out=wraps)
+                    s -= wraps * period
+                    idx = np.searchsorted(breaks, s, side="right")
+                    idx -= 1
+                    np.clip(idx, 0, len(breaks) - 2, out=idx)
+                    s -= breaks[idx]
+                    if wraps.size == 0 or -128 <= wraps.min() <= wraps.max() <= 127:
+                        wraps = wraps.astype(np.int8)
+                    tab.ends.append((idx.astype(np.int32), wraps, s))
+                self._arc_windows[key] = tab
+            except MemoryError:
+                raise self._out_of_memory("arc-window table") from None
         return self._arc_windows[key]
 
 

@@ -22,6 +22,7 @@ endpoints; it serves the logarithmic example only.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,10 +68,11 @@ class LineGrid:
 
 @dataclass
 class GridField:
-    """Scalar or vector field sampled at cell centers of a masked lattice.
+    """Scalar field sampled at cell centers of a masked lattice.
 
-    values has shape (ny, nx) for M = 1 or (ny, nx, M); entries outside the
-    mask are ignored (kept at 0 by the constructors).
+    values has the mask's shape (ny, nx), exactly: a component axis raises
+    MaskMismatch.  Entries outside the mask are ignored (kept at 0 by the
+    constructors).
     """
 
     grid: object                 # DomainGrid or LineGrid
@@ -79,7 +81,7 @@ class GridField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         want = self.grid.mask.shape
-        if self.values.shape[:len(want)] != want:
+        if self.values.shape != want:
             raise MaskMismatch(f"values shape {self.values.shape} does not match mask {want}")
         if not np.all(np.isfinite(self.values[self.grid.mask])):
             raise ValueError("field has non-finite values on masked cells")
@@ -101,27 +103,19 @@ class GridField:
     def dom(self):
         return self.grid.dom
 
-    @property
-    def value_dim(self):
-        extra = self.values.ndim - self.grid.mask.ndim
-        return 1 if extra == 0 else self.values.shape[-1]
 
-
-def field_from_function(grid, fn, vector_dim=None) -> GridField:
+def field_from_function(grid, fn) -> GridField:
     """Sample fn at cell centers.  fn takes the (X, Y) arrays of the cell
-    centers and must broadcast."""
+    centers and must broadcast to their shape."""
     X, Y = grid.cell_centers()
     vals = np.asarray(fn(X, Y), dtype=float)
-    target = X.shape if vector_dim is None else X.shape + (vector_dim,)
-    vals = np.broadcast_to(vals, target).copy()
+    vals = np.broadcast_to(vals, X.shape).copy()
     vals[~grid.mask] = 0.0
     return GridField(grid, vals)
 
 
 def constant_field(grid, value) -> GridField:
-    value = np.asarray(value, dtype=float)
-    shape = grid.mask.shape if value.ndim == 0 else grid.mask.shape + value.shape
-    vals = np.broadcast_to(value, shape).copy()
+    vals = np.full(grid.mask.shape, float(value))
     vals[~grid.mask] = 0.0
     return GridField(grid, vals)
 
@@ -130,18 +124,18 @@ def constant_field(grid, value) -> GridField:
 
 
 def _grad(u, h, ok_x, ok_y):
-    """Forward differences times 1/h of a (ny, nx) or (ny, nx, M) array, zero
-    where the forward neighbor leaves the mask (ok_x, ok_y from
+    """Forward differences times 1/h of a scalar (ny, nx) array, zero where
+    the forward neighbor leaves the mask (ok_x, ok_y from
     DomainGrid.neighbor_masks).
 
     Both differences are shifts of the flattened lattice, by one cell and by
     one row; the outputs are C-ordered whatever u's layout."""
-    n, nx = ok_x.size, ok_x.shape[1]
-    flat = u.reshape((n,) + u.shape[2:])
+    nx = ok_x.shape[1]
+    flat = u.reshape(-1)
     dx = np.empty(u.shape)
     dy = np.empty(u.shape)
-    fx = dx.reshape(flat.shape)
-    fy = dy.reshape(flat.shape)
+    fx = dx.reshape(-1)
+    fy = dy.reshape(-1)
     inv_h = 1.0 / h
     # values off the mask are ignored, inf - inf among them included
     with np.errstate(invalid="ignore"):
@@ -151,18 +145,17 @@ def _grad(u, h, ok_x, ok_y):
     fy[:-nx] *= inv_h
     # the unwritten last cell / row and the pairs across row ends lie
     # outside ok_x / ok_y
-    tail = (1,) * (u.ndim - 2)
-    np.copyto(dx, 0.0, where=~ok_x.reshape(ok_x.shape + tail))
-    np.copyto(dy, 0.0, where=~ok_y.reshape(ok_y.shape + tail))
+    np.copyto(dx, 0.0, where=~ok_x)
+    np.copyto(dy, 0.0, where=~ok_y)
     return dx, dy
 
 
 def _grad_at(u, h, ok_x, ok_y, cells):
-    """_grad at the flat lattice indices cells only: the rows cells of
-    _grad(u, h, ok_x, ok_y) with the lattice axes flattened, bit for bit,
-    as arrays of shape (k,) or (k, M)."""
-    n, nx = ok_x.size, ok_x.shape[1]
-    flat = u.reshape((n,) + u.shape[2:])
+    """_grad of a scalar array at the flat lattice indices cells only: the
+    entries cells of _grad(u, h, ok_x, ok_y) with the lattice axes
+    flattened, bit for bit, as arrays of shape (k,)."""
+    nx = ok_x.shape[1]
+    flat = u.reshape(-1)
     here = flat[cells]
     okx = ok_x.ravel()[cells]
     oky = ok_y.ravel()[cells]
@@ -197,13 +190,11 @@ def _grad_adjoint(xx, yy, h, ok_x, ok_y):
 
 
 def gradient_magnitude(u: GridField):
-    """Per-cell |grad u| (Frobenius norm across value components)."""
+    """Per-cell |grad u| of a scalar field."""
     dx, dy = _grad(u.values, u.h, *u.grid.neighbor_masks())
     dx *= dx
     dy *= dy
     dx += dy
-    if u.value_dim > 1:
-        dx = dx.sum(axis=-1)
     return np.sqrt(dx, out=dx)
 
 
@@ -214,16 +205,16 @@ def tv_grid(u: GridField) -> float:
 
 
 def tv_exact_pc(jump_set) -> float:
-    """Closed-form TV of a piecewise-constant field: sum length * |jump|.
+    """Closed-form TV of a scalar piecewise-constant field: sum length * |jump|.
 
     jump_set entries are ((x0, y0), (x1, y1), jump_height) with the segment
-    inside the domain; vector jumps use the Euclidean norm.
+    inside the domain.
     """
     total = 0.0
     for a, b, jump in jump_set:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        total += float(np.hypot(*(b - a))) * float(np.linalg.norm(np.atleast_1d(jump)))
+        total += float(np.hypot(*(b - a))) * abs(float(jump))
     return total
 
 
@@ -232,9 +223,9 @@ def tv_exact_pc(jump_set) -> float:
 
 @dataclass
 class TraceSample:
-    """Boundary values with quadrature: sum(w) = perimeter up to O(h).
+    """Scalar boundary values with quadrature: sum(w) = perimeter up to O(h).
 
-    values holds the trace at each sample (shape (n,) or (n, M)); s is the
+    values holds the trace at each sample (shape (n,)); s is the
     arc-length position, edge_id the polygon edge index.  Samples are
     arc-ordered.
     """
@@ -250,9 +241,7 @@ class TraceSample:
         return len(self.s)
 
     def abs_integral(self) -> float:
-        v = np.abs(self.values) if self.values.ndim == 1 \
-            else np.sqrt((self.values ** 2).sum(axis=-1))
-        return float((self.w * v).sum())
+        return float((self.w * np.abs(self.values)).sum())
 
     def map_values(self, fn):
         return TraceSample(self.s, self.x, self.w, fn(self.values), self.edge_id, self.dom)
@@ -345,8 +334,6 @@ def energy_H(u: GridField, d, ctx, exact_jump_set=None,
 
 def energy_capillarity(u: GridField, nu: float) -> EnergyReport:
     """Capillary energy  int sqrt(1 + |grad u|^2) + int u^2 + nu * int_bd Tr u."""
-    if u.value_dim != 1:
-        raise ValueError("capillary energy is defined for scalar fields")
     g = gradient_magnitude(u)
     m = u.grid.mask
     area_term = float(u.grid.cell_area * np.sqrt(1.0 + g[m] ** 2).sum())
@@ -366,15 +353,12 @@ def l1_distance(u: GridField, v: GridField) -> float:
         if not same:
             raise MaskMismatch("fields live on different grids")
     diff = u.values - v.values
-    if u.value_dim > 1:
-        diff = np.sqrt((diff ** 2).sum(axis=-1))
     cell = u.grid.cell_area
     return float(cell * np.abs(diff[u.grid.mask]).sum())
 
 
 def l1_norm(u: GridField) -> float:
-    vals = u.values if u.value_dim == 1 else np.sqrt((u.values ** 2).sum(axis=-1))
-    return float(u.grid.cell_area * np.abs(vals[u.grid.mask]).sum())
+    return float(u.grid.cell_area * np.abs(u.values[u.grid.mask]).sum())
 
 
 # -- field I/O ---------------------------------------------------------------------------
@@ -387,23 +371,13 @@ def _mask_rle(mask):
     return {"first": bool(flat[0]), "runs": np.diff(bounds).tolist()}
 
 
-def _mask_from_rle(rle, shape):
-    runs = rle["runs"]
-    vals = []
-    cur = bool(rle["first"])
-    for r in runs:
-        vals.append(np.full(r, cur, dtype=bool))
-        cur = not cur
-    return np.concatenate(vals).reshape(shape)
-
-
 def save_field(u: GridField, basepath):
     """Write <base>.json (h, mask RLE, M, shape) + <base>.f64 (raw doubles)."""
     base = str(basepath)
     header = {
         "h": u.h,
         "shape": list(u.values.shape),
-        "M": u.value_dim,
+        "M": 1,
         "mask_rle": _mask_rle(u.grid.mask),
     }
     with open(base + ".json", "w") as f:
@@ -412,17 +386,38 @@ def save_field(u: GridField, basepath):
 
 
 def load_field(basepath, grid=None) -> GridField:
-    """Read a field saved by save_field; a matching grid must be supplied (the
-    header's h/shape/mask are validated against it)."""
+    """Read a field saved by save_field on the grid it was sampled on.
+
+    The header must hold h, shape, M and mask_rle; M must be 1, h the
+    grid's h, shape the mask's shape and mask_rle the grid's mask as
+    save_field writes it, and the .f64 file must hold one double per
+    lattice cell, finite on the mask.  Anything else raises SchemaError."""
     base = str(basepath)
-    with open(base + ".json") as f:
-        header = json.load(f)
-    values = np.fromfile(base + ".f64", dtype="<f8").reshape(header["shape"])
     if grid is None:
         raise SchemaError("load_field needs the grid the field was sampled on")
-    if abs(grid.h - header["h"]) > 1e-12 * header["h"]:
-        raise SchemaError(f"grid h {grid.h} does not match stored {header['h']}")
-    mask = _mask_from_rle(header["mask_rle"], grid.mask.shape)
-    if not np.array_equal(mask, grid.mask):
+    with open(base + ".json") as f:
+        try:
+            header = json.load(f)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"invalid field header JSON: {e.msg}") from None
+    keys = ("h", "shape", "M", "mask_rle")
+    if not isinstance(header, dict) or not set(keys) <= set(header):
+        raise SchemaError(f"the field header needs the keys {', '.join(keys)}")
+    if header["M"] != 1:
+        raise SchemaError(f"fields are scalar, so M must be 1, not {header['M']!r}")
+    h = header["h"]
+    if not isinstance(h, (int, float)) or abs(grid.h - h) > 1e-12 * h:
+        raise SchemaError(f"grid h {grid.h} does not match stored {h!r}")
+    if header["shape"] != list(grid.mask.shape):
+        raise SchemaError(f"stored shape {header['shape']!r} is not the grid's "
+                          f"{list(grid.mask.shape)}")
+    if header["mask_rle"] != _mask_rle(grid.mask):
         raise SchemaError("stored mask does not match the supplied grid")
-    return GridField(grid, values)
+    size = os.path.getsize(base + ".f64")
+    if size != 8 * grid.mask.size:
+        raise SchemaError(f"{base}.f64 holds {size} bytes, not the 8 per cell of "
+                          f"{grid.mask.size} cells")
+    values = np.fromfile(base + ".f64", dtype="<f8").reshape(grid.mask.shape)
+    if not np.all(np.isfinite(values[grid.mask])):
+        raise SchemaError("the stored field has non-finite values on masked cells")
+    return GridField.from_checked(grid, values)

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .density import YosidaContext, closed_form, yosida_eval_many
-from .errors import NonconvexBoundaryTerm, UnsupportedArity
+from .errors import NonconvexBoundaryTerm
 from .geometry import PolygonalDomain
 from .grid import (EnergyReport, GridField, _grad, _grad_adjoint, energy_capillarity,
                    energy_H, tv_grid)
@@ -276,8 +276,6 @@ class _ContactProx:
         self.cells = np.flatnonzero(W)
         self.W = W.reshape(-1)[self.cells] / (h * h)   # scaled weights (energy divided by h^2)
         self.off = d is None or len(self.cells) == 0
-        if d is not None and d.value_dim != 1:
-            raise UnsupportedArity("the solver's field is scalar; the density needs M = 1")
         # raises UnboundedBelow when the slope exceeds sigma
         cf = None if d is None else closed_form(d, ctx.sigma)
         self.closed = cf if cf is not None and cf.prox is not None else None

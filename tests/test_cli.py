@@ -10,8 +10,8 @@ from bvcontact import cli, density, exprgrammar, solver
 from bvcontact.cli import main, parse_density_spec, run_scenario, validate_scenario
 from bvcontact.corpus import boundary_data
 from bvcontact.errors import ParseError, SchemaError
-from bvcontact.geometry import l_shape
-from bvcontact.grid import save_field
+from bvcontact.geometry import l_shape, unit_square
+from bvcontact.grid import constant_field, save_field
 from bvcontact.relaxation import Log1DFamily
 
 
@@ -282,6 +282,66 @@ def test_field_file_reads_as_the_builtin_field(tmp_path):
                              tmp_path / f"{task}-{k}")["result"]
                 for k, field in enumerate(("cone", {"file": str(tmp_path / "cone")}))]
         assert reps[0] == reps[1]
+
+
+def _field_file(tmp_path, g):
+    """A field file save_field wrote on g, and its header."""
+    base = tmp_path / "field"
+    save_field(constant_field(g, 1.0), base)
+    return base, json.loads(base.with_suffix(".json").read_text())
+
+
+@pytest.mark.parametrize("task, key", [("energy", "field"), ("relax-verify", "field"),
+                                       ("solve", "f")])
+def test_a_vector_field_file_is_refused_at_its_key(task, key, tmp_path):
+    # the constant (1, 1) on the square, written as a 2-component field file:
+    # the energy task with linear:1 read it as tau = sum p_i and gave an F
+    # contact term of 8.0, lam (1 + 1) times the perimeter
+    g = unit_square().grid(1 / 32)
+    base, header = _field_file(tmp_path, g)
+    header.update(shape=[*g.mask.shape, 2], M=2)
+    base.with_suffix(".json").write_text(json.dumps(header))
+    np.ones(g.mask.shape + (2,)).tofile(base.with_suffix(".f64"))
+    params = {key: {"file": str(base)}, **({"iters": 5} if task == "solve" else {})}
+    with pytest.raises(SchemaError, match="M must be 1") as err:
+        run_scenario({"task": task, "domain": "square", "density": "linear:1",
+                      "grid_h": 1 / 32, "params": params}, tmp_path / "out")
+    assert err.value.location == f"params.{key}"
+
+
+@pytest.mark.parametrize("case, match", [
+    ("truncated", "bytes"),
+    ("longer mask_rle", "stored mask"),
+    ("no h", "needs the keys"),
+    ("not an object", "needs the keys"),
+    ("invalid JSON", "invalid field header JSON"),
+    ("component axis", "stored shape"),
+    ("NaN on the mask", "non-finite"),
+])
+def test_a_malformed_field_file_raises_schema_error(case, match, tmp_path):
+    g = l_shape().grid(1 / 32)
+    base, header = _field_file(tmp_path, g)
+    head, f64 = base.with_suffix(".json"), base.with_suffix(".f64")
+    values = np.fromfile(f64)
+    if case == "truncated":
+        values[:-1].tofile(f64)
+    elif case == "longer mask_rle":
+        header["mask_rle"]["runs"][-1] += 1
+    elif case == "no h":
+        del header["h"]
+    elif case == "not an object":
+        header = list(header.values())
+    elif case == "component axis":
+        header["shape"] += [1]
+    elif case == "NaN on the mask":
+        values[np.flatnonzero(g.mask)[7]] = np.nan
+        values.tofile(f64)
+    head.write_text("{" if case == "invalid JSON" else json.dumps(header))
+    with pytest.raises(SchemaError, match=match) as err:
+        run_scenario({"task": "energy", "domain": "lshape", "density": "linear:1",
+                      "grid_h": 1 / 32, "params": {"field": {"file": str(base)}}},
+                     tmp_path / "out")
+    assert err.value.location == "params.field"
 
 
 def test_relax_verify_task(tmp_path):

@@ -10,7 +10,7 @@ from bvcontact.density import (SurfaceDensity, YosidaContext, absolute, expressi
                                lip_upper_approx_many, quadratic, step_density,
                                tabulated, upper_envelope_T, verify_lower_bound,
                                yosida_eval_many, yosida_radius)
-from bvcontact.errors import DegenerateMargin, SchemaError, UnboundedBelow, UnsupportedArity
+from bvcontact.errors import DegenerateMargin, SchemaError, UnboundedBelow
 from bvcontact.extension import optimal_boundary_values
 from bvcontact.geometry import unit_square
 from bvcontact.grid import field_from_function, trace_extract
@@ -39,11 +39,6 @@ def test_L_sup_of_a_callable_needs_its_sup():
     assert SurfaceDensity.from_callable(lambda x, P: P, L=bounded).L_sup == 0.5
     with pytest.raises(ValueError, match=r"\.sup"):
         SurfaceDensity.from_callable(lambda x, P: P, L=lambda x: 0.5).L_sup
-
-
-def test_eval_vector_values():
-    d = absolute(2.0, value_dim=2)
-    assert d.eval_many(X, np.array([[3.0, 4.0]])) == pytest.approx([10.0])
 
 
 def test_lower_bound_equality_case():
@@ -144,7 +139,6 @@ def test_yosida_radius_of_many_points_is_the_largest():
     d = expression("2*min(abs(p-1), abs(p+1))", c=0.3, L=0.25)
     ps = np.linspace(-3, 3, 41)
     assert yosida_radius(d, 1.0, X, ps) == max(yosida_radius(d, 1.0, X, float(p)) for p in ps)
-    assert yosida_radius(absolute(0.5, value_dim=2), 1.0, X, np.array([3.0, 4.0])) == 27.0
 
 
 def test_yosida_radius_degenerate_margin():
@@ -228,13 +222,6 @@ def test_transform_preserves_lower_bound():
     assert np.all(vals >= -0.5 - 1.0 * np.abs(ps) - 1e-6)
 
 
-def test_vector_closed_forms():
-    ctx = YosidaContext(sigma=1.0)
-    p = np.array([0.6, 0.8])  # |p| = 1
-    assert yosida_eval_many(absolute(2.0, value_dim=2), ctx, X, [p]) == pytest.approx([1.0])
-    assert yosida_eval_many(quadratic(value_dim=2), ctx, X, [p]) == pytest.approx([0.75])
-
-
 # -- upper envelope and the approximation ladder -------------------------------------
 
 
@@ -312,11 +299,6 @@ def test_envelope_is_vectorized():
     scalar = [upper_envelope_T(d, X, p) for p in ps]
     assert all(type(t) is float for t in scalar)
     assert np.array_equal(upper_envelope_T(d, X, ps), scalar)
-
-
-def test_envelope_rejects_vector_density():
-    with pytest.raises(UnsupportedArity):
-        upper_envelope_T(quadratic(value_dim=2), X, np.array([0.6, 0.8]))
 
 
 def test_ladder_fixed_point_for_smooth_small_density():

@@ -429,6 +429,22 @@ def test_grid_out_of_memory_raises_schema_error(monkeypatch):
     assert ei.value.location == "grid_h"
 
 
+@pytest.mark.parametrize("table", ["distance_maps", "arc_windows"])
+def test_band_tables_out_of_memory_raise_schema_error(monkeypatch, table):
+    # the extension's per-grid tables map a MemoryError as the lattice does;
+    # the arc-window table runs out after its distance maps are built
+    def no_memory(*args):
+        raise MemoryError
+    g = geometry.DomainGrid(unit_square(), 1 / 16)
+    if table == "distance_maps":
+        monkeypatch.setattr(geometry.PolygonalDomain, "_edge_distance", no_memory)
+    else:
+        monkeypatch.setattr(geometry.ArcWindows, "half_width", no_memory)
+    with pytest.raises(SchemaError, match="does not fit in memory") as ei:
+        g.distance_maps() if table == "distance_maps" else g.arc_windows(0.5)
+    assert ei.value.location == "grid_h"
+
+
 @st.composite
 def _snapped_polygons(draw):
     """Simple polygons with vertices on the half-cell lattice of h, so some

@@ -26,33 +26,34 @@ def test_tv_constant_is_zero():
 
 
 @pytest.mark.parametrize("dom", [SQ, l_shape()], ids=["square", "lshape"])
-@pytest.mark.parametrize("M", [1, 2])
+# fields are scalar; M = 1 keeps the ids of the rows that remain
+@pytest.mark.parametrize("M", [1])
 def test_grad_at_is_grad_bit_for_bit(dom, M):
     # every lattice cell: first/last rows and columns, cells on both sides of
     # the mask edge (the square's mask fills its lattice, the L-shape's does
     # not); values off the mask are nonzero on purpose
     g = dom.grid(1 / 40)
     rng = np.random.default_rng(3)
-    u = rng.normal(size=g.mask.shape + ((M,) if M > 1 else ()))
+    u = rng.normal(size=g.mask.shape)
     ok = g.neighbor_masks()
     dx, dy = _grad(u, g.h, *ok)
-    flat = (g.mask.size,) + u.shape[2:]
     every = np.arange(g.mask.size)
     for cells in (every, rng.permutation(every)[:300]):
         gx, gy = _grad_at(u, g.h, *ok, cells)
-        assert gx.tobytes() == dx.reshape(flat)[cells].tobytes()
-        assert gy.tobytes() == dy.reshape(flat)[cells].tobytes()
+        assert gx.tobytes() == dx.reshape(-1)[cells].tobytes()
+        assert gy.tobytes() == dy.reshape(-1)[cells].tobytes()
 
 
 @pytest.mark.parametrize("dom", [SQ, l_shape()], ids=["square", "lshape"])
-@pytest.mark.parametrize("M", [1, 2])
+# fields are scalar; M = 1 keeps the ids of the rows that remain
+@pytest.mark.parametrize("M", [1])
 def test_grad_pair_matches_the_zero_filled_reference_bit_for_bit(dom, M):
     # the reference fills zeros first and writes the differences over them;
     # the inputs hold +0.0 and -0.0 too, so the sign of every zero is compared
     g = dom.grid(1 / 40)
     h, (ok_x, ok_y) = g.h, g.neighbor_masks()
     rng = np.random.default_rng(5)
-    shape = g.mask.shape + ((M,) if M > 1 else ())
+    shape = g.mask.shape
     u = rng.normal(size=shape) * (rng.random(shape) < 0.7)
     u[rng.random(shape) < 0.2] = -0.0
     dx = np.zeros_like(u)
@@ -63,16 +64,15 @@ def test_grad_pair_matches_the_zero_filled_reference_bit_for_bit(dom, M):
     dy[~ok_y] = 0.0
     gx, gy = _grad(u, h, ok_x, ok_y)
     assert gx.tobytes() == dx.tobytes() and gy.tobytes() == dy.tobytes()
-    if M == 1:
-        xx, yy = u, np.where(rng.random(u.shape) < 0.5, -0.0, u[::-1])
-        out = np.zeros_like(xx)
-        vx = np.where(ok_x, xx, 0.0)
-        vy = np.where(ok_y, yy, 0.0)
-        out -= vx
-        out[:, 1:] += vx[:, :-1]
-        out -= vy
-        out[1:, :] += vy[:-1, :]
-        assert _grad_adjoint(xx, yy, h, ok_x, ok_y).tobytes() == (out * (1.0 / h)).tobytes()
+    xx, yy = u, np.where(rng.random(u.shape) < 0.5, -0.0, u[::-1])
+    out = np.zeros_like(xx)
+    vx = np.where(ok_x, xx, 0.0)
+    vy = np.where(ok_y, yy, 0.0)
+    out -= vx
+    out[:, 1:] += vx[:, :-1]
+    out -= vy
+    out[1:, :] += vy[:-1, :]
+    assert _grad_adjoint(xx, yy, h, ok_x, ok_y).tobytes() == (out * (1.0 / h)).tobytes()
 
 
 @pytest.mark.parametrize("name", ["square", "lshape", "disk64", "line"])
@@ -91,7 +91,8 @@ def test_grad_adjoint_is_the_transpose_of_grad(name):
 
 
 @pytest.mark.parametrize("name", ["lshape", "disk64"])
-@pytest.mark.parametrize("M", [1, 2])
+# fields are scalar; M = 1 keeps the ids of the rows that remain
+@pytest.mark.parametrize("M", [1])
 def test_grad_ignores_nonfinite_values_off_the_mask(name, M):
     # the flat x shift pairs each row's last cell with the next row's first,
     # and both can lie off the mask: inf - inf there must neither warn nor
@@ -99,8 +100,7 @@ def test_grad_ignores_nonfinite_values_off_the_mask(name, M):
     g = builtin_domain(name).grid(1 / 40)
     ok = g.neighbor_masks()
     rng = np.random.default_rng(11)
-    shape = g.mask.shape + ((M,) if M > 1 else ())
-    u = rng.normal(size=shape)
+    u = rng.normal(size=g.mask.shape)
     u[~g.mask] = 0.0
     bad = u.copy()
     bad[~g.mask] = rng.choice([np.nan, np.inf, -np.inf], size=bad[~g.mask].shape)
@@ -113,23 +113,23 @@ def test_grad_ignores_nonfinite_values_off_the_mask(name, M):
     assert tv == tv_grid(GridField(g, u))
 
 
-@pytest.mark.parametrize("M", [1, 2])
+# fields are scalar; M = 1 keeps the ids of the rows that remain
+@pytest.mark.parametrize("M", [1])
 def test_grad_pair_reads_any_layout_as_its_c_copy(M):
     g = l_shape().grid(1 / 40)
     ok = g.neighbor_masks()
     rng = np.random.default_rng(13)
-    shape = g.mask.shape + ((M,) if M > 1 else ())
+    shape = g.mask.shape
     fortran = np.asfortranarray(rng.normal(size=shape))
     transposed = rng.normal(size=shape[::-1]).T
     for u in (fortran, transposed):
         c = np.ascontiguousarray(u)
         for a, b in zip(_grad(u, g.h, *ok), _grad(c, g.h, *ok)):
             assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
-    if M == 1:
-        got = _grad_adjoint(fortran, transposed, g.h, *ok)
-        want = _grad_adjoint(np.ascontiguousarray(fortran), np.ascontiguousarray(transposed),
-                             g.h, *ok)
-        assert got.tobytes() == want.tobytes()
+    got = _grad_adjoint(fortran, transposed, g.h, *ok)
+    want = _grad_adjoint(np.ascontiguousarray(fortran), np.ascontiguousarray(transposed),
+                         g.h, *ok)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_tv_halfplane_indicator():
@@ -357,17 +357,12 @@ def test_interval_lattice_matches_1d_formulas(n):
     assert rep.per_edge == {0: float(v[0]), 1: float(v[-1])}
 
 
-def test_vector_field_tv_frobenius():
-    g = SQ.grid(1 / 64)
-    u = field_from_function(g, lambda X, Y: np.stack([X, Y], axis=-1), vector_dim=2)
-    # |grad u| = sqrt(1 + 1) on interior cells
-    assert tv_grid(u) == pytest.approx(math.sqrt(2), rel=0.05)
-
-
 def test_field_refuses_a_wrong_shape_and_non_finite_values():
     g = l_shape().grid(1 / 16)
     with pytest.raises(MaskMismatch, match="does not match mask"):
         GridField(g, np.zeros((3, 3)))
+    with pytest.raises(MaskMismatch, match="does not match mask"):
+        GridField(g, np.zeros(g.mask.shape + (2,)))     # fields are scalar
     values = np.zeros(g.mask.shape)
     values[~g.mask] = np.nan          # cells outside the mask are not read
     GridField(g, values)

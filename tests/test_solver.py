@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvcontact import density, solver
 from bvcontact.density import YosidaContext
-from bvcontact.errors import NonconvexBoundaryTerm, UnboundedBelow, UnsupportedArity
+from bvcontact.errors import NonconvexBoundaryTerm, UnboundedBelow
 from bvcontact.geometry import builtin_domain, regular_ngon, unit_square
 from bvcontact.grid import constant_field, energy_capillarity, field_from_function
 from bvcontact.solver import _ContactProx, _dual_step_area, diagnostics, minimize_energy
@@ -358,16 +358,6 @@ def test_prox_rejects_unbounded_absolute_at_setup():
     with pytest.raises(UnboundedBelow):
         _ContactProx(density.absolute(-2.0), YosidaContext(1.0), g.boundary(),
                      g.mask.shape, 1 / 8)
-
-
-@pytest.mark.parametrize("d", [density.absolute(0.5, value_dim=2),
-                               density.quadratic(value_dim=2)], ids=["absolute", "quadratic"])
-def test_prox_rejects_vector_density(d):
-    # the field is scalar: a vector density's transform would read each probe
-    # cell's value as one component of a single vector
-    g = SQ.grid(1 / 8)
-    with pytest.raises(UnsupportedArity):
-        _ContactProx(d, YosidaContext(1.0), g.boundary(), g.mask.shape, 1 / 8)
 
 
 def test_table_mode_solve_converges():
