@@ -11,7 +11,7 @@ every other kind goes through one search: exact over the kinks of a density
 piecewise linear in p, else a certified grid minimum.  The
 module also provides the Caratheodory upper envelope T and the decreasing
 Lipschitz approximation ladder tau_k used for densities that are only upper
-semicontinuous in p.
+semicontinuous in p, whose sup-convolution runs through the same grid search.
 """
 
 from __future__ import annotations
@@ -359,12 +359,11 @@ def _brute_force_yosida(d, ctx, x, p_values):
     one of them, and search_radius and q_grid_step go unread.  Every other
     density, and one whose kinks outgrow a chunk, takes a grid minimum in
     which every p is a node.  A density that reads x, at the samples' points
-    x (n, 2), is searched per sample: among its p and kinks, KINK_ROWS
-    samples at a time, or on its row p_i + k step, |k step| <= radius,
-    ROW_CHUNK elements at a time.  Else all p share one node set, the kinks
-    and the p or a q-grid, whose minimum at every node is the cone envelope
-    of tau.  On every path a tie within rounding goes to the candidate
-    nearest p."""
+    x (n, 2), is searched per sample by _row_search: on a row of its p and
+    kinks, KINK_ROWS samples at a time, or on its row p_i + k step,
+    |k step| <= radius, ROW_CHUNK elements at a time.  Else every p shares
+    one node set, the kinks and the p or a q-grid, searched by _node_search.
+    On every path a tie within rounding goes to the candidate nearest p."""
     sigma = ctx.sigma
     P = np.atleast_1d(np.asarray(p_values, dtype=float))
     if ctx.search_radius is None:       # the refusal yosida_radius makes
@@ -372,10 +371,12 @@ def _brute_force_yosida(d, ctx, x, p_values):
     per_sample = np.ndim(x) == 2 and d.depends_on_x
     x_shared = None if np.ndim(x) == 2 else x      # the point every p shares
     if per_sample:
-        found = _per_sample_kink_search(d, sigma, x, P)
+        found = _row_search(d, sigma, x, P, KINK_ROWS,
+                            lambda xs, ps: _kink_rows(d, xs, ps), exact=True)
     else:
         kinks = _kinks(d, x_shared)
-        found = None if kinks is None else _shared_kink_search(d, sigma, x_shared, P, kinks[0])
+        found = None if kinks is None else _node_search(
+            d, sigma, x_shared, P, _kink_nodes(kinks[0], P), exact=True)
     if found is not None:
         return (*found, "kinks")
     radius = ctx.search_radius or yosida_radius(d, sigma, x, P)
@@ -383,25 +384,15 @@ def _brute_force_yosida(d, ctx, x, p_values):
     if per_sample:
         k = math.ceil(radius / step)
         offsets = np.arange(-k, k + 1) * step
-        cone = sigma * np.abs(offsets)         # sigma |p_i - q| on every row
-        rows = max(1, ROW_CHUNK // len(offsets))
-        hat, q_min = np.empty((2, len(P)))
-        for a in range(0, len(P), rows):
-            q = P[a:a + rows, None] + offsets
-            g = _finite_or_sentinel(d.eval_many(x[a:a + rows, None], q))
-            g += cone
-            hat[a:a + rows] = m = g.min(axis=1)
-            _refuse_descent(g, m, q, sigma)
-            q_min[a:a + rows] = _nearest_minimizer(g, m, cone, q)
-        return hat, q_min, "grid"
+        dist = np.abs(offsets)                 # |p_i - q| on every row
+        found = _row_search(d, sigma, x, P, max(1, ROW_CHUNK // len(offsets)),
+                            lambda xs, ps: (ps[:, None] + offsets, dist), exact=False)
+        return (*found, "grid")
     lo, hi = float(P.min()) - radius, float(P.max()) + radius
     # anchor the grid on the p-values: union of a coarse cover and exact p nodes
     n = int(math.ceil((hi - lo) / step)) + 1
     q = np.unique(np.concatenate([np.linspace(lo, hi, n), P]))
-    tau_q = _finite_or_sentinel(d.eval_many(x_shared, q))
-    g = tau_q + sigma * np.abs(np.array([[P.min()], [P.max()]]) - q)
-    _refuse_descent(g, g.min(axis=1), q, sigma)
-    return (*_envelope_at(tau_q, q, sigma, P), "grid")
+    return (*_node_search(d, sigma, x_shared, P, q, exact=False), "grid")
 
 
 def _kinks(d, x):
@@ -423,76 +414,74 @@ def _kinks(d, x):
     return None
 
 
-def _envelope_at(tau_q, q, sigma, P):
-    """The cone envelope of tau_q on the sorted nodes q, which hold P, read at P."""
+def _kink_nodes(kinks, P):
+    """The sorted nodes of the exact search at one point: the kinks and P,
+    plus one node a unit past each end, on the affine end pieces."""
+    q = np.unique(np.concatenate([kinks[np.isfinite(kinks)], P]))
+    return np.concatenate([q[:1] - 1.0, q, q[-1:] + 1.0])
+
+
+def _kink_rows(d, x, P):
+    """The exact search's candidate rows [lo - 1, lo, p, kinks..., hi, hi + 1]
+    per sample, a NaN kink read as p, with lo and hi the outermost of p and
+    its kinks, and their distances |p - q|; None when tau is not piecewise
+    linear in q or the kinks outgrow ROW_CHUNK."""
+    kinks = _kinks(d, x)
+    if kinks is None:
+        return None
+    p = P[:, None]
+    C = np.concatenate([p, np.where(np.isfinite(kinks), kinks, p)], axis=1)
+    lo, hi = C.min(axis=1, keepdims=True), C.max(axis=1, keepdims=True)
+    C = np.hstack([lo - 1.0, lo, C, hi, hi + 1.0])
+    return C, np.abs(p - C)
+
+
+def _node_search(d, sigma, x, P, q, exact):
+    """Every p at one point x over the sorted nodes q, which hold P: the cone
+    envelope of tau on q read at P and the node attaining it.  The descent
+    test reads the rows of min(P) and max(P)."""
+    tau_q = _finite_or_sentinel(d.eval_many(x, q))
+    g = tau_q + sigma * np.abs(np.array([[P.min()], [P.max()]]) - q)
+    _refuse_descent(g, g.min(axis=1), q, sigma, exact)
     env, arg = _cone_envelope(tau_q, q, sigma)
     at = np.searchsorted(q, P)
     return env[at], q[arg[at]]
 
 
-def _shared_kink_search(d, sigma, x, P, kinks):
-    """The exact search of every p at one x: the cone envelope of tau on its
-    kinks and P, plus one node a unit past each end, where a descent is an
-    affine end piece falling toward -infinity."""
-    q = np.unique(np.concatenate([kinks[np.isfinite(kinks)], P]))
-    q = np.concatenate([q[:1] - 1.0, q, q[-1:] + 1.0])
-    tau_q = _finite_or_sentinel(d.eval_many(x, q))
-    _refuse_end_descent(tau_q[[0, -1]] - tau_q[[1, -2]], sigma)
-    return _envelope_at(tau_q, q, sigma, P)
-
-
-def _per_sample_kink_search(d, sigma, x, P):
-    """The exact search per sample, KINK_ROWS samples at a time, or None when
-    tau is not piecewise linear in q or a chunk's kinks outgrow ROW_CHUNK."""
+def _row_search(d, sigma, x, P, rows, candidates, exact):
+    """Every p at its own point x (n, 2), rows samples at a time, over the
+    rows of nodes q with distances |p - q| that candidates(x, P) returns for
+    a chunk: the row minimum and the node within rounding of it nearest p.
+    None when candidates returns None for a chunk."""
     hat, q_min = np.empty((2, len(P)))
-    for a in range(0, len(P), KINK_ROWS):
-        rows = slice(a, a + KINK_ROWS)
-        kinks = _kinks(d, x[rows])
-        if kinks is None:
+    for a in range(0, len(P), rows):
+        chunk = slice(a, a + rows)
+        found = candidates(x[chunk], P[chunk])
+        if found is None:
             return None
-        hat[rows], q_min[rows] = _kink_minimum(d, sigma, x[rows], P[rows], kinks)
+        q, dist = found
+        cone = sigma * dist
+        g = _finite_or_sentinel(d.eval_many(x[chunk, None], q))
+        g += cone
+        hat[chunk] = m = g.min(axis=1)
+        _refuse_descent(g, m, q, sigma, exact)
+        near = _near(g, m[:, None])
+        q_min[chunk] = q[np.arange(len(q)), np.where(near, cone, np.inf).argmin(axis=1)]
     return hat, q_min
 
 
-def _kink_minimum(d, sigma, x, P, kinks):
-    """Exact minimum per sample over its candidates: p and its row of kinks,
-    a NaN read as p, and for the descent test the outermost candidates and
-    a point one unit past each."""
-    p = P[:, None]
-    C = np.concatenate([p, np.where(np.isfinite(kinks), kinks, p)], axis=1)
-    lo, hi = C.min(axis=1, keepdims=True), C.max(axis=1, keepdims=True)
-    C = np.hstack([C, lo - 1.0, lo, hi, hi + 1.0])
-    tau = _finite_or_sentinel(d.eval_many(x[:, None], C))
-    _refuse_end_descent(tau[:, [-4, -1]] - tau[:, [-3, -2]], sigma)
-    cone = sigma * np.abs(p - C)
-    g = tau + cone
-    m = g.min(axis=1)
-    return m, _nearest_minimizer(g, m, cone, C)
-
-
-def _nearest_minimizer(g, m, cone, q):
-    """Per row of g, the node q within rounding of the row minimum m that lies
-    nearest p, where cone = sigma |p - q|."""
-    near = _near(g, m[:, None])
-    return q[np.arange(len(q)), np.where(near, cone, np.inf).argmin(axis=1)]
-
-
-def _refuse_end_descent(rise, sigma):
-    """UnboundedBelow where tau(q) + sigma|p - q| falls (slope <= -DESCENT_MARGIN)
-    on an end piece past every kink and p, where tau rises by rise per unit
-    step outward."""
-    if np.any(rise + sigma <= -DESCENT_MARGIN):
-        raise UnboundedBelow("descent direction active past the outermost kink")
-
-
-def _refuse_descent(g, g_min, q, sigma):
-    """UnboundedBelow where a row of g = tau(q) + sigma|p - q| still falls (slope
-    <= -DESCENT_MARGIN) at an end of its nodes q, within a step of its minimum."""
+def _refuse_descent(g, g_min, q, sigma, exact):
+    """UnboundedBelow where a row of g = tau(q) + sigma|p - q| falls (slope
+    <= -DESCENT_MARGIN) on the outer step at an end of its sorted nodes q:
+    anywhere when exact, where that step lies past every kink and the piece
+    is affine to infinity, else within a step of the row minimum g_min."""
     near_min = g_min + sigma * (q[..., 1] - q[..., 0])
     for side, end, inner in (("left", 0, 1), ("right", -1, -2)):
         slope = (g[:, end] - g[:, inner]) / np.abs(q[..., end] - q[..., inner])
-        if np.any((slope <= -DESCENT_MARGIN) & (g[:, end] <= near_min)):
-            raise UnboundedBelow(f"descent direction active at {side} search boundary")
+        falls = slope <= -DESCENT_MARGIN
+        if np.any(falls if exact else falls & (g[:, end] <= near_min)):
+            raise UnboundedBelow("descent direction active past the outermost kink" if exact
+                                 else f"descent direction active at {side} search boundary")
 
 
 def yosida_eval_many(d, ctx, x, P, force_bruteforce=False, return_search=False):
@@ -550,8 +539,8 @@ def lip_upper_approx_many(d: SurfaceDensity, k: int, x, P):
         tau_k = t_k + T,   t_k(x, p) = sup_q { t(x, q) - k|p - q| },
 
     with t = tau - T <= 0.  tau_k decreases pointwise to tau as k grows when
-    tau(x, .) is upper semicontinuous.  One q-grid holds every p, on which the
-    sup over q is the O(n) cone envelope of -t, exact on the nodes."""
+    tau(x, .) is upper semicontinuous.  t_k is minus the transform of -t at
+    sigma = k, searched on the q-grid of step R/4000 that holds every p."""
     if k < 1:
         raise ValueError("k must be >= 1")
     P = np.atleast_1d(np.asarray(P, dtype=float))
@@ -561,11 +550,9 @@ def lip_upper_approx_many(d: SurfaceDensity, k: int, x, P):
     neg_t = np.where(np.isfinite(tau_P), T_P - tau_P, 1.0)
     pmax = float(np.abs(P).max())
     R = max(float(neg_t.max() + 1.0 + 2.0 * k * pmax) / k, pmax + 1.0)
-    lo, hi = float(P.min()) - R, float(P.max()) + R
-    n = min(max(4001, int(math.ceil((hi - lo) / (R / 4000.0))) + 1), 200_001)
-    q = np.unique(np.concatenate([np.linspace(lo, hi, n), P]))
-    t_q = _finite_or_sentinel(d.eval_many(x, q)) - upper_envelope_T(d, x, q)
-    t_k = -_cone_envelope(-t_q, q, k)[0][np.searchsorted(q, P)]
+    minus_t = SurfaceDensity.from_callable(
+        lambda x, q: upper_envelope_T(d, x, q) - _finite_or_sentinel(d.eval_many(x, q)))
+    t_k = -_brute_force_yosida(minus_t, YosidaContext(k, R, R / 4000), x, P)[0]
     return t_k + T_P
 
 

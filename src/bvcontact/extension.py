@@ -243,6 +243,6 @@ def compactness_bound(energy: float, d, dom, sigma: float, epsilon0: float,
     """
     if epsilon0 <= 0:
         raise ValueError("epsilon0 must be positive")
-    b = dom.grid(dom.shortest_edge / 16).boundary()
-    c_l1 = float(sum(wi * d.c_at(xi) for wi, xi in zip(b.w, b.x)))
+    s, w, _ = dom.edge_samples(dom.shortest_edge / 16)
+    c_l1 = float(sum(wi * d.c_at(xi) for wi, xi in zip(w, dom.boundary_point(s))))
     return (energy + c_l1 + sigma * fitted_C * l1_mass) / (sigma * epsilon0)

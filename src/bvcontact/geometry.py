@@ -227,6 +227,17 @@ class PolygonalDomain:
         b = self.vertices[(idx + 1) % self.n]
         return a + t[..., None] * (b - a)
 
+    def edge_samples(self, step):
+        """Midpoint samples of every edge at spacing <= step: k = ceil(len/step)
+        samples on an edge at fractions (j + 1/2)/k, as arc positions s,
+        weights len/k and edge ids; the points are boundary_point(s)."""
+        k = np.maximum(1, np.ceil(self.edge_lengths / step).astype(int))
+        eid = np.repeat(np.arange(self.n), k)
+        j = np.arange(len(eid)) - np.repeat(np.cumsum(k) - k, k)
+        length = self.edge_lengths[eid]
+        s = self.arc_offsets[eid] + (j + 0.5) / k[eid] * length
+        return s, length / k[eid], eid
+
     def grid(self, h):
         """Cached discretization geometry at spacing h."""
         key = round(float(h), 14)
@@ -302,25 +313,16 @@ def admissibility_check(dom: PolygonalDomain, density, sigma: float,
         raise ValueError("sigma must be positive")
     if epsilon0 < 0:
         raise ValueError("epsilon0 must be nonnegative")
-    step = dom.shortest_edge / 16.0
     bound = (1.0 - 2.0 * epsilon0) * sigma
-    sup_L = 0.0
-    min_slack = math.inf
-    for i in range(dom.n):
-        a = dom.vertices[i]
-        b = dom.vertices[(i + 1) % dom.n]
-        length = dom.edge_lengths[i]
-        k = max(1, int(math.ceil(length / step)))
-        ts = (np.arange(k) + 0.5) / k
-        pts = a + ts[:, None] * (b - a)
-        qvals = [1.0] * k + [corner_q(dom.interior_angles[i])]
-        for x, q in zip(list(pts) + [a], qvals):
-            Lx = float(density.L_at(x))
-            sup_L = max(sup_L, Lx)
-            min_slack = min(min_slack, bound - Lx * q)
+    s, _, _ = dom.edge_samples(dom.shortest_edge / 16.0)
+    pts = np.concatenate([dom.boundary_point(s), dom.vertices])
+    q = np.concatenate([np.ones(len(s)), [corner_q(th) for th in dom.interior_angles]])
+    L = np.array([density.L_at(x) for x in pts])
+    sup_L = max(0.0, float(L.max()))
+    min_slack = float((bound - L * q).min())
     if dom.smooth and sup_L <= sigma + 1e-12:
         verdict = "C2_clause"
-    elif min_slack >= -1e-12 and epsilon0 >= 0:
+    elif min_slack >= -1e-12:
         verdict = "almost_C1_clause"
     else:
         verdict = "inadmissible"
@@ -425,21 +427,10 @@ class DomainGrid:
         return self._boundary
 
     def _build_boundary(self):
-        dom, h = self.dom, self.h
-        ss, ws, eids = [], [], []
-        for i in range(dom.n):
-            length = dom.edge_lengths[i]
-            k = max(1, int(math.ceil(length / h)))
-            t = (np.arange(k) + 0.5) / k
-            ss.append(dom.arc_offsets[i] + t * length)
-            ws.append(np.full(k, length / k))
-            eids.append(np.full(k, i, dtype=int))
-        s = np.concatenate(ss)
-        w = np.concatenate(ws)
-        eid = np.concatenate(eids)
-        x = self.dom.boundary_point(s)
-        normal = dom.edge_normals[eid]
-        iy, ix = self._probe_cells(x, normal)
+        dom = self.dom
+        s, w, eid = dom.edge_samples(self.h)
+        x = dom.boundary_point(s)
+        iy, ix = self._probe_cells(x, dom.edge_normals[eid])
         return BoundarySamples(s=s, x=x, w=w, edge_id=eid, probe_iy=iy, probe_ix=ix)
 
     def _probe_cells(self, x, normal):

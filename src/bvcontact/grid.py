@@ -385,7 +385,7 @@ def save_field(u: GridField, basepath):
     u.values.astype("<f8").tofile(base + ".f64")
 
 
-def load_field(basepath, grid=None) -> GridField:
+def load_field(basepath, grid) -> GridField:
     """Read a field saved by save_field on the grid it was sampled on.
 
     The header must hold h, shape, M and mask_rle; M must be 1, h the
@@ -393,8 +393,6 @@ def load_field(basepath, grid=None) -> GridField:
     save_field writes it, and the .f64 file must hold one double per
     lattice cell, finite on the mask.  Anything else raises SchemaError."""
     base = str(basepath)
-    if grid is None:
-        raise SchemaError("load_field needs the grid the field was sampled on")
     with open(base + ".json") as f:
         try:
             header = json.load(f)

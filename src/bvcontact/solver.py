@@ -578,8 +578,9 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     u = ut
     dual_bound = 1.0 if area_mode else sigma
     feas = float(np.sqrt(xx * xx + yy * yy).max())
+    uf = GridField(grid, u)
     state = SolverState(
-        u=GridField(grid, u), xi=(xx, yy), iterations=n_done,
+        u=uf, xi=(xx, yy), iterations=n_done,
         residual_history=res_hist[:n_done], energy_history=en_hist[:n_done],
         dual_bound=dual_bound, dual_feasibility_max=feas,
         notes={"bulk": bulk, "h": h, "step_scale": STEP_RATIO, "relaxation": RELAX},
@@ -589,7 +590,6 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
                            dual_newton_correction_max=newton_corr,
                            dual_one_step_calls=one_step_calls)
 
-    uf = GridField(grid, u)
     if bulk == "capillarity":
         report = energy_capillarity(uf, nu)
         report.notes["beta"] = beta

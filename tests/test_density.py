@@ -121,13 +121,18 @@ def test_unbounded_below_linear():
         yosida_eval_many(linear(-2.0), ctx, X, 0.0)
 
 
-def test_unbounded_below_detected_by_grid_search():
+@pytest.mark.parametrize("fn, x, P", [
+    (lambda x, P: -2.0 * np.abs(P), X, 0.0),
+    (lambda x, P: -2.0 * np.abs(P) + 0.0 * x[..., 0], np.zeros((3, 2)), np.zeros(3))],
+    ids=["shared", "per-sample"])
+def test_unbounded_below_detected_by_grid_search(fn, x, P):
     # tau(q) = -2|q| declared with a wrong slope bound: the boundary descent
-    # test must still catch the -infinity
-    d = SurfaceDensity.from_callable(lambda x, P: -2.0 * np.abs(P), c=0.0, L=0.5)
+    # test must still catch the -infinity, on the shared q-grid and on the
+    # row of each sample
+    d = SurfaceDensity.from_callable(fn, c=0.0, L=0.5)
     ctx = YosidaContext(sigma=1.0, search_radius=5.0)
-    with pytest.raises(UnboundedBelow):
-        yosida_eval_many(d, ctx, X, 0.0)
+    with pytest.raises(UnboundedBelow, match="at left search boundary"):
+        yosida_eval_many(d, ctx, x, P)
 
 
 def test_yosida_radius_values():
@@ -621,14 +626,14 @@ def test_two_well_transform_is_exact():
     assert np.abs(got - np.minimum(np.abs(ps - 1), np.abs(ps + 1))).max() <= 1e-12
 
 
-def test_unbounded_below_detected_by_kink_search():
+@pytest.mark.parametrize("text, x, P", [
+    ("-2*abs(p)", X, 0.0), ("-2*abs(p) + x1", np.zeros((3, 2)), np.zeros(3))],
+    ids=["shared", "per-sample"])
+def test_unbounded_below_detected_by_kink_search(text, x, P):
     # the kink-search twin of test_unbounded_below_detected_by_grid_search
-    d = expression("-2*abs(p)", c=0, L=0.5)
+    d = expression(text, c=0, L=0.5)
     with pytest.raises(UnboundedBelow, match="outermost kink"):
-        yosida_eval_many(d, YosidaContext(sigma=1.0), X, 0.0)
-    with pytest.raises(UnboundedBelow, match="outermost kink"):   # one row per sample
-        density._brute_force_yosida(expression("-2*abs(p) + x1", c=0, L=0.5),
-                                    YosidaContext(sigma=1.0), np.zeros((3, 2)), np.zeros(3))
+        yosida_eval_many(d, YosidaContext(sigma=1.0), x, P)
 
 
 @pytest.mark.parametrize("text", ["p*p", "sqrt(p)", "p^2", "1/p", "p*abs(p)", TABLE])

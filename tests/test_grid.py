@@ -382,10 +382,9 @@ def test_field_io_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("grid, match", [
-    (None, "needs the grid"),
     (l_shape().grid(1 / 16), "does not match stored"),
     (SQ.grid(1 / 32), "stored mask"),
-])
+], ids=["grid1-does not match stored", "grid2-stored mask"])
 def test_field_io_refuses_another_grid(tmp_path, grid, match):
     save_field(constant_field(l_shape().grid(1 / 32), 1.0), tmp_path / "field")
     with pytest.raises(SchemaError, match=match):
