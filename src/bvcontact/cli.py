@@ -249,7 +249,7 @@ def _task_energy(v, dom, d, ctx, out, rng):
     if v["mode"] in ("F", "both"):
         result["F"] = energy_F(u, d, ctx.sigma).to_dict()
     if v["mode"] in ("H", "both"):
-        result["H"] = relaxed_energy(u, d, ctx, dom).to_dict()
+        result["H"] = relaxed_energy(u, d, ctx).to_dict()
     return result
 
 
@@ -286,7 +286,7 @@ def _json_num(v):
 
 def _task_relax_verify(v, dom, d, ctx, out, rng):
     u = _load_field_spec(v["field"], dom.grid(v["grid_h"]), "params.field")
-    rep = verify_representation(u, d, ctx, dom, budget=v["budget"], seed=v["seed"])
+    rep = verify_representation(u, d, ctx, budget=v["budget"], seed=v["seed"])
     write_csv(out / "gaps.csv", ["upper_gap", "lower_gap", "H_value"],
               [(rep.upper_gap, rep.lower_gap, rep.H_value)])
     return {"upper_gap": rep.upper_gap, "lower_gap": rep.lower_gap,
@@ -318,9 +318,9 @@ def _task_extend_verify(v, dom, d, ctx, out, rng):
 
 
 def _task_solve(v, dom, d, ctx, out, rng):
-    if v["f"] is not None and v["bulk"] == "capillarity":
-        raise SchemaError("bulk 'capillarity' has the bulk term u^2 and reads no f",
-                          location="params.f")
+    if v["f"] is not None and v["bulk"] != "quadratic":
+        raise SchemaError(f"bulk {v['bulk']!r} reads no f; only bulk 'quadratic' has a "
+                          "forcing", location="params.f")
     if d is not None and v["bulk"] == "capillarity":
         raise SchemaError("bulk 'capillarity' has the contact density nu * p and reads "
                           "no density", location="density")

@@ -159,7 +159,7 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
     ring = layer.copy()
     ring[:, :-1] |= layer[:, 1:]
     ring[:-1, :] |= layer[1:, :]
-    dx, dy = _grad_at(vals, grid.h, *grid.neighbor_masks(), np.flatnonzero(ring))
+    dx, dy = _grad_at(vals, grid.h, grid.neighbor_masks(), np.flatnonzero(ring))
     dx *= dx
     dy *= dy
     dx += dy

@@ -404,17 +404,15 @@ class DomainGrid:
         return X, Y
 
     def neighbor_masks(self):
-        """(ok_x, ok_y), built once: masked cells whose forward x / y
-        neighbor is masked too; the masked gradient is zero elsewhere."""
+        """ok of shape (2, ny, nx), built once: ok[0] / ok[1] marks the masked
+        cells whose forward x / y neighbor is masked too; the masked gradient
+        is zero elsewhere."""
         if self._neighbors is None:
             m = self.mask
-            ok_x = m.copy()
-            ok_x[:, :-1] &= m[:, 1:]
-            ok_x[:, -1] = False
-            ok_y = m.copy()
-            ok_y[:-1, :] &= m[1:, :]
-            ok_y[-1, :] = False
-            self._neighbors = (ok_x, ok_y)
+            ok = np.zeros((2,) + m.shape, dtype=bool)
+            np.logical_and(m[:, :-1], m[:, 1:], out=ok[0, :, :-1])
+            np.logical_and(m[:-1, :], m[1:, :], out=ok[1, :-1, :])
+            self._neighbors = ok
         return self._neighbors
 
     # -- boundary sampling -----------------------------------------------------
@@ -430,37 +428,36 @@ class DomainGrid:
         dom = self.dom
         s, w, eid = dom.edge_samples(self.h)
         x = dom.boundary_point(s)
-        iy, ix = self._probe_cells(x, dom.edge_normals[eid])
-        return BoundarySamples(s=s, x=x, w=w, edge_id=eid, probe_iy=iy, probe_ix=ix)
+        probe = self._probe_cells(x, dom.edge_normals[eid])
+        return BoundarySamples(s=s, x=x, w=w, edge_id=eid, probe=probe)
 
     def _probe_cells(self, x, normal):
+        """The flat lattice index of each sample's probe cell."""
         h = self.h
         n = len(x)
-        iy = np.full(n, -1, dtype=int)
-        ix = np.full(n, -1, dtype=int)
+        probe = np.full(n, -1, dtype=int)
         todo = np.ones(n, dtype=bool)
         for depth in np.arange(0.5, 6.01, 0.5):
             if not todo.any():
                 break
-            probe = x[todo] - depth * h * normal[todo]
-            jx = np.floor((probe[:, 0] - self.origin[0]) / h).astype(int)
-            jy = np.floor((probe[:, 1] - self.origin[1]) / h).astype(int)
+            pt = x[todo] - depth * h * normal[todo]
+            jx = np.floor((pt[:, 0] - self.origin[0]) / h).astype(int)
+            jy = np.floor((pt[:, 1] - self.origin[1]) / h).astype(int)
             ok = (jx >= 0) & (jx < self.nx) & (jy >= 0) & (jy < self.ny)
             ok[ok] &= self.mask[jy[ok], jx[ok]]
             idx = np.flatnonzero(todo)[ok]
-            iy[idx] = jy[ok]
-            ix[idx] = jx[ok]
+            probe[idx] = jy[ok] * self.nx + jx[ok]
             todo[idx] = False
         if todo.any():
             # fall back to the globally nearest masked cell
-            my, mx = np.nonzero(self.mask)
+            cells = np.flatnonzero(self.mask)
+            my, mx = np.divmod(cells, self.nx)
             cx = self.origin[0] + (mx + 0.5) * h
             cy = self.origin[1] + (my + 0.5) * h
             for j in np.flatnonzero(todo):
                 d2 = (cx - x[j, 0]) ** 2 + (cy - x[j, 1]) ** 2
-                k = int(np.argmin(d2))
-                iy[j], ix[j] = my[k], mx[k]
-        return iy, ix
+                probe[j] = cells[int(np.argmin(d2))]
+        return probe
 
     # -- interior distance/arc maps (for the extension) -------------------------
 
@@ -556,14 +553,14 @@ class ArcWindows:
 
 @dataclass
 class BoundarySamples:
-    """Arc-ordered boundary quadrature: sum(w) equals the perimeter."""
+    """Arc-ordered boundary quadrature: sum(w) equals the perimeter; probe
+    holds each sample's probe cell as a flat (row-major) lattice index."""
 
     s: np.ndarray
     x: np.ndarray
     w: np.ndarray
     edge_id: np.ndarray
-    probe_iy: np.ndarray
-    probe_ix: np.ndarray
+    probe: np.ndarray
 
 
 class LineDomain:

@@ -4,8 +4,9 @@ Total variation uses isotropic forward differences, one-sided (zero) where a
 forward neighbor leaves the mask; this keeps the TV of axis-aligned indicator
 jumps exact up to O(h).  The gradient and its adjoint are contiguous shifts
 of the flattened (row-major) lattice, by one cell for x and by one row for y.
-The x shift also pairs each row's last cell with the next row's first; ok_x is
-False at row ends, so those pairs are zeroed as any pair leaving the mask is.
+The x shift also pairs each row's last cell with the next row's first; the x
+neighbor mask ok[0] is False at row ends, so those pairs are zeroed as any
+pair leaving the mask is.
 Differences are scaled by one multiply with 1/h: that is x / h exactly where h
 is a power of two, and within one ulp of it otherwise.
 
@@ -55,15 +56,14 @@ class LineGrid:
         return np.meshgrid(self.xs, self.ys)
 
     def neighbor_masks(self):
-        ok_x = self.mask.copy()
-        ok_x[:, -1] = False
-        return ok_x, np.zeros_like(self.mask)
+        ok = np.zeros((2,) + self.mask.shape, dtype=bool)
+        ok[0, :, :-1] = True
+        return ok
 
     def boundary(self):
         ends = np.array([self.dom.a, self.dom.b])
         return BoundarySamples(s=ends, x=np.column_stack([ends, np.zeros(2)]), w=np.ones(2),
-                               edge_id=np.array([0, 1]), probe_iy=np.zeros(2, dtype=int),
-                               probe_ix=np.array([0, len(self.xs) - 1]))
+                               edge_id=np.array([0, 1]), probe=np.array([0, len(self.xs) - 1]))
 
 
 @dataclass
@@ -123,19 +123,18 @@ def constant_field(grid, value) -> GridField:
 # -- differential quantities ---------------------------------------------------------
 
 
-def _grad(u, h, ok_x, ok_y):
-    """Forward differences times 1/h of a scalar (ny, nx) array, zero where
-    the forward neighbor leaves the mask (ok_x, ok_y from
-    DomainGrid.neighbor_masks).
+def _grad(u, h, ok):
+    """Forward differences times 1/h of a scalar (ny, nx) array as one
+    (2, ny, nx) array, x then y, zero where the forward neighbor leaves the
+    mask (ok from DomainGrid.neighbor_masks).
 
     Both differences are shifts of the flattened lattice, by one cell and by
-    one row; the outputs are C-ordered whatever u's layout."""
-    nx = ok_x.shape[1]
+    one row; the output is C-ordered whatever u's layout."""
+    nx = ok.shape[2]
     flat = u.reshape(-1)
-    dx = np.empty(u.shape)
-    dy = np.empty(u.shape)
-    fx = dx.reshape(-1)
-    fy = dy.reshape(-1)
+    g = np.empty(ok.shape)
+    fx = g[0].reshape(-1)
+    fy = g[1].reshape(-1)
     inv_h = 1.0 / h
     # values off the mask are ignored, inf - inf among them included
     with np.errstate(invalid="ignore"):
@@ -144,21 +143,20 @@ def _grad(u, h, ok_x, ok_y):
     fx[:-1] *= inv_h
     fy[:-nx] *= inv_h
     # the unwritten last cell / row and the pairs across row ends lie
-    # outside ok_x / ok_y
-    np.copyto(dx, 0.0, where=~ok_x)
-    np.copyto(dy, 0.0, where=~ok_y)
-    return dx, dy
+    # outside ok
+    np.copyto(g, 0.0, where=~ok)
+    return g
 
 
-def _grad_at(u, h, ok_x, ok_y, cells):
+def _grad_at(u, h, ok, cells):
     """_grad of a scalar array at the flat lattice indices cells only: the
-    entries cells of _grad(u, h, ok_x, ok_y) with the lattice axes
+    entries cells of _grad(u, h, ok)[0] and [1] with the lattice axes
     flattened, bit for bit, as arrays of shape (k,)."""
-    nx = ok_x.shape[1]
+    nx = ok.shape[2]
     flat = u.reshape(-1)
     here = flat[cells]
-    okx = ok_x.ravel()[cells]
-    oky = ok_y.ravel()[cells]
+    okx = ok[0].ravel()[cells]
+    oky = ok[1].ravel()[cells]
     inv_h = 1.0 / h
     # where the neighbor leaves the mask (or the lattice) read the cell itself
     dx = flat[cells + okx]
@@ -172,30 +170,31 @@ def _grad_at(u, h, ok_x, ok_y, cells):
     return dx, dy
 
 
-def _grad_adjoint(xx, yy, h, ok_x, ok_y):
-    """Exact adjoint of _grad on scalar fields: <grad u, xi> = <u, adjoint(xi)>.
+def _grad_adjoint(xi, h, ok):
+    """Exact adjoint of _grad on scalar fields: <grad u, xi> = <u, adjoint(xi)>
+    for xi of shape (2, ny, nx).
 
     The same flat shifts as _grad, then one multiply by 1/h: the x shift
-    carries each row's last cell into the next row's first, where vx is 0
-    (ok_x is False at row ends)."""
-    nx = ok_x.shape[1]
-    vx = np.where(ok_x, xx, 0.0).reshape(-1)
-    vy = np.where(ok_y, yy, 0.0).reshape(-1)
+    carries each row's last cell into the next row's first, where the x part
+    of xi is zeroed (ok[0] is False at row ends)."""
+    nx = ok.shape[2]
+    v = np.where(ok, xi, 0.0)
+    vx = v[0].reshape(-1)
+    vy = v[1].reshape(-1)
     out = np.subtract(0.0, vx)         # not np.negative: +0.0 where vx is 0
     out[1:] += vx[:-1]
     out -= vy
     out[nx:] += vy[:-nx]
     out *= 1.0 / h
-    return out.reshape(ok_x.shape)
+    return out.reshape(ok.shape[1:])
 
 
 def gradient_magnitude(u: GridField):
     """Per-cell |grad u| of a scalar field."""
-    dx, dy = _grad(u.values, u.h, *u.grid.neighbor_masks())
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
+    g = _grad(u.values, u.h, u.grid.neighbor_masks())
+    g *= g
+    mag = np.add(g[0], g[1])
+    return np.sqrt(mag, out=mag)
 
 
 def tv_grid(u: GridField) -> float:
@@ -250,7 +249,7 @@ class TraceSample:
 def trace_extract(u: GridField) -> TraceSample:
     """Boundary trace by depth-1 normal probe into the nearest interior cell."""
     b = u.grid.boundary()
-    vals = u.values[b.probe_iy, b.probe_ix]
+    vals = u.values.reshape(-1)[b.probe]
     return TraceSample(s=b.s, x=b.x, w=b.w, values=vals, edge_id=b.edge_id, dom=u.dom)
 
 

@@ -34,8 +34,7 @@ from . import density as density_mod
 from .density import YosidaContext
 from .errors import SchemaError
 from .extension import optimal_boundary_values, recovery_sequence
-from .geometry import (LineDomain, PolygonalDomain, admissibility_check,
-                       regular_ngon, unit_square)
+from .geometry import LineDomain, admissibility_check, regular_ngon, unit_square
 from .grid import (GridField, LineGrid, TraceSample, constant_field, energy_F,
                    energy_H, field_from_function, trace_extract)
 
@@ -229,15 +228,13 @@ def representation_claimed(dom, d, sigma: float):
     return False, rep
 
 
-def relaxed_energy(u: GridField, d, ctx: YosidaContext,
-                   dom: PolygonalDomain | None = None):
-    """H(u) annotated with the admissibility verdict.
+def relaxed_energy(u: GridField, d, ctx: YosidaContext):
+    """H(u) annotated with the admissibility verdict on u's domain.
 
     Outside the admissible regime the value is still returned but flagged:
     no representation of the relaxation is claimed there.
     """
-    dom = dom if dom is not None else u.dom
-    claimed, adm = representation_claimed(dom, d, ctx.sigma)
+    claimed, adm = representation_claimed(u.dom, d, ctx.sigma)
     rep = energy_H(u, d, ctx)
     rep.notes["admissibility"] = adm.verdict
     rep.notes["representation_claimed"] = claimed
@@ -309,8 +306,7 @@ def _tail_candidates(u, d, sigma, base_F, seed):
     return out
 
 
-def verify_representation(u: GridField, d, ctx: YosidaContext,
-                          dom: PolygonalDomain | None = None, budget: int = 64,
+def verify_representation(u: GridField, d, ctx: YosidaContext, budget: int = 64,
                           seed: int = 0) -> RepresentationReport:
     """Two-sided desk check of the representation at a single field.
 
@@ -319,9 +315,8 @@ def verify_representation(u: GridField, d, ctx: YosidaContext,
     candidate-sequence tail energy minus H(u); values below -tol falsify the
     representation (negative findings are reported, not raised).
     """
-    dom = dom if dom is not None else u.dom
     H = energy_H(u, d, ctx).total
-    eps_opt = 0.005 * (1.0 + abs(H)) / dom.perimeter
+    eps_opt = 0.005 * (1.0 + abs(H)) / u.dom.perimeter
     p = optimal_boundary_values(u, d, ctx, eps=eps_opt)
     ladder = sorted({n for n in (4, 8, 16, 32, 64, budget)})
     best = math.inf

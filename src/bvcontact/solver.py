@@ -78,18 +78,17 @@ STEP_RATIO = 6.0
 # -- dual resolvents ---------------------------------------------------------------------
 
 
-def _dual_step_tv(zx, zy, sigma):
-    """Projection of z onto |xi| <= sigma, z * sigma / max(sigma, |z|), in
-    place on zx and zy with two temporaries."""
-    mag = zx * zx
-    tmp = zy * zy
+def _dual_step_tv(z, sigma):
+    """Projection of z (shape (2, ny, nx)) onto |xi| <= sigma, z * sigma /
+    max(sigma, |z|), in place on z with two temporaries."""
+    mag = z[0] * z[0]
+    tmp = z[1] * z[1]
     mag += tmp
     np.sqrt(mag, out=mag)
     np.maximum(mag, sigma, out=mag)
     np.divide(sigma, mag, out=mag)
-    zx *= mag
-    zy *= mag
-    return zx, zy
+    z *= mag
+    return z
 
 
 def _radial_newton(r, mag, s_beta, top):
@@ -160,10 +159,11 @@ def _radial_root(mag, s_beta, top):
     return r, steps, float(corr.max())
 
 
-def _dual_step_area(zx, zy, s_beta):
-    """prox of s * f* at z with f*(xi) = -beta sqrt(1 - |xi|^2): radial root of
-    phi(r) = s_beta r / sqrt(1 - r^2) + r = |z| on [0, top], top = 1 - 1e-15
-    (a root above top, where |z| > top + 2.2e7 s_beta, is clipped to top).
+def _dual_step_area(z, s_beta):
+    """prox of s * f* at z (shape (2, ny, nx)) with f*(xi) = -beta sqrt(1 -
+    |xi|^2): radial root of phi(r) = s_beta r / sqrt(1 - r^2) + r = |z| on
+    [0, top], top = 1 - 1e-15 (a root above top, where |z| > top + 2.2e7
+    s_beta, is clipped to top).
 
     phi is convex and increasing, so Newton from an upper bound of the root
     decreases monotonically onto it.  The first step starts at r0 = |z|: with
@@ -188,14 +188,14 @@ def _dual_step_area(zx, zy, s_beta):
     the certified radius, and those with |z| just above 1 take up to 22
     steps.
 
-    Returns xi_x, xi_y, the largest number of steps a cell took and a bound
-    on the distance to the root: when every cell is certified the bound at
-    the largest |z|, else the larger of the bound at _certified_m2 and the
-    largest correction of the loop's last step, which exceeds
+    Returns xi (z's shape), the largest number of steps a cell took and a
+    bound on the distance to the root: when every cell is certified the
+    bound at the largest |z|, else the larger of the bound at _certified_m2
+    and the largest correction of the loop's last step, which exceeds
     DUAL_NEWTON_TOL only if DUAL_NEWTON_CAP cut some cell short.
     """
-    mag = zx * zx
-    tmp = zy * zy
+    mag = z[0] * z[0]
+    tmp = z[1] * z[1]
     mag += tmp
     top = 1.0 - 1e-15
     m2 = float(mag.max())
@@ -212,10 +212,10 @@ def _dual_step_area(zx, zy, s_beta):
     q += s_beta
     mag /= q                             # r1 / |z|
     if m2 <= cert2:
-        return zx * mag, zy * mag, 1, _one_step_bound(m2, s_beta, top)
+        return z * mag, 1, _one_step_bound(m2, s_beta, top)
     r, steps, corr = _radial_root(ma, s_beta, top)
     flat[rest] = r / ma
-    return zx * mag, zy * mag, steps, max(corr, cert_bound)
+    return z * mag, steps, max(corr, cert_bound)
 
 
 # -- contact prox -----------------------------------------------------------------------
@@ -271,10 +271,9 @@ class _ContactProx:
     """
 
     def __init__(self, d, ctx, boundary, mask_shape, h, data_range=(0.0, 0.0)):
-        W = np.zeros(mask_shape)
-        np.add.at(W, (boundary.probe_iy, boundary.probe_ix), boundary.w)
+        W = np.bincount(boundary.probe, weights=boundary.w, minlength=math.prod(mask_shape))
         self.cells = np.flatnonzero(W)
-        self.W = W.reshape(-1)[self.cells] / (h * h)   # scaled weights (energy divided by h^2)
+        self.W = W[self.cells] / (h * h)   # scaled weights (energy divided by h^2)
         self.off = d is None or len(self.cells) == 0
         # raises UnboundedBelow when the slope exceeds sigma
         cf = None if d is None else closed_form(d, ctx.sigma)
@@ -386,7 +385,7 @@ class SolverState:
     root that a call returned."""
 
     u: GridField
-    xi: tuple
+    xi: np.ndarray                       # shape (2, ny, nx)
     iterations: int
     residual_history: np.ndarray
     energy_history: np.ndarray
@@ -422,9 +421,10 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
 
     bulk selects the smooth term: 'quadratic' for (u - f)^2, 'capillarity'
     for the area integrand + u^2 + nu * boundary trace (the contact is the
-    linear density nu, so d and f must be None; ctx is ignored), 'none' for pure
+    linear density nu, so d must be None; ctx is ignored), 'none' for pure
     TV + contact, which is frequently unbounded or trivial and therefore
-    requires allow_no_bulk=True.
+    requires allow_no_bulk=True.  Only 'quadratic' reads f: the other two
+    raise ValueError when given one.
 
     The capillarity solve minimizes sqrt(beta^2 + |grad u|^2) + u^2 + nu Tr u,
     while its report (grid.energy_capillarity) reads the area functional
@@ -462,8 +462,8 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
                                   or not -math.inf < nu < math.inf):
         raise ValueError(f"nu must be a finite number for capillarity, got {nu!r} "
                          "(missing, non-finite or not a number)")
-    if bulk == "capillarity" and f is not None:
-        raise ValueError("bulk='capillarity' has the bulk term u^2 and reads no f")
+    if bulk != "quadratic" and f is not None:
+        raise ValueError(f"bulk={bulk!r} reads no f; only bulk='quadratic' has a forcing")
     if bulk == "capillarity" and d is not None:
         raise ValueError("bulk='capillarity' has the contact density nu * p and reads no d")
     if bulk == "none" and not allow_no_bulk:
@@ -471,7 +471,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
                          "to override")
     grid = dom.grid(h)
     mask = grid.mask
-    ok_x, ok_y = grid.neighbor_masks()
+    ok = grid.neighbor_masks()
     boundary = grid.boundary()
 
     if bulk == "capillarity":
@@ -507,9 +507,8 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     # the relaxed iterates (u_k, xi_k) are carried as u_k, K* xi_k and
     # c_k = xi_k - s grad u_k, the linear images that the prox inputs read
     kxi = np.zeros(mask.shape)           # xi_0 = 0
-    cx, cy = _grad(u, h, ok_x, ok_y)
-    cx *= -s
-    cy *= -s
+    c = _grad(u, h, ok)
+    c *= -s
     ut = np.empty(mask.shape)            # the primal prox output u~
     inside = mask.astype(float)          # masked-cell sums as dot products
 
@@ -519,7 +518,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     has_gap = have_bulk and (contact.off or contact.closed is not None)
     gap_hist = np.full(iters, np.nan) if has_gap else None
     newton_steps, newton_corr, one_step_calls = 0, 0.0, 0
-    tf = 2.0 * t * f_arr if f is not None and have_bulk else None
+    tf = 2.0 * t * f_arr if f is not None else None
     shrink = 1.0 / (1.0 + 2.0 * t)
     t_contact = t * shrink if have_bulk else t
     for k in range(iters):
@@ -534,33 +533,32 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         step = np.subtract(ut, u, out=u)  # u~ - u_k, in u_k's buffer
         res = math.sqrt(float(np.dot(step.ravel(), step.ravel()))) / t
         res_hist[k] = res
-        gx, gy = _grad(ut, h, ok_x, ok_y)
+        z = _grad(ut, h, ok)             # grad u~, until it turns into z below
         last = res <= tol or k + 1 == iters
         record = last or (k + 1) % GAP_EVERY == 0
         if record:
-            en_hist[k] = _scaled_energy(ut, gx, gy, inside, sigma, beta, area_mode,
-                                        have_bulk, f_arr, contact)
+            en_hist[k] = _scaled_energy(ut, z, inside, sigma, beta, area_mode, have_bulk,
+                                        f_arr, contact)
         # z = xi_k + s K (2 u~ - u_k) = c_k + 2 s grad u~, the dual prox
         # input, in place of grad u~.  The relaxed c_{k+1} = c_k + RELAX (xi~ -
         # s grad u~ - c_k) is (1 - RELAX/2) c_k - (RELAX/2) z + RELAX xi~: its
         # first two terms go into c now (a TV step overwrites z), the last
         # after the step
-        for c, z in ((cx, gx), (cy, gy)):
-            z *= 2.0 * s
-            z += c
-            c *= (RELAX - 2.0) / RELAX
-            c += z
-            c *= -0.5 * RELAX
+        z *= 2.0 * s
+        z += c
+        c *= (RELAX - 2.0) / RELAX
+        c += z
+        c *= -0.5 * RELAX
         if area_mode:
-            xx, yy, steps, corr = _dual_step_area(gx, gy, s * beta)
+            xi, steps, corr = _dual_step_area(z, s * beta)
             newton_steps, newton_corr = max(newton_steps, steps), max(newton_corr, corr)
             one_step_calls += steps == 1
         else:
-            xx, yy = _dual_step_tv(gx, gy, sigma)
-        kt = _grad_adjoint(xx, yy, h, ok_x, ok_y)
+            xi = _dual_step_tv(z, sigma)
+        kt = _grad_adjoint(xi, h, ok)
         if has_gap and record:
-            gap_hist[k] = en_hist[k] - _dual_value(kt, xx, yy, inside, beta, area_mode,
-                                                   f_arr, contact)
+            gap_hist[k] = en_hist[k] - _dual_value(kt, xi, inside, beta, area_mode, f_arr,
+                                                   contact)
         if last:
             n_done = k + 1
             break
@@ -570,17 +568,15 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         kt -= kxi
         kt *= RELAX
         kxi += kt
-        xx *= RELAX
-        cx += xx
-        yy *= RELAX
-        cy += yy
+        xi *= RELAX
+        c += xi
 
     u = ut
     dual_bound = 1.0 if area_mode else sigma
-    feas = float(np.sqrt(xx * xx + yy * yy).max())
+    feas = float(np.sqrt(xi[0] * xi[0] + xi[1] * xi[1]).max())
     uf = GridField(grid, u)
     state = SolverState(
-        u=uf, xi=(xx, yy), iterations=n_done,
+        u=uf, xi=xi, iterations=n_done,
         residual_history=res_hist[:n_done], energy_history=en_hist[:n_done],
         dual_bound=dual_bound, dual_feasibility_max=feas,
         notes={"bulk": bulk, "h": h, "step_scale": STEP_RATIO, "relaxation": RELAX},
@@ -611,13 +607,13 @@ def _best_constant_capillarity(grid, boundary, nu):
     return -nu * per / (2.0 * area)
 
 
-def _scaled_energy(u, gx, gy, inside, sigma, beta, area_mode, have_bulk, f_arr, contact):
-    """The objective at u divided by h^2, with (gx, gy) = _grad(u): the area
+def _scaled_energy(u, g, inside, sigma, beta, area_mode, have_bulk, f_arr, contact):
+    """The objective at u divided by h^2, with g = _grad(u): the area
     integrand sqrt(beta^2 + |grad u|^2) or sigma |grad u|, the bulk and the
     contact, summed over the masked cells (inside: the mask as 0.0 / 1.0,
     so that the sum is one dot product).  In place on two temporaries."""
-    e = gx * gx
-    tmp = gy * gy
+    e = g[0] * g[0]
+    tmp = g[1] * g[1]
     e += tmp
     if area_mode:
         e += beta * beta
@@ -632,7 +628,7 @@ def _scaled_energy(u, gx, gy, inside, sigma, beta, area_mode, have_bulk, f_arr, 
     return float(np.dot(e.ravel(), inside.ravel())) + contact.energy(u)
 
 
-def _dual_value(kxi, xx, yy, inside, beta, area_mode, f_arr, contact):
+def _dual_value(kxi, xi, inside, beta, area_mode, f_arr, contact):
     """The dual objective D(xi) = -sum F*(xi) - sum G*(-K* xi) over the masked
     cells (inside as in _scaled_energy), in the units of _scaled_energy, with
     kxi = K* xi = _grad_adjoint of xi; weak duality gives P(u) - D(xi) >= 0
@@ -653,8 +649,8 @@ def _dual_value(kxi, xx, yy, inside, beta, area_mode, f_arr, contact):
         g.reshape(-1)[cells] = pc * v - (v - fc) ** 2 - W * contact.closed.hat(v)
     dual = -float(np.dot(g.ravel(), inside.ravel()))
     if area_mode:
-        e = np.subtract(1.0, xx * xx)
-        e -= yy * yy
+        e = np.subtract(1.0, xi[0] * xi[0])
+        e -= xi[1] * xi[1]
         np.sqrt(np.maximum(e, 0.0, out=e), out=e)
         dual += beta * float(np.dot(e.ravel(), inside.ravel()))
     return dual

@@ -177,7 +177,7 @@ def test_criterion_07_representation_sandwich():
                   field_from_function(g, lambda X, Y: np.exp(
                       -8 * ((X - ctr[0]) ** 2 + (Y - ctr[1]) ** 2)))]
         for u in fields:
-            rep = verify_representation(u, d, ctx, dom, budget=64, seed=3)
+            rep = verify_representation(u, d, ctx, budget=64, seed=3)
             scale = 1.0 + abs(rep.H_value)
             assert rep.upper_gap <= 0.05 * scale, (name, rep.upper_gap, scale)
             assert rep.lower_gap >= -0.05 * scale, (name, rep.lower_gap, scale)

@@ -231,6 +231,19 @@ def test_solve_task_writes_field(tmp_path):
     assert rep["result"]["relaxation"] == solver.RELAX
 
 
+@pytest.mark.parametrize("bulk", ["capillarity", "none"])
+def test_solve_without_quadratic_bulk_rejects_f(bulk, tmp_path):
+    # bulk: none started from f and read it nowhere else
+    scn = {"task": "solve", "domain": "square", "nu": 0.5, "grid_h": 1 / 16,
+           "params": {"bulk": bulk, "allow_no_bulk": True, "f": "bump", "iters": 50,
+                      "tol": 0.0}}
+    if bulk == "none":
+        scn["density"] = "linear:0.2"
+    with pytest.raises(SchemaError, match="reads no f") as err:
+        run_scenario(scn, tmp_path)
+    assert err.value.location == "params.f"
+
+
 def test_solve_diagnostics_columns_are_documented(tmp_path):
     doc = (Path(__file__).resolve().parents[1] / "docs/output-formats.md").read_text()
     cols = re.search(r"`solve` -> `diagnostics.csv`: `([^`]*)`", doc).group(1)

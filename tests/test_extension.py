@@ -162,7 +162,7 @@ def _reference_extension(g, tr, delta, kappa):
     ring = layer.copy()
     ring[:, :-1] |= layer[:, 1:]
     ring[:-1, :] |= layer[1:, :]
-    dx, dy = _grad_at(vals, g.h, *g.neighbor_masks(), np.flatnonzero(ring))
+    dx, dy = _grad_at(vals, g.h, g.neighbor_masks(), np.flatnonzero(ring))
     grad = dx * dx + dy * dy
     total = tr.abs_integral()
     return (vals, float(g.cell_area * mass.sum()) / total,

@@ -215,11 +215,17 @@ def test_admissibility_square_corner_violation():
     assert rep.verdict == "inadmissible"
 
 
-def test_admissibility_c2_clause():
-    dom = regular_ngon(256, smooth=True)
-    d = density.absolute(1.0)
-    rep = admissibility_check(dom, d, sigma=1.0, epsilon0=0.0)
-    assert rep.verdict == "C2_clause"
+@pytest.mark.parametrize("name", ["disk64", "disk256"])
+@pytest.mark.parametrize("factor, verdict", [(1 - 1e-6, "C2_clause"), (1.0, "C2_clause"),
+                                             (1 + 1e-6, "inadmissible")],
+                         ids=["below", "at", "above"])
+def test_admissibility_c2_clause(name, factor, verdict):
+    # the smooth clause holds up to sup L = sigma and not a hair beyond; the
+    # pointwise bound fails on every row (min_slack -1.2e-3 on disk64,
+    # -7.5e-5 on disk256), so the verdict is the smooth clause's alone
+    rep = admissibility_check(builtin_domain(name), density.linear(-factor), sigma=1.0,
+                              epsilon0=0.0)
+    assert rep.verdict == verdict
 
 
 def test_admissibility_monotone_in_L():
@@ -254,7 +260,7 @@ def test_boundary_samples_sum_to_perimeter():
         assert b.w.sum() == pytest.approx(dom.perimeter, rel=1e-9)
         d, _, _ = dom.boundary_distance(b.x)
         assert d.max() < 1e-9
-        assert g.mask[b.probe_iy, b.probe_ix].all()
+        assert g.mask.reshape(-1)[b.probe].all()
 
 
 def test_mask_centers_inside():

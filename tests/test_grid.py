@@ -36,10 +36,10 @@ def test_grad_at_is_grad_bit_for_bit(dom, M):
     rng = np.random.default_rng(3)
     u = rng.normal(size=g.mask.shape)
     ok = g.neighbor_masks()
-    dx, dy = _grad(u, g.h, *ok)
+    dx, dy = _grad(u, g.h, ok)
     every = np.arange(g.mask.size)
     for cells in (every, rng.permutation(every)[:300]):
-        gx, gy = _grad_at(u, g.h, *ok, cells)
+        gx, gy = _grad_at(u, g.h, ok, cells)
         assert gx.tobytes() == dx.reshape(-1)[cells].tobytes()
         assert gy.tobytes() == dy.reshape(-1)[cells].tobytes()
 
@@ -51,7 +51,7 @@ def test_grad_pair_matches_the_zero_filled_reference_bit_for_bit(dom, M):
     # the reference fills zeros first and writes the differences over them;
     # the inputs hold +0.0 and -0.0 too, so the sign of every zero is compared
     g = dom.grid(1 / 40)
-    h, (ok_x, ok_y) = g.h, g.neighbor_masks()
+    h, ok = g.h, g.neighbor_masks()
     rng = np.random.default_rng(5)
     shape = g.mask.shape
     u = rng.normal(size=shape) * (rng.random(shape) < 0.7)
@@ -60,33 +60,33 @@ def test_grad_pair_matches_the_zero_filled_reference_bit_for_bit(dom, M):
     dy = np.zeros_like(u)
     dx[:, :-1] = (u[:, 1:] - u[:, :-1]) * (1.0 / h)
     dy[:-1, :] = (u[1:, :] - u[:-1, :]) * (1.0 / h)
-    dx[~ok_x] = 0.0
-    dy[~ok_y] = 0.0
-    gx, gy = _grad(u, h, ok_x, ok_y)
+    dx[~ok[0]] = 0.0
+    dy[~ok[1]] = 0.0
+    gx, gy = _grad(u, h, ok)
     assert gx.tobytes() == dx.tobytes() and gy.tobytes() == dy.tobytes()
     xx, yy = u, np.where(rng.random(u.shape) < 0.5, -0.0, u[::-1])
     out = np.zeros_like(xx)
-    vx = np.where(ok_x, xx, 0.0)
-    vy = np.where(ok_y, yy, 0.0)
+    vx = np.where(ok[0], xx, 0.0)
+    vy = np.where(ok[1], yy, 0.0)
     out -= vx
     out[:, 1:] += vx[:, :-1]
     out -= vy
     out[1:, :] += vy[:-1, :]
-    assert _grad_adjoint(xx, yy, h, ok_x, ok_y).tobytes() == (out * (1.0 / h)).tobytes()
+    assert _grad_adjoint(np.stack([xx, yy]), h, ok).tobytes() == (out * (1.0 / h)).tobytes()
 
 
 @pytest.mark.parametrize("name", ["square", "lshape", "disk64", "line"])
 def test_grad_adjoint_is_the_transpose_of_grad(name):
-    # xi is nonzero where ok_x / ok_y are False, which the adjoint must ignore
-    # as _grad's zeros do; on the 1 x K line the y shift is empty
+    # xi is nonzero where ok is False, which the adjoint must ignore as
+    # _grad's zeros do; on the 1 x K line the y shift is empty
     g = (LineGrid(LineDomain(0, 1), 1 / 37) if name == "line"
          else builtin_domain(name).grid(1 / 40))
-    ok_x, ok_y = g.neighbor_masks()
+    ok = g.neighbor_masks()
     rng = np.random.default_rng(7)
     u, xx, yy = rng.normal(size=(3,) + g.mask.shape)
-    gx, gy = _grad(u, g.h, ok_x, ok_y)
+    gx, gy = _grad(u, g.h, ok)
     lhs = float((gx * xx).sum() + (gy * yy).sum())
-    rhs = float((u * _grad_adjoint(xx, yy, g.h, ok_x, ok_y)).sum())
+    rhs = float((u * _grad_adjoint(np.stack([xx, yy]), g.h, ok)).sum())
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -106,9 +106,9 @@ def test_grad_ignores_nonfinite_values_off_the_mask(name, M):
     bad[~g.mask] = rng.choice([np.nan, np.inf, -np.inf], size=bad[~g.mask].shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _grad(bad, g.h, *ok)
+        got = _grad(bad, g.h, ok)
         tv = tv_grid(GridField(g, bad))
-    for a, b in zip(got, _grad(u, g.h, *ok)):
+    for a, b in zip(got, _grad(u, g.h, ok)):
         assert a[g.mask].tobytes() == b[g.mask].tobytes()
     assert tv == tv_grid(GridField(g, u))
 
@@ -124,12 +124,12 @@ def test_grad_pair_reads_any_layout_as_its_c_copy(M):
     transposed = rng.normal(size=shape[::-1]).T
     for u in (fortran, transposed):
         c = np.ascontiguousarray(u)
-        for a, b in zip(_grad(u, g.h, *ok), _grad(c, g.h, *ok)):
+        for a, b in zip(_grad(u, g.h, ok), _grad(c, g.h, ok)):
             assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
-    got = _grad_adjoint(fortran, transposed, g.h, *ok)
-    want = _grad_adjoint(np.ascontiguousarray(fortran), np.ascontiguousarray(transposed),
-                         g.h, *ok)
-    assert got.tobytes() == want.tobytes()
+    for xi in (np.asfortranarray(rng.normal(size=(2,) + shape)),
+               rng.normal(size=shape[::-1] + (2,)).T):
+        got = _grad_adjoint(xi, g.h, ok)
+        assert got.tobytes() == _grad_adjoint(np.ascontiguousarray(xi), g.h, ok).tobytes()
 
 
 def test_tv_halfplane_indicator():

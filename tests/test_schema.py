@@ -296,8 +296,9 @@ def scenarios(draw):
 
 
 def _missing(scn):
-    """Location of the first required key the scenario lacks, else of an f or
-    a density given to a capillarity solve (which reads neither), or None."""
+    """Location of the first required key the scenario lacks, else of an f
+    given to a solve whose bulk is not quadratic (only that bulk reads f), else
+    of a density given to a capillarity solve (which reads none), or None."""
     task, params = scn["task"], scn["params"]
     needs = {task, f"{task}:{params.get('bulk', 'quadratic')}"}
     for where, given, rows in (("", scn, SCHEMA[""]), ("params.", params, SCHEMA[task])):
@@ -305,7 +306,7 @@ def _missing(scn):
             value = given.get(key, default)
             if needs & set(required) and (value is None or value is False):
                 return where + key
-    if "solve:capillarity" in needs and params.get("f") is not None:
+    if needs & {"solve:capillarity", "solve:none"} and params.get("f") is not None:
         return "params.f"
     if "solve:capillarity" in needs and scn.get("density") is not None:
         return "density"
