@@ -63,8 +63,7 @@ class PerTask(dict):
 
 # Every scenario key, at the top level ("") or in one task's params: (kind, range
 # or allowed values, default, *the tasks that require it, "task:bulk" for one
-# bulk of a task).  A range is an interval such as "(0, inf)"; a required flag
-# must be true.
+# bulk of a task).  A range is an interval such as "(0, inf)".
 SCHEMA = {
     "": {"task": ("enum", TASKS, None, *TASKS),
          "domain": ("domain", tuple(geometry.BUILTIN_DOMAINS), "square"),
@@ -90,11 +89,10 @@ SCHEMA = {
                      "budget": ("count", "[1, inf)", 64)},
     "extend-verify": {"eps": ("float", "(0, 1]", 0.1), "n_corpus": ("count", "[1, inf)", 20),
                       "kappa": ("float", "[0, inf)", 0.5)},
-    "solve": {"bulk": ("enum", ("quadratic", "capillarity", "none"), "quadratic"),
+    "solve": {"bulk": ("enum", ("quadratic", "capillarity"), "quadratic"),
               "iters": ("count", "[1, inf)", 2000), "tol": ("float", "[0, inf)", 1e-6),
               "beta": ("float", "[0, inf)", 1e-3),
-              "f": ("field", tuple(_FIELD_BUILDERS), None),
-              "allow_no_bulk": ("flag", None, False, "solve:none")},
+              "f": ("field", tuple(_FIELD_BUILDERS), None)},
 }
 
 
@@ -330,8 +328,7 @@ def _task_solve(v, dom, d, ctx, out, rng):
     f = None if v["f"] is None else _load_field_spec(v["f"], dom.grid(v["grid_h"]), "params.f")
     res = minimize_energy(
         dom, d=d, ctx=ctx, bulk=v["bulk"], f=f, nu=v["nu"], h=v["grid_h"],
-        iters=v["iters"], tol=v["tol"], beta=v["beta"],
-        allow_no_bulk=v["allow_no_bulk"])
+        iters=v["iters"], tol=v["tol"], beta=v["beta"])
     save_field(res.u, out / "field")
     st = res.state
     if st.iterations >= 2:
@@ -357,7 +354,7 @@ def run_scenario(scenario: dict, out_dir) -> dict:
     task, needs = v["task"], {v["task"], f"{v['task']}:{v.get('bulk')}"}
     for where, rows in (("", SCHEMA[""]), ("params.", SCHEMA[task])):
         for key, (_, _, _, *required) in rows.items():
-            if (v[key] is None or v[key] is False) and needs & set(required):
+            if v[key] is None and needs & set(required):
                 raise SchemaError(f"{key} is required by {', '.join(required)}",
                                   location=where + key)
     out = Path(out_dir)

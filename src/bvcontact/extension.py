@@ -53,10 +53,6 @@ class ExtensionResult:
     corner_overlap: bool      # requested width exceeded half the shortest edge
     boundary_l1: float        # int_bd |g|
 
-    def __repr__(self):
-        return (f"ExtensionResult(l1_ratio={self.l1_ratio:.4g}, "
-                f"grad_ratio={self.grad_ratio:.4g}, delta={self.layer_width:.4g})")
-
 
 def _arc_tv(g: TraceSample) -> float:
     v = g.values

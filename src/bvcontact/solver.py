@@ -8,11 +8,12 @@ where R is either sigma * |.| (total variation) or sqrt(beta^2 + |.|^2)
 (smoothed area integrand; the conjugate -beta * sqrt(1 - |xi|^2) is handled
 exactly, so beta is a modeling knob, not an extra approximation layer), and
 B is a quadratic fidelity or the capillary u^2 bulk.  The iteration is
-over-relaxed Chambolle-Pock (RELAX).  Its dual prox is a projection (TV) or
-a radial root (area), so every dual prox output keeps |xi| <= dual_bound
-exactly; the solver returns prox outputs, and with a bulk and a closed-form
-contact the primal-dual gap P(u) - D(xi) bounds how far the returned
-iterate's objective is above its minimum.
+over-relaxed Chambolle-Pock (RELAX).  Both bulks are strongly convex, so
+every solve has a minimizer.  The dual prox is a projection (TV) or a radial
+root (area), so every dual prox output keeps |xi| <= dual_bound exactly; the
+solver returns prox outputs, and with a closed-form contact or no contact
+the primal-dual gap P(u) - D(xi) bounds how far the returned iterate's
+objective is above its minimum.
 
 The boundary contact acts through per-sample proximal steps on the probe
 cells, aggregated by arc-length weight.  The resolvent takes one of two
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .density import YosidaContext, closed_form, yosida_eval_many
+from .density import YosidaContext, closed_form, linear, yosida_eval_many
 from .errors import NonconvexBoundaryTerm
 from .geometry import PolygonalDomain
 from .grid import (EnergyReport, GridField, _grad, _grad_adjoint, energy_capillarity,
@@ -348,7 +349,8 @@ class _ContactProx:
 
 @dataclass
 class SolverState:
-    """Iterate bundle with certificates: dual feasibility is exact, and the
+    """The returned dual iterate xi with the solve's certificates (the primal
+    iterate is SolverResult.u): dual feasibility is exact, and the
     histories hold one row per iteration k = 1 .. iterations.
     residual_history has a value on every row; energy_history and
     gap_history are recorded on the same rows, every GAP_EVERY-th and the
@@ -373,8 +375,8 @@ class SolverState:
     is feasible, so weak duality makes it >= 0 and a bound on P(u~_k) - min
     P, and the last row (gap) certifies the returned pair; gap_relative is
     gap / max(1, |P(u)|).
-    gap_history is None where the solver has no dual objective: a
-    table-mode contact or bulk='none'.
+    gap_history is None where the solver has no dual objective, which is
+    a table-mode contact.
 
     notes hold bulk, h, step_scale (STEP_RATIO) and relaxation (RELAX).
     In capillarity mode they also hold the area dual step's counts:
@@ -384,7 +386,6 @@ class SolverState:
     dual_newton_correction_max, the largest bound on the distance to the
     root that a call returned."""
 
-    u: GridField
     xi: np.ndarray                       # shape (2, ny, nx)
     iterations: int
     residual_history: np.ndarray
@@ -416,15 +417,13 @@ class SolverResult:
 def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = None,
                     bulk: str = "quadratic", f=None, nu: float | None = None,
                     h: float = 1 / 128, iters: int = 2000, tol: float = 1e-6,
-                    beta: float = 1e-3, allow_no_bulk: bool = False) -> SolverResult:
+                    beta: float = 1e-3) -> SolverResult:
     """Primal-dual minimization on dom at spacing h.
 
-    bulk selects the smooth term: 'quadratic' for (u - f)^2, 'capillarity'
-    for the area integrand + u^2 + nu * boundary trace (the contact is the
-    linear density nu, so d must be None; ctx is ignored), 'none' for pure
-    TV + contact, which is frequently unbounded or trivial and therefore
-    requires allow_no_bulk=True.  Only 'quadratic' reads f: the other two
-    raise ValueError when given one.
+    bulk selects the strongly convex term: 'quadratic' for (u - f)^2,
+    'capillarity' for the area integrand + u^2 + nu * boundary trace (the
+    contact is the linear density nu, so d must be None; ctx is ignored).
+    Only 'quadratic' reads f: 'capillarity' raises ValueError when given one.
 
     The capillarity solve minimizes sqrt(beta^2 + |grad u|^2) + u^2 + nu Tr u,
     while its report (grid.energy_capillarity) reads the area functional
@@ -450,54 +449,45 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     the others; the gradient of u~ is still taken on every iteration, since
     the dual step reads it.
     """
-    if bulk not in ("none", "quadratic", "capillarity"):
-        raise ValueError("bulk must be 'none', 'quadratic', or 'capillarity'")
+    if bulk not in ("quadratic", "capillarity"):
+        raise ValueError("bulk must be 'quadratic' or 'capillarity'")
+    area_mode = bulk == "capillarity"
     if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
         raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
     if isinstance(tol, bool) or not 0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if isinstance(beta, bool) or not 0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0 (0 is the TV limit), got {beta!r}")
-    if bulk == "capillarity" and (nu is None or isinstance(nu, bool)
-                                  or not -math.inf < nu < math.inf):
+    if area_mode and (nu is None or isinstance(nu, bool) or not -math.inf < nu < math.inf):
         raise ValueError(f"nu must be a finite number for capillarity, got {nu!r} "
                          "(missing, non-finite or not a number)")
-    if bulk != "quadratic" and f is not None:
+    if area_mode and f is not None:
         raise ValueError(f"bulk={bulk!r} reads no f; only bulk='quadratic' has a forcing")
-    if bulk == "capillarity" and d is not None:
+    if area_mode and d is not None:
         raise ValueError("bulk='capillarity' has the contact density nu * p and reads no d")
-    if bulk == "none" and not allow_no_bulk:
-        raise ValueError("bulk='none' is usually ill-posed; pass allow_no_bulk=True "
-                         "to override")
     grid = dom.grid(h)
     mask = grid.mask
     ok = grid.neighbor_masks()
     boundary = grid.boundary()
 
-    if bulk == "capillarity":
-        from . import density as density_mod
+    if area_mode:
         ctx = YosidaContext(sigma=1.0)
-        d = density_mod.linear(float(nu))
-        area_mode = True
-        sigma = 1.0
-    else:
-        if ctx is None:
-            raise ValueError("ctx (with sigma) is required unless bulk='capillarity'")
-        area_mode = False
-        sigma = ctx.sigma
+        d = linear(float(nu))
+    elif ctx is None:
+        raise ValueError("ctx (with sigma) is required unless bulk='capillarity'")
+    sigma = ctx.sigma
 
     f_arr = np.zeros(mask.shape)
     if f is not None:
         f_arr = f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
         f_arr = np.broadcast_to(f_arr, mask.shape).copy()
         f_arr[~mask] = 0.0               # so that every primal prox output is 0 there
-    have_bulk = bulk != "none"
 
     norm_K = math.sqrt(8.0) / h          # ||grad|| <= sqrt(8) / h
     t = STEP_RATIO / norm_K
     s = 1.0 / (STEP_RATIO * norm_K)
 
-    if bulk == "capillarity":
+    if area_mode:
         u = np.where(mask, _best_constant_capillarity(grid, boundary, nu), 0.0)
     else:
         u = f_arr.copy()
@@ -514,21 +504,20 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
 
     res_hist = np.empty(iters)
     en_hist = np.full(iters, np.nan)
-    # the dual objective needs the bulk and a closed-form contact prox
-    has_gap = have_bulk and (contact.off or contact.closed is not None)
+    # the dual objective needs a closed-form contact prox
+    has_gap = contact.off or contact.closed is not None
     gap_hist = np.full(iters, np.nan) if has_gap else None
     newton_steps, newton_corr, one_step_calls = 0, 0.0, 0
     tf = 2.0 * t * f_arr if f is not None else None
     shrink = 1.0 / (1.0 + 2.0 * t)
-    t_contact = t * shrink if have_bulk else t
+    t_contact = t * shrink
     for k in range(iters):
         # u~ = prox_tG(u_k - t K* xi_k), in place; 0 off the mask, as u_k is
         np.multiply(kxi, -t, out=ut)
         ut += u
         if tf is not None:
             ut += tf
-        if have_bulk:
-            ut *= shrink
+        ut *= shrink
         contact.apply(ut, t_contact)
         step = np.subtract(ut, u, out=u)  # u~ - u_k, in u_k's buffer
         res = math.sqrt(float(np.dot(step.ravel(), step.ravel()))) / t
@@ -537,8 +526,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         last = res <= tol or k + 1 == iters
         record = last or (k + 1) % GAP_EVERY == 0
         if record:
-            en_hist[k] = _scaled_energy(ut, z, inside, sigma, beta, area_mode, have_bulk,
-                                        f_arr, contact)
+            en_hist[k] = _scaled_energy(ut, z, inside, sigma, beta, area_mode, f_arr, contact)
         # z = xi_k + s K (2 u~ - u_k) = c_k + 2 s grad u~, the dual prox
         # input, in place of grad u~.  The relaxed c_{k+1} = c_k + RELAX (xi~ -
         # s grad u~ - c_k) is (1 - RELAX/2) c_k - (RELAX/2) z + RELAX xi~: its
@@ -572,30 +560,26 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         c += xi
 
     u = ut
-    dual_bound = 1.0 if area_mode else sigma
     feas = float(np.sqrt(xi[0] * xi[0] + xi[1] * xi[1]).max())
     uf = GridField(grid, u)
     state = SolverState(
-        u=uf, xi=xi, iterations=n_done,
+        xi=xi, iterations=n_done,
         residual_history=res_hist[:n_done], energy_history=en_hist[:n_done],
-        dual_bound=dual_bound, dual_feasibility_max=feas,
+        dual_bound=sigma, dual_feasibility_max=feas,
         notes={"bulk": bulk, "h": h, "step_scale": STEP_RATIO, "relaxation": RELAX},
         gap_history=None if gap_hist is None else gap_hist[:n_done])
     if area_mode:
         state.notes.update(dual_newton_steps_max=newton_steps,
                            dual_newton_correction_max=newton_corr,
                            dual_one_step_calls=one_step_calls)
-
-    if bulk == "capillarity":
         report = energy_capillarity(uf, nu)
         report.notes["beta"] = beta
     else:
         report = energy_H(uf, d, ctx) if d is not None else \
             EnergyReport(sigma * tv_grid(uf), 0.0, 0.0)
-        if have_bulk:
-            bulk_val = float(grid.cell_area * ((u - f_arr)[mask] ** 2).sum())
-            report = EnergyReport(report.tv_term, report.contact_term, bulk_val,
-                                  report.per_edge, "grid_estimate", report.notes)
+        bulk_val = float(grid.cell_area * ((u - f_arr)[mask] ** 2).sum())
+        report = EnergyReport(report.tv_term, report.contact_term, bulk_val,
+                              report.per_edge, "grid_estimate", report.notes)
     return SolverResult(u=uf, report=report, residual=float(res_hist[n_done - 1]),
                         state=state)
 
@@ -607,7 +591,7 @@ def _best_constant_capillarity(grid, boundary, nu):
     return -nu * per / (2.0 * area)
 
 
-def _scaled_energy(u, g, inside, sigma, beta, area_mode, have_bulk, f_arr, contact):
+def _scaled_energy(u, g, inside, sigma, beta, area_mode, f_arr, contact):
     """The objective at u divided by h^2, with g = _grad(u): the area
     integrand sqrt(beta^2 + |grad u|^2) or sigma |grad u|, the bulk and the
     contact, summed over the masked cells (inside: the mask as 0.0 / 1.0,
@@ -621,10 +605,9 @@ def _scaled_energy(u, g, inside, sigma, beta, area_mode, have_bulk, f_arr, conta
     else:
         np.sqrt(e, out=e)
         e *= sigma
-    if have_bulk:
-        np.subtract(u, f_arr, out=tmp)
-        tmp *= tmp
-        e += tmp
+    np.subtract(u, f_arr, out=tmp)
+    tmp *= tmp
+    e += tmp
     return float(np.dot(e.ravel(), inside.ravel())) + contact.energy(u)
 
 
@@ -636,8 +619,7 @@ def _dual_value(kxi, xi, inside, beta, area_mode, f_arr, contact):
     sqrt(1 - |xi|^2) in area mode and 0 in TV mode.  With p = -K* xi, G*(p)
     is p f + p^2 / 4 off the probe cells and p v - (v - f)^2 - W tau_hat(v)
     on them, v = prox(f + p / 2, W / 2) the maximizer (capillarity: (p - nu
-    W)^2 / 4).  Needs the bulk and, on probe cells, the closed-form contact
-    prox."""
+    W)^2 / 4).  Needs the closed-form contact prox on the probe cells."""
     p = np.negative(kxi)
     g = p * 0.25
     g += f_arr

@@ -231,14 +231,10 @@ def test_solve_task_writes_field(tmp_path):
     assert rep["result"]["relaxation"] == solver.RELAX
 
 
-@pytest.mark.parametrize("bulk", ["capillarity", "none"])
+@pytest.mark.parametrize("bulk", ["capillarity"])
 def test_solve_without_quadratic_bulk_rejects_f(bulk, tmp_path):
-    # bulk: none started from f and read it nowhere else
     scn = {"task": "solve", "domain": "square", "nu": 0.5, "grid_h": 1 / 16,
-           "params": {"bulk": bulk, "allow_no_bulk": True, "f": "bump", "iters": 50,
-                      "tol": 0.0}}
-    if bulk == "none":
-        scn["density"] = "linear:0.2"
+           "params": {"bulk": bulk, "f": "bump", "iters": 50, "tol": 0.0}}
     with pytest.raises(SchemaError, match="reads no f") as err:
         run_scenario(scn, tmp_path)
     assert err.value.location == "params.f"

@@ -32,8 +32,7 @@ def _location(scn, tmp_path):
     ({"task": "yosida", "density": "quadratic", "params": {"n_points": 1.5}}, "params.n_points"),
     ({"task": "yosida", "density": "quadratic", "params": {"force_bruteforce": "no"}},
      "params.force_bruteforce"),
-    ({"task": "solve", "params": {"bulk": "none", "allow_no_bulk": "no"}},
-     "params.allow_no_bulk"),
+    ({"task": "solve", "params": {"bulk": "none"}}, "params.bulk"),
     ({"task": "energy", "density": "linear:-0.5", "params": {"mode": "Q"}}, "params.mode"),
     ({"task": "extend-verify", "params": {"eps": 0.1, "kappa": -1}}, "params.kappa"),
     ({"task": "extend-verify", "params": {"n_corpus": 0}}, "params.n_corpus"),
@@ -48,8 +47,8 @@ def _location(scn, tmp_path):
      "params.field"),
     ({"task": "solve", "nu": math.nan, "params": {"bulk": "capillarity"}}, "nu"),
     ({"task": "solve", "params": {"bulk": "capillarity", "iters": 3}}, "nu"),
-    ({"task": "solve", "density": "linear:-0.5", "params": {"bulk": "none", "iters": 3}},
-     "params.allow_no_bulk"),
+    ({"task": "solve", "density": "linear:-0.5", "params": {"allow_no_bulk": True, "iters": 3}},
+     "params"),
     ({"task": "qgeom", "domain": {"file": 3}}, "domain"),
     ({"task": "qgeom", "density": None}, "density"),
     ({"task": "energy", "density": "linear:-0.5", "grid_h": 0}, "grid_h"),
@@ -243,8 +242,7 @@ VALID.update({
     "family": st.sampled_from(["E1", "E2", "LOG1D"]), "lam": st.floats(-1.5, 1.5),
     "lam_sweep": st.tuples(st.floats(-1, 1), st.integers(0, 3), st.floats(0.1, 0.5)).map(
         lambda t: [t[0], t[0] + t[1] * t[2], t[2]]),
-    "bulk": st.sampled_from(["quadratic", "capillarity", "none"]),
-    "allow_no_bulk": st.booleans(),
+    "bulk": st.sampled_from(["quadratic", "capillarity"]),
 })
 ALWAYS = {"grid_h", "n_points", "budget", "n_corpus", "iters"}  # keep every run cheap
 
@@ -304,9 +302,9 @@ def _missing(scn):
     for where, given, rows in (("", scn, SCHEMA[""]), ("params.", params, SCHEMA[task])):
         for key, (_, _, default, *required) in rows.items():
             value = given.get(key, default)
-            if needs & set(required) and (value is None or value is False):
+            if needs & set(required) and value is None:
                 return where + key
-    if needs & {"solve:capillarity", "solve:none"} and params.get("f") is not None:
+    if "solve:capillarity" in needs and params.get("f") is not None:
         return "params.f"
     if "solve:capillarity" in needs and scn.get("density") is not None:
         return "density"

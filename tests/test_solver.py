@@ -25,15 +25,6 @@ def test_zero_fidelity_no_contact():
     assert np.abs(res.u.values).max() == 0.0
 
 
-def test_no_bulk_requires_override():
-    with pytest.raises(ValueError):
-        minimize_energy(SQ, d=density.linear(0.2), ctx=YosidaContext(1.0),
-                        bulk="none", h=1 / 32)
-    res = minimize_energy(SQ, d=density.linear(0.2), ctx=YosidaContext(1.0),
-                          bulk="none", h=1 / 32, iters=200, allow_no_bulk=True)
-    assert res.state.iterations == 200 or res.residual < 1e-6
-
-
 def test_capillarity_beats_constant_oracle():
     nu = 0.5
     res = minimize_energy(SQ, bulk="capillarity", nu=nu, h=1 / 64,
@@ -257,22 +248,15 @@ def test_capillarity_rejects_f():
         minimize_energy(dom, bulk="capillarity", nu=0.5, f=f, h=1 / 16, iters=3)
 
 
-def test_no_bulk_rejects_f():
-    # the solve started from f and read it nowhere else: at h = 1/16, 50
-    # iterations, the total was -5.9052 without f, -5.7169 with f = bump and
-    # -1.9052 with f = 5
-    g = SQ.grid(1 / 16)
-    f = field_from_function(g, lambda X, Y: np.exp(-8 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)))
-    with pytest.raises(ValueError, match="reads no f"):
-        minimize_energy(SQ, d=density.linear(0.2), ctx=YosidaContext(1.0), bulk="none", f=f,
-                        h=g.h, iters=50, tol=0.0, allow_no_bulk=True)
-
-
 @pytest.mark.parametrize("kwargs, match", [
     (dict(bulk="area"), "bulk must be"),
     (dict(bulk="quadratic"), "ctx"),
     # the solve dropped d: the report was the same with or without it
     (dict(bulk="capillarity", nu=0.5, d=density.linear(1.0)), "reads no d"),
+    # TV + contact alone has the constant argmin tau_hat or no minimum: the
+    # solve returned a diverging iterate (linear(0.2): u near -191 after 2000
+    # iterations) with no gap and no error
+    (dict(bulk="none", d=density.linear(0.2), ctx=YosidaContext(1.0)), "bulk must be"),
 ])
 def test_minimize_energy_refuses_bad_combinations(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -521,8 +505,8 @@ def test_energy_is_recorded_on_the_gap_rows(case, monkeypatch):
     for k, u in zip(rows, iterates):
         assert minimize_energy(SQ, h=h, iters=k + 1, tol=0.0, **kwargs).u.values.tobytes() \
             == u.tobytes()
-        want = energy(u, solver._grad(u, h, g.neighbor_masks()), g.mask, 1.0, beta, area,
-                      True, f, prox)
+        want = energy(u, solver._grad(u, h, g.neighbor_masks()), g.mask, 1.0, beta, area, f,
+                      prox)
         assert state.energy_history[k] == pytest.approx(want, rel=1e-12)
     if case == "closed-form":
         assert np.array_equal(np.isnan(state.gap_history), np.isnan(state.energy_history))
@@ -630,12 +614,10 @@ def test_benchmark_solve_gap_is_a_certificate():
 
 def test_gap_is_none_without_a_dual_objective():
     table = density.expression("p*p + 0.5*abs(p-0.25)", c=0.0, L=0.0)
-    for kwargs in (dict(d=table, bulk="quadratic"),
-                   dict(d=density.linear(0.2), bulk="none", allow_no_bulk=True)):
-        res = minimize_energy(SQ, ctx=YosidaContext(1.0), h=1 / 16, iters=20, tol=0.0,
-                              **kwargs)
-        assert res.state.gap_history is None and res.state.gap is None
-        assert diagnostics(res.state)["gap_relative"] is None
+    res = minimize_energy(SQ, d=table, ctx=YosidaContext(1.0), bulk="quadratic", h=1 / 16,
+                          iters=20, tol=0.0)
+    assert res.state.gap_history is None and res.state.gap is None
+    assert diagnostics(res.state)["gap_relative"] is None
 
 
 # case -> (area mode, contact density, d tau_hat / dv at v != 0)
@@ -659,8 +641,8 @@ def _saddle(dom, case, rng, h=1 / 32, beta=1e-3):
     contact = _ContactProx(d, YosidaContext(1.0), g.boundary(), mask.shape, h)
 
     def gap(u, xi, f):
-        primal = solver._scaled_energy(u, solver._grad(u, h, ok), mask, 1.0, beta, area, True,
-                                       f, contact)
+        primal = solver._scaled_energy(u, solver._grad(u, h, ok), mask, 1.0, beta, area, f,
+                                       contact)
         kxi = solver._grad_adjoint(xi, h, ok)
         return primal - solver._dual_value(kxi, xi, mask, beta, area, f, contact), primal
 
