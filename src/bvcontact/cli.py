@@ -27,7 +27,7 @@ from .grid import (boundary_trace_from_function, constant_field, energy_F,
                    field_from_function, load_field, save_field)
 from .relaxation import (counterexample_energy, family_by_name, relaxed_energy,
                          verify_representation)
-from .solver import minimize_energy
+from .solver import RELAX, minimize_energy
 
 FLOAT_FMT = "%.12g"
 
@@ -316,6 +316,9 @@ def _task_extend_verify(v, dom, d, ctx, out, rng):
 
 
 def _task_solve(v, dom, d, ctx, out, rng):
+    if v["nu"] is not None and v["bulk"] == "quadratic":
+        raise SchemaError("bulk 'quadratic' reads no nu; only bulk 'capillarity' has the "
+                          "contact nu * p", location="nu")
     if v["f"] is not None and v["bulk"] != "quadratic":
         raise SchemaError(f"bulk {v['bulk']!r} reads no f; only bulk 'quadratic' has a "
                           "forcing", location="params.f")
@@ -330,17 +333,17 @@ def _task_solve(v, dom, d, ctx, out, rng):
         dom, d=d, ctx=ctx, bulk=v["bulk"], f=f, nu=v["nu"], h=v["grid_h"],
         iters=v["iters"], tol=v["tol"], beta=v["beta"])
     save_field(res.u, out / "field")
-    st = res.state
-    if st.iterations >= 2:
-        gaps = np.full(st.iterations, np.nan) if st.gap_history is None else st.gap_history
+    if res.iterations >= 2:
+        gaps = np.full(res.iterations, np.nan) if res.gap_history is None else res.gap_history
         rows = [(k, "" if math.isnan(e) else e, r, "" if math.isnan(g) else g)
-                for k, (e, r, g) in enumerate(zip(st.energy_history, st.residual_history, gaps))]
+                for k, (e, r, g) in enumerate(zip(res.energy_history, res.residual_history,
+                                                  gaps))]
         write_csv(out / "diagnostics.csv", ["iter", "energy", "residual", "gap"], rows)
-    return {"residual": res.residual, "iterations": st.iterations,
+    return {"residual": res.residual, "iterations": res.iterations,
             "energy_report": res.report.to_dict(),
-            "dual_feasibility_max": st.dual_feasibility_max,
-            "dual_bound": st.dual_bound, "gap": st.gap, "gap_relative": st.gap_relative,
-            "relaxation": st.notes["relaxation"]}
+            "dual_feasibility_max": res.dual_feasibility_max,
+            "dual_bound": res.dual_bound, "gap": res.gap, "gap_relative": res.gap_relative,
+            "relaxation": RELAX}
 
 
 _RUNNERS = {"yosida": _task_yosida, "qgeom": _task_qgeom, "energy": _task_energy,

@@ -268,12 +268,12 @@ class ClosedForm:
 
     hat(p) is tau_hat(p); argmin(t) is a minimizer q of tau(q) + sigma|t - q|
     for each value t; prox(z, a) is argmin_v a tau_hat(v) + (v - z)^2 / 2 per
-    value, None where no closed form is implemented (quadratic).
+    value.
     """
 
     hat: object
     argmin: object
-    prox: object = None
+    prox: object
 
 
 def _absolute_prox(mu, z, a):
@@ -282,6 +282,14 @@ def _absolute_prox(mu, z, a):
     if mu >= 0:
         return np.sign(z) * np.maximum(np.abs(z) - a * mu, 0.0)
     return z + a * (-mu) * np.where(z == 0, 1.0, np.sign(z))
+
+
+def _huber_prox(sigma, z, a):
+    # tau_hat is the Huber function v^2 on |v| <= sigma / 2 and sigma |v| -
+    # sigma^2 / 4 beyond: its resolvent scales z inside the image of that
+    # interval and shifts it by a sigma outside
+    inner = np.abs(z) <= (1.0 + 2.0 * a) * sigma / 2.0
+    return np.where(inner, z / (1.0 + 2.0 * a), z - a * sigma * np.sign(z))
 
 
 def closed_form(d: SurfaceDensity, sigma) -> ClosedForm | None:
@@ -311,7 +319,8 @@ def closed_form(d: SurfaceDensity, sigma) -> ClosedForm | None:
                               dtype=float)
         return ClosedForm(
             hat=hat,
-            argmin=lambda t: np.where(np.abs(t) <= sigma / 2.0, t, np.sign(t) * sigma / 2.0))
+            argmin=lambda t: np.where(np.abs(t) <= sigma / 2.0, t, np.sign(t) * sigma / 2.0),
+            prox=lambda z, a: _huber_prox(sigma, z, a))
     return None
 
 

@@ -321,7 +321,7 @@ def verify_representation(u: GridField, d, ctx: YosidaContext, budget: int = 64,
     ladder = sorted({n for n in (4, 8, 16, 32, 64, budget)})
     best = math.inf
     best_n = None
-    rec_tail = []   # (effective eps, energy) for the two largest ladder rungs
+    rec_tail = []   # (effective eps, energy) per rung; the two smallest distinct eps extrapolate
     for n in ladder:
         un, eps_eff = recovery_sequence(u, p, n)
         e = energy_F(un, d, ctx.sigma).total

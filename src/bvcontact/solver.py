@@ -11,14 +11,14 @@ B is a quadratic fidelity or the capillary u^2 bulk.  The iteration is
 over-relaxed Chambolle-Pock (RELAX).  Both bulks are strongly convex, so
 every solve has a minimizer.  The dual prox is a projection (TV) or a radial
 root (area), so every dual prox output keeps |xi| <= dual_bound exactly; the
-solver returns prox outputs, and with a closed-form contact or no contact
-the primal-dual gap P(u) - D(xi) bounds how far the returned iterate's
-objective is above its minimum.
+solver returns prox outputs, and with a closed-form contact (every builtin
+density) the primal-dual gap P(u) - D(xi) bounds how far the returned
+iterate's objective is above its minimum, and confirms the stop.
 
 The boundary contact acts through per-sample proximal steps on the probe
 cells, aggregated by arc-length weight.  The resolvent takes one of two
-paths: the density's closed-form prox (density.closed_form: linear and
-absolute), or, for every other kind, a tabulated transform T whose exact node
+paths: the density's closed-form prox (density.closed_form: any builtin
+kind), or, for every other kind, a tabulated transform T whose exact node
 argmin is searched around the node j minimizing the surrogate built on T's
 lower convex envelope C: one searchsorted per weight class W, over keys equal
 to a bisection's, finds every j, and the window reaches the largest
@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,8 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .density import YosidaContext, closed_form, linear, yosida_eval_many
 from .errors import NonconvexBoundaryTerm
 from .geometry import PolygonalDomain
-from .grid import (EnergyReport, GridField, _grad, _grad_adjoint, energy_capillarity,
-                   energy_H, tv_grid)
+from .grid import EnergyReport, GridField, _grad, _grad_adjoint, energy_capillarity, energy_H
 
 #: table-mode prox nodes lie on the lattice -PROX_VALUE_RANGE + k * PROX_NODE_STEP;
 #: k = 0 .. PROX_NODES - 1 covers [-PROX_VALUE_RANGE, PROX_VALUE_RANGE]
@@ -243,9 +242,10 @@ class _ContactProx:
     C-contiguous lattice array through its flat view (apply writes in place).
 
     Two resolvent paths: the density's closed-form prox where it has one
-    (density.closed_form), else the exact argmin over tabulated transform
-    values T on the nodes qs.  One table serves every cell, so the table
-    path raises ValueError for a density that reads x (depends_on_x).
+    (density.closed_form: every builtin kind), else the exact argmin over
+    tabulated transform values T on the nodes qs.  One table serves every
+    cell, so the table path raises ValueError for a density that reads x
+    (depends_on_x).
 
     The table path brackets each cell by the node j minimizing the convex
     surrogate S = s C + (q - z)^2 / 2, with C the lower convex envelope of T
@@ -275,11 +275,9 @@ class _ContactProx:
         W = np.bincount(boundary.probe, weights=boundary.w, minlength=math.prod(mask_shape))
         self.cells = np.flatnonzero(W)
         self.W = W[self.cells] / (h * h)   # scaled weights (energy divided by h^2)
-        self.off = d is None or len(self.cells) == 0
         # raises UnboundedBelow when the slope exceeds sigma
-        cf = None if d is None else closed_form(d, ctx.sigma)
-        self.closed = cf if cf is not None and cf.prox is not None else None
-        if d is not None and self.closed is None:
+        self.closed = closed_form(d, ctx.sigma)
+        if self.closed is None:
             if d.depends_on_x:
                 raise ValueError("the table-mode contact prox takes densities free of x; "
                                  "this one reads the boundary point")
@@ -309,8 +307,6 @@ class _ContactProx:
     def apply(self, u, t):
         if t <= 0:
             raise ValueError("t must be positive")
-        if self.off:
-            return u
         flat = u.reshape(-1)
         if self.closed is not None:
             flat[self.cells] = self.closed.prox(flat[self.cells], t * self.W)
@@ -340,21 +336,19 @@ class _ContactProx:
         return self.qs[start + np.argmin(obj, axis=1)]
 
     def energy(self, u):
-        if self.off:
-            return 0.0
         z = u.reshape(-1)[self.cells]
         vals = self.closed.hat(z) if self.closed is not None else np.interp(z, self.qs, self.table)
         return float((self.W * vals).sum())
 
 
 @dataclass
-class SolverState:
-    """The returned dual iterate xi with the solve's certificates (the primal
-    iterate is SolverResult.u): dual feasibility is exact, and the
-    histories hold one row per iteration k = 1 .. iterations.
-    residual_history has a value on every row; energy_history and
-    gap_history are recorded on the same rows, every GAP_EVERY-th and the
-    last, and are NaN on the others.
+class SolverResult:
+    """The returned primal-dual pair (u, xi) with its certificates.  Dual
+    feasibility is exact, and the histories hold one row per iteration k = 1
+    .. iterations.  residual_history has a value on every row;
+    energy_history and gap_history are recorded on the same rows, every
+    GAP_EVERY-th, any row whose residual is <= tol, and the last, and are
+    NaN on the others.
 
     energy_history[k - 1] is the scaled objective P(u~_k) of iteration k's
     primal prox output u~_k (the returned u at the last row): the masked
@@ -374,26 +368,33 @@ class SolverState:
     _dual_value) at iteration k's prox outputs, on the recorded rows.  xi~_k
     is feasible, so weak duality makes it >= 0 and a bound on P(u~_k) - min
     P, and the last row (gap) certifies the returned pair; gap_relative is
-    gap / max(1, |P(u)|).
-    gap_history is None where the solver has no dual objective, which is
-    a table-mode contact.
+    gap / max(1, |P(u)|).  gap_history is None where the solver has no dual
+    objective, which is a table-mode contact.
 
-    notes hold bulk, h, step_scale (STEP_RATIO) and relaxation (RELAX).
-    In capillarity mode they also hold the area dual step's counts:
-    dual_newton_steps_max, dual_one_step_calls (the calls in which every
-    cell took the certified one step of _dual_step_area, or a loop whose
-    first correction was already within DUAL_NEWTON_TOL) and
+    notes are empty but in capillarity mode, where they hold the area dual
+    step's counts: dual_newton_steps_max, dual_one_step_calls (the calls in
+    which every cell took the certified one step of _dual_step_area, or a
+    loop whose first correction was already within DUAL_NEWTON_TOL) and
     dual_newton_correction_max, the largest bound on the distance to the
     root that a call returned."""
 
+    u: GridField
     xi: np.ndarray                       # shape (2, ny, nx)
-    iterations: int
+    report: EnergyReport
     residual_history: np.ndarray
     energy_history: np.ndarray
+    gap_history: np.ndarray | None
     dual_bound: float
     dual_feasibility_max: float
-    notes: dict = field(default_factory=dict)
-    gap_history: np.ndarray | None = None
+    notes: dict
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
+
+    @property
+    def residual(self) -> float:
+        return float(self.residual_history[-1])
 
     @property
     def gap(self) -> float | None:
@@ -406,24 +407,17 @@ class SolverState:
         return self.gap / max(1.0, abs(float(self.energy_history[-1])))
 
 
-@dataclass
-class SolverResult:
-    u: GridField
-    report: EnergyReport
-    residual: float
-    state: SolverState
-
-
 def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = None,
                     bulk: str = "quadratic", f=None, nu: float | None = None,
                     h: float = 1 / 128, iters: int = 2000, tol: float = 1e-6,
                     beta: float = 1e-3) -> SolverResult:
     """Primal-dual minimization on dom at spacing h.
 
-    bulk selects the strongly convex term: 'quadratic' for (u - f)^2,
-    'capillarity' for the area integrand + u^2 + nu * boundary trace (the
-    contact is the linear density nu, so d must be None; ctx is ignored).
-    Only 'quadratic' reads f: 'capillarity' raises ValueError when given one.
+    bulk selects the strongly convex term: 'quadratic' for (u - f)^2 with
+    the contact density d (None is linear(0)), 'capillarity' for the area
+    integrand + u^2 + nu * boundary trace (the contact is the linear density
+    nu, so d must be None; ctx is ignored).  Only 'quadratic' reads f:
+    'capillarity' raises ValueError when given one.
 
     The capillarity solve minimizes sqrt(beta^2 + |grad u|^2) + u^2 + nu Tr u,
     while its report (grid.energy_capillarity) reads the area functional
@@ -439,15 +433,17 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     at xi_k + s K (2 u~ - u_k), then (u_{k+1}, xi_{k+1}) = (u_k, xi_k) +
     RELAX ((u~, xi~) - (u_k, xi_k)); RELAX = 1 is the plain iteration.  The
     residual is the un-relaxed step ||u~ - u_k|| / t over the masked cells.
-    Once it is <= tol, or after iters iterations, the solver returns that
+    The scaled objective P(u~) and the primal-dual gap P(u~) - D(xi~)
+    (SolverResult.gap, a bound on how far P(u~) is above its minimum) are
+    recorded on the same rows, every GAP_EVERY iterations, on every row
+    whose residual is <= tol and at the last, and are NaN on the others;
+    the gradient of u~ is still taken on every iteration, since the dual
+    step reads it.  The solver stops once the residual is <= tol and, where
+    there is a gap (every contact but a table-mode one), the gap is <= tol
+    max(1, |P(u~)|) as well, or after iters iterations.  It returns that
     iteration's prox outputs (u~, xi~), with the energy report evaluated by
-    the grid functionals; xi~ is a prox output, so |xi~| <= dual_bound, which
-    a relaxed xi_k need not keep.  The certificate is the primal-dual gap
-    P(u~) - D(xi~) (SolverState.gap, a bound on how far the scaled objective
-    is above its minimum).  The scaled objective and the gap are recorded on
-    the same rows, every GAP_EVERY iterations and at the last, and are NaN on
-    the others; the gradient of u~ is still taken on every iteration, since
-    the dual step reads it.
+    the grid functionals; xi~ is a prox output, so |xi~| <= dual_bound,
+    which a relaxed xi_k need not keep.
     """
     if bulk not in ("quadratic", "capillarity"):
         raise ValueError("bulk must be 'quadratic' or 'capillarity'")
@@ -475,6 +471,8 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         d = linear(float(nu))
     elif ctx is None:
         raise ValueError("ctx (with sigma) is required unless bulk='capillarity'")
+    elif d is None:
+        d = linear(0.0)
     sigma = ctx.sigma
 
     f_arr = np.zeros(mask.shape)
@@ -505,7 +503,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
     res_hist = np.empty(iters)
     en_hist = np.full(iters, np.nan)
     # the dual objective needs a closed-form contact prox
-    has_gap = contact.off or contact.closed is not None
+    has_gap = contact.closed is not None
     gap_hist = np.full(iters, np.nan) if has_gap else None
     newton_steps, newton_corr, one_step_calls = 0, 0.0, 0
     tf = 2.0 * t * f_arr if f is not None else None
@@ -523,8 +521,8 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         res = math.sqrt(float(np.dot(step.ravel(), step.ravel()))) / t
         res_hist[k] = res
         z = _grad(ut, h, ok)             # grad u~, until it turns into z below
-        last = res <= tol or k + 1 == iters
-        record = last or (k + 1) % GAP_EVERY == 0
+        stop = res <= tol
+        record = stop or k + 1 == iters or (k + 1) % GAP_EVERY == 0
         if record:
             en_hist[k] = _scaled_energy(ut, z, inside, sigma, beta, area_mode, f_arr, contact)
         # z = xi_k + s K (2 u~ - u_k) = c_k + 2 s grad u~, the dual prox
@@ -547,8 +545,9 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         if has_gap and record:
             gap_hist[k] = en_hist[k] - _dual_value(kt, xi, inside, beta, area_mode, f_arr,
                                                    contact)
-        if last:
-            n_done = k + 1
+            # a small step stops the solve only where the gap confirms it
+            stop = stop and gap_hist[k] <= tol * max(1.0, abs(en_hist[k]))
+        if stop or k + 1 == iters:
             break
         # relax: x_{k+1} = x_k + RELAX (x~ - x_k) for u, K* xi and c
         step *= RELAX - 1.0
@@ -559,29 +558,24 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         xi *= RELAX
         c += xi
 
-    u = ut
-    feas = float(np.sqrt(xi[0] * xi[0] + xi[1] * xi[1]).max())
-    uf = GridField(grid, u)
-    state = SolverState(
-        xi=xi, iterations=n_done,
-        residual_history=res_hist[:n_done], energy_history=en_hist[:n_done],
-        dual_bound=sigma, dual_feasibility_max=feas,
-        notes={"bulk": bulk, "h": h, "step_scale": STEP_RATIO, "relaxation": RELAX},
-        gap_history=None if gap_hist is None else gap_hist[:n_done])
+    n = k + 1
+    uf = GridField(grid, ut)
+    notes = {}
     if area_mode:
-        state.notes.update(dual_newton_steps_max=newton_steps,
-                           dual_newton_correction_max=newton_corr,
-                           dual_one_step_calls=one_step_calls)
+        notes = dict(dual_newton_steps_max=newton_steps, dual_newton_correction_max=newton_corr,
+                     dual_one_step_calls=one_step_calls)
         report = energy_capillarity(uf, nu)
         report.notes["beta"] = beta
     else:
-        report = energy_H(uf, d, ctx) if d is not None else \
-            EnergyReport(sigma * tv_grid(uf), 0.0, 0.0)
-        bulk_val = float(grid.cell_area * ((u - f_arr)[mask] ** 2).sum())
+        report = energy_H(uf, d, ctx)
+        bulk_val = float(grid.cell_area * ((ut - f_arr)[mask] ** 2).sum())
         report = EnergyReport(report.tv_term, report.contact_term, bulk_val,
                               report.per_edge, "grid_estimate", report.notes)
-    return SolverResult(u=uf, report=report, residual=float(res_hist[n_done - 1]),
-                        state=state)
+    feas = float(np.sqrt(xi[0] * xi[0] + xi[1] * xi[1]).max())
+    return SolverResult(
+        u=uf, xi=xi, report=report, residual_history=res_hist[:n],
+        energy_history=en_hist[:n], gap_history=None if gap_hist is None else gap_hist[:n],
+        dual_bound=sigma, dual_feasibility_max=feas, notes=notes)
 
 
 def _best_constant_capillarity(grid, boundary, nu):
@@ -624,11 +618,10 @@ def _dual_value(kxi, xi, inside, beta, area_mode, f_arr, contact):
     g = p * 0.25
     g += f_arr
     g *= p                               # G*(p) off the probe cells
-    if not contact.off:
-        cells, W = contact.cells, contact.W
-        pc, fc = p.reshape(-1)[cells], f_arr.reshape(-1)[cells]
-        v = contact.closed.prox(fc + 0.5 * pc, 0.5 * W)
-        g.reshape(-1)[cells] = pc * v - (v - fc) ** 2 - W * contact.closed.hat(v)
+    cells, W = contact.cells, contact.W
+    pc, fc = p.reshape(-1)[cells], f_arr.reshape(-1)[cells]
+    v = contact.closed.prox(fc + 0.5 * pc, 0.5 * W)
+    g.reshape(-1)[cells] = pc * v - (v - fc) ** 2 - W * contact.closed.hat(v)
     dual = -float(np.dot(g.ravel(), inside.ravel()))
     if area_mode:
         e = np.subtract(1.0, xi[0] * xi[0])
@@ -636,32 +629,3 @@ def _dual_value(kxi, xi, inside, beta, area_mode, f_arr, contact):
         np.sqrt(np.maximum(e, 0.0, out=e), out=e)
         dual += beta * float(np.dot(e.ravel(), inside.ravel()))
     return dual
-
-
-def diagnostics(state: SolverState) -> dict:
-    """Convergence curves and certificates; needs at least 2 iterations.
-    gap and gap_relative (None without a dual objective) are the solve's
-    certificate and relaxation the over-relaxation factor RELAX.
-    energy_curve is energy_history, NaN on the rows without a record;
-    monotone_energy_after_10 compares the recorded rows from iteration 10 on
-    and flags divergence, but a converging solve need not be monotone
-    either."""
-    if state.iterations < 2:
-        raise ValueError("diagnostics need at least 2 iterations")
-    en = state.energy_history
-    recorded = en[9:][~np.isnan(en[9:])]
-    scale = 1e-8 * max(1.0, np.abs(recorded).max(initial=0.0))
-    # an inf record, or a NaN one (the last row is always recorded), diverged
-    monotone_after_10 = bool(np.isfinite(en[-1]) and np.isfinite(scale)
-                             and np.all(np.diff(recorded) <= scale))
-    return {
-        "energy_curve": en.copy(),
-        "residual_curve": state.residual_history.copy(),
-        "dual_feasibility_max": state.dual_feasibility_max,
-        "dual_bound": state.dual_bound,
-        "monotone_energy_after_10": monotone_after_10,
-        "gap": state.gap,
-        "gap_relative": state.gap_relative,
-        "iterations": state.iterations,
-        "relaxation": state.notes["relaxation"],
-    }

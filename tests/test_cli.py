@@ -240,6 +240,17 @@ def test_solve_without_quadratic_bulk_rejects_f(bulk, tmp_path):
     assert err.value.location == "params.f"
 
 
+def test_quadratic_solve_rejects_nu(tmp_path):
+    # the solve ran the quadratic bulk with no density and f = 0, ignored nu
+    # and returned the total 0.0 after one iteration
+    scn = {"task": "solve", "domain": "square", "nu": 0.5, "grid_h": 1 / 16,
+           "params": {"iters": 50}}
+    with pytest.raises(SchemaError, match="reads no nu") as err:
+        run_scenario(scn, tmp_path)
+    assert err.value.location == "nu"
+    assert not list(tmp_path.iterdir())
+
+
 def test_solve_diagnostics_columns_are_documented(tmp_path):
     doc = (Path(__file__).resolve().parents[1] / "docs/output-formats.md").read_text()
     cols = re.search(r"`solve` -> `diagnostics.csv`: `([^`]*)`", doc).group(1)

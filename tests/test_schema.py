@@ -294,7 +294,8 @@ def scenarios(draw):
 
 
 def _missing(scn):
-    """Location of the first required key the scenario lacks, else of an f
+    """Location of the first required key the scenario lacks, else of a nu
+    given to a quadratic solve (only capillarity reads nu), else of an f
     given to a solve whose bulk is not quadratic (only that bulk reads f), else
     of a density given to a capillarity solve (which reads none), or None."""
     task, params = scn["task"], scn["params"]
@@ -304,6 +305,8 @@ def _missing(scn):
             value = given.get(key, default)
             if needs & set(required) and value is None:
                 return where + key
+    if "solve:quadratic" in needs and scn.get("nu") is not None:
+        return "nu"
     if "solve:capillarity" in needs and params.get("f") is not None:
         return "params.f"
     if "solve:capillarity" in needs and scn.get("density") is not None:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -13,7 +12,7 @@ from bvcontact.density import YosidaContext
 from bvcontact.errors import NonconvexBoundaryTerm, UnboundedBelow
 from bvcontact.geometry import builtin_domain, regular_ngon, unit_square
 from bvcontact.grid import constant_field, energy_capillarity, field_from_function
-from bvcontact.solver import _ContactProx, _dual_step_area, diagnostics, minimize_energy
+from bvcontact.solver import _ContactProx, _dual_step_area, minimize_energy
 
 SQ = unit_square()
 
@@ -33,11 +32,11 @@ def test_capillarity_beats_constant_oracle():
     oracle = 1.0 - 4.0 * nu * nu
     assert res.report.total <= oracle + 1e-3
     assert res.residual < 1e-6
-    assert res.state.dual_feasibility_max <= res.state.dual_bound + 1e-12
+    assert res.dual_feasibility_max <= res.dual_bound + 1e-12
     # the area dual step stops each cell at the root: one certified Newton step
     # here, 14 for the fixed loop it replaced
-    assert res.state.notes["dual_newton_steps_max"] <= 3
-    assert res.state.notes["dual_newton_correction_max"] <= 4.0 * np.finfo(float).eps
+    assert res.notes["dual_newton_steps_max"] <= 3
+    assert res.notes["dual_newton_correction_max"] <= 4.0 * np.finfo(float).eps
 
 
 def test_capillarity_report_is_true_energy():
@@ -45,6 +44,21 @@ def test_capillarity_report_is_true_energy():
                           iters=2000, tol=1e-6)
     direct = energy_capillarity(res.u, 0.3)
     assert res.report.total == pytest.approx(direct.total, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [density.linear(0.0), None], ids=["linear0", "no-density"])
+def test_small_step_stops_only_on_a_small_gap(d):
+    # from u = f and xi = 0 the first step of this solve is 1e-14: a stop on
+    # the step alone returned u = f after one iteration, total 1.58179 and
+    # gap_relative 0.9967
+    h = 1 / 32
+    f = field_from_function(SQ.grid(h), lambda X, Y: np.exp(-8 * ((X - 0.5) ** 2
+                                                                 + (Y - 0.5) ** 2)))
+    res = minimize_energy(SQ, d=d, ctx=YosidaContext(1.0), bulk="quadratic", f=f, h=h,
+                          iters=2000, tol=1e-6)
+    assert res.report.total == pytest.approx(0.0664586, rel=1e-6)
+    assert res.residual <= 1e-6 and res.gap_relative <= 1e-6
+    assert res.iterations == 151
 
 
 def test_disk_contact_beats_candidate_sweep():
@@ -194,7 +208,7 @@ def test_dual_step_area_huge_s_beta_warns_nothing():
         res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, iters=20,
                               tol=0.0, beta=1e300)
     assert np.all(np.isfinite(res.u.values))
-    assert res.state.dual_feasibility_max <= 1.0
+    assert res.dual_feasibility_max <= 1.0
 
 
 def test_capillarity_solve_pinned():
@@ -202,12 +216,12 @@ def test_capillarity_solve_pinned():
     # from terms of size 1-2, so it is pinned to 1e-12 of the terms
     res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 64, iters=4000, tol=1e-6)
     rep = res.report
-    assert res.state.iterations == 327
+    assert res.iterations == 327
     scale = abs(rep.tv_term) + abs(rep.contact_term) + abs(rep.bulk_term)
     assert abs(rep.total - -1.8146546886832482e-4) <= 1e-12 * scale
-    assert res.state.notes["dual_one_step_calls"] == 327
-    assert res.state.gap_relative <= 1e-7
-    assert res.state.dual_feasibility_max <= res.state.dual_bound
+    assert res.notes["dual_one_step_calls"] == 327
+    assert res.gap_relative <= 1e-7
+    assert res.dual_feasibility_max <= res.dual_bound
 
 
 def test_capillarity_at_beta_one_minimizes_the_reported_area_energy():
@@ -218,7 +232,7 @@ def test_capillarity_at_beta_one_minimizes_the_reported_area_energy():
     res = minimize_energy(SQ, bulk="capillarity", nu=nu, h=h, iters=4000, tol=1e-6,
                           beta=1.0)
     assert res.residual <= 1e-6
-    assert h * h * res.state.energy_history[-1] == pytest.approx(res.report.total,
+    assert h * h * res.energy_history[-1] == pytest.approx(res.report.total,
                                                                 rel=1e-12)
     assert res.report.total < 1.0 - 4.0 * nu * nu - 0.05
 
@@ -274,7 +288,7 @@ def test_capillarity_runs_at_beta_zero():
     res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, iters=50,
                           tol=0.0, beta=0.0)
     assert np.all(np.isfinite(res.u.values))
-    assert res.state.dual_feasibility_max <= 1.0
+    assert res.dual_feasibility_max <= 1.0
 
 
 def test_dual_feasibility_exact_tv_mode():
@@ -282,7 +296,7 @@ def test_dual_feasibility_exact_tv_mode():
     res = minimize_energy(SQ, d=d, ctx=YosidaContext(1.0), bulk="quadratic",
                           f=constant_field(SQ.grid(1 / 32), 1.0), h=1 / 32,
                           iters=400, tol=0.0)
-    xx, yy = res.state.xi
+    xx, yy = res.xi
     assert np.hypot(xx, yy).max() <= 1.0 + 1e-12
 
 
@@ -356,13 +370,16 @@ def test_prox_rejects_unbounded_absolute_at_setup():
 
 
 def test_table_mode_solve_converges():
-    # quadratic goes through the tabulated prox; a prox taken with the wrong
-    # step leaves the residual stalled near 6e-2 after 2000 iterations
+    # p*p goes through the tabulated prox (its builtin twin quadratic has a
+    # closed form); a prox taken with the wrong step leaves the residual
+    # stalled near 6e-2 after 2000 iterations
     g = SQ.grid(1 / 16)
     f = field_from_function(g, lambda X, Y: np.exp(-8 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)))
-    res = minimize_energy(SQ, d=density.quadratic(), ctx=YosidaContext(1.0),
-                          bulk="quadratic", f=f, h=1 / 16, iters=2000, tol=1e-6)
+    res = minimize_energy(SQ, d=density.expression("p*p", c=0.0, L=0.0),
+                          ctx=YosidaContext(1.0), bulk="quadratic", f=f, h=1 / 16,
+                          iters=2000, tol=1e-6)
     assert res.residual <= 1e-6
+    assert res.gap_history is None
 
 
 def _dense_table_argmin(prox, z, tw):
@@ -473,8 +490,8 @@ def test_energy_record_is_objective_at_final_iterate(iters, monkeypatch):
         z = u.reshape(-1)[prox.cells]
         want = (integrand(gx, gy)[g.mask].sum() + bulk(u)[g.mask].sum()
                 + (prox.W * tau_hat(z)).sum())
-        assert res.state.iterations == iters
-        assert res.state.energy_history[-1] == pytest.approx(want, rel=1e-12)
+        assert res.iterations == iters
+        assert res.energy_history[-1] == pytest.approx(want, rel=1e-12)
         assert len(calls) == iters + 1
 
 
@@ -497,9 +514,9 @@ def test_energy_is_recorded_on_the_gap_rows(case, monkeypatch):
     energy, iterates = solver._scaled_energy, []
     monkeypatch.setattr(solver, "_scaled_energy",
                         lambda u, *a: iterates.append(u.copy()) or energy(u, *a))
-    state = minimize_energy(SQ, h=h, iters=iters, tol=0.0, **kwargs).state
+    res = minimize_energy(SQ, h=h, iters=iters, tol=0.0, **kwargs)
     monkeypatch.undo()
-    rows = np.flatnonzero(~np.isnan(state.energy_history))
+    rows = np.flatnonzero(~np.isnan(res.energy_history))
     assert rows.tolist() == [solver.GAP_EVERY - 1, 2 * solver.GAP_EVERY - 1, iters - 1]
     assert len(iterates) == len(rows) <= math.ceil(iters / solver.GAP_EVERY) + 1
     for k, u in zip(rows, iterates):
@@ -507,41 +524,37 @@ def test_energy_is_recorded_on_the_gap_rows(case, monkeypatch):
             == u.tobytes()
         want = energy(u, solver._grad(u, h, g.neighbor_masks()), g.mask, 1.0, beta, area, f,
                       prox)
-        assert state.energy_history[k] == pytest.approx(want, rel=1e-12)
+        assert res.energy_history[k] == pytest.approx(want, rel=1e-12)
     if case == "closed-form":
-        assert np.array_equal(np.isnan(state.gap_history), np.isnan(state.energy_history))
-        assert state.gap_relative == state.gap / max(1.0, abs(state.energy_history[-1]))
+        assert np.array_equal(np.isnan(res.gap_history), np.isnan(res.energy_history))
+        assert res.gap_relative == res.gap / max(1.0, abs(res.energy_history[-1]))
     else:
-        assert state.gap_history is None and state.gap_relative is None
+        assert res.gap_history is None and res.gap_relative is None
 
 
 def test_diagnostics_converged_run():
     # 77 iterations; the recorded rows of this solve's energy are monotone
     # from iteration 10 on, here and at h = 1/32 and 1/64 (159 and 324)
     res = minimize_energy(SQ, bulk="capillarity", nu=0.4, h=1 / 16, iters=4000, tol=1e-6)
-    diag = diagnostics(res.state)
-    assert diag["residual_curve"][-1] < 1e-6
-    assert diag["dual_feasibility_max"] <= diag["dual_bound"] + 1e-12
-    assert diag["monotone_energy_after_10"]
+    assert res.residual_history[-1] < 1e-6
+    assert res.dual_feasibility_max <= res.dual_bound + 1e-12
+    recorded = res.energy_history[9:][~np.isnan(res.energy_history[9:])]
+    assert np.all(np.diff(recorded) <= 1e-8 * max(1.0, np.abs(recorded).max()))
 
 
 def test_capillarity_solve_default_step_pinned():
     # step ratio 6: 327 over-relaxed iterations at h = 1/64, where
     # the plain iteration took 596, certified by the primal-dual gap
     res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 64, iters=4000, tol=1e-6)
-    state = res.state
-    assert state.notes["step_scale"] == 6.0
-    assert state.notes["relaxation"] == solver.RELAX == 1.8
-    assert state.iterations == 327
-    assert state.gap_relative <= 1e-7
-    diag = diagnostics(state)
-    assert diag["gap"] == state.gap and diag["gap_relative"] == state.gap_relative
-    assert diag["relaxation"] == solver.RELAX
-    rows = np.flatnonzero(~np.isnan(state.gap_history))
+    assert solver.STEP_RATIO == 6.0
+    assert solver.RELAX == 1.8
+    assert res.iterations == 327
+    assert res.gap_relative <= 1e-7
+    rows = np.flatnonzero(~np.isnan(res.gap_history))
     assert rows.tolist() == list(range(solver.GAP_EVERY - 1, 327, solver.GAP_EVERY)) + [326]
-    assert np.flatnonzero(~np.isnan(state.energy_history)).tolist() == rows.tolist()
-    assert np.all(state.gap_history[rows] >= 0.0)
-    assert state.dual_feasibility_max <= state.dual_bound
+    assert np.flatnonzero(~np.isnan(res.energy_history)).tolist() == rows.tolist()
+    assert np.all(res.gap_history[rows] >= 0.0)
+    assert res.dual_feasibility_max <= res.dual_bound
 
 
 @pytest.mark.parametrize("d", [density.linear(-0.4), density.absolute(0.3)],
@@ -555,18 +568,17 @@ def test_relaxed_tv_solve_certifies_the_returned_pair(d):
     f = field_from_function(g, lambda X, Y: 4.0 * (X + Y > 1.0))
     res = minimize_energy(dom, d=d, ctx=YosidaContext(1.0), bulk="quadratic", f=f, h=h,
                           iters=600, tol=1e-6)
-    state = res.state
-    rows = np.flatnonzero(~np.isnan(state.gap_history))
-    assert rows[-1] == state.iterations - 1 and len(rows) >= state.iterations // 10
-    assert np.all(state.gap_history[rows] >= 0.0)
-    xx, yy = state.xi
+    rows = np.flatnonzero(~np.isnan(res.gap_history))
+    assert rows[-1] == res.iterations - 1 and len(rows) >= res.iterations // 10
+    assert np.all(res.gap_history[rows] >= 0.0)
+    xx, yy = res.xi
     assert 1.0 - 1e-9 <= np.sqrt(xx * xx + yy * yy).max() <= 1.0 + 1e-12
     prox = _ContactProx(d, YosidaContext(1.0), g.boundary(), g.mask.shape, h)
     u = res.u.values
     gx, gy = solver._grad(u, h, g.neighbor_masks())
     want = (np.sqrt(gx * gx + gy * gy)[g.mask].sum() + ((u - f.values) ** 2)[g.mask].sum()
             + (prox.W * prox.closed.hat(u.reshape(-1)[prox.cells])).sum())
-    assert state.energy_history[-1] == pytest.approx(want, rel=1e-12)
+    assert res.energy_history[-1] == pytest.approx(want, rel=1e-12)
 
 
 def test_capillarity_solve_memory():
@@ -606,18 +618,18 @@ def test_benchmark_solve_gap_is_a_certificate():
     # the capillarity benchmark solve: every recorded gap is >= 0, and the
     # last bounds P(u) - min P far below the residual rule's stop
     res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 128, iters=5000, tol=1e-6)
-    gaps = res.state.gap_history[~np.isnan(res.state.gap_history)]
-    assert len(gaps) == res.state.iterations // solver.GAP_EVERY + 1
+    gaps = res.gap_history[~np.isnan(res.gap_history)]
+    assert len(gaps) == res.iterations // solver.GAP_EVERY + 1
     assert np.all(gaps >= 0.0)
-    assert res.state.gap_relative <= 1e-7
+    assert res.gap_relative <= 1e-7
 
 
 def test_gap_is_none_without_a_dual_objective():
     table = density.expression("p*p + 0.5*abs(p-0.25)", c=0.0, L=0.0)
     res = minimize_energy(SQ, d=table, ctx=YosidaContext(1.0), bulk="quadratic", h=1 / 16,
                           iters=20, tol=0.0)
-    assert res.state.gap_history is None and res.state.gap is None
-    assert diagnostics(res.state)["gap_relative"] is None
+    assert res.gap_history is None and res.gap is None
+    assert res.gap_relative is None
 
 
 # case -> (area mode, contact density, d tau_hat / dv at v != 0)
@@ -626,7 +638,9 @@ GAP_CASES = {
     "linear": (False, density.linear(-0.4), lambda v: -0.4),
     "absolute": (False, density.absolute(0.3), lambda v: 0.3 * np.sign(v)),
     "absolute-nonconvex": (False, density.absolute(-0.3), None),
-    "no-contact": (False, None, lambda v: 0.0),
+    "quadratic": (False, density.quadratic(),
+                  lambda v: np.where(np.abs(v) <= 0.5, 2.0 * v, np.sign(v))),
+    "no-contact": (False, density.linear(0.0), lambda v: 0.0),
 }
 GAP_DOMAINS = {"square": SQ, "lshape": builtin_domain("lshape")}
 
@@ -652,7 +666,7 @@ def _saddle(dom, case, rng, h=1 / 32, beta=1e-3):
     den = np.sqrt(beta * beta + norm * norm) if area else np.where(norm > 0, norm, 1.0)
     xi = gu / den
     f = u + 0.5 * solver._grad_adjoint(xi, h, ok)
-    if slope is not None and not contact.off:
+    if slope is not None:
         f.reshape(-1)[contact.cells] += 0.5 * contact.W * slope(u.reshape(-1)[contact.cells])
     return gap, u, xi, np.where(mask, f, 0.0), mask
 
@@ -682,32 +696,3 @@ def test_gap_vanishes_at_a_saddle(dom, case):
     gap, u, xi, f, _ = _saddle(GAP_DOMAINS[dom], case, np.random.default_rng(3))
     value, primal = gap(u, xi, f)
     assert abs(value) <= 1e-12 * (1.0 + abs(primal))
-
-
-def test_diagnostics_detects_divergence():
-    res = minimize_energy(SQ, bulk="capillarity", nu=0.4, h=1 / 32, iters=40, tol=0.0)
-    rising = dataclasses.replace(res.state, energy_history=np.exp(np.arange(40.0)))
-    assert not diagnostics(rising)["monotone_energy_after_10"]
-
-
-def test_diagnostics_compares_the_recorded_rows():
-    # the record is NaN between its rows, so no two adjacent rows are both
-    # recorded: a fall from row to recorded row passes, a rise is flagged
-    res = minimize_energy(SQ, bulk="capillarity", nu=0.4, h=1 / 32, iters=40, tol=0.0)
-    en = np.full(40, np.nan)
-    en[[9, 19, 29, 39]] = [1.0, 0.5, 0.45, 0.4]
-    diag = diagnostics(dataclasses.replace(res.state, energy_history=en))
-    assert diag["monotone_energy_after_10"]
-    assert np.array_equal(diag["energy_curve"], en, equal_nan=True)
-    for row, value in ((29, 0.6), (29, np.inf), (39, np.nan)):
-        bad = en.copy()
-        bad[row] = value
-        assert not diagnostics(dataclasses.replace(res.state, energy_history=bad))[
-            "monotone_energy_after_10"]
-
-
-def test_diagnostics_needs_two_iterations():
-    res = minimize_energy(SQ, d=None, ctx=YosidaContext(1.0), bulk="quadratic",
-                          h=1 / 32, iters=1, tol=0.0)
-    with pytest.raises(ValueError):
-        diagnostics(res.state)
