@@ -22,7 +22,7 @@ from . import __version__, density as density_mod, geometry
 from .corpus import boundary_data
 from .density import YosidaContext, yosida_eval_many
 from .errors import BVContactError, ParseError, SchemaError
-from .extension import extend_boundary_data, required_eps
+from .extension import extend_boundary_data, layer_width, required_eps
 from .grid import (boundary_trace_from_function, constant_field, energy_F,
                    field_from_function, load_field, save_field)
 from .relaxation import (counterexample_energy, family_by_name, relaxed_energy,
@@ -91,7 +91,7 @@ SCHEMA = {
                       "kappa": ("float", "[0, inf)", 0.5)},
     "solve": {"bulk": ("enum", ("quadratic", "capillarity"), "quadratic"),
               "iters": ("count", "[1, inf)", 2000), "tol": ("float", "[0, inf)", 1e-6),
-              "beta": ("float", "[0, inf)", 1e-3),
+              "beta": ("float", "[0, inf)", None),
               "f": ("field", tuple(_FIELD_BUILDERS), None)},
 }
 
@@ -295,16 +295,26 @@ def _task_relax_verify(v, dom, d, ctx, out, rng):
 def _task_extend_verify(v, dom, d, ctx, out, rng):
     eps, kappa = v["eps"], v["kappa"]
     g = dom.grid(v["grid_h"])
-    rows = []
+    members = []
     for name, fn in boundary_data(v["n_corpus"], rng):
         tr = boundary_trace_from_function(g, fn)
         # members whose adaptive layer would drop under 8 cells run at their
-        # resolvability floor instead of failing the whole corpus; a floor
-        # above eps = 1 raises LayerTooThin
+        # resolvability floor instead of failing the whole corpus
         eps_eff = min(max(eps, required_eps(tr, g.h)), 1.0)
+        width = layer_width(tr, eps_eff)
+        if g.h > width / 8.0:
+            # a floor above eps = 1, or a layer capped at W: LayerTooThin,
+            # raised before any table is built (zero data has no layer)
+            extend_boundary_data(tr, eps=eps_eff, h=g.h, kappa=kappa)
+        members.append((name, tr, eps_eff, width))
+    # one arc-window table for the corpus, out to its widest layer
+    g.arc_windows(kappa, max(m[3] for m in members))
+    rows = []
+    for name, tr, eps_eff, _ in members:
         res = extend_boundary_data(tr, eps=eps_eff, h=g.h, kappa=kappa)
         rows.append((name, res.l1_ratio, res.grad_ratio, res.layer_width,
                      res.boundary_l1, res.corner_overlap, eps_eff))
+        del res                 # the next layer need not sit on top of this one
     write_csv(out / "ratios.csv",
               ["name", "l1_ratio", "grad_ratio", "delta", "boundary_l1",
                "corner_overlap", "eps_effective"], rows)
@@ -319,6 +329,9 @@ def _task_solve(v, dom, d, ctx, out, rng):
     if v["nu"] is not None and v["bulk"] == "quadratic":
         raise SchemaError("bulk 'quadratic' reads no nu; only bulk 'capillarity' has the "
                           "contact nu * p", location="nu")
+    if v["beta"] is not None and v["bulk"] == "quadratic":
+        raise SchemaError("bulk 'quadratic' reads no beta; only bulk 'capillarity' has the "
+                          "area integrand", location="params.beta")
     if v["f"] is not None and v["bulk"] != "quadratic":
         raise SchemaError(f"bulk {v['bulk']!r} reads no f; only bulk 'quadratic' has a "
                           "forcing", location="params.f")
@@ -329,9 +342,11 @@ def _task_solve(v, dom, d, ctx, out, rng):
         raise SchemaError("the solver tabulates the contact transform at one boundary "
                           "point, so its density may not read x1 or x2", location="density")
     f = None if v["f"] is None else _load_field_spec(v["f"], dom.grid(v["grid_h"]), "params.f")
+    # a capillarity solve without beta runs minimize_energy's default
+    beta = {} if v["beta"] is None else {"beta": v["beta"]}
     res = minimize_energy(
         dom, d=d, ctx=ctx, bulk=v["bulk"], f=f, nu=v["nu"], h=v["grid_h"],
-        iters=v["iters"], tol=v["tol"], beta=v["beta"])
+        iters=v["iters"], tol=v["tol"], **beta)
     save_field(res.u, out / "field")
     if res.iterations >= 2:
         gaps = np.full(res.iterations, np.nan) if res.gap_history is None else res.gap_history

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import boundary_trace_from_function, field_from_function
+from .grid import GridField, boundary_trace_from_function, field_from_function
 from .errors import LayerTooThin
 from .extension import extend_boundary_data
 
@@ -73,9 +73,12 @@ def _boundary_layer(grid, rng):
     tr = boundary_trace_from_function(grid, gfn)
     eps = float(rng.uniform(0.1, 0.3))
     try:
-        return extend_boundary_data(tr, eps=eps, h=grid.h).field
+        ext = extend_boundary_data(tr, eps=eps, h=grid.h)
     except LayerTooThin:
         return field_from_function(grid, gfn)
+    vals = np.zeros(grid.mask.shape)
+    vals.reshape(-1)[ext.cells] = ext.values
+    return GridField.from_checked(grid, vals)
 
 
 _MAKERS = (_fourier, _constant, _halfplane, _disk_indicator, _cone,

@@ -14,13 +14,16 @@ about eps and 1 + eps respectively.  The layer width adapts to the arc total
 variation of g: a fixed width cannot meet the gradient target for oscillatory
 data, so delta shrinks like eps * ||g||_1 / TV(g) when g oscillates.
 The layer is built on its own cells: the rows t < delta of the grid's
-arc-window table (DomainGrid.arc_windows), which holds every band cell's
-distance and where its window ends fall in the boundary samples, once per
-(grid, kappa), so a trace costs only its prefix sums and a few gathers.
-Both ratios are certified there: the mass sums over the layer cells, the
-masked total variation over the layer and the ring of cells whose forward x
-or y neighbor lies in it; every other cell has zero gradient.  g must be
-sampled at the grid's own boundary samples.
+arc-window table (DomainGrid.arc_windows), which holds the band cells out to
+a reach (at most W) with their distance and where their window ends fall in
+the boundary samples, built once per (grid, kappa) and again only for a wider
+layer, so a trace costs only its prefix sums and a few gathers; a layer as
+wide as the table takes every row.  Both ratios are certified there: the
+mass sums over the layer cells, the masked total variation over the table's
+ring cells (the rows and the cells whose forward x or y neighbor is one) that
+can read a layer cell; every other cell has zero gradient.  The result holds
+the layer, its cells and values, not a lattice field.  g must be sampled at
+the grid's own boundary samples.
 
 recovery_sequence adds such layers to a base field to prescribe its trace,
 and optimal_boundary_values picks per-sample contact values q minimizing
@@ -35,7 +38,7 @@ import numpy as np
 
 from .density import YosidaContext, _brute_force_yosida, closed_form
 from .errors import LayerTooThin, MaskMismatch
-from .grid import GridField, TraceSample, _grad_at, trace_extract
+from .grid import GridField, TraceSample, trace_extract
 
 DELTA_L1_FACTOR = 1.8      # delta <= 1.8 * eps keeps the L1 ratio below 0.9 * eps
 DELTA_TV_FACTOR = 2.0      # delta <= 2 * eps * ||g||_1 / TV(g) caps the tangential cost
@@ -43,9 +46,12 @@ DELTA_TV_FACTOR = 2.0      # delta <= 2 * eps * ||g||_1 / TV(g) caps the tangent
 
 @dataclass
 class ExtensionResult:
-    """Boundary-layer field with its achieved certificates."""
+    """Boundary layer with its achieved certificates: the extension is
+    values at the flat lattice indices cells of grid(h), and zero elsewhere.
+    cells may be the grid's arc-window table's own array: read, not write."""
 
-    field: GridField
+    cells: np.ndarray         # the layer's flat lattice indices, in lattice order
+    values: np.ndarray        # w on them
     l1_ratio: float
     grad_ratio: float
     layer_width: float
@@ -69,21 +75,32 @@ def _layer_width(g: TraceSample, eps: float) -> float:
     return delta
 
 
-def _layer(aw, g: TraceSample, delta: float):
-    """The layer's flat lattice indices (table rows with t < delta, in
-    lattice order) and w there: the cutoff 1 - t/delta times the mean of g
-    over the arc window.  Written in place: the layer's temporaries set the
-    extension's peak."""
-    sel = np.flatnonzero(aw.t < delta)
+def layer_width(g: TraceSample, eps: float) -> float:
+    """The width delta of g's layer at eps in extend_boundary_data: the
+    adaptive width capped at W = dom.band_width."""
+    return min(_layer_width(g, eps), g.dom.band_width)
+
+
+def _rows(a, sel):
+    """a at the table rows sel, or a itself where sel is None (every row)."""
+    return a if sel is None else a.take(sel)
+
+
+def _layer(aw, g: TraceSample, delta: float, sel):
+    """The layer's flat lattice indices (the table rows sel, those with
+    t < delta, in lattice order; None for every row) and w there: the cutoff
+    1 - t/delta times the mean of g over the arc window.  Written in place:
+    the layer's temporaries set the extension's peak."""
     cum = np.concatenate([np.zeros(1), np.cumsum(g.values * g.w)])
     w = _arc_integral(aw, 1, sel, g.values, cum)
     w -= _arc_integral(aw, 0, sel, g.values, cum)
-    t = aw.t.take(sel)
+    t = _rows(aw.t, sel)
     hw = aw.half_width(t)
     hw *= 2
     w /= hw
-    w *= np.subtract(1.0, np.divide(t, delta, out=t), out=t)
-    return aw.cells.take(sel).astype(np.intp), w
+    cut = np.divide(t, delta, out=hw)
+    w *= np.subtract(1.0, cut, out=cut)
+    return _rows(aw.cells, sel), w
 
 
 def _arc_integral(aw, end, sel, vals, cum):
@@ -92,29 +109,30 @@ def _arc_integral(aw, end, sel, vals, cum):
     the prefix sum before it and one full turn per wrap."""
     idx, wraps, offset = aw.ends[end]
     # one widening of the int32 brackets serves both gathers
-    idx = idx.take(sel).astype(np.intp)
+    idx = _rows(idx, sel).astype(np.intp)
     out = vals.take(idx)
-    out *= offset.take(sel)
+    out *= _rows(offset, sel)
     out += cum.take(idx)
-    wraps = wraps.take(sel)
+    del idx
+    wraps = _rows(wraps, sel)
     # without wraps, add the signed zero 0 * cum[-1] of a k = 0 row: bit for bit
-    out += wraps.astype(float) * cum[-1] if wraps.any() else 0.0 * cum[-1]
+    out += wraps * cum[-1] if wraps.any() else 0.0 * cum[-1]
     return out
 
 
 def extend_boundary_data(g: TraceSample, eps: float, h: float,
                          kappa: float = 0.5) -> ExtensionResult:
-    """Field with trace g, small mass, and gradient close to int |g|.
+    """Boundary layer with trace g, small mass, and gradient close to int |g|.
 
     eps in (0, 1] steers both targets: the reported ratios satisfy
     l1_ratio <~ eps and grad_ratio <~ 1 + eps (plus O(kappa) and O(h/delta)
     grid terms).  Raises LayerTooThin when h > delta/8 for the selected
-    width; widths beyond W = dom.band_width (half the shortest edge, where
-    the grid's band ends) are clamped and flagged.  Raises MaskMismatch when
-    g is not sampled at grid(h).boundary()'s samples.  The ratios are
-    computed on the layer cells and one ring around them, and equal
-    l1_norm(field) / int |g| and tv_grid(field) / int |g| up to summation
-    order.
+    width, before any table is built; widths beyond W = dom.band_width (half
+    the shortest edge, where the grid's band ends) are clamped and flagged.
+    Raises MaskMismatch when g is not sampled at grid(h).boundary()'s
+    samples.  The ratios are computed on the layer cells and one ring around
+    them, and equal l1_norm / int |g| and tv_grid / int |g| of the layer's
+    field up to summation order.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
@@ -127,7 +145,7 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
         raise MaskMismatch(f"g is not sampled at the boundary samples of the h = {h:.4g} grid")
     total = g.abs_integral()
     if total == 0.0:
-        return ExtensionResult(GridField(grid, np.zeros(grid.mask.shape)),
+        return ExtensionResult(np.empty(0, dtype=np.int32), np.empty(0),
                                0.0, 0.0, 0.0, kappa, False, 0.0)
 
     corner_overlap = False
@@ -140,27 +158,40 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
                "it needs h <= W/8" if corner_overlap else "refine the grid or increase eps")
         raise LayerTooThin(f"h = {h:.4g} exceeds delta/8 = {delta / 8:.4g}; {why}")
 
-    cells, w = _layer(grid.arc_windows(kappa), g, delta)
+    aw = grid.arc_windows(kappa, delta)
+    # a layer as wide as the table takes every row, and every ring cell
+    every = delta >= aw.reach
+    sel = None if every else np.flatnonzero(aw.t < delta)
+    cells, w = _layer(aw, g, delta, sel)
     if not np.all(np.isfinite(w)):
         raise ValueError("field has non-finite values on masked cells")
-    vals = np.zeros(grid.mask.shape)
-    vals.reshape(-1)[cells] = w
-    w_field = GridField.from_checked(grid, vals)
+    l1_ratio = float(grid.cell_area * np.abs(w).sum()) / total
     # certificates: w vanishes off the layer, so its masked gradient vanishes
-    # off the layer and the cells whose +x or +y neighbor lies in it
-    l1_ratio = float(grid.cell_area * np.abs(w, out=w).sum()) / total
-    layer = np.zeros(grid.mask.shape, dtype=bool)
-    layer.reshape(-1)[cells] = True
-    del cells, w            # layer-sized, and the gradient's gathers come on top
-    ring = layer.copy()
-    ring[:, :-1] |= layer[:, 1:]
-    ring[:-1, :] |= layer[1:, :]
-    dx, dy = _grad_at(vals, grid.h, grid.neighbor_masks(), np.flatnonzero(ring))
+    # off the ring cells whose least t is below delta
+    by_row = np.zeros(len(aw.cells) + 1)    # w by table row; the sentinel reads 0
+    if every:
+        by_row[:-1] = w
+        w = by_row[:-1]                     # one copy of the layer's values
+    else:
+        by_row[sel] = w
+    del sel
+    keep = None if every else aw.ring_t < delta
+    # one gather per neighbor; indexing reads the int32 positions without a
+    # wide copy
+    here, dx, dy = (by_row[pos if keep is None else pos[keep]] for pos in aw.ring)
+    del by_row, keep
+    inv_h = 1.0 / grid.h
+    dx -= here
+    dx *= inv_h
+    dy -= here
+    dy *= inv_h
+    del here
     dx *= dx
     dy *= dy
     dx += dy
     return ExtensionResult(
-        field=w_field,
+        cells=cells,
+        values=w,
         l1_ratio=l1_ratio,
         grad_ratio=float(grid.cell_area * np.sqrt(dx, out=dx).sum()) / total,
         layer_width=delta,
@@ -207,7 +238,10 @@ def recovery_sequence(u: GridField, p: TraceSample, n: int) -> tuple[GridField, 
         return u, 0.0
     eps = min(max(1.0 / n, required_eps(g, u.h)), 1.0)
     ext = extend_boundary_data(g, eps, u.h)
-    return GridField(u.grid, u.values + ext.field.values), eps
+    # u + 0.0 off the layer, as adding the layer's zero-padded field gives
+    vals = np.add(u.values, 0.0, order="C")
+    vals.reshape(-1)[ext.cells] += ext.values
+    return GridField(u.grid, vals), eps
 
 
 def optimal_boundary_values(u: GridField, d, ctx, eps: float) -> TraceSample:

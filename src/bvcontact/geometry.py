@@ -342,8 +342,8 @@ class DomainGrid:
     Holds everything that depends only on (domain, h): the cell mask, cell
     centers, boundary samples with arc positions / weights / probe
     cells, the neighbor masks of the masked gradient, and (built on first
-    use, per kappa) the extension's arc-window table over the band of width
-    W = dom.band_width.
+    use, per kappa) the extension's arc-window table, out to the widest layer
+    asked for so far (at most W = dom.band_width).
 
     The mask is built in one pass over the scanline crossing table: a cell
     is inside when an odd number of its row's crossings lie strictly right
@@ -461,20 +461,21 @@ class DomainGrid:
 
     # -- interior distance/arc maps (for the extension) -------------------------
 
-    def distance_maps(self):
+    def distance_maps(self, reach=None):
         """(dist, arc) arrays over the full lattice, computed afresh on each
-        call: exact for masked cells closer than W = dom.band_width to the
-        boundary, inf/0 outside that band.  Each edge is evaluated only on
-        the cells of its bounding box grown by W (and two cells), by the
-        same edge distance as dom.boundary_distance; nearer edges win in
-        edge order, written into views of the box.  The grid keeps only the
-        band cells, in arc_windows.  A MemoryError raises SchemaError at
-        grid_h."""
+        call: exact for masked cells closer than reach (by default W =
+        dom.band_width) to the boundary, inf/0 outside that band.  Each edge
+        is evaluated only on the cells of its bounding box grown by reach
+        (and two cells), by the same edge distance as dom.boundary_distance;
+        nearer edges win in edge order, written into views of the box.  The
+        grid keeps only the band cells, in arc_windows.  A MemoryError
+        raises SchemaError at grid_h."""
         try:
             dom, h = self.dom, self.h
+            reach = dom.band_width if reach is None else float(reach)
             d, s = np.full((self.ny, self.nx), np.inf), np.zeros((self.ny, self.nx))
             a, b = dom.vertices, np.roll(dom.vertices, -1, axis=0)
-            grow = dom.band_width + 2 * h
+            grow = reach + 2 * h
             lo = np.floor((np.minimum(a, b) - grow - self.origin) / h).astype(int)
             hi = np.ceil((np.maximum(a, b) + grow - self.origin) / h).astype(int)
             lo, hi = np.maximum(lo, 0), np.minimum(hi, (self.nx, self.ny))
@@ -484,7 +485,7 @@ class DomainGrid:
                 upd = dist < d[rows, cols]
                 np.copyto(d[rows, cols], dist, where=upd)
                 np.copyto(s[rows, cols], arc, where=upd)
-            outside = d >= dom.band_width
+            outside = d >= reach
             outside |= ~self.mask
             np.copyto(d, np.inf, where=outside)
             np.copyto(s, 0.0, where=outside)
@@ -492,46 +493,85 @@ class DomainGrid:
         except MemoryError:
             raise self._out_of_memory("distance maps") from None
 
-    def arc_windows(self, kappa):
-        """ArcWindows of the boundary-layer extension at this kappa, built
-        once: the band cells (masked, dist < W) in flat lattice order with
-        their distance t and, for both window ends arc -+ hw, where the end
-        falls in the boundary samples.  A MemoryError raises SchemaError at
-        grid_h."""
+    def arc_windows(self, kappa, reach):
+        """ArcWindows of the boundary-layer extension at this kappa, out to
+        at least reach (at most W).  Built on first use and rebuilt, at the
+        new reach, only when a caller asks for a larger one: a table that
+        covers reach is returned as it is.  A MemoryError raises
+        SchemaError at grid_h."""
         key = float(kappa)
-        if key not in self._arc_windows:
-            try:
-                dist, arc = self.distance_maps()
-                cells = np.flatnonzero(dist < self.dom.band_width)
-                t, arc = dist.ravel()[cells], arc.ravel()[cells]
-                del dist                # the grid keeps no full-lattice map
-                w = self.boundary().w
-                period, breaks = float(w.sum()), np.concatenate([[0.0], np.cumsum(w)])
-                tab = ArcWindows(kappa=key, cells=cells.astype(np.int32), t=t, ends=[])
-                hw = tab.half_width(t)
-                for end in (np.subtract, np.add):
-                    s = end(arc, hw)
-                    wraps = s / period
-                    np.floor(wraps, out=wraps)
-                    s -= wraps * period
-                    idx = np.searchsorted(breaks, s, side="right")
-                    idx -= 1
-                    np.clip(idx, 0, len(breaks) - 2, out=idx)
-                    s -= breaks[idx]
-                    if wraps.size == 0 or -128 <= wraps.min() <= wraps.max() <= 127:
-                        wraps = wraps.astype(np.int8)
-                    tab.ends.append((idx.astype(np.int32), wraps, s))
-                self._arc_windows[key] = tab
-            except MemoryError:
-                raise self._out_of_memory("arc-window table") from None
-        return self._arc_windows[key]
+        tab = self._arc_windows.get(key)
+        if tab is not None and tab.reach >= reach:
+            return tab
+        self._arc_windows.pop(key, None)        # the two tables need not coexist
+        try:
+            dist, arc = self.distance_maps(reach)
+            cells = np.flatnonzero(dist < reach)
+            t, arc = dist.ravel()[cells], arc.ravel()[cells]
+            del dist                # the grid keeps no full-lattice map
+            ring, ring_t = self._ring(cells, t)
+            tab = ArcWindows(kappa=key, reach=float(reach), cells=cells.astype(np.int32),
+                             t=t, ends=[], ring=ring, ring_t=ring_t)
+            del cells
+            w = self.boundary().w
+            period, breaks = float(w.sum()), np.concatenate([[0.0], np.cumsum(w)])
+            hw = tab.half_width(t)
+            for end in (np.subtract, np.add):
+                s = end(arc, hw)
+                wraps = s / period
+                np.floor(wraps, out=wraps)
+                s -= wraps * period
+                idx = np.searchsorted(breaks, s, side="right")
+                idx -= 1
+                np.clip(idx, 0, len(breaks) - 2, out=idx)
+                s -= breaks[idx]
+                if wraps.size == 0 or -128 <= wraps.min() <= wraps.max() <= 127:
+                    wraps = wraps.astype(np.int8)
+                tab.ends.append((idx.astype(np.int32), wraps, s))
+        except MemoryError:
+            raise self._out_of_memory("arc-window table") from None
+        self._arc_windows[key] = tab
+        return tab
+
+    def _ring(self, cells, t):
+        """ArcWindows.ring and ring_t of the rows cells (sorted flat
+        indices) at distances t.  The int32 map from cell to row position
+        lives only here, and is smaller than the distance maps."""
+        n, nx = len(cells), self.nx
+        where = np.full(self.mask.size, n, dtype=np.int32)
+        where[cells] = np.arange(n, dtype=np.int32)
+        rows = (where != n).reshape(self.mask.shape)
+        ring = rows.copy()
+        ring[:, :-1] |= rows[:, 1:]
+        ring[:-1, :] |= rows[1:, :]
+        del rows
+        at = np.flatnonzero(ring)
+        del ring
+        ok = self.neighbor_masks()
+        pos = np.empty((3, len(at)), dtype=np.int32)
+        where.take(at, out=pos[0])
+        t_at = np.append(t, np.inf)             # t by row position, inf at the sentinel
+        least = t_at.take(pos[0])
+        for k, step in ((1, 1), (2, nx)):
+            keep = ok[k - 1].ravel()[at]
+            # the lattice neighbor, masked or not, sets the least t: a ring
+            # cell counts wherever its neighbor is a layer cell
+            nb = at + step
+            inside = nb % nx != 0 if step == 1 else nb < self.mask.size
+            np.copyto(nb, at, where=~inside)
+            np.minimum(least, t_at.take(where.take(nb)), out=least)
+            np.copyto(nb, at, where=~keep)
+            where.take(nb, out=pos[k])
+        return pos, least
 
 
 @dataclass
 class ArcWindows:
-    """Arc-window geometry of the boundary-layer extension on one grid.
+    """Arc-window geometry of the boundary-layer extension on one grid, out
+    to distance reach from the boundary.
 
-    A band cell at distance t averages the boundary data over the arc window
+    Its rows are the masked cells closer than reach, in flat lattice order.
+    A row at distance t averages the boundary data over the arc window
     arc -+ hw, hw = max(kappa * t, MIN_HALF_WIDTH), from the prefix sums of
     the data over the boundary samples, whose weights w sum to P and end at
     the breaks [0, cumsum(w)].  ends[0] and ends[1] hold, for the window ends
@@ -539,12 +579,25 @@ class ArcWindows:
     s - k * P (clipped to a sample), the wrap count k = floor(s / P) (int8,
     or float where a window wraps more than 127 times), and the offset
     s - k * P - breaks[j] into the sample.
+
+    The ring is every cell whose masked forward differences can read a row:
+    the rows and the cells whose +x or +y neighbor is one, in lattice order.
+    ring[0], ring[1] and ring[2] hold the row positions of the cell and of
+    its +x and +y neighbors, len(cells) for a cell that is no row, and the
+    cell's own position for a neighbor the neighbor mask drops, whose
+    difference is then zero, as in grid._grad; ring_t holds the least t of
+    the cell and its two lattice neighbors, masked or not.  A layer of width delta <= reach is nonzero on
+    the rows with t < delta only, so its gradient is zero off the ring cells
+    with ring_t < delta.
     """
 
     kappa: float
-    cells: np.ndarray      # flat lattice indices of the band cells
+    reach: float
+    cells: np.ndarray      # int32 flat lattice indices of the rows
     t: np.ndarray          # distance to the boundary
     ends: list
+    ring: np.ndarray       # (3, m) int32 row positions: cell, +x and +y neighbor
+    ring_t: np.ndarray     # least t of the three
 
     def half_width(self, t):
         hw = self.kappa * t

@@ -148,28 +148,6 @@ def _grad(u, h, ok):
     return g
 
 
-def _grad_at(u, h, ok, cells):
-    """_grad of a scalar array at the flat lattice indices cells only: the
-    entries cells of _grad(u, h, ok)[0] and [1] with the lattice axes
-    flattened, bit for bit, as arrays of shape (k,)."""
-    nx = ok.shape[2]
-    flat = u.reshape(-1)
-    here = flat[cells]
-    okx = ok[0].ravel()[cells]
-    oky = ok[1].ravel()[cells]
-    inv_h = 1.0 / h
-    # where the neighbor leaves the mask (or the lattice) read the cell itself
-    dx = flat[cells + okx]
-    dx -= here
-    dx *= inv_h
-    dx[~okx] = 0.0
-    dy = flat[cells + nx * oky]
-    dy -= here
-    dy *= inv_h
-    dy[~oky] = 0.0
-    return dx, dy
-
-
 def _grad_adjoint(xi, h, ok):
     """Exact adjoint of _grad on scalar fields: <grad u, xi> = <u, adjoint(xi)>
     for xi of shape (2, ny, nx).

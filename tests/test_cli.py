@@ -251,6 +251,17 @@ def test_quadratic_solve_rejects_nu(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_quadratic_solve_rejects_beta(tmp_path):
+    # the solve ignored beta: linear:-0.5, f = bump at h = 1/16 gave 78
+    # iterations and the total -1.6500997761638048 at beta 0.001 and 0.5 alike
+    scn = {"task": "solve", "domain": "square", "density": "linear:-0.5", "grid_h": 1 / 16,
+           "params": {"f": "bump", "beta": 0.5}}
+    with pytest.raises(SchemaError, match="reads no beta") as err:
+        run_scenario(scn, tmp_path)
+    assert err.value.location == "params.beta"
+    assert not list(tmp_path.iterdir())
+
+
 def test_solve_diagnostics_columns_are_documented(tmp_path):
     doc = (Path(__file__).resolve().parents[1] / "docs/output-formats.md").read_text()
     cols = re.search(r"`solve` -> `diagnostics.csv`: `([^`]*)`", doc).group(1)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bvcontact import corpus, density
+from bvcontact import cli, corpus, density, geometry
 from bvcontact.density import NEG_SENTINEL, YosidaContext, yosida_eval_many
 from bvcontact.errors import LayerTooThin, MaskMismatch, UnboundedBelow
-from bvcontact.extension import (_layer_width, extend_boundary_data,
+from bvcontact.extension import (_layer_width, extend_boundary_data, layer_width,
                                  optimal_boundary_values, recovery_sequence, required_eps)
 from bvcontact.geometry import builtin_domain, l_shape, unit_square
-from bvcontact.grid import (_grad_at, boundary_trace_from_function, constant_field,
+from bvcontact.grid import (GridField, _grad, boundary_trace_from_function, constant_field,
                             field_from_function, l1_distance, l1_norm, trace_extract,
                             tv_grid)
 
@@ -21,11 +21,18 @@ def _const_trace(grid, c):
     return boundary_trace_from_function(grid, lambda x, y: np.full_like(x, c))
 
 
+def _field(g, res):
+    """The layer of res as a field on g: its values at its cells, 0 elsewhere."""
+    vals = np.zeros(g.mask.shape)
+    vals.reshape(-1)[res.cells] = res.values
+    return GridField(g, vals)
+
+
 def test_zero_data_gives_zero_field():
     g = SQ.grid(1 / 128)
     res = extend_boundary_data(_const_trace(g, 0.0), eps=0.1, h=g.h)
     assert res.l1_ratio == 0.0 and res.grad_ratio == 0.0
-    assert np.all(res.field.values == 0.0)
+    assert np.all(_field(g, res).values == 0.0)
 
 
 def test_constant_data_bounds():
@@ -52,7 +59,7 @@ def test_trace_is_reproduced():
     g = SQ.grid(1 / 256)
     tr = boundary_trace_from_function(g, lambda x, y: 1.0 + 0.5 * np.sin(2 * x + y))
     res = extend_boundary_data(tr, eps=0.2, h=g.h)
-    got = trace_extract(res.field)
+    got = trace_extract(_field(g, res))
     err = np.abs(got.values - tr.values)
     assert err.max() < 0.12  # O(h/delta) * |g| + window smoothing
 
@@ -103,7 +110,8 @@ def test_certificates_equal_full_lattice_values(case):
     # must agree with the full-lattice norms of the returned field
     g, tr, eps = _certified_case(case)
     res = extend_boundary_data(tr, eps=eps, h=g.h)
-    w = res.field.values
+    field = _field(g, res)
+    w = field.values
     if case == "square":
         assert np.any(w[0] != 0) and np.any(w[:, 0] != 0)
     if case == "disk64":
@@ -111,8 +119,8 @@ def test_certificates_equal_full_lattice_values(case):
         assert res.corner_overlap and res.layer_width == g.dom.band_width
         assert np.any(g.mask[:-1] & (w[:-1] == 0) & (w[1:] != 0) & (dist[:-1] == np.inf))
     total = res.boundary_l1
-    assert res.l1_ratio == pytest.approx(l1_norm(res.field) / total, rel=1e-13, abs=0)
-    assert res.grad_ratio == pytest.approx(tv_grid(res.field) / total, rel=1e-13, abs=0)
+    assert res.l1_ratio == pytest.approx(l1_norm(field) / total, rel=1e-13, abs=0)
+    assert res.grad_ratio == pytest.approx(tv_grid(field) / total, rel=1e-13, abs=0)
 
 
 class _SearchsortedAverager:
@@ -148,7 +156,9 @@ class _SearchsortedAverager:
 
 
 def _reference_extension(g, tr, delta, kappa):
-    """Field and ratios from the full-lattice maps and _SearchsortedAverager."""
+    """Field and ratios from the full-lattice maps and _SearchsortedAverager.
+    The ring's gradient is read from _grad on the full lattice, which gives
+    the same bits as the masked differences at the ring cells alone."""
     dist, arc = g.distance_maps()
     layer = dist < delta
     cells = np.flatnonzero(layer)
@@ -162,7 +172,8 @@ def _reference_extension(g, tr, delta, kappa):
     ring = layer.copy()
     ring[:, :-1] |= layer[:, 1:]
     ring[:-1, :] |= layer[1:, :]
-    dx, dy = _grad_at(vals, g.h, g.neighbor_masks(), np.flatnonzero(ring))
+    at = np.flatnonzero(ring)
+    dx, dy = (d.reshape(-1)[at] for d in _grad(vals, g.h, g.neighbor_masks()))
     grad = dx * dx + dy * dy
     total = tr.abs_integral()
     return (vals, float(g.cell_area * mass.sum()) / total,
@@ -177,12 +188,107 @@ def test_arc_window_table_matches_searchsorted(case, kappa):
     g, tr, eps = _certified_case(case)
     res = extend_boundary_data(tr, eps=eps, h=g.h, kappa=kappa)
     vals, l1_ratio, grad_ratio = _reference_extension(g, tr, res.layer_width, kappa)
-    assert np.array_equal(res.field.values, vals)
+    assert np.array_equal(_field(g, res).values, vals)
     assert (res.l1_ratio, res.grad_ratio) == (l1_ratio, grad_ratio)
-    aw = g.arc_windows(kappa)
-    assert aw is g.arc_windows(kappa) and aw.cells.dtype == np.int32
+    aw = g.arc_windows(kappa, res.layer_width)
+    assert aw is g.arc_windows(kappa, res.layer_width) and aw.cells.dtype == np.int32
     if kappa == 4.0:
         assert all(wraps.dtype == np.int8 and np.any(wraps != 0) for _, wraps, _ in aw.ends)
+
+
+_CORPUS_GRIDS = {"square": 1 / 256, "lshape": 1 / 256, "disk64": 1 / 192}
+
+
+def _extend_verify(name, kappa, tmp_path, monkeypatch):
+    """Run extend-verify's 20 members on name's grid; returns the grid, each
+    extend_boundary_data call's (trace, result) and the tables built."""
+    calls, built = [], []
+    real_maps = geometry.DomainGrid.distance_maps
+    monkeypatch.setattr(geometry.DomainGrid, "distance_maps",
+                        lambda self, reach=None: built.append(reach) or real_maps(self, reach))
+
+    def record(tr, **kw):
+        res = extend_boundary_data(tr, **kw)
+        calls.append((tr, res))
+        return res
+    monkeypatch.setattr(cli, "extend_boundary_data", record)
+    h = _CORPUS_GRIDS[name]
+    cli.run_scenario({"task": "extend-verify", "domain": name, "grid_h": h, "seed": 3,
+                      "params": {"eps": 0.1, "n_corpus": 20, "kappa": kappa}}, tmp_path)
+    return calls[0][0].dom.grid(h), calls, list(built)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 4.0])
+@pytest.mark.parametrize("name", sorted(_CORPUS_GRIDS))
+def test_corpus_pass_matches_the_full_band_reference(name, kappa, tmp_path, monkeypatch):
+    # one table for the corpus, out to its widest layer: that member takes
+    # every row, the narrower ones gather theirs, and disk64's widest are
+    # capped at W; each must give the full-band reference bit for bit
+    g, calls, built = _extend_verify(name, kappa, tmp_path, monkeypatch)
+    assert len(calls) == 20
+    aw = g.arc_windows(kappa, 0.0)
+    widths = [res.layer_width for _, res in calls]
+    assert built == [aw.reach] == [max(widths)] and min(widths) < aw.reach
+    assert any(res.corner_overlap for _, res in calls) == (name == "disk64")
+    for tr, res in calls:
+        vals, l1_ratio, grad_ratio = _reference_extension(g, tr, res.layer_width, kappa)
+        assert np.array_equal(_field(g, res).values, vals)
+        assert (res.l1_ratio, res.grad_ratio) == (l1_ratio, grad_ratio)
+
+
+def test_corpus_builds_one_table_whatever_its_order(tmp_path, monkeypatch):
+    # the corpus opens with its widest layer; in reverse order the pass must
+    # still size the one table to the widest layer before the first member
+    members = corpus.boundary_data(20, np.random.default_rng(3))[::-1]
+    monkeypatch.setattr(cli, "boundary_data", lambda n, rng: members)
+    g, calls, built = _extend_verify("lshape", 0.5, tmp_path, monkeypatch)
+    widths = [res.layer_width for _, res in calls]
+    assert widths[0] < max(widths) and built == [max(widths)]
+
+
+def test_table_grows_only_for_a_wider_layer():
+    # a grid asked for a narrow reach and then wider ones gives what a fresh
+    # grid sized at once to the widest gives, and keeps its table for any
+    # reach it covers
+    fresh, grown = l_shape().grid(1 / 256), l_shape().grid(1 / 256)
+    members = []
+    for name, fn in corpus.boundary_data(20, np.random.default_rng(5)):
+        tr = boundary_trace_from_function(grown, fn)
+        members.append((boundary_trace_from_function(fresh, fn), tr,
+                        max(0.1, required_eps(tr, grown.h))))
+    widths = sorted(layer_width(tr, eps) for _, tr, eps in members)
+    assert widths[0] < widths[-1]
+    narrow = grown.arc_windows(0.5, widths[0])
+    assert grown.arc_windows(0.5, widths[0] / 2) is narrow
+    fresh.arc_windows(0.5, widths[-1])
+    for tr_fresh, tr, eps in sorted(members, key=lambda m: layer_width(m[1], m[2])):
+        want = extend_boundary_data(tr_fresh, eps=eps, h=fresh.h)
+        got = extend_boundary_data(tr, eps=eps, h=grown.h)
+        assert grown.arc_windows(0.5, 0.0).reach == got.layer_width
+        assert np.array_equal(got.cells, want.cells)
+        assert np.array_equal(got.values, want.values)
+        assert (got.l1_ratio, got.grad_ratio) == (want.l1_ratio, want.grad_ratio)
+    wide, full = grown.arc_windows(0.5, 0.0), fresh.arc_windows(0.5, 0.0)
+    assert wide is not narrow and wide.reach == full.reach == widths[-1]
+    for a, b in ((wide.cells, full.cells), (wide.t, full.t), (wide.ring, full.ring),
+                 (wide.ring_t, full.ring_t), *zip(sum(wide.ends, ()), sum(full.ends, ()))):
+        assert np.array_equal(a, b)
+
+
+def test_thin_corpus_raises_before_any_table(tmp_path, monkeypatch):
+    # disk256's layers are capped at W < 8h at h = 1/128: extend-verify
+    # raises LayerTooThin out of extend_boundary_data, at the first member,
+    # and builds no arc-window table first
+    built, calls = [], []
+    monkeypatch.setattr(geometry.DomainGrid, "distance_maps", lambda *a: built.append(a))
+    real = cli.extend_boundary_data
+    monkeypatch.setattr(cli, "extend_boundary_data", lambda *a, **kw: calls.append(a) or
+                        real(*a, **kw))
+    with pytest.raises(LayerTooThin, match="capped at W") as err:
+        cli.run_scenario({"task": "extend-verify", "domain": "disk256", "grid_h": 1 / 128,
+                          "params": {"eps": 0.1, "n_corpus": 20}}, tmp_path)
+    assert err.traceback[-1].name == "extend_boundary_data"
+    assert built == [] and len(calls) == 1
 
 
 def test_trace_of_another_grid_is_rejected():
@@ -215,14 +321,14 @@ def test_certificates_of_zero_data():
     g = SQ.grid(1 / 512)
     res = extend_boundary_data(_const_trace(g, 0.0), eps=0.1, h=g.h)
     assert (res.l1_ratio, res.grad_ratio) == (0.0, 0.0)
-    assert l1_norm(res.field) == 0.0 and tv_grid(res.field) == 0.0
+    assert l1_norm(_field(g, res)) == 0.0 and tv_grid(_field(g, res)) == 0.0
 
 
 def test_extension_memory_guard():
     # with the grid's arc-window table warm, one member costs less than three
     # lattice float arrays; certificates over the full lattice need about 4.5
     g = builtin_domain("disk64").grid(1 / 384)
-    g.arc_windows(0.5)
+    g.arc_windows(0.5, g.dom.band_width)
     g.neighbor_masks()
     tr = boundary_trace_from_function(g, lambda x, y: x - y)
     tracemalloc.start()

@@ -391,6 +391,57 @@ def test_band_geometry_matches_dense_on_builtins(name, h):
     _assert_matches_dense(builtin_domain(name), h)
 
 
+@pytest.mark.parametrize("name", ["square", "lshape", "disk64"])
+def test_band_geometry_within_a_reach_matches_dense(name):
+    # maps built out to a reach below W are exact closer than the reach and
+    # inf / 0 beyond it, as the W maps are closer than W
+    dom = builtin_domain(name)
+    g = dom.grid(1 / 97)
+    reach = dom.band_width / 3
+    d_ref, s_ref = _dense_maps(dom, g, _dense_mask(dom, g))
+    d, s = g.distance_maps(reach)
+    band = d_ref < reach
+    assert band.any() and np.any(~band & (d_ref < dom.band_width))
+    assert np.array_equal(d[band], d_ref[band]) and np.array_equal(s[band], s_ref[band])
+    assert np.all(d[~band] == np.inf) and np.all(s[~band] == 0.0)
+
+
+def _ring_reference(g, reach):
+    """The arc-window table's ring from full-lattice shifts: row positions of
+    each ring cell and of its masked +x and +y neighbors, and the least t of
+    the cell and its lattice neighbors."""
+    d, _ = g.distance_maps(reach)
+    rows = d < reach
+    n, (ny, nx) = int(rows.sum()), rows.shape
+    where = np.full((ny + 1, nx + 1), n)
+    where[:ny, :nx][rows] = np.arange(n)
+    t = np.full((ny + 1, nx + 1), np.inf)
+    t[:ny, :nx][rows] = d[rows]
+    ring = rows.copy()
+    ring[:, :-1] |= rows[:, 1:]
+    ring[:-1, :] |= rows[1:, :]
+    ok = g.neighbor_masks()
+    here = where[:ny, :nx]
+    pos = [here, np.where(ok[0], where[:ny, 1:], here), np.where(ok[1], where[1:, :nx], here)]
+    least = np.minimum(np.minimum(t[:ny, :nx], t[:ny, 1:nx + 1]), t[1:, :nx])
+    return np.stack([p[ring] for p in pos]), least[ring]
+
+
+# trap's lattice leaves a cell of the last column whose next flat index, the
+# first cell of the next row, lies nearer the boundary
+@pytest.mark.parametrize("name, h", [("square", 1 / 64), ("lshape", 1 / 64), ("disk64", 1 / 32),
+                                     ("trap", 1 / 16)])
+def test_arc_window_ring_matches_lattice_shifts(name, h):
+    dom = (geometry.PolygonalDomain([[0.2, 0], [1, 0], [1, 1], [0, 1]]) if name == "trap"
+           else builtin_domain(name))
+    g = dom.grid(h)
+    for reach in (dom.band_width / 2, dom.band_width):
+        aw = g.arc_windows(0.5, reach)
+        pos, least = _ring_reference(g, reach)
+        assert aw.ring.dtype == np.int32
+        assert np.array_equal(aw.ring, pos) and np.array_equal(aw.ring_t, least)
+
+
 def test_band_geometry_matches_dense_with_vertices_on_rows():
     # a notch with reentrant corners whose horizontal edge lies on the
     # cell-centre row y = 27/64 of the h = 1/32 lattice
@@ -447,7 +498,7 @@ def test_band_tables_out_of_memory_raise_schema_error(monkeypatch, table):
     else:
         monkeypatch.setattr(geometry.ArcWindows, "half_width", no_memory)
     with pytest.raises(SchemaError, match="does not fit in memory") as ei:
-        g.distance_maps() if table == "distance_maps" else g.arc_windows(0.5)
+        g.distance_maps() if table == "distance_maps" else g.arc_windows(0.5, 0.5)
     assert ei.value.location == "grid_h"
 
 
@@ -487,7 +538,7 @@ def disk64_fine_reference():
     dom, ref = builtin_domain("disk64"), builtin_domain("disk64")
     g_ref = ref.grid(h)
     maps = _dense_maps(ref, g_ref, _dense_mask(ref, g_ref))
-    g_ref.distance_maps = lambda: maps
+    g_ref.distance_maps = lambda reach: maps
     return dom.grid(h), g_ref
 
 
@@ -499,7 +550,7 @@ def test_extension_fields_identical_with_band_maps(disk64_fine_reference, member
         tr = boundary_trace_from_function(g, fn)
         out.append(extend_boundary_data(tr, eps=max(0.1, required_eps(tr, g.h)), h=g.h))
     got, ref = out
-    assert np.array_equal(got.field.values, ref.field.values)
+    assert np.array_equal(got.cells, ref.cells) and np.array_equal(got.values, ref.values)
     assert (got.l1_ratio, got.grad_ratio) == (ref.l1_ratio, ref.grad_ratio)
 
 

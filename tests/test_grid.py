@@ -9,7 +9,7 @@ from bvcontact import density
 from bvcontact.density import YosidaContext, yosida_eval_many
 from bvcontact.errors import MaskMismatch, SchemaError
 from bvcontact.geometry import LineDomain, builtin_domain, l_shape, regular_ngon, unit_square
-from bvcontact.grid import (GridField, LineGrid, _grad, _grad_adjoint, _grad_at,
+from bvcontact.grid import (GridField, LineGrid, _grad, _grad_adjoint,
                             boundary_trace_from_function, constant_field,
                             energy_capillarity, energy_F, energy_H, field_from_function,
                             l1_distance, load_field, save_field,
@@ -23,25 +23,6 @@ DISK = regular_ngon(256)
 def test_tv_constant_is_zero():
     u = constant_field(SQ.grid(1 / 64), 7.0)
     assert tv_grid(u) == 0.0
-
-
-@pytest.mark.parametrize("dom", [SQ, l_shape()], ids=["square", "lshape"])
-# fields are scalar; M = 1 keeps the ids of the rows that remain
-@pytest.mark.parametrize("M", [1])
-def test_grad_at_is_grad_bit_for_bit(dom, M):
-    # every lattice cell: first/last rows and columns, cells on both sides of
-    # the mask edge (the square's mask fills its lattice, the L-shape's does
-    # not); values off the mask are nonzero on purpose
-    g = dom.grid(1 / 40)
-    rng = np.random.default_rng(3)
-    u = rng.normal(size=g.mask.shape)
-    ok = g.neighbor_masks()
-    dx, dy = _grad(u, g.h, ok)
-    every = np.arange(g.mask.size)
-    for cells in (every, rng.permutation(every)[:300]):
-        gx, gy = _grad_at(u, g.h, ok, cells)
-        assert gx.tobytes() == dx.reshape(-1)[cells].tobytes()
-        assert gy.tobytes() == dy.reshape(-1)[cells].tobytes()
 
 
 @pytest.mark.parametrize("dom", [SQ, l_shape()], ids=["square", "lshape"])
