@@ -22,7 +22,7 @@ from . import __version__, density as density_mod, geometry
 from .corpus import boundary_data
 from .density import YosidaContext, yosida_eval_many
 from .errors import BVContactError, ParseError, SchemaError
-from .extension import extend_boundary_data, layer_width, required_eps
+from .extension import extend_boundary_data, required_eps
 from .grid import (boundary_trace_from_function, constant_field, energy_F,
                    field_from_function, load_field, save_field)
 from .relaxation import (counterexample_energy, family_by_name, relaxed_energy,
@@ -238,7 +238,7 @@ def _task_qgeom(v, dom, d, ctx, out, rng):
     return {"Q": geometry.domain_Q(dom), "corners": corners,
             "n_corners": len(corners), "perimeter": dom.perimeter,
             "area": dom.area, "lipschitz_constant": dom.lipschitz_constant,
-            "emmer_bound": 1.0 / math.sqrt(1.0 + dom.lipschitz_constant ** 2)}
+            "emmer_bound": geometry.emmer_check(0.0, dom)["bound"]}
 
 
 def _task_energy(v, dom, d, ctx, out, rng):
@@ -295,22 +295,14 @@ def _task_relax_verify(v, dom, d, ctx, out, rng):
 def _task_extend_verify(v, dom, d, ctx, out, rng):
     eps, kappa = v["eps"], v["kappa"]
     g = dom.grid(v["grid_h"])
-    members = []
+    rows = []
+    # the corpus opens with its widest layer, so the first member sizes the
+    # grid's one arc-window table
     for name, fn in boundary_data(v["n_corpus"], rng):
         tr = boundary_trace_from_function(g, fn)
         # members whose adaptive layer would drop under 8 cells run at their
         # resolvability floor instead of failing the whole corpus
-        eps_eff = min(max(eps, required_eps(tr, g.h)), 1.0)
-        width = layer_width(tr, eps_eff)
-        if g.h > width / 8.0:
-            # a floor above eps = 1, or a layer capped at W: LayerTooThin,
-            # raised before any table is built (zero data has no layer)
-            extend_boundary_data(tr, eps=eps_eff, h=g.h, kappa=kappa)
-        members.append((name, tr, eps_eff, width))
-    # one arc-window table for the corpus, out to its widest layer
-    g.arc_windows(kappa, max(m[3] for m in members))
-    rows = []
-    for name, tr, eps_eff, _ in members:
+        eps_eff = min(max(eps, required_eps(tr)), 1.0)
         res = extend_boundary_data(tr, eps=eps_eff, h=g.h, kappa=kappa)
         rows.append((name, res.l1_ratio, res.grad_ratio, res.layer_width,
                      res.boundary_l1, res.corner_overlap, eps_eff))
@@ -341,12 +333,12 @@ def _task_solve(v, dom, d, ctx, out, rng):
     if d is not None and d.depends_on_x:
         raise SchemaError("the solver tabulates the contact transform at one boundary "
                           "point, so its density may not read x1 or x2", location="density")
-    f = None if v["f"] is None else _load_field_spec(v["f"], dom.grid(v["grid_h"]), "params.f")
+    grid = dom.grid(v["grid_h"])
+    f = None if v["f"] is None else _load_field_spec(v["f"], grid, "params.f")
     # a capillarity solve without beta runs minimize_energy's default
     beta = {} if v["beta"] is None else {"beta": v["beta"]}
-    res = minimize_energy(
-        dom, d=d, ctx=ctx, bulk=v["bulk"], f=f, nu=v["nu"], h=v["grid_h"],
-        iters=v["iters"], tol=v["tol"], **beta)
+    res = minimize_energy(grid, d=d, ctx=ctx, bulk=v["bulk"], f=f, nu=v["nu"],
+                          iters=v["iters"], tol=v["tol"], **beta)
     save_field(res.u, out / "field")
     if res.iterations >= 2:
         gaps = np.full(res.iterations, np.nan) if res.gap_history is None else res.gap_history

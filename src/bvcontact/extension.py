@@ -22,8 +22,8 @@ wide as the table takes every row.  Both ratios are certified there: the
 mass sums over the layer cells, the masked total variation over the table's
 ring cells (the rows and the cells whose forward x or y neighbor is one) that
 can read a layer cell; every other cell has zero gradient.  The result holds
-the layer, its cells and values, not a lattice field.  g must be sampled at
-the grid's own boundary samples.
+the layer, its cells and values, not a lattice field.  g carries the grid
+it was sampled on (TraceSample.grid), and the layer is built on that grid.
 
 recovery_sequence adds such layers to a base field to prescribe its trace,
 and optimal_boundary_values picks per-sample contact values q minimizing
@@ -68,17 +68,11 @@ def _arc_tv(g: TraceSample) -> float:
 def _layer_width(g: TraceSample, eps: float) -> float:
     """The adaptive layer width before the cap at W: 1.8 eps (scaled down on
     domains of perimeter below 4), and at most 2 eps ||g||_1 / TV(g)."""
-    delta = DELTA_L1_FACTOR * eps * min(1.0, g.dom.perimeter / 4.0)
+    delta = DELTA_L1_FACTOR * eps * min(1.0, g.grid.dom.perimeter / 4.0)
     tv = _arc_tv(g)
     if tv > 0:
         delta = min(delta, DELTA_TV_FACTOR * eps * g.abs_integral() / tv)
     return delta
-
-
-def layer_width(g: TraceSample, eps: float) -> float:
-    """The width delta of g's layer at eps in extend_boundary_data: the
-    adaptive width capped at W = dom.band_width."""
-    return min(_layer_width(g, eps), g.dom.band_width)
 
 
 def _rows(a, sel):
@@ -122,27 +116,27 @@ def _arc_integral(aw, end, sel, vals, cum):
 
 def extend_boundary_data(g: TraceSample, eps: float, h: float,
                          kappa: float = 0.5) -> ExtensionResult:
-    """Boundary layer with trace g, small mass, and gradient close to int |g|.
+    """Boundary layer with trace g, small mass, and gradient close to int |g|,
+    on g.grid, the grid g was sampled on.
 
     eps in (0, 1] steers both targets: the reported ratios satisfy
     l1_ratio <~ eps and grad_ratio <~ 1 + eps (plus O(kappa) and O(h/delta)
     grid terms).  Raises LayerTooThin when h > delta/8 for the selected
     width, before any table is built; widths beyond W = dom.band_width (half
     the shortest edge, where the grid's band ends) are clamped and flagged.
-    Raises MaskMismatch when g is not sampled at grid(h).boundary()'s
-    samples.  The ratios are computed on the layer cells and one ring around
-    them, and equal l1_norm / int |g| and tv_grid / int |g| of the layer's
-    field up to summation order.
+    Raises MaskMismatch when g carries no grid or one of spacing other than
+    h.  The ratios are computed on the layer cells and one ring around them,
+    and equal l1_norm / int |g| and tv_grid / int |g| of the layer's field up
+    to summation order.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     if not 0 <= kappa < np.inf:
         raise ValueError(f"kappa must be a finite number >= 0, got {kappa}")
-    dom = g.dom
-    grid = dom.grid(h)
-    b = grid.boundary()
-    if not (np.array_equal(g.s, b.s) and np.array_equal(g.w, b.w)):
-        raise MaskMismatch(f"g is not sampled at the boundary samples of the h = {h:.4g} grid")
+    grid = g.grid
+    if grid is None or grid.h != h:
+        raise MaskMismatch("g is not sampled at the boundary samples of a grid of "
+                           f"spacing h = {h:.4g}")
     total = g.abs_integral()
     if total == 0.0:
         return ExtensionResult(np.empty(0, dtype=np.int32), np.empty(0),
@@ -150,8 +144,8 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
 
     corner_overlap = False
     delta = _layer_width(g, eps)
-    if delta > dom.band_width:
-        delta = dom.band_width
+    if delta > grid.dom.band_width:
+        delta = grid.dom.band_width
         corner_overlap = True
     if h > delta / 8.0:
         why = (f"delta is capped at W = {delta:.4g}, half the shortest edge; no eps helps, "
@@ -201,12 +195,13 @@ def extend_boundary_data(g: TraceSample, eps: float, h: float,
     )
 
 
-def required_eps(g: TraceSample, h: float) -> float:
-    """Smallest eps whose adaptive layer width stays resolvable (>= 8h) for
-    this particular boundary datum, arc-oscillation included: 8h over the
-    width per unit eps, stepped up by the ulps the width loses to rounding
-    (the cap at W is not considered)."""
-    per_unit = DELTA_L1_FACTOR * min(1.0, g.dom.perimeter / 4.0)
+def required_eps(g: TraceSample) -> float:
+    """Smallest eps whose adaptive layer width stays resolvable (>= 8h, h the
+    spacing of g.grid) for this particular boundary datum, arc-oscillation
+    included: 8h over the width per unit eps, stepped up by the ulps the width
+    loses to rounding (the cap at W is not considered)."""
+    h = g.grid.h
+    per_unit = DELTA_L1_FACTOR * min(1.0, g.grid.dom.perimeter / 4.0)
     tv = _arc_tv(g)
     total = g.abs_integral()
     if tv > 0 and total > 0:
@@ -226,17 +221,18 @@ def recovery_sequence(u: GridField, p: TraceSample, n: int) -> tuple[GridField, 
     Its trace approaches p, its L1 distance to u is at most about
     eps int |p - Tr u|, and its gradient exceeds TV(u) by at most about
     (1 + eps) int |p - Tr u|.  The floor keeps the layer resolvable
-    (>= 8 cells), so the realized sharpness is u.grid dependent.
+    (>= 8 cells), so the realized sharpness is u.grid dependent.  Raises
+    MaskMismatch unless p is sampled on u.grid itself.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if p.grid is not u.grid:
+        raise MaskMismatch("p is not sampled on the grid of u")
     tr = trace_extract(u)
-    if len(tr) != len(p) or not np.allclose(tr.s, p.s):
-        raise MaskMismatch("boundary samples of p do not match Tr u")
     g = p.map_values(lambda v: v - tr.values)
     if np.max(np.abs(g.values)) == 0.0:
         return u, 0.0
-    eps = min(max(1.0 / n, required_eps(g, u.h)), 1.0)
+    eps = min(max(1.0 / n, required_eps(g)), 1.0)
     ext = extend_boundary_data(g, eps, u.h)
     # u + 0.0 off the layer, as adding the layer's zero-padded field gives
     vals = np.add(u.values, 0.0, order="C")

@@ -239,7 +239,16 @@ class PolygonalDomain:
         return s, length / k[eid], eid
 
     def grid(self, h):
-        """Cached discretization geometry at spacing h."""
+        """Discretization geometry at spacing h, built on the first ask and kept.
+
+        Functions given a field or a trace take its grid; the CLI runners and
+        the counterexample families start from (domain, h) and share grids
+        through this memo.  It and DomainGrid.dom form a reference cycle, and
+        it stays: without it, desk-study's peak RSS fell from 70.9 to 60.3 MiB
+        but its wall time rose in 9 of 10 paired runs (median ratio 1.08), as
+        each operation faulted 700-5000 pages of the trimmed heap back in
+        (ROADMAP, "Measured, not taken").
+        """
         key = round(float(h), 14)
         if key not in self._grids:
             self._grids[key] = DomainGrid(self, float(h))

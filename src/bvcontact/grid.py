@@ -204,7 +204,8 @@ class TraceSample:
 
     values holds the trace at each sample (shape (n,)); s is the
     arc-length position, edge_id the polygon edge index.  Samples are
-    arc-ordered.
+    arc-ordered.  grid is the grid whose boundary samples these are, and
+    grid.dom their domain; an exact trace sampled on no grid has None.
     """
 
     s: np.ndarray
@@ -212,23 +213,20 @@ class TraceSample:
     w: np.ndarray
     values: np.ndarray
     edge_id: np.ndarray
-    dom: object = None
-
-    def __len__(self):
-        return len(self.s)
+    grid: object = None
 
     def abs_integral(self) -> float:
         return float((self.w * np.abs(self.values)).sum())
 
     def map_values(self, fn):
-        return TraceSample(self.s, self.x, self.w, fn(self.values), self.edge_id, self.dom)
+        return TraceSample(self.s, self.x, self.w, fn(self.values), self.edge_id, self.grid)
 
 
 def trace_extract(u: GridField) -> TraceSample:
     """Boundary trace by depth-1 normal probe into the nearest interior cell."""
     b = u.grid.boundary()
     vals = u.values.reshape(-1)[b.probe]
-    return TraceSample(s=b.s, x=b.x, w=b.w, values=vals, edge_id=b.edge_id, dom=u.dom)
+    return TraceSample(s=b.s, x=b.x, w=b.w, values=vals, edge_id=b.edge_id, grid=u.grid)
 
 
 def boundary_trace_from_function(grid, fn) -> TraceSample:
@@ -237,7 +235,7 @@ def boundary_trace_from_function(grid, fn) -> TraceSample:
     b = grid.boundary()
     vals = np.asarray(fn(b.x[:, 0], b.x[:, 1]), dtype=float)
     vals = np.broadcast_to(vals, b.s.shape).copy()
-    return TraceSample(s=b.s, x=b.x, w=b.w, values=vals, edge_id=b.edge_id, dom=grid.dom)
+    return TraceSample(s=b.s, x=b.x, w=b.w, values=vals, edge_id=b.edge_id, grid=grid)
 
 
 # -- energies ---------------------------------------------------------------------------

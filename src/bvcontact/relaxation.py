@@ -101,7 +101,7 @@ def _legs_trace(dom, segments) -> TraceSample:
     pts = dom.boundary_point(s_mid)
     _, _, eid = dom.boundary_distance(pts)
     return TraceSample(s=s_mid, x=pts, w=np.asarray(w), values=np.asarray(vals),
-                       edge_id=eid, dom=dom)
+                       edge_id=eid)
 
 
 class E2Family:

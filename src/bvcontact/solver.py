@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .density import YosidaContext, closed_form, linear, yosida_eval_many
 from .errors import NonconvexBoundaryTerm
-from .geometry import PolygonalDomain
+from .geometry import DomainGrid
 from .grid import EnergyReport, GridField, _grad, _grad_adjoint, energy_capillarity, energy_H
 
 #: table-mode prox nodes lie on the lattice -PROX_VALUE_RANGE + k * PROX_NODE_STEP;
@@ -407,11 +407,11 @@ class SolverResult:
         return self.gap / max(1.0, abs(float(self.energy_history[-1])))
 
 
-def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = None,
+def minimize_energy(grid: DomainGrid, d=None, ctx: YosidaContext | None = None,
                     bulk: str = "quadratic", f=None, nu: float | None = None,
-                    h: float = 1 / 128, iters: int = 2000, tol: float = 1e-6,
-                    beta: float = 1e-3) -> SolverResult:
-    """Primal-dual minimization on dom at spacing h.
+                    iters: int = 2000, tol: float = 1e-6, beta: float = 1e-3) -> SolverResult:
+    """Primal-dual minimization on grid, a domain's lattice at spacing grid.h;
+    the returned field lives on that grid.
 
     bulk selects the strongly convex term: 'quadratic' for (u - f)^2 with
     the contact density d (None is linear(0)), 'capillarity' for the area
@@ -461,7 +461,7 @@ def minimize_energy(dom: PolygonalDomain, d=None, ctx: YosidaContext | None = No
         raise ValueError(f"bulk={bulk!r} reads no f; only bulk='quadratic' has a forcing")
     if area_mode and d is not None:
         raise ValueError("bulk='capillarity' has the contact density nu * p and reads no d")
-    grid = dom.grid(h)
+    h = grid.h
     mask = grid.mask
     ok = grid.neighbor_masks()
     boundary = grid.boundary()

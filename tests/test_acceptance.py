@@ -224,7 +224,7 @@ def test_criterion_08_trace_inequality_suite():
 def test_criterion_09_capillarity_solve():
     start = time.monotonic()
     nu = 0.5
-    res = minimize_energy(unit_square(), bulk="capillarity", nu=nu, h=1 / 128,
+    res = minimize_energy(unit_square().grid(1 / 128), bulk="capillarity", nu=nu,
                           iters=5000, tol=1e-6)
     oracle = 1.0 - 4.0 * nu * nu  # best constant: c = -2 nu
     assert res.report.total <= oracle + 1e-3

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bvcontact import cli, density, exprgrammar, solver
+from bvcontact import cli, density, exprgrammar, geometry, solver
 from bvcontact.cli import main, parse_density_spec, run_scenario, validate_scenario
 from bvcontact.corpus import boundary_data
 from bvcontact.errors import ParseError, SchemaError
@@ -123,6 +123,16 @@ def test_qgeom_square(tmp_path):
     assert rep["result"]["Q"] == pytest.approx(math.sqrt(2), abs=1e-9)
     assert rep["result"]["n_corners"] == 4
     assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(geometry.BUILTIN_DOMAINS))
+def test_qgeom_emmer_bound_is_emmer_checks(name, tmp_path):
+    # the report's bound is geometry.emmer_check's, and keeps the bits of
+    # 1/sqrt(1 + L^2) that qgeom reports have always held
+    dom = geometry.builtin_domain(name)
+    rep = run_scenario({"task": "qgeom", "domain": name}, tmp_path)
+    bound = 1.0 / math.sqrt(1.0 + dom.lipschitz_constant ** 2)
+    assert rep["result"]["emmer_bound"] == geometry.emmer_check(0.5, dom)["bound"] == bound
 
 
 def test_energy_zero_field(tmp_path):
@@ -260,6 +270,21 @@ def test_quadratic_solve_rejects_beta(tmp_path):
         run_scenario(scn, tmp_path)
     assert err.value.location == "params.beta"
     assert not list(tmp_path.iterdir())
+
+
+def test_solve_builds_one_grid(tmp_path, monkeypatch):
+    # the forcing is loaded on the one grid the solve runs on
+    built, solves = [], []
+    init = geometry.DomainGrid.__init__
+    monkeypatch.setattr(geometry.DomainGrid, "__init__",
+                        lambda self, *a: built.append(self) or init(self, *a))
+    real = cli.minimize_energy
+    monkeypatch.setattr(cli, "minimize_energy",
+                        lambda grid, **kw: solves.append((grid, kw["f"])) or real(grid, **kw))
+    run_scenario({"task": "solve", "domain": "square", "density": "linear:-0.5",
+                  "grid_h": 1 / 16, "params": {"f": "bump", "iters": 5}}, tmp_path)
+    (grid, f), = solves
+    assert built == [grid] and f.grid is grid
 
 
 def test_solve_diagnostics_columns_are_documented(tmp_path):

@@ -7,12 +7,13 @@ from hypothesis import assume, given, settings, strategies as st
 from bvcontact import cli, corpus, density, geometry
 from bvcontact.density import NEG_SENTINEL, YosidaContext, yosida_eval_many
 from bvcontact.errors import LayerTooThin, MaskMismatch, UnboundedBelow
-from bvcontact.extension import (_layer_width, extend_boundary_data, layer_width,
-                                 optimal_boundary_values, recovery_sequence, required_eps)
-from bvcontact.geometry import builtin_domain, l_shape, unit_square
+from bvcontact.extension import (_layer_width, extend_boundary_data, optimal_boundary_values,
+                                 recovery_sequence, required_eps)
+from bvcontact.geometry import DomainGrid, builtin_domain, l_shape, unit_square
 from bvcontact.grid import (GridField, _grad, boundary_trace_from_function, constant_field,
                             field_from_function, l1_distance, l1_norm, trace_extract,
                             tv_grid)
+from bvcontact.relaxation import _legs_trace
 
 SQ = unit_square()
 
@@ -215,7 +216,7 @@ def _extend_verify(name, kappa, tmp_path, monkeypatch):
     h = _CORPUS_GRIDS[name]
     cli.run_scenario({"task": "extend-verify", "domain": name, "grid_h": h, "seed": 3,
                       "params": {"eps": 0.1, "n_corpus": 20, "kappa": kappa}}, tmp_path)
-    return calls[0][0].dom.grid(h), calls, list(built)
+    return calls[0][0].grid, calls, list(built)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.5, 4.0])
@@ -236,16 +237,6 @@ def test_corpus_pass_matches_the_full_band_reference(name, kappa, tmp_path, monk
         assert (res.l1_ratio, res.grad_ratio) == (l1_ratio, grad_ratio)
 
 
-def test_corpus_builds_one_table_whatever_its_order(tmp_path, monkeypatch):
-    # the corpus opens with its widest layer; in reverse order the pass must
-    # still size the one table to the widest layer before the first member
-    members = corpus.boundary_data(20, np.random.default_rng(3))[::-1]
-    monkeypatch.setattr(cli, "boundary_data", lambda n, rng: members)
-    g, calls, built = _extend_verify("lshape", 0.5, tmp_path, monkeypatch)
-    widths = [res.layer_width for _, res in calls]
-    assert widths[0] < max(widths) and built == [max(widths)]
-
-
 def test_table_grows_only_for_a_wider_layer():
     # a grid asked for a narrow reach and then wider ones gives what a fresh
     # grid sized at once to the widest gives, and keeps its table for any
@@ -255,13 +246,16 @@ def test_table_grows_only_for_a_wider_layer():
     for name, fn in corpus.boundary_data(20, np.random.default_rng(5)):
         tr = boundary_trace_from_function(grown, fn)
         members.append((boundary_trace_from_function(fresh, fn), tr,
-                        max(0.1, required_eps(tr, grown.h))))
-    widths = sorted(layer_width(tr, eps) for _, tr, eps in members)
+                        max(0.1, required_eps(tr))))
+
+    def width(member):
+        return min(_layer_width(member[1], member[2]), grown.dom.band_width)
+    widths = sorted(map(width, members))
     assert widths[0] < widths[-1]
     narrow = grown.arc_windows(0.5, widths[0])
     assert grown.arc_windows(0.5, widths[0] / 2) is narrow
     fresh.arc_windows(0.5, widths[-1])
-    for tr_fresh, tr, eps in sorted(members, key=lambda m: layer_width(m[1], m[2])):
+    for tr_fresh, tr, eps in sorted(members, key=width):
         want = extend_boundary_data(tr_fresh, eps=eps, h=fresh.h)
         got = extend_boundary_data(tr, eps=eps, h=grown.h)
         assert grown.arc_windows(0.5, 0.0).reach == got.layer_width
@@ -292,11 +286,23 @@ def test_thin_corpus_raises_before_any_table(tmp_path, monkeypatch):
 
 
 def test_trace_of_another_grid_is_rejected():
-    tr = _const_trace(SQ.grid(1 / 64), 1.0)
-    with pytest.raises(MaskMismatch):
-        extend_boundary_data(tr, eps=0.5, h=1 / 128)
-    with pytest.raises(MaskMismatch):
-        extend_boundary_data(tr.map_values(np.zeros_like), eps=0.5, h=1 / 128)
+    # the exact trace is sampled on no grid
+    for tr in (_const_trace(SQ.grid(1 / 64), 1.0), _legs_trace(SQ, [(0.0, 0.5, 1.0)])):
+        with pytest.raises(MaskMismatch):
+            extend_boundary_data(tr, eps=0.5, h=1 / 128)
+        with pytest.raises(MaskMismatch):
+            extend_boundary_data(tr.map_values(np.zeros_like), eps=0.5, h=1 / 128)
+
+
+def test_trace_extends_on_its_own_grid():
+    # a trace sampled on a grid built directly, not through dom.grid, gets
+    # its layer and arc-window table on that grid; the domain builds none
+    dom = unit_square()
+    g = DomainGrid(dom, 1 / 128)
+    res = extend_boundary_data(_const_trace(g, 1.0), eps=0.1, h=g.h)
+    aw = g.arc_windows(0.5, 0.0)
+    assert aw.reach == res.layer_width and res.cells is aw.cells
+    assert dom._grids == {}
 
 
 _FLOOR_DOMAINS = {name: builtin_domain(name) for name in ("square", "lshape", "disk64")}
@@ -311,7 +317,7 @@ def test_required_eps_is_resolvable(name, k, member, seed):
     g = _FLOOR_DOMAINS[name].grid(1 / k)
     fn = corpus.boundary_data(member + 1, np.random.default_rng(seed))[member][1]
     tr = boundary_trace_from_function(g, fn)
-    eps = required_eps(tr, g.h)
+    eps = required_eps(tr)
     assume(eps <= 1 and _layer_width(tr, eps) < g.dom.band_width)
     assert not g.h > _layer_width(tr, eps) / 8
     extend_boundary_data(tr, eps=eps, h=g.h)
@@ -358,6 +364,16 @@ def test_recovery_identity_when_trace_matches():
     p = trace_extract(u)
     un, eps = recovery_sequence(u, p, 10)
     assert un is u and eps == 0.0
+
+
+def test_recovery_rejects_a_trace_of_another_grid():
+    # p sampled on a second grid of the same domain and spacing: its samples
+    # equal those of Tr u, but it does not live on u's grid
+    u = constant_field(SQ.grid(1 / 64), 0.0)
+    p = _const_trace(DomainGrid(SQ, 1 / 64), 1.0)
+    assert np.array_equal(p.s, trace_extract(u).s)
+    with pytest.raises(MaskMismatch, match="not sampled on the grid of u"):
+        recovery_sequence(u, p, 4)
 
 
 def test_recovery_bounds_constant_lift():

@@ -548,7 +548,7 @@ def test_extension_fields_identical_with_band_maps(disk64_fine_reference, member
     out = []
     for g in disk64_fine_reference:
         tr = boundary_trace_from_function(g, fn)
-        out.append(extend_boundary_data(tr, eps=max(0.1, required_eps(tr, g.h)), h=g.h))
+        out.append(extend_boundary_data(tr, eps=max(0.1, required_eps(tr)), h=g.h))
     got, ref = out
     assert np.array_equal(got.cells, ref.cells) and np.array_equal(got.values, ref.values)
     assert (got.l1_ratio, got.grad_ratio) == (ref.l1_ratio, ref.grad_ratio)

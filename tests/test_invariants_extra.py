@@ -38,13 +38,13 @@ def test_energy_F_grid_converges_to_catalog_value():
 def test_capillarity_existence_regimes():
     # inside the existence bound the minimizer is O(1); 20% above it the
     # boundary spike is resolution-limited and grows ~ 1/h under refinement
-    ok = minimize_energy(unit_square(), bulk="capillarity", nu=0.5, h=1 / 64,
+    ok = minimize_energy(unit_square().grid(1 / 64), bulk="capillarity", nu=0.5,
                          iters=3000, tol=1e-6)
     assert np.abs(ok.u.values).max() <= 10.0 * (1 + 0.5)
 
     norms = []
     for h in (1 / 16, 1 / 32, 1 / 64):
-        res = minimize_energy(unit_square(), bulk="capillarity", nu=0.85, h=h,
+        res = minimize_energy(unit_square().grid(h), bulk="capillarity", nu=0.85,
                               iters=4000, tol=1e-7)
         norms.append(float(np.abs(res.u.values).max()))
     assert norms[0] < norms[1] < norms[2]

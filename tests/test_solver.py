@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bvcontact import density, solver
 from bvcontact.density import YosidaContext
 from bvcontact.errors import NonconvexBoundaryTerm, UnboundedBelow
-from bvcontact.geometry import builtin_domain, regular_ngon, unit_square
+from bvcontact.geometry import DomainGrid, builtin_domain, regular_ngon, unit_square
 from bvcontact.grid import constant_field, energy_capillarity, field_from_function
 from bvcontact.solver import _ContactProx, _dual_step_area, minimize_energy
 
@@ -18,15 +18,15 @@ SQ = unit_square()
 
 
 def test_zero_fidelity_no_contact():
-    res = minimize_energy(SQ, d=None, ctx=YosidaContext(1.0), bulk="quadratic",
-                          h=1 / 64, iters=500, tol=1e-6)
+    res = minimize_energy(SQ.grid(1 / 64), d=None, ctx=YosidaContext(1.0), bulk="quadratic",
+                          iters=500, tol=1e-6)
     assert res.residual < 1e-6
     assert np.abs(res.u.values).max() == 0.0
 
 
 def test_capillarity_beats_constant_oracle():
     nu = 0.5
-    res = minimize_energy(SQ, bulk="capillarity", nu=nu, h=1 / 64,
+    res = minimize_energy(SQ.grid(1 / 64), bulk="capillarity", nu=nu,
                           iters=4000, tol=1e-6)
     # best constant: 1 + c^2 + 4 nu c minimized at c = -2 nu, value 1 - 4 nu^2
     oracle = 1.0 - 4.0 * nu * nu
@@ -40,7 +40,7 @@ def test_capillarity_beats_constant_oracle():
 
 
 def test_capillarity_report_is_true_energy():
-    res = minimize_energy(SQ, bulk="capillarity", nu=0.3, h=1 / 64,
+    res = minimize_energy(SQ.grid(1 / 64), bulk="capillarity", nu=0.3,
                           iters=2000, tol=1e-6)
     direct = energy_capillarity(res.u, 0.3)
     assert res.report.total == pytest.approx(direct.total, rel=1e-12)
@@ -54,7 +54,7 @@ def test_small_step_stops_only_on_a_small_gap(d):
     h = 1 / 32
     f = field_from_function(SQ.grid(h), lambda X, Y: np.exp(-8 * ((X - 0.5) ** 2
                                                                  + (Y - 0.5) ** 2)))
-    res = minimize_energy(SQ, d=d, ctx=YosidaContext(1.0), bulk="quadratic", f=f, h=h,
+    res = minimize_energy(SQ.grid(h), d=d, ctx=YosidaContext(1.0), bulk="quadratic", f=f,
                           iters=2000, tol=1e-6)
     assert res.report.total == pytest.approx(0.0664586, rel=1e-6)
     assert res.residual <= 1e-6 and res.gap_relative <= 1e-6
@@ -65,9 +65,8 @@ def test_disk_contact_beats_candidate_sweep():
     dom = regular_ngon(64)
     d = density.linear(-0.5)
     ctx = YosidaContext(1.0)
-    res = minimize_energy(dom, d=d, ctx=ctx, bulk="quadratic", h=1 / 64,
-                          iters=3000, tol=1e-6)
     g = dom.grid(1 / 64)
+    res = minimize_energy(g, d=d, ctx=ctx, bulk="quadratic", iters=3000, tol=1e-6)
 
     def full_energy(u):
         from bvcontact.grid import energy_H
@@ -169,7 +168,7 @@ def test_dual_step_area_passes_nan_through():
     assert np.isnan(xx[1])
     assert np.abs(xx[[0, 2]] - _bisect_radial_root(zx[[0, 2]], 1e-6)).max() <= 4e-15
     with pytest.raises(ValueError, match="non-finite"):
-        minimize_energy(SQ, bulk="capillarity", nu=np.nan, h=1 / 16, iters=5)
+        minimize_energy(SQ.grid(1 / 16), bulk="capillarity", nu=np.nan, iters=5)
 
 
 @pytest.mark.parametrize("s_beta", [0.0, 1e-9, 3.5e-7, 1e-3, 1.0, 1e200])
@@ -205,7 +204,7 @@ def test_dual_step_area_huge_s_beta_warns_nothing():
             for s_beta in (1e200, 1e300, np.float64(1e300)):
                 (xx, yy), steps, corr = _dual_step_area(np.stack([zx, zy]), s_beta)
                 assert np.all(np.isfinite(xx)) and corr <= solver.DUAL_NEWTON_TOL
-        res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, iters=20,
+        res = minimize_energy(SQ.grid(1 / 16), bulk="capillarity", nu=0.5, iters=20,
                               tol=0.0, beta=1e300)
     assert np.all(np.isfinite(res.u.values))
     assert res.dual_feasibility_max <= 1.0
@@ -214,7 +213,7 @@ def test_dual_step_area_huge_s_beta_warns_nothing():
 def test_capillarity_solve_pinned():
     # h = 1/64, nu = 0.5: 327 over-relaxed iterations; the total is -1.8e-4
     # from terms of size 1-2, so it is pinned to 1e-12 of the terms
-    res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 64, iters=4000, tol=1e-6)
+    res = minimize_energy(SQ.grid(1 / 64), bulk="capillarity", nu=0.5, iters=4000, tol=1e-6)
     rep = res.report
     assert res.iterations == 327
     scale = abs(rep.tv_term) + abs(rep.contact_term) + abs(rep.bulk_term)
@@ -229,7 +228,7 @@ def test_capillarity_at_beta_one_minimizes_the_reported_area_energy():
     # the report reads sqrt(1 + |grad u|^2): at beta = 1 they are one
     # functional, whose minimum lies below the best constant's 1 - 4 nu^2
     nu, h = 0.5, 1 / 32
-    res = minimize_energy(SQ, bulk="capillarity", nu=nu, h=h, iters=4000, tol=1e-6,
+    res = minimize_energy(SQ.grid(h), bulk="capillarity", nu=nu, iters=4000, tol=1e-6,
                           beta=1.0)
     assert res.residual <= 1e-6
     assert h * h * res.energy_history[-1] == pytest.approx(res.report.total,
@@ -241,7 +240,7 @@ def test_capillarity_at_beta_one_minimizes_the_reported_area_energy():
                                     {"beta": np.inf}, {"beta": np.nan}])
 def test_minimize_energy_rejects_bad_iters_and_beta(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
-        minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, **kwargs)
+        minimize_energy(SQ.grid(1 / 16), bulk="capillarity", nu=0.5, **kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [{"iters": True}, {"iters": 2.5}, {"tol": np.nan},
@@ -250,7 +249,16 @@ def test_minimize_energy_rejects_mistyped_inputs(kwargs):
     # each ran before: a bool or fractional iters hit numpy's TypeError, a NaN or
     # negative tol ran the whole budget, beta=True ran as 1
     with pytest.raises(ValueError, match=next(iter(kwargs))):
-        minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, **{"iters": 5, **kwargs})
+        minimize_energy(SQ.grid(1 / 16), bulk="capillarity", nu=0.5, **{"iters": 5, **kwargs})
+
+
+def test_solve_runs_on_the_grid_it_is_given():
+    # a grid built directly, not through dom.grid: the solve neither looks
+    # one up nor builds one
+    dom = unit_square()
+    g = DomainGrid(dom, 1 / 16)
+    res = minimize_energy(g, bulk="capillarity", nu=0.5, iters=5)
+    assert res.u.grid is g and dom._grids == {}
 
 
 def test_capillarity_rejects_f():
@@ -259,7 +267,7 @@ def test_capillarity_rejects_f():
     dom = unit_square()
     f = constant_field(dom.grid(1 / 16), 3.0)
     with pytest.raises(ValueError, match="reads no f"):
-        minimize_energy(dom, bulk="capillarity", nu=0.5, f=f, h=1 / 16, iters=3)
+        minimize_energy(dom.grid(1 / 16), bulk="capillarity", nu=0.5, f=f, iters=3)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -274,18 +282,18 @@ def test_capillarity_rejects_f():
 ])
 def test_minimize_energy_refuses_bad_combinations(kwargs, match):
     with pytest.raises(ValueError, match=match):
-        minimize_energy(SQ, h=1 / 16, iters=3, **kwargs)
+        minimize_energy(SQ.grid(1 / 16), iters=3, **kwargs)
 
 
 def test_table_contact_refuses_x_dependent_density():
     # the table prox tabulated tau_hat at the first boundary sample for every cell
     d = density.expression("abs(p) - 0.2*x1*x1", c=0.2, L=0.0)
     with pytest.raises(ValueError, match="free of x"):
-        minimize_energy(SQ, d, YosidaContext(1.0), h=1 / 16, iters=3)
+        minimize_energy(SQ.grid(1 / 16), d, YosidaContext(1.0), iters=3)
 
 
 def test_capillarity_runs_at_beta_zero():
-    res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 16, iters=50,
+    res = minimize_energy(SQ.grid(1 / 16), bulk="capillarity", nu=0.5, iters=50,
                           tol=0.0, beta=0.0)
     assert np.all(np.isfinite(res.u.values))
     assert res.dual_feasibility_max <= 1.0
@@ -293,9 +301,9 @@ def test_capillarity_runs_at_beta_zero():
 
 def test_dual_feasibility_exact_tv_mode():
     d = density.linear(-0.4)
-    res = minimize_energy(SQ, d=d, ctx=YosidaContext(1.0), bulk="quadratic",
-                          f=constant_field(SQ.grid(1 / 32), 1.0), h=1 / 32,
-                          iters=400, tol=0.0)
+    g = SQ.grid(1 / 32)
+    res = minimize_energy(g, d=d, ctx=YosidaContext(1.0), bulk="quadratic",
+                          f=constant_field(g, 1.0), iters=400, tol=0.0)
     xx, yy = res.xi
     assert np.hypot(xx, yy).max() <= 1.0 + 1e-12
 
@@ -375,8 +383,8 @@ def test_table_mode_solve_converges():
     # stalled near 6e-2 after 2000 iterations
     g = SQ.grid(1 / 16)
     f = field_from_function(g, lambda X, Y: np.exp(-8 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)))
-    res = minimize_energy(SQ, d=density.expression("p*p", c=0.0, L=0.0),
-                          ctx=YosidaContext(1.0), bulk="quadratic", f=f, h=1 / 16,
+    res = minimize_energy(g, d=density.expression("p*p", c=0.0, L=0.0),
+                          ctx=YosidaContext(1.0), bulk="quadratic", f=f,
                           iters=2000, tol=1e-6)
     assert res.residual <= 1e-6
     assert res.gap_history is None
@@ -448,8 +456,8 @@ def test_table_prox_nodes_extend_past_the_data():
     # nodes that stop at 6 hold the boundary cells there: total 12.84
     g = SQ.grid(1 / 32)
     d = density.expression("0.01*abs(p-10)", c=0.0, L=0.01)
-    res = minimize_energy(SQ, d=d, ctx=YosidaContext(1.0), bulk="quadratic",
-                          f=constant_field(g, 10.0), h=1 / 32, iters=2000, tol=1e-6)
+    res = minimize_energy(g, d=d, ctx=YosidaContext(1.0), bulk="quadratic",
+                          f=constant_field(g, 10.0), iters=2000, tol=1e-6)
     assert res.residual <= 1e-6
     assert res.report.total <= 1e-3
     assert np.abs(res.u.values[g.mask] - 10.0).max() <= 0.003
@@ -458,8 +466,8 @@ def test_table_prox_nodes_extend_past_the_data():
 def test_nonconvex_contact_warns_and_runs():
     d = density.expression("2*min(abs(p-1), abs(p+1))", c=0.0, L=0.0)
     with pytest.warns(NonconvexBoundaryTerm):
-        res = minimize_energy(SQ, d=d, ctx=YosidaContext(1.0), bulk="quadratic",
-                              h=1 / 32, iters=300, tol=1e-6)
+        res = minimize_energy(SQ.grid(1 / 32), d=d, ctx=YosidaContext(1.0), bulk="quadratic",
+                              iters=300, tol=1e-6)
     assert np.all(np.isfinite(res.u.values))
 
 
@@ -484,7 +492,7 @@ def test_energy_record_is_objective_at_final_iterate(iters, monkeypatch):
              np.hypot, lambda u: (u - bump.values) ** 2,
              lambda z: np.interp(z, prox.qs, prox.table))):
         calls.clear()
-        res = minimize_energy(SQ, h=h, iters=iters, tol=0.0, **kwargs)
+        res = minimize_energy(g, iters=iters, tol=0.0, **kwargs)
         u = res.u.values
         gx, gy = grad(u, h, g.neighbor_masks())
         z = u.reshape(-1)[prox.cells]
@@ -514,13 +522,13 @@ def test_energy_is_recorded_on_the_gap_rows(case, monkeypatch):
     energy, iterates = solver._scaled_energy, []
     monkeypatch.setattr(solver, "_scaled_energy",
                         lambda u, *a: iterates.append(u.copy()) or energy(u, *a))
-    res = minimize_energy(SQ, h=h, iters=iters, tol=0.0, **kwargs)
+    res = minimize_energy(g, iters=iters, tol=0.0, **kwargs)
     monkeypatch.undo()
     rows = np.flatnonzero(~np.isnan(res.energy_history))
     assert rows.tolist() == [solver.GAP_EVERY - 1, 2 * solver.GAP_EVERY - 1, iters - 1]
     assert len(iterates) == len(rows) <= math.ceil(iters / solver.GAP_EVERY) + 1
     for k, u in zip(rows, iterates):
-        assert minimize_energy(SQ, h=h, iters=k + 1, tol=0.0, **kwargs).u.values.tobytes() \
+        assert minimize_energy(g, iters=k + 1, tol=0.0, **kwargs).u.values.tobytes() \
             == u.tobytes()
         want = energy(u, solver._grad(u, h, g.neighbor_masks()), g.mask, 1.0, beta, area, f,
                       prox)
@@ -535,7 +543,7 @@ def test_energy_is_recorded_on_the_gap_rows(case, monkeypatch):
 def test_diagnostics_converged_run():
     # 77 iterations; the recorded rows of this solve's energy are monotone
     # from iteration 10 on, here and at h = 1/32 and 1/64 (159 and 324)
-    res = minimize_energy(SQ, bulk="capillarity", nu=0.4, h=1 / 16, iters=4000, tol=1e-6)
+    res = minimize_energy(SQ.grid(1 / 16), bulk="capillarity", nu=0.4, iters=4000, tol=1e-6)
     assert res.residual_history[-1] < 1e-6
     assert res.dual_feasibility_max <= res.dual_bound + 1e-12
     recorded = res.energy_history[9:][~np.isnan(res.energy_history[9:])]
@@ -545,7 +553,7 @@ def test_diagnostics_converged_run():
 def test_capillarity_solve_default_step_pinned():
     # step ratio 6: 327 over-relaxed iterations at h = 1/64, where
     # the plain iteration took 596, certified by the primal-dual gap
-    res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 64, iters=4000, tol=1e-6)
+    res = minimize_energy(SQ.grid(1 / 64), bulk="capillarity", nu=0.5, iters=4000, tol=1e-6)
     assert solver.STEP_RATIO == 6.0
     assert solver.RELAX == 1.8
     assert res.iterations == 327
@@ -566,7 +574,7 @@ def test_relaxed_tv_solve_certifies_the_returned_pair(d):
     dom, h = builtin_domain("lshape"), 1 / 32
     g = dom.grid(h)
     f = field_from_function(g, lambda X, Y: 4.0 * (X + Y > 1.0))
-    res = minimize_energy(dom, d=d, ctx=YosidaContext(1.0), bulk="quadratic", f=f, h=h,
+    res = minimize_energy(g, d=d, ctx=YosidaContext(1.0), bulk="quadratic", f=f,
                           iters=600, tol=1e-6)
     rows = np.flatnonzero(~np.isnan(res.gap_history))
     assert rows[-1] == res.iterations - 1 and len(rows) >= res.iterations // 10
@@ -595,7 +603,7 @@ def test_capillarity_solve_memory():
     try:
         for iters in (200, 20):
             tracemalloc.reset_peak()
-            minimize_energy(SQ, bulk="capillarity", nu=0.5, h=g.h, iters=iters, tol=0.0)
+            minimize_energy(g, bulk="capillarity", nu=0.5, iters=iters, tol=0.0)
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
@@ -610,14 +618,14 @@ def test_minimize_energy_rejects_non_finite_inputs_before_iterating(kwargs, monk
     calls = []
     monkeypatch.setattr(solver, "_grad", lambda *a: calls.append(1))
     with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be a finite number"):
-        minimize_energy(SQ, bulk="capillarity", h=1 / 16, iters=5, **{"nu": 0.5, **kwargs})
+        minimize_energy(SQ.grid(1 / 16), bulk="capillarity", iters=5, **{"nu": 0.5, **kwargs})
     assert calls == []
 
 
 def test_benchmark_solve_gap_is_a_certificate():
     # the capillarity benchmark solve: every recorded gap is >= 0, and the
     # last bounds P(u) - min P far below the residual rule's stop
-    res = minimize_energy(SQ, bulk="capillarity", nu=0.5, h=1 / 128, iters=5000, tol=1e-6)
+    res = minimize_energy(SQ.grid(1 / 128), bulk="capillarity", nu=0.5, iters=5000, tol=1e-6)
     gaps = res.gap_history[~np.isnan(res.gap_history)]
     assert len(gaps) == res.iterations // solver.GAP_EVERY + 1
     assert np.all(gaps >= 0.0)
@@ -626,7 +634,7 @@ def test_benchmark_solve_gap_is_a_certificate():
 
 def test_gap_is_none_without_a_dual_objective():
     table = density.expression("p*p + 0.5*abs(p-0.25)", c=0.0, L=0.0)
-    res = minimize_energy(SQ, d=table, ctx=YosidaContext(1.0), bulk="quadratic", h=1 / 16,
+    res = minimize_energy(SQ.grid(1 / 16), d=table, ctx=YosidaContext(1.0), bulk="quadratic",
                           iters=20, tol=0.0)
     assert res.gap_history is None and res.gap is None
     assert res.gap_relative is None
