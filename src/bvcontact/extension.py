@@ -258,17 +258,3 @@ def optimal_boundary_values(u: GridField, d, ctx, eps: float) -> TraceSample:
     search = YosidaContext(ctx.sigma, q_grid_step=eps / (4.0 * ctx.sigma))
     return tr.map_values(lambda t: _brute_force_yosida(d, search, tr.x, t)[1])
 
-
-def compactness_bound(energy: float, d, dom, sigma: float, epsilon0: float,
-                      l1_mass: float, fitted_C: float) -> float:
-    """Gradient bound for energy-bounded fields under an admissible pair:
-
-        TV(u) <= (energy + ||c||_1 + sigma * C * int |u|) / (sigma * eps0).
-
-    ||c||_1 is integrated along the boundary from the density's c.
-    """
-    if epsilon0 <= 0:
-        raise ValueError("epsilon0 must be positive")
-    s, w, _ = dom.edge_samples(dom.shortest_edge / 16)
-    c_l1 = float(sum(wi * d.c_at(xi) for wi, xi in zip(w, dom.boundary_point(s))))
-    return (energy + c_l1 + sigma * fitted_C * l1_mass) / (sigma * epsilon0)

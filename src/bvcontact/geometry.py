@@ -79,14 +79,12 @@ class PolygonalDomain:
     """Simple planar polygon, counterclockwise, with corner bookkeeping.
 
     Corners (vertices with interior angle != pi) form the finite singular
-    set of the boundary; everything else is flat.  A fine regular polygon
-    can stand in for a smooth domain by setting ``smooth`` - the flag, not
-    the discrete geometry, is what selects smooth-boundary behavior in the
-    admissibility check.
+    set of the boundary; everything else is flat.  Every angle, corner
+    record and the Lipschitz constant max |cot(theta/2)| are computed from
+    the vertices, so a polygon is judged by its own geometry.
     """
 
-    def __init__(self, vertices, smooth=False, angle_overrides=None,
-                 lipschitz_constant=None, name=None):
+    def __init__(self, vertices, name=None):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise SchemaError("vertices must be an (n,2) array with n >= 3")
@@ -101,7 +99,6 @@ class PolygonalDomain:
             raise SchemaError("vertices must be ordered counterclockwise")
         self.vertices = v
         self.n = v.shape[0]
-        self.smooth = bool(smooth)
         self.name = name
         self._check_simple()
 
@@ -117,13 +114,7 @@ class PolygonalDomain:
         self.edge_normals = np.column_stack([t[:, 1], -t[:, 0]])
         self.arc_offsets = np.concatenate([[0.0], np.cumsum(self.edge_lengths)])
 
-        angles = self._interior_angles()
-        for i, th in dict(angle_overrides or {}).items():
-            if i not in range(self.n):
-                raise SchemaError(f"angle override for {i!r}, which is not a vertex "
-                                  f"index in [0, {self.n})", location="angle_overrides")
-            angles[int(i)] = th
-        self.interior_angles = angles
+        self.interior_angles = angles = self._interior_angles()
         bad = np.flatnonzero(~((ANGLE_TOL < angles) & (angles < 2 * math.pi - ANGLE_TOL)))
         if len(bad):
             raise SchemaError(f"cusp or invalid interior angle {angles[bad[0]]}",
@@ -134,11 +125,8 @@ class PolygonalDomain:
         slopes = dict(zip(convex.tolist(), (1.0 / _libm(math.tan, half[convex])).tolist()))
         self.corner_records = [CornerRecord(i, float(angles[i]), slopes.get(i))
                                for i in corners.tolist()]
-        if lipschitz_constant is not None:
-            self.lipschitz_constant = float(lipschitz_constant)
-        else:
-            self.lipschitz_constant = float(
-                np.abs(_libm(math.cos, half) / _libm(math.sin, half)).max())
+        self.lipschitz_constant = float(
+            np.abs(_libm(math.cos, half) / _libm(math.sin, half)).max())
         self._grids = {}
 
     # -- construction helpers -------------------------------------------------
@@ -298,11 +286,11 @@ def domain_Q(dom: PolygonalDomain) -> float:
 
 @dataclass
 class AdmissibilityReport:
-    """Extremes of the products L(x) q(x) along the boundary and the verdict.
+    """Least slack of the products L(x) q(x) along the boundary, and the verdict.
 
     min_slack is the least slack (1-2*eps0)*sigma - L*q over the sampled
-    points.  verdict is one of 'C2_clause' (smooth-flagged domain with sup L
-    <= sigma), 'almost_C1_clause' (min_slack >= 0), or 'inadmissible'.
+    points.  verdict is 'almost_C1_clause' (min_slack >= 0) or
+    'inadmissible'; both are read from the polygon's vertices and edges.
     """
 
     verdict: str
@@ -315,8 +303,9 @@ def admissibility_check(dom: PolygonalDomain, density, sigma: float,
 
     L is taken from the density's declared slope bound, sampled along every
     edge at arc resolution <= shortest_edge/16 (where q = 1) and at every
-    vertex (where q = corner_q of the interior angle).  Smooth-flagged
-    domains with sup L <= sigma short-circuit to the C2 clause.
+    vertex (where q = corner_q of the interior angle).  A curved boundary
+    is reached only as a limit: on the regular n-gon the threshold for
+    linear(-L) is sup L = sigma cos(pi/n), which tends to sigma.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -327,15 +316,9 @@ def admissibility_check(dom: PolygonalDomain, density, sigma: float,
     pts = np.concatenate([dom.boundary_point(s), dom.vertices])
     q = np.concatenate([np.ones(len(s)), [corner_q(th) for th in dom.interior_angles]])
     L = np.array([density.L_at(x) for x in pts])
-    sup_L = max(0.0, float(L.max()))
     min_slack = float((bound - L * q).min())
-    if dom.smooth and sup_L <= sigma + 1e-12:
-        verdict = "C2_clause"
-    elif min_slack >= -1e-12:
-        verdict = "almost_C1_clause"
-    else:
-        verdict = "inadmissible"
-    return AdmissibilityReport(verdict=verdict, min_slack=float(min_slack))
+    verdict = "almost_C1_clause" if min_slack >= -1e-12 else "inadmissible"
+    return AdmissibilityReport(verdict=verdict, min_slack=min_slack)
 
 
 def emmer_check(nu: float, dom: PolygonalDomain) -> dict:
@@ -637,7 +620,6 @@ class LineDomain:
         self.a, self.b = float(a), float(b)
         self.perimeter = 2.0
         self.length = self.b - self.a
-        self.smooth = False
         self.name = f"interval({a},{b})"
 
 
@@ -654,12 +636,13 @@ def l_shape() -> PolygonalDomain:
     return PolygonalDomain(verts, name="lshape")
 
 
-def regular_ngon(n=256, radius=1.0, smooth=True) -> PolygonalDomain:
-    """Regular n-gon inscribed in a circle; smooth=True marks it as a
-    smooth-boundary surrogate (the flag drives the C2 admissibility clause)."""
+def regular_ngon(n=256, radius=1.0) -> PolygonalDomain:
+    """Regular n-gon inscribed in a circle of the given radius.  Its n convex
+    corners of angle pi - 2 pi/n are real corners: linear(-L) is admissible
+    up to L = sigma cos(pi/n), which tends to the disk's sigma as n grows."""
     ang = 2 * math.pi * (np.arange(n) + 0.5) / n
     verts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    return PolygonalDomain(verts, smooth=smooth, name=f"ngon{n}")
+    return PolygonalDomain(verts, name=f"ngon{n}")
 
 
 BUILTIN_DOMAINS = {
@@ -678,13 +661,13 @@ def builtin_domain(name: str) -> PolygonalDomain:
                           f"choose one of {sorted(BUILTIN_DOMAINS)}")
 
 
-_DOMAIN_KEYS = {"vertices", "smooth_flag", "angle_overrides",
-                "lipschitz_constant", "name"}
+_DOMAIN_KEYS = {"vertices", "name"}
 
 
 def load_domain(path) -> PolygonalDomain:
-    """Load a polygon from JSON: {"vertices": [[x,y],...], "smooth_flag": bool,
-    optional "angle_overrides": {"i": theta}, optional "lipschitz_constant"}."""
+    """Load a polygon from JSON: {"vertices": [[x,y],...], optional "name"}.
+    Any other key raises SchemaError; angles and the Lipschitz constant are
+    computed from the vertices."""
     with open(path) as f:
         try:
             data = json.load(f)
@@ -697,18 +680,5 @@ def load_domain(path) -> PolygonalDomain:
         raise SchemaError(f"unknown domain keys {sorted(unknown)}")
     if "vertices" not in data:
         raise SchemaError("domain file missing 'vertices'")
-    overrides = None
-    if "angle_overrides" in data:
-        try:
-            overrides = {int(k): float(v) for k, v in data["angle_overrides"].items()}
-        except (TypeError, ValueError, AttributeError):
-            raise SchemaError("angle_overrides must map vertex index to angle",
-                              location="angle_overrides")
-    return PolygonalDomain(
-        data["vertices"],
-        smooth=bool(data.get("smooth_flag", False)),
-        angle_overrides=overrides,
-        lipschitz_constant=data.get("lipschitz_constant"),
-        name=data.get("name"),
-    )
+    return PolygonalDomain(data["vertices"], name=data.get("name"))
 

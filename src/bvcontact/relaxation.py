@@ -216,12 +216,11 @@ def counterexample_energy(fam: E1Family | E2Family | Log1DFamily,
 
 
 def representation_claimed(dom, d, sigma: float):
-    """The transformed energy represents the relaxation when the boundary is
-    smooth-flagged with sup L <= sigma, or when sup L(x) q(x) < sigma strictly
-    (some eps0 > 0 exists)."""
+    """The transformed energy represents the relaxation when sup L(x) q(x) <
+    sigma strictly along the polygon's boundary (some eps0 > 0 exists); a
+    verdict at zero slack is rewritten to 'inadmissible'.  On the regular
+    n-gon this is sup L < sigma cos(pi/n), the disk's sigma in the limit."""
     rep = admissibility_check(dom, d, sigma, epsilon0=0.0)
-    if rep.verdict == "C2_clause":
-        return True, rep
     if rep.verdict == "almost_C1_clause" and rep.min_slack > 1e-12:
         return True, rep
     rep.verdict = "inadmissible"

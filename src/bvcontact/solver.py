@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .density import YosidaContext, closed_form, linear, yosida_eval_many
-from .errors import NonconvexBoundaryTerm
+from .errors import MaskMismatch, NonconvexBoundaryTerm
 from .geometry import DomainGrid
 from .grid import EnergyReport, GridField, _grad, _grad_adjoint, energy_capillarity, energy_H
 
@@ -417,7 +417,8 @@ def minimize_energy(grid: DomainGrid, d=None, ctx: YosidaContext | None = None,
     the contact density d (None is linear(0)), 'capillarity' for the area
     integrand + u^2 + nu * boundary trace (the contact is the linear density
     nu, so d must be None; ctx is ignored).  Only 'quadratic' reads f:
-    'capillarity' raises ValueError when given one.
+    'capillarity' raises ValueError when given one.  A GridField f must
+    live on grid itself, else MaskMismatch.
 
     The capillarity solve minimizes sqrt(beta^2 + |grad u|^2) + u^2 + nu Tr u,
     while its report (grid.energy_capillarity) reads the area functional
@@ -476,9 +477,12 @@ def minimize_energy(grid: DomainGrid, d=None, ctx: YosidaContext | None = None,
     sigma = ctx.sigma
 
     f_arr = np.zeros(mask.shape)
+    if isinstance(f, GridField):
+        if f.grid is not grid:
+            raise MaskMismatch("f is not a field on the solve's grid")
+        f = f.values
     if f is not None:
-        f_arr = f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
-        f_arr = np.broadcast_to(f_arr, mask.shape).copy()
+        f_arr = np.broadcast_to(np.asarray(f, dtype=float), mask.shape).copy()
         f_arr[~mask] = 0.0               # so that every primal prox output is 0 there
 
     norm_K = math.sqrt(8.0) / h          # ||grad|| <= sqrt(8) / h

@@ -211,7 +211,7 @@ def test_criterion_08_trace_inequality_suite():
         assert violations == 0, (name, violations)
         total_checked += len(ev)
         summary.append(f"{name}: C={C:.2f}")
-        if dom.smooth:
+        if name == "disk256":
             r2 = [max(0.0, (tr - tv) / m) for tr, tv, m in train if m > 1e-12]
             C2 = max(1.25 * max(r2), 0.5)
             v2 = sum(1 for tr, tv, m in ev if tr > tv + C2 * m + 1e-9)

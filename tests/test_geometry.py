@@ -14,6 +14,7 @@ from bvcontact.geometry import (admissibility_check, builtin_domain, corner_q, d
                                 emmer_check, l_shape, regular_ngon, unit_square,
                                 wedge_cut_ratio)
 from bvcontact.grid import boundary_trace_from_function
+from bvcontact.relaxation import representation_claimed
 
 
 @pytest.mark.parametrize("name, h", [("square", 2.0), ("square", 1e300), ("lshape", 1.0)])
@@ -216,21 +217,49 @@ def test_admissibility_square_corner_violation():
 
 
 @pytest.mark.parametrize("name", ["disk64", "disk256"])
-@pytest.mark.parametrize("factor, verdict", [(1 - 1e-6, "C2_clause"), (1.0, "C2_clause"),
-                                             (1 + 1e-6, "inadmissible")],
-                         ids=["below", "at", "above"])
-def test_admissibility_c2_clause(name, factor, verdict):
-    # the smooth clause holds up to sup L = sigma and not a hair beyond; the
-    # pointwise bound fails on every row (min_slack -1.2e-3 on disk64,
-    # -7.5e-5 on disk256), so the verdict is the smooth clause's alone
+@pytest.mark.parametrize("factor", [1 - 1e-6, 1.0, 1 + 1e-6], ids=["below", "at", "above"])
+def test_admissibility_c2_clause(name, factor):
+    # the smooth clause sup L <= sigma is no verdict of its own: a disk
+    # polygon is judged at its corners, where q = 1/cos(pi/n), so near
+    # sup L = sigma every row fails by the corners' slack alone (about
+    # -1.2e-3 on disk64, -7.5e-5 on disk256)
     rep = admissibility_check(builtin_domain(name), density.linear(-factor), sigma=1.0,
                               epsilon0=0.0)
-    assert rep.verdict == verdict
+    assert rep.verdict == "inadmissible"
+    n = int(name.removeprefix("disk"))
+    assert rep.min_slack == pytest.approx(1.0 - factor / math.cos(math.pi / n), rel=1e-9)
+
+
+NGON_SIDES = (4, 16, 64, 256, 1024)
+
+
+@pytest.mark.parametrize("n", NGON_SIDES)
+def test_ngon_threshold_is_cos_pi_over_n(n):
+    # the n-gon's corners of angle pi - 2 pi/n have q = 1/cos(pi/n), so
+    # linear(lam) is represented exactly while |lam| < sigma cos(pi/n)
+    dom = regular_ngon(n)
+    lam = math.cos(math.pi / n)
+    below, _ = representation_claimed(dom, density.linear(-(lam - 1e-9)), 1.0)
+    above, rep = representation_claimed(dom, density.linear(-(lam + 1e-9)), 1.0)
+    assert below and not above
+    assert rep.verdict == "inadmissible"
+
+
+def test_ngon_threshold_tends_to_sigma_at_order_two():
+    # the paper's smooth clause (sup L <= sigma) as the limit of the n-gon
+    # thresholds, read from the verdict's slack at L = 1: 1 - L q = 1 - 1/t
+    gaps = {}
+    for n in NGON_SIDES[1:]:
+        rep = admissibility_check(regular_ngon(n), density.linear(-1.0), 1.0, 0.0)
+        gaps[n] = 1.0 - 1.0 / (1.0 - rep.min_slack)
+    orders = [math.log(gaps[n] / gaps[4 * n], 4) for n in NGON_SIDES[1:-1]]
+    assert all(1.95 <= p <= 2.05 for p in orders), orders
+    assert 1024 ** 2 * gaps[1024] == pytest.approx(math.pi ** 2 / 2, abs=1e-3)
 
 
 def test_admissibility_monotone_in_L():
     dom = unit_square()
-    order = {"C2_clause": 0, "almost_C1_clause": 0, "inadmissible": 1}
+    order = {"almost_C1_clause": 0, "inadmissible": 1}
     prev = 0
     for Lval in (0.1, 0.3, 0.5, 0.7, 0.71, 0.9):
         rep = admissibility_check(dom, density.linear(-Lval), 1.0, 1e-9)
@@ -244,13 +273,6 @@ def test_emmer_square():
     r = emmer_check(0.5, dom)
     assert r["passes"] and r["bound"] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert not emmer_check(0.8, dom)["passes"]
-
-
-def test_emmer_flat_strip_surrogate():
-    dom = geometry.PolygonalDomain([[0, 0], [4, 0], [4, 1], [0, 1]],
-                                   lipschitz_constant=0.0)
-    r = emmer_check(0.99, dom)
-    assert r["passes"] and r["bound"] == 1.0
 
 
 def test_boundary_samples_sum_to_perimeter():
@@ -297,8 +319,7 @@ def test_domain_json_rejects_unknown_keys(tmp_path):
 @pytest.mark.parametrize("text, location", [
     ('{"vertices": [[0,0],[1,0],\n[0,1]', "line 2"),
     ('[[0,0],[1,0],[0,1]]', None),
-    ('{"smooth_flag": true}', None),
-    ('{"vertices": [[0,0],[1,0],[0,1]], "angle_overrides": [1.0]}', "angle_overrides"),
+    ('{"name": "x"}', None),
 ])
 def test_domain_json_refuses_malformed_files(tmp_path, text, location):
     path = tmp_path / "bad.json"
@@ -308,24 +329,15 @@ def test_domain_json_refuses_malformed_files(tmp_path, text, location):
     assert ei.value.location == location
 
 
-@pytest.mark.parametrize("index", ["7", "-1"])
-def test_angle_override_of_a_non_vertex_is_refused(tmp_path, index):
-    # such an override was dropped: every angle stayed pi/2 and Q sqrt(2)
+@pytest.mark.parametrize("key, value", [("smooth_flag", "true"),
+                                        ("angle_overrides", '{"0": 1.0}'),
+                                        ("lipschitz_constant", "0.0")])
+def test_domain_json_refuses_a_declared_geometry(tmp_path, key, value):
+    # a polygon's angles and Lipschitz constant come from its vertices alone
     path = tmp_path / "square.json"
-    path.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,1]], '
-                    f'"angle_overrides": {{"{index}": 1.0}}}}')
-    with pytest.raises(SchemaError, match=f"override for {index}") as ei:
+    path.write_text(f'{{"vertices": [[0,0],[1,0],[1,1],[0,1]], "{key}": {value}}}')
+    with pytest.raises(SchemaError, match=key):
         geometry.load_domain(path)
-    assert ei.value.location == "angle_overrides"
-
-
-def test_angle_override_sets_the_vertex_angle(tmp_path):
-    path = tmp_path / "square.json"
-    path.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,1]], "angle_overrides": {"0": 1.0}}')
-    dom = geometry.load_domain(path)
-    assert dom.interior_angles[0] == 1.0
-    assert np.allclose(dom.interior_angles[1:], math.pi / 2)
-    assert domain_Q(dom) == pytest.approx(1.0 / math.sin(0.5), rel=1e-12)
 
 
 def test_builtin_domain_refuses_an_unknown_name():

@@ -1,17 +1,13 @@
-"""Cross-module invariants: trace bounds, compactness, ladder convergence."""
+"""Cross-module invariants: trace bounds, ladder convergence."""
 
 import math
 
 import numpy as np
 
-from bvcontact import density
 from bvcontact.density import (YosidaContext, lip_upper_approx_many, step_density,
                                tabulated, yosida_eval_many)
-from bvcontact.extension import compactness_bound, optimal_boundary_values, \
-    recovery_sequence
-from bvcontact.geometry import PolygonalDomain, unit_square
-from bvcontact.grid import (field_from_function, l1_norm, trace_extract, tv_grid,
-                            energy_F)
+from bvcontact.geometry import PolygonalDomain
+from bvcontact.grid import field_from_function, trace_extract, tv_grid
 from bvcontact.relaxation import E2Family
 
 
@@ -41,24 +37,6 @@ def test_graph_domain_trace_bound_near_sharp():
     tv = tv_grid(u)
     assert graph_trace <= bound * tv * 1.05
     assert graph_trace >= bound * tv * 0.75  # near-sharp at the tooth
-
-
-def test_compactness_diagnostic_bounds_gradients():
-    # along recovery sequences of an admissible pair, TV stays within the
-    # energy-driven bound TV <= (E + ||c||_1 + sigma C |u|_1) / (sigma eps0)
-    dom = unit_square()
-    g = dom.grid(1 / 128)
-    d = density.linear(-0.5)   # L sqrt(2) = 0.707 <= 1 - 2 eps0 for eps0 = 0.1
-    ctx = YosidaContext(1.0)
-    u = field_from_function(g, lambda X, Y: X - Y)
-    p = optimal_boundary_values(u, d, ctx, eps=1e-3)
-    fitted_C = 8.0
-    for n in (4, 8, 16):
-        un, _ = recovery_sequence(u, p, n)
-        e = energy_F(un, d, 1.0).total
-        cap = compactness_bound(e, d, dom, sigma=1.0, epsilon0=0.1,
-                                l1_mass=l1_norm(un), fitted_C=fitted_C)
-        assert tv_grid(un) <= cap
 
 
 def test_transform_of_ladder_converges_pointwise():

@@ -186,14 +186,17 @@ def test_relaxed_energy_inadmissible_warns():
     assert "warning" in rep.notes
 
 
-def test_relaxed_energy_c2_clause_disk():
-    dom = regular_ngon(64)
-    g = dom.grid(1 / 64)
+@pytest.mark.parametrize("a, claimed", [(0.99, True), (1.0, False)])
+def test_relaxed_energy_on_the_64gon(a, claimed):
+    # the 64-gon's own threshold is cos(pi/64) = 0.99880, below the disk's
+    # sigma = 1; H(u) is returned either way, flagged past the threshold
+    g = regular_ngon(64).grid(1 / 64)
     u = field_from_function(g, lambda X, Y: np.hypot(X, Y))
-    d = density.absolute(1.0)
-    rep = relaxed_energy(u, d, YosidaContext(1.0))
-    assert rep.notes["admissibility"] == "C2_clause"
-    assert rep.total == pytest.approx(3 * math.pi, rel=0.05)
+    rep = relaxed_energy(u, density.absolute(a), YosidaContext(1.0))
+    assert rep.notes["representation_claimed"] == claimed
+    assert rep.notes["admissibility"] == ("almost_C1_clause" if claimed else "inadmissible")
+    assert ("warning" in rep.notes) != claimed
+    assert rep.total == pytest.approx(2.98 * math.pi, rel=0.05)
 
 
 def test_representation_claimed_threshold():

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from bvcontact import density, solver
 from bvcontact.density import YosidaContext
-from bvcontact.errors import NonconvexBoundaryTerm, UnboundedBelow
-from bvcontact.geometry import DomainGrid, builtin_domain, regular_ngon, unit_square
+from bvcontact.errors import MaskMismatch, NonconvexBoundaryTerm, UnboundedBelow
+from bvcontact.geometry import (DomainGrid, builtin_domain, l_shape, regular_ngon,
+                                unit_square)
 from bvcontact.grid import constant_field, energy_capillarity, field_from_function
 from bvcontact.solver import _ContactProx, _dual_step_area, minimize_energy
 
@@ -259,6 +260,14 @@ def test_solve_runs_on_the_grid_it_is_given():
     g = DomainGrid(dom, 1 / 16)
     res = minimize_energy(g, bulk="capillarity", nu=0.5, iters=5)
     assert res.u.grid is g and dom._grids == {}
+
+
+def test_solve_refuses_a_forcing_on_another_grid():
+    # both lattices are 16 x 16: the L-shape's forcing was read by its
+    # values alone, 0 on the square's cells outside the L
+    f = constant_field(l_shape().grid(1 / 16), 1.0)
+    with pytest.raises(MaskMismatch, match="solve's grid"):
+        minimize_energy(unit_square().grid(1 / 16), ctx=YosidaContext(1.0), f=f, iters=5)
 
 
 def test_capillarity_rejects_f():
