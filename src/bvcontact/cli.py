@@ -341,10 +341,9 @@ def _task_solve(v, dom, d, ctx, out, rng):
                           iters=v["iters"], tol=v["tol"], **beta)
     save_field(res.u, out / "field")
     if res.iterations >= 2:
-        gaps = np.full(res.iterations, np.nan) if res.gap_history is None else res.gap_history
         rows = [(k, "" if math.isnan(e) else e, r, "" if math.isnan(g) else g)
                 for k, (e, r, g) in enumerate(zip(res.energy_history, res.residual_history,
-                                                  gaps))]
+                                                  res.gap_history))]
         write_csv(out / "diagnostics.csv", ["iter", "energy", "residual", "gap"], rows)
     return {"residual": res.residual, "iterations": res.iterations,
             "energy_report": res.report.to_dict(),

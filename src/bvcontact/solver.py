@@ -11,18 +11,16 @@ B is a quadratic fidelity or the capillary u^2 bulk.  The iteration is
 over-relaxed Chambolle-Pock (RELAX).  Both bulks are strongly convex, so
 every solve has a minimizer.  The dual prox is a projection (TV) or a radial
 root (area), so every dual prox output keeps |xi| <= dual_bound exactly; the
-solver returns prox outputs, and with a closed-form contact (every builtin
-density) the primal-dual gap P(u) - D(xi) bounds how far the returned
-iterate's objective is above its minimum, and confirms the stop.
+solver returns prox outputs, and on every solve the primal-dual gap
+P(u) - D(xi) bounds how far the returned iterate's objective is above its
+minimum, and confirms the stop.
 
 The boundary contact acts through per-sample proximal steps on the probe
-cells, aggregated by arc-length weight.  The resolvent takes one of two
-paths: the density's closed-form prox (density.closed_form: any builtin
-kind), or, for every other kind, a tabulated transform T whose exact node
-argmin is searched around the node j minimizing the surrogate built on T's
-lower convex envelope C: one searchsorted per weight class W, over keys equal
-to a bisection's, finds every j, and the window reaches the largest
-dq + sqrt(2 t W (T_j - C_j)) over the cells (dq the node step).
+cells, aggregated by arc-length weight.  One transform object serves the
+prox, the energy and the dual objective: the density's closed form (any
+builtin kind) or a _PLTable, tau_hat tabulated and read as the piecewise-
+linear T the energy interpolates, with the exact prox of T.  A nonconvex
+T's gap need not close.
 """
 
 from __future__ import annotations
@@ -33,15 +31,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .density import YosidaContext, closed_form, linear, yosida_eval_many
 from .errors import MaskMismatch, NonconvexBoundaryTerm
 from .geometry import DomainGrid
 from .grid import EnergyReport, GridField, _grad, _grad_adjoint, energy_capillarity, energy_H
 
-#: table-mode prox nodes lie on the lattice -PROX_VALUE_RANGE + k * PROX_NODE_STEP;
-#: k = 0 .. PROX_NODES - 1 covers [-PROX_VALUE_RANGE, PROX_VALUE_RANGE]
+#: the contact table's nodes cover [-PROX_VALUE_RANGE, PROX_VALUE_RANGE] (see _PLTable)
 PROX_VALUE_RANGE = 6.0
 PROX_NODES = 4001
 PROX_NODE_STEP = 2 * PROX_VALUE_RANGE / (PROX_NODES - 1)
@@ -235,40 +231,110 @@ def _lower_hull(x, y):
     return np.array([i for i, _, _ in hull])
 
 
+class _PLTable:
+    """tau_hat at the boundary's first point, sampled on the nodes qs =
+    -PROX_VALUE_RANGE + k PROX_NODE_STEP, k = 0 .. PROX_NODES - 1 (extended
+    to PROX_VALUE_RANGE past a side of data_range = (lo, hi) that leaves
+    them), read as the piecewise-linear T that np.interp makes of it, with
+    density.closed_form's hat and prox: hat(v) = T(v), prox(z, a) = the
+    exact argmin_v a T(v) + (v - z)^2 / 2 on [qs[0], qs[-1]] per cell.
+
+    On segment j, of slope b_j, the minimizer is clip(z - a b_j, q_j,
+    q_{j+1}).  On the lower convex envelope C (its segments join the hull
+    vertices) the keys K_j = q_j + a b_j rise, and j is the last <= z
+    (Lucet, SIAM Review 52 (2010)); one key row per weight class of a is
+    kept for the next call with that a (a solve makes two).  Within 1e-8
+    max(1, |T|) of C, T is convex and that point v_C is the prox, at most
+    a max(T - C) above the minimum.  Otherwise a C + (v - z)^2 / 2 is
+    1-strongly convex and below the objective, so a minimizer lies within
+    r = sqrt(2 a (T - C)(v_C)) of v_C: where r > 0 the best local minimum
+    of the convex runs of T (slopes that do not fall) meeting [v_C - r,
+    v_C + r] wins.  A piecewise-linear density has few (the two-well 2).
+    """
+
+    def __init__(self, d, ctx, boundary, data_range):
+        if d.depends_on_x:
+            raise ValueError("the table-mode contact prox takes densities free of x; "
+                             "this one reads the boundary point")
+        (lo, hi), R, dq = data_range, PROX_VALUE_RANGE, PROX_NODE_STEP
+        k_lo = math.floor(lo / dq) if lo < -R else 0
+        k_hi = PROX_NODES - 1 + (math.ceil(hi / dq) if hi > R else 0)
+        self.qs = qs = np.arange(k_lo, k_hi + 1) * dq + (-R)
+        self.values = T = yosida_eval_many(d, ctx, tuple(boundary.x[0]), qs)
+        self.slope = np.diff(T) / np.diff(qs)
+        hull = _lower_hull(qs, T)
+        self.hull_q = qs[hull]
+        self.hull_slope = np.diff(T[hull]) / np.diff(self.hull_q)
+        self.node_gap = np.maximum(T - np.interp(qs, self.hull_q, T[hull]), 0.0)   # T - C
+        self.convex = self.node_gap.max() <= 1e-8 * max(1.0, np.abs(T).max())
+        if not self.convex:
+            warnings.warn("sampled contact transform is nonconvex; the solve's gap "
+                          "need not close", NonconvexBoundaryTerm)
+            # bounds of the convex runs: segments runs[i] .. runs[i + 1] - 1
+            self.runs = np.append(np.flatnonzero(np.diff(self.slope, prepend=np.inf) < 0),
+                                  len(self.slope))
+        self._keys = {}
+
+    def hat(self, v):
+        return np.interp(v, self.qs, self.values)
+
+    def prox(self, z, a):
+        v = self._envelope_prox(z, a)
+        return v if self.convex else self._run_prox(z, a, v)
+
+    def _envelope_prox(self, z, a):
+        q, b = self.hull_q, self.hull_slope
+        if (key := a.tobytes()) not in self._keys:
+            if len(self._keys) == 2:
+                self._keys.clear()
+            w, cls = np.unique(a, return_inverse=True)
+            order = np.argsort(cls, kind="stable")
+            self._keys[key] = order, np.cumsum(np.bincount(cls)), w[:, None] * b + q[:-1]
+        order, ends, rows = self._keys[key]
+        zs, j = z[order], np.empty(len(z), dtype=np.intp)
+        for row, lo, hi in zip(rows, [0, *ends[:-1]], ends):
+            j[order[lo:hi]] = row.searchsorted(zs[lo:hi], "right")
+        np.clip(j - 1, 0, len(b) - 1, out=j)
+        return np.clip(z - a * b[j], q[j], q[j + 1])
+
+    def _run_prox(self, z, a, v):
+        qs, b, runs = self.qs, self.slope, self.runs
+        s = qs[runs[:-1]]
+        r = np.sqrt(2.0 * a * np.interp(v, qs, self.node_gap))
+        idx = np.flatnonzero(r > 0.0)
+        first = np.maximum(s.searchsorted(v[idx] - r[idx], "right") - 1, 0)
+        count = s.searchsorted(v[idx] + r[idx], "right") - first
+        cell = np.repeat(idx, count)
+        run = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count - first, count)
+        # keys rise along the run of segments rs .. re - 1: a local minimum iff z
+        # is in [K_rs, q_re + a b_{re-1}], or below (above) the first (last) run's
+        zc, ac, rs, re = z[cell], a[cell], runs[run], runs[run + 1]
+        keep = (qs[rs] + ac * b[rs] <= zc) | (run == 0)
+        keep &= (zc <= qs[re] + ac * b[re - 1]) | (run == len(s) - 1)
+        zc, ac, j, re, cell = zc[keep], ac[keep], rs[keep], re[keep], cell[keep]
+        step = 1 << (int((re - j).max(initial=1)).bit_length() - 1)
+        while step:                      # binary lifting to the last K_j <= z
+            c = j + step
+            ok = c < re
+            ok &= qs[k := np.where(ok, c, j)] + ac * b[k] <= zc
+            j = np.where(ok, c, j)
+            step >>= 1
+        w = np.clip(zc - ac * b[j], qs[j], qs[j + 1])
+        o = ac * (self.values[j] + b[j] * (w - qs[j])) + 0.5 * (w - zc) ** 2
+        order = np.lexsort((o, cell))
+        best = order[np.flatnonzero(np.diff(cell[order], prepend=-1))]
+        out = v.copy()
+        out[cell[best]] = w[best]
+        return out
+
+
 class _ContactProx:
     """Per-cell resolvent  v = argmin_v  t W tau_hat(x, v) + (v - z)^2 / 2  on
     the probe cells, W being the cells' summed sample weights.  cells holds
     their flat lattice indices in row-major order, so apply and energy read a
     C-contiguous lattice array through its flat view (apply writes in place).
-
-    Two resolvent paths: the density's closed-form prox where it has one
-    (density.closed_form: every builtin kind), else the exact argmin over
-    tabulated transform values T on the nodes qs.  One table serves every
-    cell, so the table path raises ValueError for a density that reads x
-    (depends_on_x).
-
-    The table path brackets each cell by the node j minimizing the convex
-    surrogate S = s C + (q - z)^2 / 2, with C the lower convex envelope of T
-    and s = t W.  Since S_{j+1} - S_j = dq (s env_slope_j + midpoint_j - z),
-    j is the first node whose key s env_slope_j + midpoint_j is >= z.  The
-    cells are grouped once by their exact weight W; for each step t one key
-    array per weight class is built, the same floats a bisection forms cell by
-    cell, and one searchsorted per class finds every bracket.  The keys rise
-    strictly: the midpoints step by the node step dq, and the rounding in the
-    envelope slopes (~3e-13 on the benchmark's table) matters only at t W
-    ~ 1e10.
-
-    The objective is O = S + s (T - C), so a node k with O_k <= O_j has
-    S_k <= S_j + s (T_j - C_j), and the 1-strongly convex S with its node
-    minimum at j puts k within dq + sqrt(2 s (T_j - C_j)) of node j.  The
-    window around j is sized by the largest such radius over the call's
-    cells, so it returns the dense argmin, first-index ties included; where
-    T = C at every bracket node it is 5 nodes wide, and a nonconvex table
-    widens it only for cells bracketed inside a gap.
-
-    data_range = (lo, hi) spans the bulk target and the start; on a side where
-    it leaves [-PROX_VALUE_RANGE, PROX_VALUE_RANGE] the nodes extend to
-    PROX_VALUE_RANGE beyond it.
+    transform holds tau_hat and its prox: density.closed_form (every builtin
+    kind), else one _PLTable for every cell, so a density reading x raises.
     """
 
     def __init__(self, d, ctx, boundary, mask_shape, h, data_range=(0.0, 0.0)):
@@ -276,69 +342,17 @@ class _ContactProx:
         self.cells = np.flatnonzero(W)
         self.W = W[self.cells] / (h * h)   # scaled weights (energy divided by h^2)
         # raises UnboundedBelow when the slope exceeds sigma
-        self.closed = closed_form(d, ctx.sigma)
-        if self.closed is None:
-            if d.depends_on_x:
-                raise ValueError("the table-mode contact prox takes densities free of x; "
-                                 "this one reads the boundary point")
-            R, dq = PROX_VALUE_RANGE, PROX_NODE_STEP
-            lo, hi = data_range
-            k_lo = math.floor(lo / dq) if lo < -R else 0
-            k_hi = PROX_NODES - 1 + (math.ceil(hi / dq) if hi > R else 0)
-            self.qs = np.arange(k_lo, k_hi + 1) * dq + (-R)
-            self.table = yosida_eval_many(d, ctx, tuple(boundary.x[0]), self.qs)
-            hull = _lower_hull(self.qs, self.table)
-            envelope = np.interp(self.qs, self.qs[hull], self.table[hull])
-            self.node_gap = np.maximum(self.table - envelope, 0.0)   # T - C
-            if self.node_gap.max() > 1e-8 * max(1.0, np.abs(self.table).max()):
-                warnings.warn("sampled contact transform is nonconvex; iterates "
-                              "certify stationarity only", NonconvexBoundaryTerm)
-            # bracket keys s env_slope_j + midpoint_j; the last key is +inf
-            self.env_slope = np.append(np.diff(envelope) / np.diff(self.qs), np.inf)
-            self.midpoint = np.append(0.5 * (self.qs[1:] + self.qs[:-1]), np.inf)
-            self.class_W, cls = np.unique(self.W, return_inverse=True)
-            order = np.argsort(cls, kind="stable")
-            self.class_cells = self.cells[order]
-            self.class_ends = np.cumsum(np.bincount(cls)).tolist()
-            self.class_cell_W = self.W[order]
-            self._t = None
-            self._views = {}
+        self.transform = closed_form(d, ctx.sigma) or _PLTable(d, ctx, boundary, data_range)
 
     def apply(self, u, t):
         if t <= 0:
             raise ValueError("t must be positive")
         flat = u.reshape(-1)
-        if self.closed is not None:
-            flat[self.cells] = self.closed.prox(flat[self.cells], t * self.W)
-        else:
-            flat[self.class_cells] = self._table_argmin(flat[self.class_cells], t)
+        flat[self.cells] = self.transform.prox(flat[self.cells], t * self.W)
         return u
 
-    def _table_argmin(self, z, t):
-        """Node argmin for the cells in class order (z and the result)."""
-        if t != self._t:
-            self._t, self._tw = t, t * self.class_cell_W
-            self._keys = (t * self.class_W)[:, None] * self.env_slope + self.midpoint
-        tw, n, dq = self._tw, len(self.qs), PROX_NODE_STEP
-        j = np.empty(len(z), dtype=np.intp)
-        a = 0
-        for keys, b in zip(self._keys, self.class_ends):
-            j[a:b] = keys.searchsorted(z[a:b])
-            a = b
-        m = math.ceil((math.sqrt(2.0 * float((tw * self.node_gap[j]).max())) + dq) / dq) + 1
-        width = min(2 * m + 1, n)
-        if width not in self._views:
-            self._views[width] = (sliding_window_view(self.table, width),
-                                  sliding_window_view(self.qs, width))
-        table, qs = self._views[width]
-        start = np.clip(j - m, 0, n - width)
-        obj = table[start] * tw[:, None] + 0.5 * (qs[start] - z[:, None]) ** 2
-        return self.qs[start + np.argmin(obj, axis=1)]
-
     def energy(self, u):
-        z = u.reshape(-1)[self.cells]
-        vals = self.closed.hat(z) if self.closed is not None else np.interp(z, self.qs, self.table)
-        return float((self.W * vals).sum())
+        return float((self.W * self.transform.hat(u.reshape(-1)[self.cells])).sum())
 
 
 @dataclass
@@ -355,10 +369,8 @@ class SolverResult:
     cell sums of the regularizer (the beta-smoothed area integrand
     sqrt(beta^2 + |grad u|^2) in capillarity mode, sigma |grad u|
     otherwise), the bulk and W tau_hat on the probe cells, i.e. the energy
-    divided by h^2.  It is not the report total (capillarity at h = 1/128:
-    -16369.04 against -1.86e-4): in capillarity mode the report reads the
-    area integrand with beta = 1, and the two agree, times h^2, only at
-    beta = 1.
+    divided by h^2; in capillarity mode it is not the report total (see
+    minimize_energy).
 
     residual_history[k - 1] is the un-relaxed step ||u~_k - u_{k-1}|| / t
     over the masked cells, t being the primal step and u_{k-1} the relaxed
@@ -368,8 +380,8 @@ class SolverResult:
     _dual_value) at iteration k's prox outputs, on the recorded rows.  xi~_k
     is feasible, so weak duality makes it >= 0 and a bound on P(u~_k) - min
     P, and the last row (gap) certifies the returned pair; gap_relative is
-    gap / max(1, |P(u)|).  gap_history is None where the solver has no dual
-    objective, which is a table-mode contact.
+    gap / max(1, |P(u)|).  A nonconvex table's D bounds the convexified
+    problem's minimum, so its gap need not close.
 
     notes are empty but in capillarity mode, where they hold the area dual
     step's counts: dual_newton_steps_max, dual_one_step_calls (the calls in
@@ -383,7 +395,7 @@ class SolverResult:
     report: EnergyReport
     residual_history: np.ndarray
     energy_history: np.ndarray
-    gap_history: np.ndarray | None
+    gap_history: np.ndarray
     dual_bound: float
     dual_feasibility_max: float
     notes: dict
@@ -397,13 +409,11 @@ class SolverResult:
         return float(self.residual_history[-1])
 
     @property
-    def gap(self) -> float | None:
-        return None if self.gap_history is None else float(self.gap_history[-1])
+    def gap(self) -> float:
+        return float(self.gap_history[-1])
 
     @property
-    def gap_relative(self) -> float | None:
-        if self.gap_history is None:
-            return None
+    def gap_relative(self) -> float:
         return self.gap / max(1.0, abs(float(self.energy_history[-1])))
 
 
@@ -434,17 +444,14 @@ def minimize_energy(grid: DomainGrid, d=None, ctx: YosidaContext | None = None,
     at xi_k + s K (2 u~ - u_k), then (u_{k+1}, xi_{k+1}) = (u_k, xi_k) +
     RELAX ((u~, xi~) - (u_k, xi_k)); RELAX = 1 is the plain iteration.  The
     residual is the un-relaxed step ||u~ - u_k|| / t over the masked cells.
-    The scaled objective P(u~) and the primal-dual gap P(u~) - D(xi~)
-    (SolverResult.gap, a bound on how far P(u~) is above its minimum) are
-    recorded on the same rows, every GAP_EVERY iterations, on every row
-    whose residual is <= tol and at the last, and are NaN on the others;
-    the gradient of u~ is still taken on every iteration, since the dual
-    step reads it.  The solver stops once the residual is <= tol and, where
-    there is a gap (every contact but a table-mode one), the gap is <= tol
-    max(1, |P(u~)|) as well, or after iters iterations.  It returns that
-    iteration's prox outputs (u~, xi~), with the energy report evaluated by
-    the grid functionals; xi~ is a prox output, so |xi~| <= dual_bound,
-    which a relaxed xi_k need not keep.
+    The scaled objective P(u~) and the gap P(u~) - D(xi~) (SolverResult.gap)
+    are recorded on the rows SolverResult names (grad u~ is taken on every
+    row, as the dual step reads it).  One rule stops every solve: a
+    residual <= tol that the gap confirms, gap <= tol max(1, |P(u~)|), or
+    iters iterations (a nonconvex table's gap need not close).  It returns
+    that iteration's prox outputs (u~, xi~), with the energy report
+    evaluated by the grid functionals; xi~ is a prox output, so |xi~| <=
+    dual_bound, which a relaxed xi_k need not keep.
     """
     if bulk not in ("quadratic", "capillarity"):
         raise ValueError("bulk must be 'quadratic' or 'capillarity'")
@@ -462,10 +469,7 @@ def minimize_energy(grid: DomainGrid, d=None, ctx: YosidaContext | None = None,
         raise ValueError(f"bulk={bulk!r} reads no f; only bulk='quadratic' has a forcing")
     if area_mode and d is not None:
         raise ValueError("bulk='capillarity' has the contact density nu * p and reads no d")
-    h = grid.h
-    mask = grid.mask
-    ok = grid.neighbor_masks()
-    boundary = grid.boundary()
+    h, mask, ok, boundary = grid.h, grid.mask, grid.neighbor_masks(), grid.boundary()
 
     if area_mode:
         ctx = YosidaContext(sigma=1.0)
@@ -505,10 +509,7 @@ def minimize_energy(grid: DomainGrid, d=None, ctx: YosidaContext | None = None,
     inside = mask.astype(float)          # masked-cell sums as dot products
 
     res_hist = np.empty(iters)
-    en_hist = np.full(iters, np.nan)
-    # the dual objective needs a closed-form contact prox
-    has_gap = contact.closed is not None
-    gap_hist = np.full(iters, np.nan) if has_gap else None
+    en_hist, gap_hist = np.full((2, iters), np.nan)
     newton_steps, newton_corr, one_step_calls = 0, 0.0, 0
     tf = 2.0 * t * f_arr if f is not None else None
     shrink = 1.0 / (1.0 + 2.0 * t)
@@ -546,7 +547,7 @@ def minimize_energy(grid: DomainGrid, d=None, ctx: YosidaContext | None = None,
         else:
             xi = _dual_step_tv(z, sigma)
         kt = _grad_adjoint(xi, h, ok)
-        if has_gap and record:
+        if record:
             gap_hist[k] = en_hist[k] - _dual_value(kt, xi, inside, beta, area_mode, f_arr,
                                                    contact)
             # a small step stops the solve only where the gap confirms it
@@ -578,7 +579,7 @@ def minimize_energy(grid: DomainGrid, d=None, ctx: YosidaContext | None = None,
     feas = float(np.sqrt(xi[0] * xi[0] + xi[1] * xi[1]).max())
     return SolverResult(
         u=uf, xi=xi, report=report, residual_history=res_hist[:n],
-        energy_history=en_hist[:n], gap_history=None if gap_hist is None else gap_hist[:n],
+        energy_history=en_hist[:n], gap_history=gap_hist[:n],
         dual_bound=sigma, dual_feasibility_max=feas, notes=notes)
 
 
@@ -617,15 +618,15 @@ def _dual_value(kxi, xi, inside, beta, area_mode, f_arr, contact):
     sqrt(1 - |xi|^2) in area mode and 0 in TV mode.  With p = -K* xi, G*(p)
     is p f + p^2 / 4 off the probe cells and p v - (v - f)^2 - W tau_hat(v)
     on them, v = prox(f + p / 2, W / 2) the maximizer (capillarity: (p - nu
-    W)^2 / 4).  Needs the closed-form contact prox on the probe cells."""
+    W)^2 / 4), the contact transform's exact prox."""
     p = np.negative(kxi)
     g = p * 0.25
     g += f_arr
     g *= p                               # G*(p) off the probe cells
     cells, W = contact.cells, contact.W
     pc, fc = p.reshape(-1)[cells], f_arr.reshape(-1)[cells]
-    v = contact.closed.prox(fc + 0.5 * pc, 0.5 * W)
-    g.reshape(-1)[cells] = pc * v - (v - fc) ** 2 - W * contact.closed.hat(v)
+    v = contact.transform.prox(fc + 0.5 * pc, 0.5 * W)
+    g.reshape(-1)[cells] = pc * v - (v - fc) ** 2 - W * contact.transform.hat(v)
     dual = -float(np.dot(g.ravel(), inside.ravel()))
     if area_mode:
         e = np.subtract(1.0, xi[0] * xi[0])
