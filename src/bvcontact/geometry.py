@@ -5,7 +5,9 @@ at flat boundary points and 1/sin(theta/2) at a convex corner of interior
 angle theta, equivalently sqrt(1 + l^2) for the wedge {x2 > l|x1|} with
 l = cot(theta/2) > 0.  Reentrant corners (theta >= pi) contribute 1.  The
 global constant Q is the sup over the boundary and enters the trace
-inequality  int_{bd} |Tr u| <= (Q + eps) TV(u) + C int |u|.
+inequality  int_{bd} |Tr u| <= (Q + eps) TV(u) + C int |u|.  Admissibility
+asks sup L(x) q(x) < sigma; as q is 1 off the vertices, that sup is read from
+the vertices and the declared sup of L, with no edge sampled.
 """
 
 from __future__ import annotations
@@ -192,20 +194,6 @@ class PolygonalDomain:
         t += self.arc_offsets[i]
         return dist, t
 
-    def boundary_distance(self, points):
-        """Distance to the boundary, nearest arc position, and edge index."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        best_d = np.full(len(pts), np.inf)
-        best_s = np.zeros(len(pts))
-        best_e = np.zeros(len(pts), dtype=int)
-        for i in range(self.n):
-            dist, arc = self._edge_distance(i, pts[:, 0], pts[:, 1])
-            upd = dist < best_d
-            best_d[upd] = dist[upd]
-            best_s[upd] = arc[upd]
-            best_e[upd] = i
-        return best_d, best_s, best_e
-
     def boundary_point(self, s):
         """Boundary point at arc-length position s (wraps around)."""
         s = np.asarray(s, dtype=float) % self.perimeter
@@ -288,9 +276,9 @@ def domain_Q(dom: PolygonalDomain) -> float:
 class AdmissibilityReport:
     """Least slack of the products L(x) q(x) along the boundary, and the verdict.
 
-    min_slack is the least slack (1-2*eps0)*sigma - L*q over the sampled
-    points.  verdict is 'almost_C1_clause' (min_slack >= 0) or
-    'inadmissible'; both are read from the polygon's vertices and edges.
+    min_slack is (1-2*eps0)*sigma less the sup of L*q: the declared sup of
+    L on the open edges (where q = 1), L(v)*corner_q at each vertex v.
+    verdict is 'almost_C1_clause' (min_slack > 1e-12) or 'inadmissible'.
     """
 
     verdict: str
@@ -299,25 +287,22 @@ class AdmissibilityReport:
 
 def admissibility_check(dom: PolygonalDomain, density, sigma: float,
                         epsilon0: float) -> AdmissibilityReport:
-    """Check L(x) q(x) <= (1 - 2*eps0) * sigma along the boundary.
-
-    L is taken from the density's declared slope bound, sampled along every
-    edge at arc resolution <= shortest_edge/16 (where q = 1) and at every
-    vertex (where q = corner_q of the interior angle).  A curved boundary
-    is reached only as a limit: on the regular n-gon the threshold for
-    linear(-L) is sup L = sigma cos(pi/n), which tends to sigma.
+    """Check L(x) q(x) < (1 - 2*eps0) * sigma along the boundary, sampling
+    no edge: q = 1 on the open edges, where L is at most density.L_sup (a
+    callable L without .sup raises ValueError), and q = corner_q(theta) at
+    each vertex v, where L is L(v).  A curved boundary is reached only as a
+    limit: on the regular n-gon the threshold for linear(-L) is sup L =
+    sigma cos(pi/n), which tends to sigma.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if epsilon0 < 0:
         raise ValueError("epsilon0 must be nonnegative")
     bound = (1.0 - 2.0 * epsilon0) * sigma
-    s, _, _ = dom.edge_samples(dom.shortest_edge / 16.0)
-    pts = np.concatenate([dom.boundary_point(s), dom.vertices])
-    q = np.concatenate([np.ones(len(s)), [corner_q(th) for th in dom.interior_angles]])
-    L = np.array([density.L_at(x) for x in pts])
-    min_slack = float((bound - L * q).min())
-    verdict = "almost_C1_clause" if min_slack >= -1e-12 else "inadmissible"
+    at_vertices = max(density.L_at(v) * corner_q(th)
+                      for v, th in zip(dom.vertices, dom.interior_angles))
+    min_slack = float(bound - max(density.L_sup, at_vertices))
+    verdict = "almost_C1_clause" if min_slack > 1e-12 else "inadmissible"
     return AdmissibilityReport(verdict=verdict, min_slack=min_slack)
 
 
@@ -458,10 +443,9 @@ class DomainGrid:
         call: exact for masked cells closer than reach (by default W =
         dom.band_width) to the boundary, inf/0 outside that band.  Each edge
         is evaluated only on the cells of its bounding box grown by reach
-        (and two cells), by the same edge distance as dom.boundary_distance;
-        nearer edges win in edge order, written into views of the box.  The
-        grid keeps only the band cells, in arc_windows.  A MemoryError
-        raises SchemaError at grid_h."""
+        (and two cells), by dom._edge_distance; nearer edges win in edge
+        order, written into views of the box.  The grid keeps only the band
+        cells, in arc_windows.  A MemoryError raises SchemaError at grid_h."""
         try:
             dom, h = self.dom, self.h
             reach = dom.band_width if reach is None else float(reach)

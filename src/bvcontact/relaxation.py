@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -84,7 +83,8 @@ class E1Family:
 
 def _legs_trace(dom, segments) -> TraceSample:
     """Minimal exact trace: piecewise-constant in arc length, value v on each
-    (s_lo, s_hi, v) segment and 0 elsewhere."""
+    (s_lo, s_hi, v) segment and 0 elsewhere.  A piece's edge id is the edge
+    its midpoint's arc position falls on, found as boundary_point finds it."""
     cuts = sorted({0.0, dom.perimeter} | {s for lo, hi, _ in segments for s in (lo, hi)})
     s_mid, w, vals = [], [], []
     for lo, hi in zip(cuts, cuts[1:]):
@@ -98,10 +98,9 @@ def _legs_trace(dom, segments) -> TraceSample:
         w.append(hi - lo)
         vals.append(v)
     s_mid = np.asarray(s_mid)
-    pts = dom.boundary_point(s_mid)
-    _, _, eid = dom.boundary_distance(pts)
-    return TraceSample(s=s_mid, x=pts, w=np.asarray(w), values=np.asarray(vals),
-                       edge_id=eid)
+    eid = np.clip(np.searchsorted(dom.arc_offsets, s_mid, side="right") - 1, 0, dom.n - 1)
+    return TraceSample(s=s_mid, x=dom.boundary_point(s_mid), w=np.asarray(w),
+                       values=np.asarray(vals), edge_id=eid)
 
 
 class E2Family:
@@ -215,25 +214,13 @@ def counterexample_energy(fam: E1Family | E2Family | Log1DFamily,
 # -- the relaxed-energy oracle -------------------------------------------------------
 
 
-def representation_claimed(dom, d, sigma: float):
-    """The transformed energy represents the relaxation when sup L(x) q(x) <
-    sigma strictly along the polygon's boundary (some eps0 > 0 exists); a
-    verdict at zero slack is rewritten to 'inadmissible'.  On the regular
-    n-gon this is sup L < sigma cos(pi/n), the disk's sigma in the limit."""
-    rep = admissibility_check(dom, d, sigma, epsilon0=0.0)
-    if rep.verdict == "almost_C1_clause" and rep.min_slack > 1e-12:
-        return True, rep
-    rep.verdict = "inadmissible"
-    return False, rep
-
-
 def relaxed_energy(u: GridField, d, ctx: YosidaContext):
-    """H(u) annotated with the admissibility verdict on u's domain.
-
-    Outside the admissible regime the value is still returned but flagged:
-    no representation of the relaxation is claimed there.
+    """H(u) annotated with admissibility_check's verdict on u's domain at
+    eps0 = 0: the representation is claimed iff sup L q < sigma strictly.
+    Outside the admissible regime the value is still returned but flagged.
     """
-    claimed, adm = representation_claimed(u.dom, d, ctx.sigma)
+    adm = admissibility_check(u.dom, d, ctx.sigma, 0.0)
+    claimed = adm.verdict == "almost_C1_clause"
     rep = energy_H(u, d, ctx)
     rep.notes["admissibility"] = adm.verdict
     rep.notes["representation_claimed"] = claimed
@@ -252,39 +239,25 @@ class RepresentationReport:
     lower_detail: dict
 
 
-def _tail_candidates(u, d, sigma, base_F, seed):
-    """The perturbation families of the lower check as (name, energy at n)
-    entries, in a fixed order.
+def _grid_energy(g, values, d, sigma):
+    """The grid energy F of values on g.  The field lives only in this call,
+    so no earlier perturbed field is alive while the next one is built."""
+    return energy_F(GridField(g, values), d, sigma).total
+
+
+def _tail_energies(u, d, sigma, base_F, seed, n):
+    """The perturbation families of the lower check at n, as (name, energy)
+    pairs in a fixed order: the corner wedges, the bumps, the shifts.
 
     corner_wedge: a jump of height n on the triangle with legs a0/n at a
     convex corner changes TV by 2 a0 sin(theta/2) (independent of n) and the
     contact term by about (2 a0 / n) * [tau(x_c, t_c + n) - tau(x_c, t_c)];
     the subadditive estimate upper-bounds the true energy, so any value below
     H - tol is a genuine violation witness.  bump: grid energy of a shrinking
-    boundary Gaussian of amplitude -1.5 or 0.75 at a few seeded boundary
+    boundary Gaussian of amplitude -1.5, then 0.75, at a few seeded boundary
     points.  shift: grid energy of u -/+ 1/n.
     """
     dom, g = u.dom, u.grid
-    b = g.boundary()
-    X, Y = g.cell_centers()
-    last = {}   # the Gaussian of the last (point, n) asked for
-
-    def wedge(v, a0, t_c, dtv, n):
-        dtau = d.eval_many(v, np.array([t_c + n]))[0] - d.eval_many(v, np.array([t_c]))[0]
-        return base_F + dtv + (2.0 * a0 / n) * float(dtau)
-
-    def bump(j, amp, n):
-        if (j, n) not in last:
-            x0, y0 = b.x[j]
-            width = max(0.5 / n, 4 * g.h)
-            last.clear()
-            last[j, n] = np.exp(-((X - x0) ** 2 + (Y - y0) ** 2) / (2 * width ** 2))
-        un = GridField(g, u.values + np.where(g.mask, amp * last[j, n], 0.0))
-        return energy_F(un, d, sigma).total
-
-    def shift(c, n):
-        return energy_F(GridField(g, u.values + c / n), d, sigma).total
-
     out = []
     tr = trace_extract(u)
     for rec in dom.corner_records:
@@ -295,13 +268,20 @@ def _tail_candidates(u, d, sigma, base_F, seed):
         dists = np.hypot(tr.x[:, 0] - v[0], tr.x[:, 1] - v[1])
         t_c = float(tr.values[int(np.argmin(dists))])
         dtv = sigma * 2.0 * a0 * math.sin(rec.theta / 2.0)
-        out.append((f"corner_wedge(v{rec.index})", partial(wedge, v, a0, t_c, dtv)))
+        dtau = d.eval_many(v, np.array([t_c + n]))[0] - d.eval_many(v, np.array([t_c]))[0]
+        out.append((f"corner_wedge(v{rec.index})", base_F + dtv + (2.0 * a0 / n) * float(dtau)))
+    b = g.boundary()
+    X, Y = g.cell_centers()
     rng = np.random.default_rng(seed)
     for j in rng.choice(len(b.s), size=min(4, max(1, len(b.s) // 64)), replace=False):
         x0, y0 = b.x[j]
-        out += [(f"bump({x0:.2f},{y0:.2f},A={amp})", partial(bump, j, amp))
-                for amp in (-1.5, 0.75)]
-    out += [(f"shift({c:+.0f}/n)", partial(shift, c)) for c in (-1.0, 1.0)]
+        width = max(0.5 / n, 4 * g.h)
+        bump = np.exp(-((X - x0) ** 2 + (Y - y0) ** 2) / (2 * width ** 2))
+        for amp in (-1.5, 0.75):
+            e = _grid_energy(g, u.values + np.where(g.mask, amp * bump, 0.0), d, sigma)
+            out.append((f"bump({x0:.2f},{y0:.2f},A={amp})", e))
+    out += [(f"shift({c:+.0f}/n)", _grid_energy(g, u.values + c / n, d, sigma))
+            for c in (-1.0, 1.0)]
     return out
 
 
@@ -344,12 +324,10 @@ def verify_representation(u: GridField, d, ctx: YosidaContext, budget: int = 64,
     else:
         rec_lim = pts[-1][1]
     candidates.append(("recovery_tail", rec_lim, min(e for _, e in rec_tail)))
-    # every other family at the pair (n/2, n); the loop runs n outermost so
-    # that a bump's Gaussian is built once per (point, n)
-    table = _tail_candidates(u, d, ctx.sigma, base_F, seed)
-    halves, fulls = ([energy_at(n) for _, energy_at in table]
+    # every other family at the pair (n/2, n)
+    halves, fulls = (_tail_energies(u, d, ctx.sigma, base_F, seed, n)
                      for n in (max(2, budget // 2), budget))
-    for (name, _), e_half, e_full in zip(table, halves, fulls):
+    for (name, e_half), (_, e_full) in zip(halves, fulls):
         candidates.append((name, 2.0 * e_full - e_half, min(e_half, e_full)))
     lower_name, lower_energy, lower_raw = min(candidates, key=lambda kv: kv[1])
     return RepresentationReport(

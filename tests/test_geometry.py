@@ -14,7 +14,6 @@ from bvcontact.geometry import (admissibility_check, builtin_domain, corner_q, d
                                 emmer_check, l_shape, regular_ngon, unit_square,
                                 wedge_cut_ratio)
 from bvcontact.grid import boundary_trace_from_function
-from bvcontact.relaxation import representation_claimed
 
 
 @pytest.mark.parametrize("name, h", [("square", 2.0), ("square", 1e300), ("lshape", 1.0)])
@@ -239,10 +238,9 @@ def test_ngon_threshold_is_cos_pi_over_n(n):
     # linear(lam) is represented exactly while |lam| < sigma cos(pi/n)
     dom = regular_ngon(n)
     lam = math.cos(math.pi / n)
-    below, _ = representation_claimed(dom, density.linear(-(lam - 1e-9)), 1.0)
-    above, rep = representation_claimed(dom, density.linear(-(lam + 1e-9)), 1.0)
-    assert below and not above
-    assert rep.verdict == "inadmissible"
+    below = admissibility_check(dom, density.linear(-(lam - 1e-9)), 1.0, 0.0)
+    above = admissibility_check(dom, density.linear(-(lam + 1e-9)), 1.0, 0.0)
+    assert below.verdict == "almost_C1_clause" and above.verdict == "inadmissible"
 
 
 def test_ngon_threshold_tends_to_sigma_at_order_two():
@@ -267,6 +265,51 @@ def test_admissibility_monotone_in_L():
         prev = order[rep.verdict]
 
 
+def _sampled_min_slack(dom, d, sigma, epsilon0):
+    """The least slack over edge samples at shortest_edge/16 and the
+    vertices, as admissibility_check sampled it before it read L's sup."""
+    bound = (1.0 - 2.0 * epsilon0) * sigma
+    s, _, _ = dom.edge_samples(dom.shortest_edge / 16.0)
+    pts = np.concatenate([dom.boundary_point(s), dom.vertices])
+    q = np.concatenate([np.ones(len(s)), [corner_q(th) for th in dom.interior_angles]])
+    L = np.array([d.L_at(x) for x in pts])
+    return float((bound - L * q).min())
+
+
+def _assert_slack_matches_samples(dom):
+    for Lval in (0.0, 0.3, 0.7071, 1.2):
+        for eps0 in (0.0, 0.1):
+            d = density.linear(-Lval)
+            got = admissibility_check(dom, d, 1.0, eps0).min_slack
+            assert got == _sampled_min_slack(dom, d, 1.0, eps0), (Lval, eps0)
+
+
+@pytest.mark.parametrize("name", geometry.BUILTIN_DOMAINS)
+def test_admissibility_slack_of_a_constant_L_matches_edge_samples(name):
+    _assert_slack_matches_samples(builtin_domain(name))
+
+
+def _peaked_L(x):
+    return 0.5 + 0.6 * math.exp(-((x[0] - 0.51) ** 2 + x[1] ** 2) / 1e-6)
+
+
+_peaked_L.sup = 1.1
+
+
+def test_admissibility_reads_the_declared_sup_of_a_callable_L():
+    # L peaks at 1.1 > sigma between two edge samples at shortest_edge/16
+    # (0.46875 and 0.53125); the corners alone would give slack 1 - 0.5 sqrt(2)
+    d = density.SurfaceDensity.from_callable(
+        lambda x, P: -_peaked_L(x) * np.abs(P), L=_peaked_L)
+    rep = admissibility_check(unit_square(), d, 1.0, 0.0)
+    assert rep.verdict == "inadmissible"
+    assert rep.min_slack == pytest.approx(-0.1, abs=1e-12)
+    no_sup = density.SurfaceDensity.from_callable(lambda x, P: -0.5 * np.abs(P),
+                                                  L=lambda x: 0.5)
+    with pytest.raises(ValueError, match=r"\.sup"):
+        admissibility_check(unit_square(), no_sup, 1.0, 0.0)
+
+
 def test_emmer_square():
     dom = unit_square()
     assert dom.lipschitz_constant == pytest.approx(1.0, abs=1e-12)
@@ -280,8 +323,10 @@ def test_boundary_samples_sum_to_perimeter():
         g = dom.grid(1 / 64)
         b = g.boundary()
         assert b.w.sum() == pytest.approx(dom.perimeter, rel=1e-9)
-        d, _, _ = dom.boundary_distance(b.x)
-        assert d.max() < 1e-9
+        for i in range(dom.n):
+            on = b.edge_id == i
+            d, _ = dom._edge_distance(i, b.x[on, 0], b.x[on, 1])
+            assert on.any() and d.max() < 1e-9
         assert g.mask.reshape(-1)[b.probe].all()
 
 
@@ -540,6 +585,12 @@ def _snapped_polygons(draw):
 def test_band_geometry_matches_dense_on_random_polygons(case):
     dom, h = case
     _assert_matches_dense(dom, h)
+
+
+@given(case=_snapped_polygons())
+@settings(max_examples=30, deadline=None)
+def test_admissibility_slack_of_a_constant_L_matches_edge_samples_on_stars(case):
+    _assert_slack_matches_samples(case[0])
 
 
 @pytest.fixture(scope="module")

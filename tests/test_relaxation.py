@@ -6,11 +6,11 @@ import pytest
 from bvcontact import density, relaxation
 from bvcontact.density import YosidaContext
 from bvcontact.errors import SchemaError
-from bvcontact.geometry import regular_ngon, unit_square
+from bvcontact.geometry import admissibility_check, regular_ngon, unit_square
 from bvcontact.grid import constant_field, energy_F, field_from_function, l1_distance
 from bvcontact.relaxation import (E1Family, E2Family, Log1DFamily, CatalogReport,
                                   counterexample_energy, family_by_name, relaxed_energy,
-                                  representation_claimed, verify_representation)
+                                  verify_representation)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -201,9 +201,9 @@ def test_relaxed_energy_on_the_64gon(a, claimed):
 
 def test_representation_claimed_threshold():
     dom = unit_square()
-    ok, _ = representation_claimed(dom, density.linear(-0.70), 1.0)
-    bad, _ = representation_claimed(dom, density.linear(-0.71), 1.0)
-    assert ok and not bad
+    ok = admissibility_check(dom, density.linear(-0.70), 1.0, 0.0)
+    bad = admissibility_check(dom, density.linear(-0.71), 1.0, 0.0)
+    assert (ok.verdict, bad.verdict) == ("almost_C1_clause", "inadmissible")
 
 
 # -- two-sided verification -------------------------------------------------------------
